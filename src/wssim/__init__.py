@@ -13,8 +13,8 @@ from .learning import (BeliefState, OracleEnvironment, PolicyConfig,
                        estimate_transition, propagate_belief, run_policy,
                        update_counts)
 from .recovery import (RecoveryConfig, SenseResult, direct_solve,
-                       energy_detect, exhaustive_map_support, fbmp_recover,
-                       gamma_threshold, oracle_sense, signal_sense)
+                       energy_detect, fbmp_recover, gamma_threshold,
+                       oracle_sense, signal_sense)
 from .sensing import (MeasurementBatch, SensingMatrix, draw_sensing_matrix,
                       measure, select_submatrix)
 from .sizing import (ExplorationBudget, SizeDecision, exploration_threshold,

@@ -8,6 +8,7 @@ which keeps the aggregate independent of execution order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,7 +150,9 @@ def emit_results(series: MetricSeries, csv_path: str | Path) -> tuple[Path, Path
     The CSV carries one row per slot with the mean throughput and (when IMP
     was run) mean cumulative regret of every policy, at full float
     precision. Re-running from the manifest reproduces the CSV byte for
-    byte.
+    byte. Both files are written under temporary names in the target
+    directory and renamed into place only once both are complete, so a
+    failure leaves neither a partial CSV nor a partial manifest behind.
     """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -164,15 +167,23 @@ def emit_results(series: MetricSeries, csv_path: str | Path) -> tuple[Path, Path
     for values in series_by_column:
         if not np.all(np.isfinite(values)):
             raise ValueError("refusing to emit non-finite metric values")
-    try:
-        with open(csv_path, "w", encoding="utf-8", newline="") as f:
-            f.write(",".join(columns) + "\n")
-            for slot in range(series.config.horizon):
-                row = [str(slot)] + [repr(float(col[slot]))
-                                     for col in series_by_column]
-                f.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write results to {csv_path}: {exc}") from exc
     manifest = manifest_path_for(csv_path)
-    dump_config(series.config.resolved(), manifest)
+    tmp_csv, tmp_manifest = (path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                             for path in (csv_path, manifest))
+    try:
+        try:
+            with open(tmp_csv, "w", encoding="utf-8", newline="") as f:
+                f.write(",".join(columns) + "\n")
+                for slot in range(series.config.horizon):
+                    row = [str(slot)] + [repr(float(col[slot]))
+                                         for col in series_by_column]
+                    f.write(",".join(row) + "\n")
+        except OSError as exc:
+            raise OSError(f"failed to write results to {csv_path}: {exc}") from exc
+        dump_config(series.config.resolved(), tmp_manifest)
+        os.replace(tmp_csv, csv_path)
+        os.replace(tmp_manifest, manifest)
+    finally:
+        for tmp in (tmp_csv, tmp_manifest):
+            tmp.unlink(missing_ok=True)
     return csv_path, manifest

@@ -10,7 +10,7 @@ busy count and the relative fit residual.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,24 +109,32 @@ def _prior_log_odds(prior_activity, m: int):
     return log_1q.sum(), log_q - log_1q
 
 
-def _support_score(szz: np.ndarray, n_bins: int, a_sub: np.ndarray,
-                   active: tuple[int, ...], sig_s: float, sig_n: float,
-                   base_prior: float, prior_gain: np.ndarray) -> float:
-    """Log posterior (up to a support-independent constant) of a busy set.
+def _support_scores(szz: np.ndarray, n_bins: int, a_sub: np.ndarray,
+                    supports: np.ndarray, sig_s: float, sig_n: float,
+                    base_prior: float, prior_gain: np.ndarray) -> np.ndarray:
+    """Log posterior (up to a support-independent constant) of busy sets.
 
-    The active bands are modelled as zero-mean complex Gaussian with per-bin
+    supports is a (C, s) index array of C supports of equal size s (s = 0
+    scores the empty support); the result holds one score per row. The
+    active bands are modelled as zero-mean complex Gaussian with per-bin
     variance sig_s, so the measurement covariance per bin is
-    sig_n * I + sig_s * A_S A_S^T; the likelihood factorises over bins.
+    Phi = sig_n * I + sig_s * A_S A_S^T; the likelihood factorises over
+    bins. All C matrices Phi are built with one batched matmul, factorised
+    with one stacked Cholesky and solved against szz with one stacked
+    solve. Stacked LAPACK calls run the same routine once per matrix, on
+    the same per-matrix memory layout as a single call, so each score is
+    bit-identical to scoring its support on its own.
     """
     k = a_sub.shape[0]
-    phi = sig_n * np.eye(k)
-    if active:
-        a_s = a_sub[:, list(active)]
-        phi = phi + sig_s * (a_s @ a_s.T)
+    # (C, k, s) with every k x s block C-contiguous, the layout of
+    # a_sub[:, support] for a single support.
+    a_s = np.ascontiguousarray(a_sub[:, supports].transpose(1, 0, 2))
+    phi = sig_n * np.eye(k) + sig_s * (a_s @ a_s.transpose(0, 2, 1))
     chol = np.linalg.cholesky(phi)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    quad = np.trace(np.linalg.solve(phi, szz)).real
-    log_prior = base_prior + prior_gain[list(active)].sum() if active else base_prior
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    quad = np.trace(np.linalg.solve(phi, szz), axis1=1, axis2=2).real
+    log_prior = base_prior + prior_gain[supports].sum(axis=1) \
+        if supports.shape[1] else base_prior
     return -n_bins * logdet - quad + log_prior
 
 
@@ -154,9 +162,13 @@ def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig):
     """Greedy maximum-a-posteriori search over busy-band supports.
 
     Supports grow one band at a time; the best cfg.search_breadth
-    candidates per size survive, up to size cfg.gamma. Returns the binary
-    support estimate, the posterior-mean spectra of the best support, and
-    the relative residual of the fit.
+    candidates per size survive, up to size cfg.gamma. Each level's
+    distinct candidates are scored together in one stacked factorisation
+    (_support_scores), and a stable sort ranks them, so score ties go to
+    the candidate generated first. The scores are bit-identical to scoring
+    one support at a time, so the search picks the same support. Returns
+    the binary support estimate, the posterior-mean spectra of the best
+    support, and the relative residual of the fit.
     """
     samples = _samples_of(z)
     a_sub = np.asarray(a_sub, dtype=float)
@@ -175,25 +187,23 @@ def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig):
     base_prior, prior_gain = _prior_log_odds(cfg.prior_activity, m)
     szz = samples @ samples.conj().T
 
-    def score(active):
-        return _support_score(szz, n_bins, a_sub, active, sig_s, sig_n,
-                              base_prior, prior_gain)
+    def scores(level):
+        supports = np.array(level, dtype=np.intp).reshape(len(level), -1)
+        return _support_scores(szz, n_bins, a_sub, supports, sig_s, sig_n,
+                               base_prior, prior_gain).tolist()
 
     best_active: tuple[int, ...] = ()
-    best_score = score(())
+    best_score = scores([()])[0]
     frontier = [()]
     for _ in range(cfg.gamma):
-        scored = {}
-        for active in frontier:
-            for j in range(m):
-                if j in active:
-                    continue
-                cand = tuple(sorted(active + (j,)))
-                if cand not in scored:
-                    scored[cand] = score(cand)
-        if not scored:
+        # Distinct candidates in first-seen order; the stable sort below
+        # then breaks score ties by that order.
+        level = list(dict.fromkeys(tuple(sorted(active + (j,)))
+                                   for active in frontier
+                                   for j in range(m) if j not in active))
+        if not level:
             break
-        ranked = sorted(scored.items(), key=lambda item: -item[1])
+        ranked = sorted(zip(level, scores(level)), key=lambda item: -item[1])
         frontier = [active for active, _ in ranked[:cfg.search_breadth]]
         if ranked[0][1] > best_score:
             best_active, best_score = ranked[0]
@@ -205,28 +215,9 @@ def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig):
     return support, x_hat, ratio
 
 
-def exhaustive_map_support(z, a_sub: np.ndarray, cfg: RecoveryConfig) -> np.ndarray:
-    """Score every support of size up to cfg.gamma; reference for the greedy search."""
-    samples = _samples_of(z)
-    a_sub = np.asarray(a_sub, dtype=float)
-    m = a_sub.shape[1]
-    n_bins = samples.shape[1]
-    if cfg.gamma is None:
-        raise ValueError("cfg.gamma must be set")
-    sig_s = float(cfg.signal_variance)
-    sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR * sig_s)
-    base_prior, prior_gain = _prior_log_odds(cfg.prior_activity, m)
-    szz = samples @ samples.conj().T
-    best_active, best_score = (), -np.inf
-    for size in range(cfg.gamma + 1):
-        for active in itertools.combinations(range(m), size):
-            s = _support_score(szz, n_bins, a_sub, active, sig_s, sig_n,
-                               base_prior, prior_gain)
-            if s > best_score:
-                best_active, best_score = active, s
-    support = np.zeros(m, dtype=np.int8)
-    support[list(best_active)] = 1
-    return support
+@functools.lru_cache(maxsize=64)
+def _chi2_quantile(prob: float, dof: int) -> float:
+    return chi2.ppf(prob, df=dof)
 
 
 def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:
@@ -235,7 +226,9 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     Under noise alone a band's energy is (noise_variance / 2) times a
     chi-square variable with 2 * bins degrees of freedom; the threshold is
     its (1 - energy_fa_rate) quantile, per band when noise_variance is a
-    vector.
+    vector. The quantile is computed once per (1 - energy_fa_rate,
+    2 * bins) and cached, so repeated calls return the same threshold bits
+    without re-running the inverse distribution function.
     """
     if not 0.0 < energy_fa_rate < 1.0:
         raise ValueError("energy_fa_rate must lie in (0, 1)")
@@ -245,7 +238,7 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     n_bins = spectra.shape[1]
     energies = np.sum(np.abs(spectra) ** 2, axis=1)
     threshold = 0.5 * np.asarray(noise_variance, dtype=float) \
-        * chi2.ppf(1.0 - energy_fa_rate, df=2 * n_bins)
+        * _chi2_quantile(1.0 - energy_fa_rate, 2 * n_bins)
     return (energies > threshold).astype(np.int8)
 
 

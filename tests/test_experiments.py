@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from wssim import experiments
 from wssim.config import ExperimentConfig, dump_config, load_config
 from wssim.experiments import (compute_regret, emit_results, run_experiment,
                                run_replication)
@@ -111,6 +114,28 @@ class TestEmitResults:
         reloaded = load_config(manifest)
         second_csv, _ = emit_results(run_experiment(reloaded), tmp_path / "b.csv")
         assert first_csv.read_bytes() == second_csv.read_bytes()
+
+    def test_failed_manifest_leaves_no_partial_files(self, tmp_path, monkeypatch):
+        series = run_experiment(small_config(horizon=50))
+        csv_path = tmp_path / "out.csv"
+
+        def broken_dump(cfg, path):
+            Path(path).write_text("n_bands = ", encoding="utf-8")
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "dump_config", broken_dump)
+            with pytest.raises(OSError, match="disk full"):
+                emit_results(series, csv_path)
+        assert list(tmp_path.iterdir()) == []
+        # A failed re-run leaves the previous complete outputs in place.
+        _, manifest = emit_results(series, csv_path)
+        before = csv_path.read_bytes(), manifest.read_bytes()
+        monkeypatch.setattr(experiments, "dump_config", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            emit_results(run_experiment(small_config(horizon=20)), csv_path)
+        assert (csv_path.read_bytes(), manifest.read_bytes()) == before
+        assert sorted(tmp_path.iterdir()) == sorted([csv_path, manifest])
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = small_config()

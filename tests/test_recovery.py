@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import (all_supports, exhaustive_map_support,
+                      reference_greedy_recover, reference_support_score,
+                      score_terms)
 from wssim.recovery import (RecoveryConfig, SenseResult, direct_solve,
-                            energy_detect, exhaustive_map_support,
-                            fbmp_recover, gamma_threshold, oracle_sense,
-                            signal_sense)
-from wssim.recovery import _prior_log_odds, _support_score
+                            energy_detect, fbmp_recover, gamma_threshold,
+                            oracle_sense, signal_sense)
+from wssim.recovery import _support_scores
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import OccupancyState, synthesize_band_spectra
 
@@ -136,25 +138,22 @@ class TestFbmpRecover:
         for seed in range(10):
             statuses, _, a_sub, batch, cfg = make_instance(
                 seed, m=7, k=5, busy_count=2, snr_db=None)
-            sig_n = max(cfg.noise_variance, 1e-10 * cfg.signal_variance)
-            base_prior, gain = _prior_log_odds(cfg.prior_activity, 7)
-            szz = batch.samples @ batch.samples.conj().T
-            n_bins = batch.samples.shape[1]
+            szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
+                batch.samples, cfg, 7)
             busy = tuple(np.flatnonzero(statuses))
-            import itertools
             for size in range(cfg.gamma):
-                for active in itertools.combinations(range(7), size):
+                pairs = []
+                for active in map(tuple, all_supports(7, size)):
                     missing = [b for b in busy if b not in active]
-                    if not missing:
-                        continue
-                    base = _support_score(szz, n_bins, a_sub, active,
-                                          cfg.signal_variance, sig_n,
-                                          base_prior, gain)
-                    grown = tuple(sorted(active + (missing[0],)))
-                    better = _support_score(szz, n_bins, a_sub, grown,
-                                            cfg.signal_variance, sig_n,
-                                            base_prior, gain)
-                    assert better > base
+                    if missing:
+                        pairs.append((active, tuple(sorted(active + (missing[0],)))))
+                base, grown = (np.array(side, dtype=np.intp).reshape(len(pairs), -1)
+                               for side in zip(*pairs))
+                better = _support_scores(szz, n_bins, a_sub, grown, sig_s,
+                                         sig_n, base_prior, gain)
+                worse = _support_scores(szz, n_bins, a_sub, base, sig_s,
+                                        sig_n, base_prior, gain)
+                assert np.all(better > worse)
 
     def test_greedy_matches_exhaustive_on_noiseless_instances(self):
         trials = 200
@@ -165,12 +164,50 @@ class TestFbmpRecover:
             busy_count = seed % 3     # within the recoverable budget
             statuses, _, a_sub, batch, cfg = make_instance(
                 seed, m=m, busy_count=busy_count, snr_db=None)
-            exhaustive = exhaustive_map_support(batch, a_sub, cfg)
+            exhaustive = exhaustive_map_support(batch.samples, a_sub, cfg)
             greedy, _, _ = fbmp_recover(batch, a_sub, cfg)
             exhaustive_correct += int(np.array_equal(exhaustive, statuses))
             agree += int(np.array_equal(exhaustive, greedy))
         assert exhaustive_correct == trials
         assert agree / trials >= 0.99
+
+    @pytest.mark.parametrize("k, m, gamma", [(4, 7, 2), (8, 16, 4)])
+    def test_stacked_scores_equal_one_at_a_time(self, k, m, gamma):
+        # Every support up to size gamma, empty support included, on
+        # seeded noisy instances with uneven priors: exact equality.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            _, _, a_sub, batch, cfg = make_instance(
+                seed, m=m, k=k, busy_count=gamma, snr_db=10.0 + 5 * seed,
+                prior=rng.uniform(0.05, 0.95, m))
+            szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
+                batch.samples, cfg, m)
+            for size in range(gamma + 1):
+                supports = all_supports(m, size)
+                stacked = _support_scores(szz, n_bins, a_sub, supports, sig_s,
+                                          sig_n, base_prior, gain)
+                scalar = [reference_support_score(szz, n_bins, a_sub,
+                                                  tuple(s), sig_s, sig_n,
+                                                  base_prior, gain)
+                          for s in supports]
+                assert stacked.tolist() == scalar
+
+    def test_identical_to_one_support_at_a_time_search(self):
+        # 500 seeded draws across set sizes, noise levels and busy counts,
+        # some beyond the recoverable limit: support, spectra and residual
+        # must be exactly those of the scalar reference search.
+        shapes = [(4, 6), (4, 7), (8, 13), (8, 16)]
+        for seed in range(500):
+            k, m = shapes[seed % 4]
+            _, _, a_sub, batch, cfg = make_instance(
+                seed, m=m, k=k, busy_count=seed % (k // 2 + 2),
+                snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
+            support, x_hat, ratio = fbmp_recover(batch, a_sub, cfg)
+            ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
+                batch.samples, a_sub, cfg)
+            np.testing.assert_array_equal(support, ref_support)
+            np.testing.assert_array_equal(x_hat, ref_x_hat)
+            assert ratio == ref_ratio
 
 
 class TestEnergyDetect:
