@@ -22,7 +22,6 @@ from .sizing import (ExplorationBudget, SizeDecision, exploration_threshold,
                      success_probability)
 from .spectrum import (CASE_STATIONARY, BandSpectra, BandStatistics,
                        OccupancyState, init_occupancy, simulate_occupancy,
-                       stationary_vacancy, step_occupancy,
-                       synthesize_band_spectra)
+                       stationary_vacancy, synthesize_band_spectra)
 
 __version__ = "0.1.0"

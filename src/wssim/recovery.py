@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .sensing import MeasurementBatch
 
@@ -71,20 +71,17 @@ def gamma_threshold(set_size: int, k_branches: int) -> int:
     return set_size if set_size <= k_branches else k_branches // 2
 
 
-def oracle_sense(true_statuses: np.ndarray, k_branches: int) -> SenseResult:
+def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
     """Apply the busy-count feasibility rule to ground-truth statuses.
 
-    The reported statuses equal ground truth either way; when xi = 1 they
-    are flagged unusable and the caller must not learn from them.
+    true_statuses is a 0/1 sequence, a list of ints or an int8 array. The
+    reported statuses are a fresh int8 copy of ground truth either way;
+    when xi = 1 they are flagged unusable and the caller must not learn
+    from them.
     """
-    statuses = true_statuses
-    if not (isinstance(statuses, np.ndarray) and statuses.dtype == np.int8
-            and statuses.ndim == 1):
-        statuses = np.atleast_1d(np.asarray(true_statuses)).astype(np.int8)
-    else:
-        statuses = statuses.copy()
+    statuses = np.array(true_statuses, dtype=np.int8, ndmin=1)
     limit = gamma_threshold(statuses.size, k_branches)
-    xi = 0 if int(statuses.sum()) <= limit else 1
+    xi = 0 if sum(statuses.tolist()) <= limit else 1
     return SenseResult(statuses=statuses, xi=xi, residual_ratio=None)
 
 
@@ -217,7 +214,13 @@ def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig):
 
 @functools.lru_cache(maxsize=64)
 def _chi2_quantile(prob: float, dof: int) -> float:
-    return chi2.ppf(prob, df=dof)
+    """The prob quantile of a chi-square law with dof degrees of freedom.
+
+    A chi-square variable is twice a Gamma(dof / 2) variable, so this is
+    the expression scipy.stats.chi2.ppf evaluates, without importing
+    scipy.stats.
+    """
+    return 2.0 * gammaincinv(dof / 2.0, prob)
 
 
 def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:

@@ -106,34 +106,52 @@ def init_occupancy(stats: BandStatistics, rng: np.random.Generator) -> Occupancy
     return OccupancyState(statuses=statuses, slot_index=0)
 
 
-def step_occupancy(state: OccupancyState, stats: BandStatistics,
-                   rng: np.random.Generator) -> OccupancyState:
-    """Advance every band by one Markov transition."""
-    if state.n_bands != stats.n_bands:
-        raise ValueError("occupancy state length does not match band statistics")
-    u = rng.random(stats.n_bands)
-    busy_next = np.where(state.statuses == 0, u < stats.p01, u >= stats.p10)
-    return OccupancyState(statuses=busy_next.astype(np.int8),
-                          slot_index=state.slot_index + 1)
-
-
 def simulate_occupancy(stats: BandStatistics, horizon: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Full status trajectory, shape (horizon, n_bands), slot 0 stationary.
 
-    Draw-for-draw equivalent to init_occupancy followed by repeated
-    step_occupancy, with the per-step bookkeeping inlined.
+    Slot 0 is drawn as init_occupancy draws it. Every later transition
+    takes one uniform u per band and step, all drawn in one bulk call,
+    which yields the same numbers as one rng.random(n_bands) call per
+    step. A vacant band turns busy when u < p01; a busy band stays busy
+    when u >= p10. With a = (u < p01) and b = (u >= p10), a step where a
+    equals b sets the next status to a whatever the current one (a reset;
+    slot 0 counts as one), a step with a and not b flips the status, and
+    any other step holds it. Each status is therefore the value at its
+    band's last reset plus the parity of the flips since, which two
+    logical_xor accumulations give without a per-step loop. Every working
+    array except the draws is bool.
     """
-    out = np.empty((horizon, stats.n_bands), dtype=np.int8)
+    n = stats.n_bands
+    out = np.empty((horizon, n), dtype=np.int8)
     if horizon == 0:
         return out
-    out[0] = init_occupancy(stats, rng).statuses
-    n, p01, p10 = stats.n_bands, stats.p01, stats.p10
-    current = out[0]
-    for t in range(1, horizon):
-        u = rng.random(n)
-        out[t] = np.where(current == 0, u < p01, u >= p10)
-        current = out[t]
+    first = init_occupancy(stats, rng).statuses.astype(bool)
+    # Band-major (n, horizon) layout, so each band's slots are contiguous.
+    u = rng.random((horizon - 1, n)).T
+    a = np.empty((n, horizon), dtype=bool)
+    b = np.empty((n, horizon), dtype=bool)
+    a[:, 0] = b[:, 0] = first
+    np.less(u, stats.p01[:, None], out=a[:, 1:])
+    np.greater_equal(u, stats.p10[:, None], out=b[:, 1:])
+    del u
+    reset = a == b
+    # Flips up to and including each slot.
+    parity = np.logical_xor.accumulate(a > b, axis=1)
+    # status[t] = a[r] ^ parity[r] ^ parity[t] for the last reset r <= t.
+    # Spread a[r] ^ parity[r] forward from each reset by accumulating its
+    # changes from one reset to the next. Every band's row starts with a
+    # reset, so the running xor never carries across bands.
+    at_reset = a[reset] ^ parity[reset]
+    del a, b
+    changes = at_reset.copy()
+    changes[1:] ^= at_reset[:-1]
+    spread = np.zeros((n, horizon), dtype=bool)
+    spread[reset] = changes
+    flat = spread.reshape(-1)
+    np.logical_xor.accumulate(flat, out=flat)
+    spread ^= parity
+    out[:] = spread.T
     return out
 
 

@@ -5,9 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
+                            SlotOutcome, epsilon, explore_schedule)
 from wssim.recovery import (_MODEL_FLOOR, _conditional_mean, _prior_log_odds,
-                            _residual_ratio, _support_scores)
-from wssim.sizing import success_probability
+                            _residual_ratio, _support_scores, oracle_sense)
+from wssim.sizing import (exploration_threshold, optimize_size,
+                          success_probability)
+from wssim.spectrum import BandStatistics, OccupancyState, stationary_vacancy
 
 
 def brute_force_busy_pmf(busy_probs):
@@ -131,6 +135,204 @@ def exhaustive_map_support(samples, a_sub, cfg):
     support = np.zeros(m, dtype=np.int8)
     support[list(best_active)] = 1
     return support
+
+
+class ReferenceOracleEnvironment:
+    """Oracle sensing by numpy fancy indexing of the trajectory.
+
+    Reference for wssim.learning.OracleEnvironment, which reads list rows.
+    """
+
+    def __init__(self, trajectory, k_branches):
+        self.trajectory = np.asarray(trajectory, dtype=np.int8)
+        self.k_branches = k_branches
+
+    def sense(self, selected, slot, prior_vacancy=None):
+        return oracle_sense(self.trajectory[slot, selected], self.k_branches)
+
+
+def step_occupancy(state, stats, rng):
+    """Advance every band by one Markov transition.
+
+    Reference for wssim.spectrum.simulate_occupancy, which must equal
+    init_occupancy followed by repeated calls of this step.
+    """
+    if state.n_bands != stats.n_bands:
+        raise ValueError("occupancy state length does not match band statistics")
+    u = rng.random(stats.n_bands)
+    busy_next = np.where(state.statuses == 0, u < stats.p01, u >= stats.p10)
+    return OccupancyState(statuses=busy_next.astype(np.int8),
+                          slot_index=state.slot_index + 1)
+
+
+# The policy loop on numpy state, one kernel per step, kept as the reference
+# for the list-backed loop in wssim.learning.
+
+
+def reference_update_counts(belief: BeliefState, selected: np.ndarray,
+                            statuses_prev: np.ndarray,
+                            statuses_now: np.ndarray) -> BeliefState:
+    """Credit one observed transition per selected band.
+
+    Both status vectors must come from successful senses of the same band
+    set in consecutive slots.
+    """
+    selected = np.asarray(selected)
+    prev = np.asarray(statuses_prev)
+    now = np.asarray(statuses_now)
+    if not (selected.size == prev.size == now.size):
+        raise ValueError("selected and status vectors must have equal length")
+    counts = belief.counts
+    for band, u, v in zip(selected.tolist(), prev.tolist(), now.tolist()):
+        counts[band, u, v] += 1
+    belief.obs_count[selected] += 1
+    return belief
+
+
+def reference_refresh_estimates(belief: BeliefState, bands: np.ndarray) -> None:
+    """Recompute the cached transition estimates of the given bands."""
+    c = belief.counts[bands]
+    belief.p01_hat[bands] = c[:, 0, 1] / (c[:, 0, 1] + c[:, 0, 0])
+    belief.p10_hat[bands] = c[:, 1, 0] / (c[:, 1, 0] + c[:, 1, 1])
+
+
+def reference_propagate_belief(belief: BeliefState,
+                               outcome: SlotOutcome) -> np.ndarray:
+    """Advance the vacancy beliefs by one slot.
+
+    Bands sensed in a successful slot jump to the estimated transition
+    probability out of their observed state; every other band (and every
+    band of a failed slot) follows the one-step prediction
+    (1 - omega) * p10 + omega * p00.
+    """
+    p10 = belief.p10_hat
+    p01 = belief.p01_hat
+    omega = belief.omega
+    # (1 - omega) * p10 + omega * (1 - p01), rearranged to save temporaries.
+    new_omega = omega + p10 - omega * (p10 + p01)
+    if outcome.xi == 0:
+        sel = outcome.selected
+        busy = outcome.statuses == 1
+        new_omega[sel] = np.where(busy, p10[sel], 1.0 - p01[sel])
+    belief.omega = new_omega
+    belief.slot_index += 1
+    return new_omega
+
+
+def reference_exploit_select(belief: BeliefState, set_size: int,
+                             k_branches: int) -> np.ndarray:
+    """The set_size bands with the largest vacancy belief, ties to the
+    lowest band index; returned in ascending band order."""
+    if not k_branches <= set_size <= belief.n_bands:
+        raise ValueError("set_size must satisfy k_branches <= set_size <= n_bands")
+    order = (-belief.omega).argsort(kind="stable")
+    top = order[:set_size]
+    top.sort()
+    return top
+
+
+def reference_run_policy(cfg: PolicyConfig, env, rng: np.random.Generator,
+                         true_stats: BandStatistics | None = None,
+                         belief: BeliefState | None = None) -> list[SlotOutcome]:
+    """Run one policy over the configured horizon, on numpy state.
+
+    Reference for wssim.learning.run_policy, which must match it bit for
+    bit: the same loop with the belief held in length-N numpy arrays and
+    the per-slot kernels above.
+
+    The environment supplies per-slot sensing of whichever band set the
+    policy requests. IMP needs true_stats for its exact beliefs and fixed
+    optimal set size; LDM and OLDM learn from scratch. A caller-supplied
+    belief is updated in place, which also exposes the final learner state.
+    """
+    cfg.validate()
+    n, k = cfg.n_bands, cfg.k_branches
+    n_groups = -(-n // k)
+    block_len = 2 * n_groups
+    n_blocks = -(-cfg.horizon // block_len) if cfg.horizon else 0
+    is_imp = cfg.mode == "IMP"
+
+    if belief is None:
+        belief = BeliefState.fresh(n)
+    elif belief.n_bands != n:
+        raise ValueError("belief length must equal n_bands")
+    if is_imp:
+        if true_stats is None:
+            raise ValueError("IMP requires true band statistics")
+        if true_stats.n_bands != n:
+            raise ValueError("true_stats length must equal n_bands")
+        belief.p01_hat = true_stats.p01.copy()
+        belief.p10_hat = true_stats.p10.copy()
+        belief.omega = stationary_vacancy(true_stats)
+        fixed_size = optimize_size(belief.omega, k).size
+    else:
+        fixed_size = k
+    unlock_obs = (exploration_threshold(n, k, cfg.mu, cfg.delta).observations
+                  if cfg.mode == "OLDM" else None)
+
+    group_sets = [explore_schedule(g, n, k) for g in range(n_groups)]
+    outcomes: list[SlotOutcome] = []
+    t = 0
+    # Last exploitation outcome, kept across consecutive exploitation blocks
+    # and cleared by exploration so no pair straddles a phase change.
+    prev: SlotOutcome | None = None
+
+    def sense_and_record(selected, phase):
+        nonlocal t
+        result = env.sense(selected, t, belief.omega)
+        vacant = selected.size - int(result.statuses.sum())
+        throughput = vacant if result.xi == 0 else 0
+        outcome = SlotOutcome(selected=selected, statuses=result.statuses,
+                              xi=result.xi, throughput=throughput, phase=phase)
+        outcomes.append(outcome)
+        t += 1
+        return outcome
+
+    for b in range(1, n_blocks + 1):
+        if t >= cfg.horizon:
+            break
+        explore = (not is_imp) and rng.random() < epsilon(b, cfg.exploration_coefficient)
+        if explore:
+            prev = None
+            for sel in group_sets:
+                if t >= cfg.horizon:
+                    break
+                first = sense_and_record(sel, EXPLORE)
+                reference_propagate_belief(belief, first)
+                if t >= cfg.horizon:
+                    break
+                second = sense_and_record(sel, EXPLORE)
+                if first.xi == 0 and second.xi == 0:
+                    reference_update_counts(belief, sel, first.statuses, second.statuses)
+                    reference_refresh_estimates(belief, sel)
+                reference_propagate_belief(belief, second)
+        else:
+            if is_imp:
+                set_size = fixed_size
+            elif cfg.mode == "OLDM" and int(belief.obs_count.min()) >= unlock_obs:
+                set_size = optimize_size(belief.vacancy_estimates(), k).size
+            else:
+                set_size = k
+            for _ in range(block_len):
+                if t >= cfg.horizon:
+                    break
+                sel = reference_exploit_select(belief, set_size, k)
+                outcome = sense_and_record(sel, EXPLOIT)
+                # Transition evidence is credited only from same-set pairs of
+                # sets no larger than the branch count: success is then
+                # unconditional, whereas for larger sets conditioning on a
+                # successful reconstruction censors high busy counts and
+                # biases the vacancy estimates upward.
+                if (not is_imp and prev is not None
+                        and sel.size <= k
+                        and prev.xi == 0 and outcome.xi == 0
+                        and prev.selected.size == sel.size
+                        and bool((prev.selected == sel).all())):
+                    reference_update_counts(belief, sel, prev.statuses, outcome.statuses)
+                    reference_refresh_estimates(belief, sel)
+                reference_propagate_belief(belief, outcome)
+                prev = outcome
+    return outcomes
 
 
 @pytest.fixture

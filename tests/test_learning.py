@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import ReferenceOracleEnvironment, reference_run_policy
+from wssim.config import ExperimentConfig
+from wssim.experiments import SignalEnvironment
 from wssim.learning import (BeliefState, OracleEnvironment, PolicyConfig,
                             SlotOutcome, epsilon, estimate_transition,
                             exploit_select, explore_schedule,
                             propagate_belief, run_policy, update_counts)
+from wssim.sensing import draw_sensing_matrix
 from wssim.sizing import exploration_threshold, success_probability
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics,
                             simulate_occupancy, stationary_vacancy)
@@ -95,6 +99,20 @@ class TestUpdateCounts:
         belief = BeliefState.fresh(3)
         update_counts(belief, np.array([2]), np.array([1]), np.array([1]))
         assert belief.counts[2, 1, 1] == 2
+
+    def test_refreshes_estimates_of_credited_bands_only(self):
+        belief = BeliefState.fresh(3)
+        update_counts(belief, np.array([0, 2]), np.array([0, 1]),
+                      np.array([1, 0]))
+        update_counts(belief, np.array([0]), np.array([0]), np.array([1]))
+        # Band 0: counts [[1, 3], [1, 1]]; band 2: [[1, 1], [2, 1]].
+        for band, counts in ((0, belief.counts[0]), (1, belief.counts[1]),
+                             (2, belief.counts[2])):
+            expected = estimate_transition(counts)
+            assert belief.p01_hat[band] == expected[0, 1]
+            assert belief.p10_hat[band] == expected[1, 0]
+        assert belief.p01_hat[0] == 0.75 and belief.p10_hat[2] == 2.0 / 3.0
+        assert belief.p01_hat[1] == belief.p10_hat[1] == 0.5
 
     def test_fresh_belief_after_one_observation(self):
         belief = BeliefState.fresh(1)
@@ -336,3 +354,78 @@ class TestImpThroughputLevel:
         se = np.std(totals) / np.sqrt(len(totals))
         assert realized >= objective - 3 * se
         assert realized <= 7.0
+
+
+def assert_same_run(cfg, stats, make_env, make_reference_env, seed):
+    """run_policy and the numpy reference loop give identical runs."""
+    belief, ref_belief = BeliefState.fresh(cfg.n_bands), BeliefState.fresh(cfg.n_bands)
+    outcomes = run_policy(cfg, make_env(), np.random.default_rng(seed),
+                          true_stats=stats, belief=belief)
+    expected = reference_run_policy(cfg, make_reference_env(),
+                                    np.random.default_rng(seed),
+                                    true_stats=stats, belief=ref_belief)
+    assert len(outcomes) == len(expected) == cfg.horizon
+    for got, want in zip(outcomes, expected):
+        assert got.selected.dtype == want.selected.dtype
+        assert got.selected.tolist() == want.selected.tolist()
+        assert got.statuses.dtype == want.statuses.dtype
+        assert got.statuses.tolist() == want.statuses.tolist()
+        assert (got.xi, got.throughput, got.phase) == \
+            (want.xi, want.throughput, want.phase)
+    for name in ("omega", "counts", "p01_hat", "p10_hat", "obs_count"):
+        got, want = getattr(belief, name), getattr(ref_belief, name)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+    assert belief.slot_index == ref_belief.slot_index
+    return outcomes
+
+
+class TestMatchesNumpyReference:
+    """The list-backed loop is bit-identical to the numpy loop it replaced."""
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    @pytest.mark.parametrize("mode", ["IMP", "LDM", "OLDM"])
+    def test_oracle_runs_identical(self, mode, case):
+        for n, k in ((8, 4), (7, 3), (16, 8), (5, 5)):
+            stats = ExperimentConfig(n_bands=n, k_branches=k,
+                                     case=case).band_statistics()
+            cfg = PolicyConfig(n_bands=n, k_branches=k, horizon=1500,
+                               mode=mode)
+            for seed in (1, 2, 3):
+                trajectory = simulate_occupancy(stats, cfg.horizon,
+                                                np.random.default_rng(seed))
+                assert_same_run(cfg, stats,
+                                lambda: OracleEnvironment(trajectory, k),
+                                lambda: ReferenceOracleEnvironment(trajectory, k),
+                                seed + 100)
+
+    def test_oldm_after_unlock_identical(self):
+        stats = case1_stats()
+        cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=6000, mode="OLDM",
+                           exploration_coefficient=50.0, mu=0.4)
+        trajectory = simulate_occupancy(stats, cfg.horizon,
+                                        np.random.default_rng(7))
+        outcomes = assert_same_run(cfg, stats,
+                                   lambda: OracleEnvironment(trajectory, 4),
+                                   lambda: ReferenceOracleEnvironment(trajectory, 4),
+                                   8)
+        # Adaptive sizing unlocked and grew some exploitation sets.
+        assert max(o.selected.size for o in outcomes) > 4
+
+    @pytest.mark.parametrize("mode", ["IMP", "LDM"])
+    def test_signal_runs_identical(self, mode):
+        config = ExperimentConfig(n_bands=8, k_branches=4, horizon=200,
+                                  rs_mode="signal", snr_db=20.0, seed=5)
+        stats = config.band_statistics()
+        trajectory = simulate_occupancy(stats, config.horizon,
+                                        np.random.default_rng(1))
+        matrix = draw_sensing_matrix(4, 8, np.random.default_rng(2))
+
+        def make_env():
+            return SignalEnvironment(trajectory, matrix, config,
+                                     np.random.default_rng(3))
+
+        cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=config.horizon,
+                           mode=mode)
+        assert_same_run(cfg, stats, make_env, make_env, 4)

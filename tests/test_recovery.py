@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import (all_supports, exhaustive_map_support,
                       reference_greedy_recover, reference_support_score,
                       score_terms)
+import wssim
 from wssim.recovery import (RecoveryConfig, SenseResult, direct_solve,
                             energy_detect, fbmp_recover, gamma_threshold,
                             oracle_sense, signal_sense)
-from wssim.recovery import _support_scores
+from wssim.recovery import _chi2_quantile, _support_scores
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import OccupancyState, synthesize_band_spectra
 
@@ -72,6 +78,16 @@ class TestOracleSense:
         result = oracle_sense(statuses, 4)
         result.statuses[0] = 1
         assert statuses[0] == 0
+
+    def test_list_and_array_inputs_agree(self, rng):
+        for _ in range(20):
+            m = int(rng.integers(1, 10))
+            statuses = (rng.random(m) < 0.5).astype(np.int8)
+            from_array = oracle_sense(statuses, 3)
+            from_list = oracle_sense(statuses.tolist(), 3)
+            assert from_list.xi == from_array.xi
+            assert from_list.statuses.dtype == np.int8
+            np.testing.assert_array_equal(from_list.statuses, from_array.statuses)
 
 
 class TestDirectSolve:
@@ -238,6 +254,27 @@ class TestEnergyDetect:
     def test_rejects_bad_fa_rate(self):
         with pytest.raises(ValueError):
             energy_detect(np.zeros((1, 4), dtype=complex), 0.01, 0.0)
+
+    def test_quantile_equals_scipy_stats(self):
+        from scipy.stats import chi2
+        fa_rates = np.concatenate([np.geomspace(1e-9, 0.5, 40),
+                                   np.linspace(0.5, 0.999, 20)])
+        for fa_rate in fa_rates.tolist():
+            for bins in (1, 2, 3, 7, 16, 63, 64, 65, 256, 1024):
+                prob, dof = 1.0 - fa_rate, 2 * bins
+                assert _chi2_quantile(prob, dof) == chi2.ppf(prob, df=dof)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second to import; wssim needs only
+        # scipy.special.
+        code = ("import sys, wssim; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        src = str(Path(wssim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSignalSense:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import step_occupancy
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics, OccupancyState,
                             init_occupancy, simulate_occupancy,
-                            stationary_vacancy, step_occupancy,
-                            synthesize_band_spectra)
+                            stationary_vacancy, synthesize_band_spectra)
 
 
 def uniform_stats(n, p01, p10):
@@ -97,14 +97,34 @@ class TestStepOccupancy:
 
 class TestTrajectory:
     def test_matches_manual_stepping(self):
-        stats = BandStatistics.from_stationary(np.array(CASE_STATIONARY["case1"]))
-        trajectory = simulate_occupancy(stats, 50, np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        state = init_occupancy(stats, rng)
-        for t in range(50):
-            np.testing.assert_array_equal(trajectory[t], state.statuses)
-            if t < 49:
-                state = step_occupancy(state, stats, rng)
+        chains = [
+            BandStatistics.from_stationary(np.array(CASE_STATIONARY["case1"])),
+            BandStatistics.from_stationary(np.array(CASE_STATIONARY["case2"]),
+                                           mixing=0.05),
+            BandStatistics.from_stationary(np.array(CASE_STATIONARY["case2"]),
+                                           mixing=1.0),
+            # Absorbing chains (p01 = 0: never busy again once vacant;
+            # p10 = 0: never vacant again once busy) beside a band that
+            # flips every slot.
+            BandStatistics(p01=np.array([0.0, 0.0, 0.3, 1.0, 1.0]),
+                           p10=np.array([0.4, 1.0, 0.0, 0.0, 1.0])),
+        ]
+        for stats in chains:
+            for horizon, seed in ((1, 3), (2, 4), (300, 5)):
+                trajectory = simulate_occupancy(stats, horizon,
+                                                np.random.default_rng(seed))
+                assert trajectory.shape == (horizon, stats.n_bands)
+                assert trajectory.dtype == np.int8
+                rng = np.random.default_rng(seed)
+                state = init_occupancy(stats, rng)
+                for t in range(horizon):
+                    np.testing.assert_array_equal(trajectory[t], state.statuses)
+                    if t < horizon - 1:
+                        state = step_occupancy(state, stats, rng)
+                # Both forms leave the generator at the same point.
+                rng_bulk = np.random.default_rng(seed)
+                simulate_occupancy(stats, horizon, rng_bulk)
+                assert rng_bulk.random() == rng.random()
 
     def test_same_seed_bit_identical(self):
         stats = uniform_stats(8, 0.3, 0.4)
