@@ -15,8 +15,8 @@ from .learning import (BeliefState, OracleEnvironment, PolicyConfig,
 from .recovery import (RecoveryConfig, SenseResult, direct_solve,
                        energy_detect, fbmp_recover, gamma_threshold,
                        oracle_sense, signal_sense)
-from .sensing import (MeasurementBatch, SensingMatrix, draw_sensing_matrix,
-                      measure, select_submatrix)
+from .sensing import (SensingMatrix, draw_sensing_matrix, measure,
+                      select_submatrix)
 from .sizing import (ExplorationBudget, SizeDecision, exploration_threshold,
                      mu_correct, optimize_size, poisson_binomial_pmf,
                      success_probability)

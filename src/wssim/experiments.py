@@ -4,6 +4,15 @@ Within one replication every requested policy sees the same occupancy
 trajectory and the same sensing matrix (common random numbers), so policy
 comparisons are paired. Replication results merge by replication index,
 which keeps the aggregate independent of execution order.
+
+In signal mode each policy senses through a SignalEnvironment, which
+keeps one recovery.SensingPlan per distinct selected set: everything that
+depends only on (sensing matrix, selected set, config), built the first
+time the set is sensed and keyed by its band tuple. At most _MAX_PLANS
+plans are kept (the oldest goes first), which bounds memory whatever the
+horizon. A plan holds exactly the values the per-slot chain would compute
+and the slot's random draws are unchanged, so the output is bit-identical
+to building everything on every slot.
 """
 
 from __future__ import annotations
@@ -16,13 +25,15 @@ import numpy as np
 
 from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, PolicyConfig, run_policy
-from .recovery import RecoveryConfig, SenseResult, signal_sense
+from .recovery import RecoveryConfig, SenseResult, SensingPlan, signal_sense
 from .sensing import (SensingMatrix, draw_sensing_matrix, measure,
                       noise_power_for_snr, select_submatrix)
-from .spectrum import (BandStatistics, OccupancyState, simulate_occupancy,
+from .spectrum import (BandStatistics, simulate_occupancy,
                        synthesize_band_spectra)
 
 SIGNAL_POWER = 1.0
+# Sensing plans kept per SignalEnvironment: every subset of 8 bands.
+_MAX_PLANS = 256
 
 
 @dataclass
@@ -37,35 +48,57 @@ class MetricSeries:
 
 
 class SignalEnvironment:
-    """Sensing backend running the full measurement and recovery chain."""
+    """Sensing backend running the full measurement and recovery chain.
+
+    The trajectory's 0/1 statuses are checked and the recovery config is
+    built once, here.
+    """
 
     def __init__(self, trajectory: np.ndarray, matrix: SensingMatrix,
                  config: ExperimentConfig, rng: np.random.Generator):
-        self.trajectory = np.asarray(trajectory, dtype=np.int8)
+        trajectory = np.asarray(trajectory, dtype=np.int8)
+        if trajectory.ndim != 2:
+            raise ValueError("trajectory must be a slots x bands array")
+        if not np.all((trajectory == 0) | (trajectory == 1)):
+            raise ValueError("statuses must be 0/1")
+        self.trajectory = trajectory
         self.matrix = matrix
         self.config = config
         self.rng = rng
         self.noise_power = noise_power_for_snr(config.snr_db, SIGNAL_POWER)
+        self.recovery_config = RecoveryConfig(
+            signal_variance=SIGNAL_POWER, noise_variance=self.noise_power,
+            search_breadth=config.search_breadth,
+            energy_fa_rate=config.energy_fa_rate,
+            residual_threshold=config.residual_threshold)
+        self._plans: dict[tuple[int, ...], SensingPlan] = {}
+
+    def _plan(self, selected) -> SensingPlan:
+        """The sensing plan of a band set, built on its first use."""
+        key = tuple(np.asarray(selected).tolist())
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) >= _MAX_PLANS:
+                del self._plans[next(iter(self._plans))]
+            plan = self._plans[key] = SensingPlan(
+                select_submatrix(self.matrix, key), self.recovery_config)
+        return plan
 
     def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
         cfg = self.config
-        state = OccupancyState(statuses=self.trajectory[slot], slot_index=slot)
-        spectra = synthesize_band_spectra(state, cfg.bins_per_band,
-                                          SIGNAL_POWER, self.rng)
-        a_sub = select_submatrix(self.matrix, selected)
-        batch = measure(a_sub, spectra.grid[selected], cfg.snr_db, self.rng,
-                        selected=selected, signal_power=SIGNAL_POWER)
+        plan = self._plan(selected)
+        spectra = synthesize_band_spectra(self.trajectory[slot],
+                                          cfg.bins_per_band, SIGNAL_POWER,
+                                          self.rng)
+        samples = measure(plan.a_sub, spectra.grid[selected], cfg.snr_db,
+                          self.rng, signal_power=SIGNAL_POWER)
         if prior_vacancy is None:
             prior_activity = 0.5
         else:
             prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
-        recovery_cfg = RecoveryConfig(prior_activity=prior_activity,
-                                      signal_variance=SIGNAL_POWER,
-                                      noise_variance=self.noise_power,
-                                      search_breadth=cfg.search_breadth,
-                                      energy_fa_rate=cfg.energy_fa_rate,
-                                      residual_threshold=cfg.residual_threshold)
-        return signal_sense(batch, a_sub, recovery_cfg, cfg.k_branches)
+        return signal_sense(samples, plan.a_sub, self.recovery_config,
+                            cfg.k_branches, plan,
+                            prior_activity=prior_activity)
 
 
 def _policy_config(cfg: ExperimentConfig, mode: str) -> PolicyConfig:

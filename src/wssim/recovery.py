@@ -6,17 +6,26 @@ spectra from sub-Nyquist samples (least squares when the system is square
 or overdetermined, greedy Bayesian support search otherwise), runs an
 energy detector, and declares reconstruction failure from the detected
 busy count and the relative fit residual.
+
+What signal sensing derives from the selected set's sensing sub-matrix
+and the variances alone, not from the slot's samples or priors, lives in
+a SensingPlan, which a caller sensing the same set again passes back in;
+without one, signal_sense and fbmp_recover build a throwaway plan and run
+the same code. A plan computes its values with the same expressions,
+operands and memory layouts as the per-slot code, and the per-slot solve
+is kept rather than replaced by a product with a cached inverse, so every
+score, status and residual is bit-identical to computing all of it on
+every slot.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaincinv
-
-from .sensing import MeasurementBatch
 
 # Relative noise-variance floors keeping the Gaussian model and the energy
 # threshold well defined when the configured noise power is exactly zero.
@@ -47,8 +56,8 @@ class RecoveryConfig:
 
     prior_activity is the per-band prior probability of being busy (scalar
     or one entry per selected band). gamma caps the support search and is
-    normally derived from the set size and branch count; signal_sense fills
-    it in itself.
+    normally derived from the set size and branch count; signal_sense
+    passes it to fbmp_recover itself.
     """
 
     prior_activity: np.ndarray | float = 0.5
@@ -58,10 +67,6 @@ class RecoveryConfig:
     energy_fa_rate: float = 0.05
     residual_threshold: float = 0.1
     gamma: int | None = None
-
-
-def _samples_of(z) -> np.ndarray:
-    return z.samples if isinstance(z, MeasurementBatch) else np.asarray(z)
 
 
 def gamma_threshold(set_size: int, k_branches: int) -> int:
@@ -87,7 +92,7 @@ def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
 
 def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
     """Per-bin least-squares recovery for set sizes up to the branch count."""
-    samples = _samples_of(z)
+    samples = np.asarray(z)
     a_sub = np.asarray(a_sub, dtype=float)
     k, m = a_sub.shape
     if m > k:
@@ -106,21 +111,16 @@ def _prior_log_odds(prior_activity, m: int):
     return log_1q.sum(), log_q - log_1q
 
 
-def _support_scores(szz: np.ndarray, n_bins: int, a_sub: np.ndarray,
-                    supports: np.ndarray, sig_s: float, sig_n: float,
-                    base_prior: float, prior_gain: np.ndarray) -> np.ndarray:
-    """Log posterior (up to a support-independent constant) of busy sets.
+def _support_covariances(a_sub: np.ndarray, supports: np.ndarray,
+                         sig_s: float, sig_n: float):
+    """Measurement covariances of busy sets and their log-determinants.
 
     supports is a (C, s) index array of C supports of equal size s (s = 0
-    scores the empty support); the result holds one score per row. The
-    active bands are modelled as zero-mean complex Gaussian with per-bin
-    variance sig_s, so the measurement covariance per bin is
-    Phi = sig_n * I + sig_s * A_S A_S^T; the likelihood factorises over
-    bins. All C matrices Phi are built with one batched matmul, factorised
-    with one stacked Cholesky and solved against szz with one stacked
-    solve. Stacked LAPACK calls run the same routine once per matrix, on
-    the same per-matrix memory layout as a single call, so each score is
-    bit-identical to scoring its support on its own.
+    is the empty support). The active bands are modelled as zero-mean
+    complex Gaussian with per-bin variance sig_s, so the measurement
+    covariance per bin is Phi = sig_n * I + sig_s * A_S A_S^T. Returns the
+    (C, k, k) stack of Phi, built with one batched matmul, and log det Phi
+    from one stacked Cholesky factorisation.
     """
     k = a_sub.shape[0]
     # (C, k, s) with every k x s block C-contiguous, the layout of
@@ -129,10 +129,37 @@ def _support_scores(szz: np.ndarray, n_bins: int, a_sub: np.ndarray,
     phi = sig_n * np.eye(k) + sig_s * (a_s @ a_s.transpose(0, 2, 1))
     chol = np.linalg.cholesky(phi)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return phi, logdet
+
+
+def _scores_from(phi: np.ndarray, logdet: np.ndarray, szz: np.ndarray,
+                 n_bins: int, log_prior) -> np.ndarray:
+    """Log posterior of each support from its covariance and log-determinant.
+
+    The likelihood factorises over bins; the quadratic form of all C
+    matrices comes from one stacked solve against szz.
+    """
     quad = np.trace(np.linalg.solve(phi, szz), axis1=1, axis2=2).real
+    return -n_bins * logdet - quad + log_prior
+
+
+def _support_scores(szz: np.ndarray, n_bins: int, a_sub: np.ndarray,
+                    supports: np.ndarray, sig_s: float, sig_n: float,
+                    base_prior: float, prior_gain: np.ndarray) -> np.ndarray:
+    """Log posterior (up to a support-independent constant) of busy sets.
+
+    supports is a (C, s) index array of C supports of equal size s (s = 0
+    scores the empty support); the result holds one score per row. All C
+    matrices Phi are built with one batched matmul, factorised with one
+    stacked Cholesky and solved against szz with one stacked solve.
+    Stacked LAPACK calls run the same routine once per matrix, on the same
+    per-matrix memory layout as a single call, so each score is
+    bit-identical to scoring its support on its own, in any stack.
+    """
+    phi, logdet = _support_covariances(a_sub, supports, sig_s, sig_n)
     log_prior = base_prior + prior_gain[supports].sum(axis=1) \
         if supports.shape[1] else base_prior
-    return -n_bins * logdet - quad + log_prior
+    return _scores_from(phi, logdet, szz, n_bins, log_prior)
 
 
 def _conditional_mean(samples: np.ndarray, a_sub: np.ndarray,
@@ -155,33 +182,126 @@ def _residual_ratio(samples: np.ndarray, fitted: np.ndarray) -> float:
     return float(np.linalg.norm(samples - fitted) / z_norm)
 
 
-def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig):
+class _FirstLevels(NamedTuple):
+    """The greedy search's first two levels, as a SensingPlan keeps them."""
+
+    supports: list[tuple[int, ...]]   # level 1: (0,), (1,), ..., (m - 1,)
+    index: np.ndarray                 # level 1 as an (m, 1) support array
+    phi: np.ndarray                   # (m + 1, k, k): empty support, then level 1
+    logdet: np.ndarray                # (m + 1,) log det of each phi
+
+
+class SensingPlan:
+    """What signal sensing of one band set derives from A_S and the variances.
+
+    a_sub is the set's K x m sensing sub-matrix, kept as given, in
+    select_submatrix's memory layout, so that products with it match the
+    per-slot code bit for bit. sig_s and sig_n are the search's model
+    variances. The two recovery paths' parts are built on first use
+    and read on every later slot:
+
+    - band_noise (direct path, m <= K): the energy detector's per-band
+      noise max(noise_variance * diag((A_S^T A_S)^-1), floor). Least
+      squares colours the noise, so each band is thresholded at its
+      post-inversion noise level.
+    - first_levels (search path): the covariances Phi and log det Phi of
+      the empty support followed by the m singletons in band order, built
+      by _support_covariances exactly as a level is built per slot and
+      stacked, so _first_level_scores scores both levels with one stacked
+      solve.
+
+    Only cfg's signal_variance and noise_variance enter a plan. A plan
+    handed to signal_sense or fbmp_recover must come with its own a_sub
+    and a cfg with those two values.
+    """
+
+    def __init__(self, a_sub: np.ndarray, cfg: RecoveryConfig):
+        a_sub = np.asarray(a_sub, dtype=float)
+        if a_sub.ndim != 2:
+            raise ValueError("a_sub must be two-dimensional")
+        self.a_sub = a_sub
+        self.signal_variance = cfg.signal_variance
+        self.noise_variance = cfg.noise_variance
+        self.sig_s = float(cfg.signal_variance)
+        self.sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR * self.sig_s)
+        self.detect_floor = _DETECT_FLOOR * self.sig_s
+
+    @functools.cached_property
+    def band_noise(self) -> np.ndarray:
+        gram_inv_diag = np.diag(np.linalg.inv(self.a_sub.T @ self.a_sub))
+        return np.maximum(self.noise_variance * gram_inv_diag, self.detect_floor)
+
+    @functools.cached_property
+    def first_levels(self) -> _FirstLevels:
+        m = self.a_sub.shape[1]
+        index = np.arange(m, dtype=np.intp).reshape(m, 1)
+        levels = [_support_covariances(self.a_sub, supports, self.sig_s, self.sig_n)
+                  for supports in (np.empty((1, 0), dtype=np.intp), index)]
+        phi, logdet = (np.concatenate(parts) for parts in zip(*levels))
+        return _FirstLevels([(j,) for j in range(m)], index, phi, logdet)
+
+
+def _checked_plan(plan: SensingPlan | None, a_sub,
+                  cfg: RecoveryConfig) -> SensingPlan:
+    if plan is None:
+        return SensingPlan(a_sub, cfg)
+    if a_sub is not plan.a_sub:
+        raise ValueError("the plan was built for another sub-matrix")
+    if (cfg.signal_variance != plan.signal_variance
+            or cfg.noise_variance != plan.noise_variance):
+        raise ValueError("the plan was built for other variances")
+    return plan
+
+
+def _first_level_scores(first: _FirstLevels, szz: np.ndarray, n_bins: int,
+                        base_prior: float, prior_gain: np.ndarray) -> np.ndarray:
+    """Scores of the empty support and of every singleton, in that order.
+
+    One stacked solve against szz; each score is bit-identical to the
+    _support_scores call of its own level.
+    """
+    log_prior = np.concatenate(
+        ([base_prior], base_prior + prior_gain[first.index].sum(axis=1)))
+    return _scores_from(first.phi, first.logdet, szz, n_bins, log_prior)
+
+
+def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig,
+                 plan: SensingPlan | None = None, *, gamma: int | None = None,
+                 prior_activity=None):
     """Greedy maximum-a-posteriori search over busy-band supports.
 
     Supports grow one band at a time; the best cfg.search_breadth
-    candidates per size survive, up to size cfg.gamma. Each level's
+    candidates per size survive, up to size gamma (cfg.gamma unless given;
+    prior_activity likewise stands in for cfg.prior_activity). The empty
+    support and the singletons are scored together from the plan's
+    stacked covariances with one stacked solve; each deeper level's
     distinct candidates are scored together in one stacked factorisation
-    (_support_scores), and a stable sort ranks them, so score ties go to
+    (_support_scores). A stable sort ranks each level, so score ties go to
     the candidate generated first. The scores are bit-identical to scoring
-    one support at a time, so the search picks the same support. Returns
+    one support at a time, so the search picks the same support. plan is
+    a_sub's SensingPlan; without one a throwaway plan is built. Returns
     the binary support estimate, the posterior-mean spectra of the best
     support, and the relative residual of the fit.
     """
-    samples = _samples_of(z)
-    a_sub = np.asarray(a_sub, dtype=float)
+    samples = np.asarray(z)
+    plan = _checked_plan(plan, a_sub, cfg)
+    a_sub = plan.a_sub
     _, m = a_sub.shape
     n_bins = samples.shape[1]
-    if cfg.gamma is None:
+    if gamma is None:
+        gamma = cfg.gamma
+    if gamma is None:
         raise ValueError("cfg.gamma must be set before calling fbmp_recover")
-    if not 0 <= cfg.gamma <= m:
-        raise ValueError("cfg.gamma must lie in [0, set size]")
+    if not 0 <= gamma <= m:
+        raise ValueError("gamma must lie in [0, set size]")
     if cfg.search_breadth < 1:
         raise ValueError("search_breadth must be at least 1")
-    sig_s = float(cfg.signal_variance)
+    sig_s, sig_n = plan.sig_s, plan.sig_n
     if sig_s <= 0.0:
         raise ValueError("signal_variance must be positive")
-    sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR * sig_s)
-    base_prior, prior_gain = _prior_log_odds(cfg.prior_activity, m)
+    if prior_activity is None:
+        prior_activity = cfg.prior_activity
+    base_prior, prior_gain = _prior_log_odds(prior_activity, m)
     szz = samples @ samples.conj().T
 
     def scores(level):
@@ -189,18 +309,24 @@ def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig):
         return _support_scores(szz, n_bins, a_sub, supports, sig_s, sig_n,
                                base_prior, prior_gain).tolist()
 
+    first = plan.first_levels
+    first_scores = _first_level_scores(first, szz, n_bins, base_prior,
+                                       prior_gain).tolist()
     best_active: tuple[int, ...] = ()
-    best_score = scores([()])[0]
+    best_score = first_scores[0]
     frontier = [()]
-    for _ in range(cfg.gamma):
-        # Distinct candidates in first-seen order; the stable sort below
-        # then breaks score ties by that order.
-        level = list(dict.fromkeys(tuple(sorted(active + (j,)))
-                                   for active in frontier
-                                   for j in range(m) if j not in active))
-        if not level:
-            break
-        ranked = sorted(zip(level, scores(level)), key=lambda item: -item[1])
+    level, level_scores = first.supports, first_scores[1:]
+    for depth in range(gamma):
+        if depth:
+            # Distinct candidates in first-seen order; the stable sort
+            # below then breaks score ties by that order.
+            level = list(dict.fromkeys(tuple(sorted(active + (j,)))
+                                       for active in frontier
+                                       for j in range(m) if j not in active))
+            if not level:
+                break
+            level_scores = scores(level)
+        ranked = sorted(zip(level, level_scores), key=lambda item: -item[1])
         frontier = [active for active, _ in ranked[:cfg.search_breadth]]
         if ranked[0][1] > best_score:
             best_active, best_score = ranked[0]
@@ -245,35 +371,34 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     return (energies > threshold).astype(np.int8)
 
 
-def signal_sense(z, a_sub: np.ndarray, cfg: RecoveryConfig,
-                 k_branches: int) -> SenseResult:
+def signal_sense(z, a_sub: np.ndarray, cfg: RecoveryConfig, k_branches: int,
+                 plan: SensingPlan | None = None, *,
+                 prior_activity=None) -> SenseResult:
     """Full signal-mode sensing: recover, detect, and flag failure.
 
     Set sizes up to the branch count are solved exactly and always succeed;
     larger sets go through the greedy support search and fail when the
     detected busy count exceeds the recoverable limit or the relative
-    residual exceeds cfg.residual_threshold.
+    residual exceeds cfg.residual_threshold. plan is a_sub's SensingPlan,
+    built here when omitted; prior_activity, when given, stands in for
+    cfg.prior_activity.
     """
-    samples = _samples_of(z)
-    a_sub = np.asarray(a_sub, dtype=float)
+    samples = np.asarray(z)
+    plan = _checked_plan(plan, a_sub, cfg)
+    a_sub = plan.a_sub
     k, m = a_sub.shape
     if k != k_branches:
         raise ValueError("a_sub row count must equal k_branches")
     limit = gamma_threshold(m, k_branches)
-    detect_floor = _DETECT_FLOOR * float(cfg.signal_variance)
     if m <= k_branches:
         x_hat = direct_solve(samples, a_sub)
-        # Least squares colours the noise; threshold each band at its
-        # post-inversion noise level.
-        gram_inv_diag = np.diag(np.linalg.inv(a_sub.T @ a_sub))
-        per_band_noise = np.maximum(cfg.noise_variance * gram_inv_diag, detect_floor)
-        statuses = energy_detect(x_hat, per_band_noise, cfg.energy_fa_rate)
+        statuses = energy_detect(x_hat, plan.band_noise, cfg.energy_fa_rate)
         ratio = _residual_ratio(samples, a_sub @ x_hat)
         xi = 0
     else:
-        support_cfg = replace(cfg, gamma=limit)
-        _, x_hat, ratio = fbmp_recover(samples, a_sub, support_cfg)
-        statuses = energy_detect(x_hat, max(cfg.noise_variance, detect_floor),
+        _, x_hat, ratio = fbmp_recover(samples, a_sub, cfg, plan, gamma=limit,
+                                       prior_activity=prior_activity)
+        statuses = energy_detect(x_hat, max(cfg.noise_variance, plan.detect_floor),
                                  cfg.energy_fa_rate)
         # The raw residual of a correct fit still contains the measurement
         # noise, so the failure statistic discounts the expected noise

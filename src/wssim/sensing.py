@@ -34,15 +34,6 @@ class SensingMatrix:
         return self.entries.shape[1]
 
 
-@dataclass
-class MeasurementBatch:
-    """Sub-Nyquist samples for one slot: one column per frequency bin."""
-
-    samples: np.ndarray       # (k_branches, bins) complex
-    selected: np.ndarray      # band indices measured, in selection order
-    noise_power: float
-
-
 def _full_column_rank(a: np.ndarray) -> bool:
     return np.linalg.matrix_rank(a) == min(a.shape)
 
@@ -94,13 +85,14 @@ def noise_power_for_snr(snr_db: float | None, signal_power: float = 1.0) -> floa
 
 
 def measure(a_sub: np.ndarray, band_rows: np.ndarray, snr_db: float | None,
-            rng: np.random.Generator, selected: Sequence[int] | None = None,
-            signal_power: float = 1.0) -> MeasurementBatch:
+            rng: np.random.Generator, signal_power: float = 1.0) -> np.ndarray:
     """Mix the selected band spectra through the branch coefficients.
 
-    Per bin f the measurement is a_sub @ band_rows[:, f] plus complex AWGN
-    whose per-bin power makes the busy-band SNR equal snr_db. Passing
-    snr_db=None (or +inf) produces a noiseless measurement.
+    Returns the (k_branches, bins) sub-Nyquist samples of one slot, one
+    column per frequency bin. Per bin f the measurement is
+    a_sub @ band_rows[:, f] plus complex AWGN whose per-bin power makes the
+    busy-band SNR equal snr_db. Passing snr_db=None (or +inf) produces a
+    noiseless measurement.
     """
     a_sub = np.asarray(a_sub, dtype=float)
     band_rows = np.asarray(band_rows)
@@ -115,8 +107,4 @@ def measure(a_sub: np.ndarray, band_rows: np.ndarray, snr_db: float | None,
         noise = (rng.standard_normal((k, bins))
                  + 1j * rng.standard_normal((k, bins))) * np.sqrt(noise_power / 2.0)
         samples = samples + noise
-    if selected is None:
-        selected = np.arange(band_rows.shape[0])
-    return MeasurementBatch(samples=samples,
-                            selected=np.asarray(selected, dtype=int),
-                            noise_power=noise_power)
+    return samples

@@ -91,7 +91,6 @@ class BandSpectra:
     """
 
     grid: np.ndarray
-    band_power: np.ndarray
 
 
 def stationary_vacancy(stats: BandStatistics) -> np.ndarray:
@@ -155,26 +154,27 @@ def simulate_occupancy(stats: BandStatistics, horizon: int,
     return out
 
 
-def synthesize_band_spectra(state: OccupancyState, bins_per_band: int,
-                            signal_power: float,
+def synthesize_band_spectra(state: OccupancyState | np.ndarray,
+                            bins_per_band: int, signal_power: float,
                             rng: np.random.Generator) -> BandSpectra:
     """Fill busy bands with flat-spectrum circular complex Gaussian content.
 
-    Each busy row is rescaled so its mean per-bin power equals signal_power
-    exactly; vacant rows stay zero, so the support of the grid equals the
-    busy set of the generating state.
+    state is an OccupancyState or its 0/1 status vector, which is used as
+    is: a caller passing rows of a trajectory validates them once, not
+    per slot. Each busy row is rescaled so its mean per-bin power equals
+    signal_power exactly; vacant rows stay zero, so the support of the
+    grid equals the busy set of the generating state.
     """
     if bins_per_band < 1:
         raise ValueError("bins_per_band must be at least 1")
     if signal_power <= 0.0:
         raise ValueError("signal_power must be positive")
-    n = state.n_bands
-    grid = np.zeros((n, bins_per_band), dtype=np.complex128)
-    busy = np.flatnonzero(state.statuses)
+    statuses = state.statuses if isinstance(state, OccupancyState) else state
+    grid = np.zeros((len(statuses), bins_per_band), dtype=np.complex128)
+    busy = np.flatnonzero(statuses)
     if busy.size:
         raw = (rng.standard_normal((busy.size, bins_per_band))
                + 1j * rng.standard_normal((busy.size, bins_per_band)))
         mean_power = np.mean(np.abs(raw) ** 2, axis=1)
         grid[busy] = raw * np.sqrt(signal_power / mean_power)[:, None]
-    band_power = np.mean(np.abs(grid) ** 2, axis=1)
-    return BandSpectra(grid=grid, band_power=band_power)
+    return BandSpectra(grid=grid)

@@ -1,17 +1,23 @@
 """Shared independent oracles for the test suite."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wssim.experiments import SIGNAL_POWER
 from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
-from wssim.recovery import (_MODEL_FLOOR, _conditional_mean, _prior_log_odds,
-                            _residual_ratio, _support_scores, oracle_sense)
+from wssim.recovery import (_DETECT_FLOOR, _MODEL_FLOOR, RecoveryConfig,
+                            SenseResult, _conditional_mean, _prior_log_odds,
+                            _residual_ratio, _support_scores, direct_solve,
+                            energy_detect, gamma_threshold, oracle_sense)
+from wssim.sensing import measure, noise_power_for_snr, select_submatrix
 from wssim.sizing import (exploration_threshold, optimize_size,
                           success_probability)
-from wssim.spectrum import BandStatistics, OccupancyState, stationary_vacancy
+from wssim.spectrum import (BandStatistics, OccupancyState, stationary_vacancy,
+                            synthesize_band_spectra)
 
 
 def brute_force_busy_pmf(busy_probs):
@@ -149,6 +155,81 @@ class ReferenceOracleEnvironment:
 
     def sense(self, selected, slot, prior_vacancy=None):
         return oracle_sense(self.trajectory[slot, selected], self.k_branches)
+
+
+def reference_signal_sense(samples, a_sub, cfg, k_branches):
+    """Signal-mode sensing computing everything from a_sub on every call.
+
+    Reference for wssim.recovery.signal_sense with a reused SensingPlan:
+    the detector noise comes from a fresh Gram inverse, gamma from a copied
+    config, and the support search from reference_greedy_recover.
+    """
+    a_sub = np.asarray(a_sub, dtype=float)
+    k, m = a_sub.shape
+    if k != k_branches:
+        raise ValueError("a_sub row count must equal k_branches")
+    limit = gamma_threshold(m, k_branches)
+    detect_floor = _DETECT_FLOOR * float(cfg.signal_variance)
+    if m <= k_branches:
+        x_hat = direct_solve(samples, a_sub)
+        # Least squares colours the noise; threshold each band at its
+        # post-inversion noise level.
+        gram_inv_diag = np.diag(np.linalg.inv(a_sub.T @ a_sub))
+        per_band_noise = np.maximum(cfg.noise_variance * gram_inv_diag, detect_floor)
+        statuses = energy_detect(x_hat, per_band_noise, cfg.energy_fa_rate)
+        ratio = _residual_ratio(samples, a_sub @ x_hat)
+        xi = 0
+    else:
+        support_cfg = replace(cfg, gamma=limit)
+        _, x_hat, ratio = reference_greedy_recover(samples, a_sub, support_cfg)
+        statuses = energy_detect(x_hat, max(cfg.noise_variance, detect_floor),
+                                 cfg.energy_fa_rate)
+        z_energy = float(np.sum(np.abs(samples) ** 2))
+        n_terms = samples.size
+        noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
+        excess = max(0.0, ratio ** 2 * z_energy - noise_guard)
+        excess_ratio = np.sqrt(excess / z_energy) if z_energy > 0.0 else 0.0
+        xi = 1 if (int(statuses.sum()) > limit
+                   or excess_ratio > cfg.residual_threshold) else 0
+    return SenseResult(statuses=statuses, xi=xi, residual_ratio=ratio)
+
+
+class ReferenceSignalEnvironment:
+    """The signal chain rebuilding every per-set value on every slot.
+
+    Reference for wssim.experiments.SignalEnvironment, which keeps one
+    sensing plan per selected set: here each slot validates its statuses
+    through an OccupancyState, selects and checks the sub-matrix, builds a
+    RecoveryConfig and senses through reference_signal_sense.
+    """
+
+    def __init__(self, trajectory, matrix, config, rng):
+        self.trajectory = np.asarray(trajectory, dtype=np.int8)
+        self.matrix = matrix
+        self.config = config
+        self.rng = rng
+        self.noise_power = noise_power_for_snr(config.snr_db, SIGNAL_POWER)
+
+    def sense(self, selected, slot, prior_vacancy=None):
+        cfg = self.config
+        state = OccupancyState(statuses=self.trajectory[slot], slot_index=slot)
+        spectra = synthesize_band_spectra(state, cfg.bins_per_band,
+                                          SIGNAL_POWER, self.rng)
+        a_sub = select_submatrix(self.matrix, selected)
+        samples = measure(a_sub, spectra.grid[selected], cfg.snr_db, self.rng,
+                          signal_power=SIGNAL_POWER)
+        if prior_vacancy is None:
+            prior_activity = 0.5
+        else:
+            prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
+        recovery_cfg = RecoveryConfig(prior_activity=prior_activity,
+                                      signal_variance=SIGNAL_POWER,
+                                      noise_variance=self.noise_power,
+                                      search_breadth=cfg.search_breadth,
+                                      energy_fa_rate=cfg.energy_fa_rate,
+                                      residual_threshold=cfg.residual_threshold)
+        return reference_signal_sense(samples, a_sub, recovery_cfg,
+                                      cfg.k_branches)
 
 
 def step_occupancy(state, stats, rng):

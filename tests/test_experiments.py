@@ -1,12 +1,21 @@
+import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import ReferenceSignalEnvironment
 from wssim import experiments
 from wssim.config import ExperimentConfig, dump_config, load_config
-from wssim.experiments import (compute_regret, emit_results, run_experiment,
+from wssim.experiments import (SignalEnvironment, _policy_config,
+                               compute_regret, emit_results, run_experiment,
                                run_replication)
+from wssim.learning import BeliefState, run_policy
+from wssim.sensing import draw_sensing_matrix
+from wssim.spectrum import simulate_occupancy
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(**overrides):
@@ -79,6 +88,136 @@ class TestRunExperiment:
     def test_rep_index_range_checked(self):
         with pytest.raises(ValueError):
             run_replication(small_config(), 3)
+
+
+def signal_setup(n, k, snr_db, horizon, seed=1):
+    """A signal-mode config with its trajectory and sensing matrix."""
+    config = ExperimentConfig(n_bands=n, k_branches=k, horizon=horizon,
+                              case="case2", rs_mode="signal", snr_db=snr_db,
+                              bins_per_band=32)
+    trajectory = simulate_occupancy(config.band_statistics(), horizon,
+                                    np.random.default_rng(seed))
+    matrix = draw_sensing_matrix(k, n, np.random.default_rng(seed + 1))
+    return config, trajectory, matrix
+
+
+def environments(config, trajectory, matrix, seed=3):
+    """A SignalEnvironment and its reference, on equal generators."""
+    return (SignalEnvironment(trajectory, matrix, config,
+                              np.random.default_rng(seed)),
+            ReferenceSignalEnvironment(trajectory, matrix, config,
+                                       np.random.default_rng(seed)))
+
+
+def assert_same_sense(env, ref, selected, slot, prior_vacancy):
+    got = env.sense(selected, slot, prior_vacancy)
+    want = ref.sense(selected, slot, prior_vacancy)
+    assert got.statuses.dtype == want.statuses.dtype == np.int8
+    assert got.statuses.tobytes() == want.statuses.tobytes()
+    assert got.xi == want.xi
+    assert struct.pack("<d", got.residual_ratio) == \
+        struct.pack("<d", want.residual_ratio)
+    assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+    return got
+
+
+class TestSignalEnvironmentMatchesReference:
+    """Per-set sensing plans leave signal sensing bit-identical."""
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
+    @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+    def test_slot_by_slot(self, n, k, snr_db):
+        horizon = 90
+        config, trajectory, matrix = signal_setup(n, k, snr_db, horizon)
+        env, ref = environments(config, trajectory, matrix)
+        draws = np.random.default_rng(4)
+        # Two sets of every size on both paths (so plans of equal size
+        # differ), one in unsorted order; each is sensed several times.
+        sizes = [1, k // 2, k, k + 1, k + 3, n]
+        pool = [draws.choice(n, size=size, replace=False) for size in sizes
+                for _ in range(2)]
+        pool = [np.sort(sel) for sel in pool[1:]] + [pool[0]]
+        paths = set()
+        for slot in range(horizon):
+            selected = pool[slot % len(pool)]
+            prior = None if slot % 7 == 0 else draws.random(n).tolist()
+            assert_same_sense(env, ref, selected, slot, prior)
+            paths.add(selected.size <= k)
+        assert paths == {True, False}
+
+    def test_plan_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_PLANS", 3)
+        config, trajectory, matrix = signal_setup(8, 4, 20.0, 60)
+        env, ref = environments(config, trajectory, matrix)
+        draws = np.random.default_rng(5)
+        pool = [np.sort(draws.choice(8, size=size, replace=False))
+                for size in (3, 4, 4, 5, 6, 7)]
+        for slot in range(60):
+            selected = pool[draws.integers(len(pool))]
+            assert_same_sense(env, ref, selected, slot,
+                              draws.random(8).tolist())
+            assert len(env._plans) <= 3
+
+    @pytest.mark.parametrize("mode", ["IMP", "LDM", "OLDM"])
+    @pytest.mark.parametrize("n, k, snr_db", [(8, 4, 20.0), (16, 8, 10.0)])
+    def test_policy_runs_identical(self, mode, n, k, snr_db):
+        config, trajectory, matrix = signal_setup(n, k, snr_db, 300, seed=11)
+        stats = config.band_statistics()
+        cfg = _policy_config(config, mode)
+        runs = []
+        for env in environments(config, trajectory, matrix):
+            belief = BeliefState.fresh(n)
+            outcomes = run_policy(cfg, env, np.random.default_rng(13),
+                                  true_stats=stats, belief=belief)
+            runs.append((outcomes, belief, env.rng.bit_generator.state))
+        (got, belief, state), (want, ref_belief, ref_state) = runs
+        assert len(got) == len(want) == 300
+        for a, b in zip(got, want):
+            assert a.selected.tolist() == b.selected.tolist()
+            assert a.statuses.tobytes() == b.statuses.tobytes()
+            assert (a.xi, a.throughput) == (b.xi, b.throughput)
+        for name in ("omega", "counts", "p01_hat", "p10_hat", "obs_count"):
+            assert getattr(belief, name).tobytes() == \
+                getattr(ref_belief, name).tobytes(), name
+        assert state == ref_state
+        if mode == "IMP":
+            # IMP's fixed sets exceed the branch count: the search path ran.
+            assert max(o.selected.size for o in got) > k
+
+    def test_rejects_non_binary_trajectory(self):
+        config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
+        trajectory = trajectory.copy()
+        trajectory[4, 2] = 2
+        with pytest.raises(ValueError, match="0/1"):
+            SignalEnvironment(trajectory, matrix, config,
+                              np.random.default_rng(0))
+
+
+class TestPinnedOracleOutput:
+    """Oracle-mode CSV bytes of the shipped configs, pinned.
+
+    One replication of 4,000 slots: long enough for OLDM to unlock its
+    adaptive set sizing in both cases. Oracle mode draws only from
+    Generator streams and computes with elementwise IEEE double arithmetic,
+    so the bytes do not depend on the machine. Signal mode is not pinned:
+    its bits depend on the LAPACK build, and the same-process equality
+    tests above cover it.
+    """
+
+    DIGESTS = {
+        "case1": "717f1b7bda6ebe0085cbb2b404978bbf5e09ee3f4bc4d753506231d5ac6db5d6",
+        "case2": "0dcb8c8367b8d29b04d4fa146c1e44f3d81fe95fbf7aaae96dd2520dcf8e693e",
+    }
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_csv_digest(self, case, tmp_path):
+        cfg = load_config(CONFIGS / f"{case}.cfg")
+        assert cfg.rs_mode == "oracle"
+        cfg.replications = 1
+        cfg.horizon = 4000
+        csv_path, _ = emit_results(run_experiment(cfg), tmp_path / f"{case}.csv")
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+            self.DIGESTS[case]
 
 
 class TestEmitResults:

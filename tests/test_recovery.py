@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import (all_supports, exhaustive_map_support,
-                      reference_greedy_recover, reference_support_score,
-                      score_terms)
+                      reference_greedy_recover, reference_signal_sense,
+                      reference_support_score, score_terms)
 import wssim
-from wssim.recovery import (RecoveryConfig, SenseResult, direct_solve,
-                            energy_detect, fbmp_recover, gamma_threshold,
-                            oracle_sense, signal_sense)
-from wssim.recovery import _chi2_quantile, _support_scores
+from wssim.recovery import (RecoveryConfig, SenseResult, SensingPlan,
+                            direct_solve, energy_detect, fbmp_recover,
+                            gamma_threshold, oracle_sense, signal_sense)
+from wssim.recovery import (_chi2_quantile, _first_level_scores,
+                            _support_scores)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import OccupancyState, synthesize_band_spectra
 
@@ -27,12 +28,12 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     busy = rng.choice(m, size=busy_count, replace=False)
     statuses[busy] = 1
     spectra = synthesize_band_spectra(OccupancyState(statuses), n_bins, 1.0, rng)
-    batch = measure(a_sub, spectra.grid, snr_db, rng)
+    samples = measure(a_sub, spectra.grid, snr_db, rng)
     cfg = RecoveryConfig(prior_activity=prior, signal_variance=1.0,
                          noise_variance=noise_power_for_snr(snr_db),
                          energy_fa_rate=fa_rate,
                          gamma=gamma_threshold(m, k))
-    return statuses, spectra, a_sub, batch, cfg
+    return statuses, spectra, a_sub, samples, cfg
 
 
 class TestGammaThreshold:
@@ -128,8 +129,8 @@ class TestFbmpRecover:
         trials = 1000
         for seed in range(trials):
             busy_count = seed % 3  # cycle busy counts 0, 1, 2
-            statuses, _, a_sub, batch, cfg = make_instance(seed, busy_count=busy_count)
-            support, _, _ = fbmp_recover(batch, a_sub, cfg)
+            statuses, _, a_sub, samples, cfg = make_instance(seed, busy_count=busy_count)
+            support, _, _ = fbmp_recover(samples, a_sub, cfg)
             hits += int(np.array_equal(support, statuses))
         assert hits / trials >= 0.95
 
@@ -137,8 +138,8 @@ class TestFbmpRecover:
         over = 0
         trials = 200
         for seed in range(trials):
-            _, _, a_sub, batch, cfg = make_instance(seed, busy_count=3)
-            _, _, ratio = fbmp_recover(batch, a_sub, cfg)
+            _, _, a_sub, samples, cfg = make_instance(seed, busy_count=3)
+            _, _, ratio = fbmp_recover(samples, a_sub, cfg)
             over += int(ratio > 0.1)
         assert over / trials > 0.5
 
@@ -152,10 +153,10 @@ class TestFbmpRecover:
         # Noiseless instances: any support missing a busy band scores below
         # the same support with that band added.
         for seed in range(10):
-            statuses, _, a_sub, batch, cfg = make_instance(
+            statuses, _, a_sub, samples, cfg = make_instance(
                 seed, m=7, k=5, busy_count=2, snr_db=None)
             szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                batch.samples, cfg, 7)
+                samples, cfg, 7)
             busy = tuple(np.flatnonzero(statuses))
             for size in range(cfg.gamma):
                 pairs = []
@@ -178,10 +179,10 @@ class TestFbmpRecover:
         for seed in range(trials):
             m = 5 + seed % 4          # sizes 5..8
             busy_count = seed % 3     # within the recoverable budget
-            statuses, _, a_sub, batch, cfg = make_instance(
+            statuses, _, a_sub, samples, cfg = make_instance(
                 seed, m=m, busy_count=busy_count, snr_db=None)
-            exhaustive = exhaustive_map_support(batch.samples, a_sub, cfg)
-            greedy, _, _ = fbmp_recover(batch, a_sub, cfg)
+            exhaustive = exhaustive_map_support(samples, a_sub, cfg)
+            greedy, _, _ = fbmp_recover(samples, a_sub, cfg)
             exhaustive_correct += int(np.array_equal(exhaustive, statuses))
             agree += int(np.array_equal(exhaustive, greedy))
         assert exhaustive_correct == trials
@@ -193,11 +194,11 @@ class TestFbmpRecover:
         # seeded noisy instances with uneven priors: exact equality.
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            _, _, a_sub, batch, cfg = make_instance(
+            _, _, a_sub, samples, cfg = make_instance(
                 seed, m=m, k=k, busy_count=gamma, snr_db=10.0 + 5 * seed,
                 prior=rng.uniform(0.05, 0.95, m))
             szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                batch.samples, cfg, m)
+                samples, cfg, m)
             for size in range(gamma + 1):
                 supports = all_supports(m, size)
                 stacked = _support_scores(szz, n_bins, a_sub, supports, sig_s,
@@ -215,12 +216,12 @@ class TestFbmpRecover:
         shapes = [(4, 6), (4, 7), (8, 13), (8, 16)]
         for seed in range(500):
             k, m = shapes[seed % 4]
-            _, _, a_sub, batch, cfg = make_instance(
+            _, _, a_sub, samples, cfg = make_instance(
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 2),
                 snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
-            support, x_hat, ratio = fbmp_recover(batch, a_sub, cfg)
+            support, x_hat, ratio = fbmp_recover(samples, a_sub, cfg)
             ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
-                batch.samples, a_sub, cfg)
+                samples, a_sub, cfg)
             np.testing.assert_array_equal(support, ref_support)
             np.testing.assert_array_equal(x_hat, ref_x_hat)
             assert ratio == ref_ratio
@@ -281,30 +282,120 @@ class TestSignalSense:
     def test_square_set_noiseless_always_succeeds(self):
         for seed in range(20):
             busy_count = seed % 5
-            statuses, _, a_sub, batch, cfg = make_instance(
+            statuses, _, a_sub, samples, cfg = make_instance(
                 seed, m=4, busy_count=busy_count, snr_db=None)
-            result = signal_sense(batch, a_sub, cfg, 4)
+            result = signal_sense(samples, a_sub, cfg, 4)
             assert result.xi == 0
             np.testing.assert_array_equal(result.statuses, statuses)
 
     def test_overloaded_noiseless_fails(self):
-        _, _, a_sub, batch, cfg = make_instance(123, busy_count=3, snr_db=None)
-        result = signal_sense(batch, a_sub, cfg, 4)
+        _, _, a_sub, samples, cfg = make_instance(123, busy_count=3, snr_db=None)
+        result = signal_sense(samples, a_sub, cfg, 4)
         assert result.xi == 1
 
     def test_small_noisy_set_statuses(self):
         # A tight false-alarm target makes detection exact at 20 dB, where
         # busy-band energy sits far above any plausible threshold.
         for seed in range(20):
-            statuses, _, a_sub, batch, cfg = make_instance(
+            statuses, _, a_sub, samples, cfg = make_instance(
                 seed, m=3, busy_count=seed % 4, snr_db=20.0, fa_rate=1e-4)
-            result = signal_sense(batch, a_sub, cfg, 4)
+            result = signal_sense(samples, a_sub, cfg, 4)
             assert result.xi == 0
             np.testing.assert_array_equal(result.statuses, statuses)
 
     def test_reports_residual_ratio(self):
-        _, _, a_sub, batch, cfg = make_instance(7, busy_count=1)
-        result = signal_sense(batch, a_sub, cfg, 4)
+        _, _, a_sub, samples, cfg = make_instance(7, busy_count=1)
+        result = signal_sense(samples, a_sub, cfg, 4)
         assert isinstance(result, SenseResult)
         assert result.residual_ratio is not None
         assert result.residual_ratio >= 0.0
+
+
+def plan_draws(seed, k, m, count):
+    """One sub-matrix and its plan, then count slots measured through it.
+
+    Busy counts run from 0 to beyond the recoverable limit, noise from
+    none to 10 dB, priors vary per slot; cfg.gamma is the limit.
+    """
+    rng = np.random.default_rng(seed)
+    a_sub = rng.standard_normal((k, m))
+    gamma = gamma_threshold(m, k)
+    for snr_db in (None, 20.0, 10.0):
+        cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
+                             gamma=gamma)
+        plan = SensingPlan(a_sub, cfg)
+        for i in range(count):
+            statuses = np.zeros(m, dtype=np.int8)
+            busy_count = min(i % (gamma + 2), m)
+            statuses[rng.choice(m, size=busy_count, replace=False)] = 1
+            spectra = synthesize_band_spectra(OccupancyState(statuses), 16,
+                                              1.0, rng)
+            samples = measure(a_sub, spectra.grid, snr_db, rng)
+            yield plan, cfg, samples, rng.uniform(0.05, 0.95, m)
+
+
+PLAN_SHAPES = [(4, 7), (4, 6), (8, 12), (8, 16)]
+
+
+class TestSensingPlan:
+    """A reused plan gives the bits of computing everything per call."""
+
+    @pytest.mark.parametrize("k, m", PLAN_SHAPES)
+    def test_first_level_scores_equal_one_at_a_time(self, k, m):
+        for plan, cfg, samples, prior in plan_draws(k * m, k, m, 10):
+            cfg.prior_activity = prior
+            szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
+                samples, cfg, m)
+            got = _first_level_scores(plan.first_levels, szz, n_bins,
+                                      base_prior, gain)
+            want = [reference_support_score(szz, n_bins, plan.a_sub, active,
+                                            sig_s, sig_n, base_prior, gain)
+                    for active in [()] + [(j,) for j in range(m)]]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("k, m", PLAN_SHAPES)
+    def test_reused_plan_search_identical_to_reference(self, k, m):
+        # 252 draws per shape, through three plans (one per noise level).
+        for plan, cfg, samples, prior in plan_draws(k + m, k, m, 84):
+            support, x_hat, ratio = fbmp_recover(samples, plan.a_sub, cfg,
+                                                 plan, prior_activity=prior)
+            cfg.prior_activity = prior
+            ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
+                samples, plan.a_sub, cfg)
+            assert support.tobytes() == ref_support.tobytes()
+            assert x_hat.tobytes() == ref_x_hat.tobytes()
+            assert ratio == ref_ratio
+
+    @pytest.mark.parametrize("k, m", [(4, 2), (4, 4), (8, 5), (8, 8)]
+                             + PLAN_SHAPES)
+    def test_reused_plan_sensing_identical_to_reference(self, k, m):
+        # Both paths: m <= k solves directly with the plan's detector
+        # noise, m > k searches.
+        for plan, cfg, samples, prior in plan_draws(7 * m + k, k, m, 12):
+            cfg.gamma = None
+            got = signal_sense(samples, plan.a_sub, cfg, k, plan,
+                               prior_activity=prior)
+            cfg.prior_activity = prior
+            want = reference_signal_sense(samples, plan.a_sub, cfg, k)
+            assert got.statuses.tobytes() == want.statuses.tobytes()
+            assert got.xi == want.xi
+            assert got.residual_ratio == want.residual_ratio
+
+    def test_band_noise_is_floored_post_inversion_noise(self, rng):
+        a_sub = rng.standard_normal((4, 3))
+        gram_inv_diag = np.diag(np.linalg.inv(a_sub.T @ a_sub))
+        noisy = SensingPlan(a_sub, RecoveryConfig(noise_variance=0.01))
+        assert noisy.band_noise.tolist() == (0.01 * gram_inv_diag).tolist()
+        noiseless = SensingPlan(a_sub, RecoveryConfig(signal_variance=2.0))
+        assert noiseless.band_noise.tolist() == [2e-12] * 3
+
+    def test_rejects_plan_of_other_inputs(self, rng):
+        cfg = RecoveryConfig(noise_variance=0.01, gamma=2)
+        a_sub = rng.standard_normal((4, 6))
+        plan = SensingPlan(a_sub, cfg)
+        samples = np.zeros((4, 8), dtype=complex)
+        with pytest.raises(ValueError, match="sub-matrix"):
+            fbmp_recover(samples, a_sub.copy(), cfg, plan)
+        with pytest.raises(ValueError, match="variances"):
+            signal_sense(samples, a_sub, RecoveryConfig(noise_variance=0.1),
+                         4, plan)

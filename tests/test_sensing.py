@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from wssim.sensing import (MeasurementBatch, SensingMatrix,
-                           draw_sensing_matrix, measure, noise_power_for_snr,
-                           select_submatrix)
+from wssim.sensing import (SensingMatrix, draw_sensing_matrix, measure,
+                           noise_power_for_snr, select_submatrix)
 from wssim.spectrum import OccupancyState, synthesize_band_spectra
 
 
@@ -80,36 +79,37 @@ class TestSelectSubmatrix:
 class TestMeasure:
     def test_identity_mixing_returns_spectrum(self, rng):
         spectra = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
-        batch = measure(np.array([[1.0]]), spectra, None, rng)
-        np.testing.assert_array_equal(batch.samples, spectra)
-        assert batch.noise_power == 0.0
+        state = rng.bit_generator.state
+        samples = measure(np.array([[1.0]]), spectra, None, rng)
+        np.testing.assert_array_equal(samples, spectra)
+        # Noiseless: no noise is drawn.
+        assert rng.bit_generator.state == state
 
     def test_vacant_bands_measure_zero(self, rng):
         a_sub = rng.standard_normal((4, 3))
-        batch = measure(a_sub, np.zeros((3, 8), dtype=complex), None, rng)
-        assert not batch.samples.any()
+        samples = measure(a_sub, np.zeros((3, 8), dtype=complex), None, rng)
+        assert not samples.any()
 
     def test_matches_dense_product_oracle(self, rng):
         a_sub = rng.standard_normal((4, 6))
         spectra = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        batch = measure(a_sub, spectra, None, rng)
+        samples = measure(a_sub, spectra, None, rng)
         expected = dense_product(a_sub, spectra)
-        np.testing.assert_allclose(batch.samples, expected, rtol=1e-12)
+        np.testing.assert_allclose(samples, expected, rtol=1e-12)
 
     def test_linearity(self, rng):
         a_sub = rng.standard_normal((3, 5))
         x1 = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
         x2 = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-        combined = measure(a_sub, x1 + x2, None, rng).samples
-        separate = measure(a_sub, x1, None, rng).samples \
-            + measure(a_sub, x2, None, rng).samples
+        combined = measure(a_sub, x1 + x2, None, rng)
+        separate = measure(a_sub, x1, None, rng) + measure(a_sub, x2, None, rng)
         np.testing.assert_allclose(combined, separate, atol=1e-12)
 
     def test_square_system_invertible(self, rng):
         a_sub = rng.standard_normal((4, 4))
         spectra = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
-        batch = measure(a_sub, spectra, None, rng)
-        recovered = np.linalg.solve(a_sub, batch.samples)
+        samples = measure(a_sub, spectra, None, rng)
+        recovered = np.linalg.solve(a_sub, samples)
         np.testing.assert_allclose(recovered, spectra, rtol=1e-9)
 
     def test_column_subset_consistency(self, rng):
@@ -119,9 +119,9 @@ class TestMeasure:
         selected = np.array([0, 3, 5, 6])
         masked = spectra.grid.copy()
         masked[[i for i in range(8) if i not in selected]] = 0.0
-        full = measure(matrix.entries, masked, None, rng).samples
+        full = measure(matrix.entries, masked, None, rng)
         sub = measure(select_submatrix(matrix, selected),
-                      spectra.grid[selected], None, rng).samples
+                      spectra.grid[selected], None, rng)
         np.testing.assert_allclose(full, sub, atol=1e-12)
 
     def test_noise_power_calibration(self, rng):
@@ -130,18 +130,20 @@ class TestMeasure:
         assert noise_power_for_snr(np.inf) == 0.0
         a_sub = np.zeros((2, 1))
         spectra = np.zeros((1, 50_000), dtype=complex)
-        batch = measure(a_sub, spectra, 10.0, rng, signal_power=2.0)
-        measured = np.mean(np.abs(batch.samples) ** 2)
-        assert batch.noise_power == pytest.approx(0.2)
+        assert noise_power_for_snr(10.0, signal_power=2.0) == pytest.approx(0.2)
+        samples = measure(a_sub, spectra, 10.0, rng, signal_power=2.0)
+        measured = np.mean(np.abs(samples) ** 2)
         assert measured == pytest.approx(0.2, rel=0.05)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             measure(np.ones((2, 3)), np.zeros((4, 8), dtype=complex), None, rng)
 
-    def test_selected_recorded(self, rng):
-        a_sub = rng.standard_normal((2, 2))
-        batch = measure(a_sub, np.zeros((2, 4), dtype=complex), None, rng,
-                        selected=[5, 2])
-        assert isinstance(batch, MeasurementBatch)
-        np.testing.assert_array_equal(batch.selected, [5, 2])
+    def test_returns_sample_matrix(self, rng):
+        # One row per branch, one column per bin, whatever the band count.
+        a_sub = rng.standard_normal((2, 3))
+        for snr_db in (None, 10.0):
+            samples = measure(a_sub, np.zeros((3, 4), dtype=complex), snr_db, rng)
+            assert isinstance(samples, np.ndarray)
+            assert samples.shape == (2, 4)
+            assert samples.dtype == np.complex128
