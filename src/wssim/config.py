@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .learning import POLICY_MODES
+from .learning import POLICY_MODES, PolicyConfig
 from .spectrum import CASE_STATIONARY, BandStatistics
 
 RS_MODES = ("oracle", "signal")
@@ -41,32 +41,32 @@ class ExperimentConfig:
     search_breadth: int = 5
     residual_threshold: float = 0.1
 
+    def policy_config(self, mode: str) -> PolicyConfig:
+        """The run-time parameters of one policy of this experiment."""
+        return PolicyConfig(n_bands=self.n_bands, k_branches=self.k_branches,
+                            horizon=self.horizon,
+                            exploration_coefficient=self.exploration_coefficient,
+                            mu=self.mu, delta=self.delta, mode=mode)
+
     def validate(self) -> None:
-        if self.n_bands < 1:
-            raise ValueError("n_bands must be at least 1")
-        if not 1 <= self.k_branches <= self.n_bands:
-            raise ValueError(
-                f"k_branches must satisfy 1 <= k_branches <= n_bands "
-                f"(got {self.k_branches} with n_bands={self.n_bands})")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        """Reject invalid fields with a message naming the field.
+
+        Float checks are written so that NaN fails them.
+        """
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.rs_mode not in RS_MODES:
             raise ValueError(f"rs_mode must be one of {RS_MODES}")
         if not self.policies:
             raise ValueError("policies must list at least one policy")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError("policies must not repeat")
         for policy in self.policies:
             if policy not in POLICY_MODES:
                 raise ValueError(f"policies entries must be among {POLICY_MODES}")
-        if len(set(self.policies)) != len(self.policies):
-            raise ValueError("policies must not repeat")
-        if self.exploration_coefficient <= 0.0:
-            raise ValueError("exploration_coefficient must be positive")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+            self.policy_config(policy).validate()
+        if self.snr_db is not None and not self.snr_db > -np.inf:
+            raise ValueError("snr_db must be a number or +inf (noiseless)")
         if not 0.0 < self.lambda_mixing <= 1.0:
             raise ValueError("lambda_mixing must lie in (0, 1]")
         if self.bins_per_band < 1:
@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ValueError("energy_fa_rate must lie in (0, 1)")
         if self.search_breadth < 1:
             raise ValueError("search_breadth must be at least 1")
-        if self.residual_threshold <= 0.0:
+        if not self.residual_threshold > 0.0:
             raise ValueError("residual_threshold must be positive")
         if (self.p01 is None) != (self.p10 is None):
             raise ValueError("p01 and p10 must be given together")

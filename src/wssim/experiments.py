@@ -6,13 +6,15 @@ comparisons are paired. Replication results merge by replication index,
 which keeps the aggregate independent of execution order.
 
 In signal mode each policy senses through a SignalEnvironment, which
-keeps one recovery.SensingPlan per distinct selected set: everything that
-depends only on (sensing matrix, selected set, config), built the first
-time the set is sensed and keyed by its band tuple. At most _MAX_PLANS
-plans are kept (the oldest goes first), which bounds memory whatever the
-horizon. A plan holds exactly the values the per-slot chain would compute
-and the slot's random draws are unchanged, so the output is bit-identical
-to building everything on every slot.
+keeps one recovery.SensingPlan per distinct selected set: the set's
+sensing sub-matrix, the environment's one RecoveryConfig, and everything
+that depends only on those two, built the first time the set is sensed
+and keyed by its band tuple. Each slot hands signal_sense the plan, the
+slot's samples and the selected bands' busy priors, nothing else. At
+most _MAX_PLANS plans are kept (the oldest goes first), which bounds
+memory whatever the horizon. A plan holds exactly the values the
+per-slot chain would compute and the slot's random draws are unchanged,
+so the output is bit-identical to building everything on every slot.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, dump_config
-from .learning import OracleEnvironment, PolicyConfig, run_policy
+from .learning import OracleEnvironment, run_policy
 from .recovery import RecoveryConfig, SenseResult, SensingPlan, signal_sense
 from .sensing import (SensingMatrix, draw_sensing_matrix, measure,
                       noise_power_for_snr, select_submatrix)
@@ -96,16 +98,7 @@ class SignalEnvironment:
             prior_activity = 0.5
         else:
             prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
-        return signal_sense(samples, plan.a_sub, self.recovery_config,
-                            cfg.k_branches, plan,
-                            prior_activity=prior_activity)
-
-
-def _policy_config(cfg: ExperimentConfig, mode: str) -> PolicyConfig:
-    return PolicyConfig(n_bands=cfg.n_bands, k_branches=cfg.k_branches,
-                        horizon=cfg.horizon,
-                        exploration_coefficient=cfg.exploration_coefficient,
-                        mu=cfg.mu, delta=cfg.delta, mode=mode)
+        return signal_sense(samples, plan, prior_activity)
 
 
 def run_replication(config: ExperimentConfig, rep_index: int,
@@ -133,7 +126,7 @@ def run_replication(config: ExperimentConfig, rep_index: int,
                                     np.random.default_rng(streams[3 + 2 * i]))
         else:
             env = OracleEnvironment(trajectory, config.k_branches)
-        outcomes = run_policy(_policy_config(config, policy), env, policy_rng,
+        outcomes = run_policy(config.policy_config(policy), env, policy_rng,
                               true_stats=stats)
         series[policy] = np.fromiter((o.throughput for o in outcomes),
                                      dtype=float, count=config.horizon)

@@ -60,10 +60,12 @@ class PolicyConfig:
         if self.n_bands < 1:
             raise ValueError("n_bands must be at least 1")
         if not 1 <= self.k_branches <= self.n_bands:
-            raise ValueError("k_branches must satisfy 1 <= k_branches <= n_bands")
+            raise ValueError(
+                f"k_branches must satisfy 1 <= k_branches <= n_bands "
+                f"(got {self.k_branches} with n_bands={self.n_bands})")
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        if self.exploration_coefficient <= 0.0:
+        if not self.exploration_coefficient > 0.0:
             raise ValueError("exploration_coefficient must be positive")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")

@@ -7,15 +7,16 @@ or overdetermined, greedy Bayesian support search otherwise), runs an
 energy detector, and declares reconstruction failure from the detected
 busy count and the relative fit residual.
 
-What signal sensing derives from the selected set's sensing sub-matrix
-and the variances alone, not from the slot's samples or priors, lives in
-a SensingPlan, which a caller sensing the same set again passes back in;
-without one, signal_sense and fbmp_recover build a throwaway plan and run
-the same code. A plan computes its values with the same expressions,
-operands and memory layouts as the per-slot code, and the per-slot solve
-is kept rather than replaced by a product with a cached inverse, so every
-score, status and residual is bit-identical to computing all of it on
-every slot.
+A SensingPlan is the one way set-level inputs reach signal_sense and
+fbmp_recover: the selected set's K x m sensing sub-matrix, the
+RecoveryConfig, and what follows from those two alone, not from the
+slot's samples or priors. Besides the plan, those calls take only the
+slot's samples and busy priors (and fbmp_recover its search depth), so a
+caller sensing the same set again passes the same plan back in. A plan
+computes its values with the same expressions, operands and memory
+layouts as the per-slot code, and the per-slot solve is kept rather than
+replaced by a product with a cached inverse, so every score, status and
+residual is bit-identical to computing all of it on every slot.
 """
 
 from __future__ import annotations
@@ -50,23 +51,21 @@ class SenseResult:
             raise ValueError("xi must be 0 or 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryConfig:
-    """Knobs of the signal-mode recovery chain.
+    """Knobs of the signal-mode recovery chain, checked once when built."""
 
-    prior_activity is the per-band prior probability of being busy (scalar
-    or one entry per selected band). gamma caps the support search and is
-    normally derived from the set size and branch count; signal_sense
-    passes it to fbmp_recover itself.
-    """
-
-    prior_activity: np.ndarray | float = 0.5
     signal_variance: float = 1.0
     noise_variance: float = 0.0
     search_breadth: int = 5
     energy_fa_rate: float = 0.05
     residual_threshold: float = 0.1
-    gamma: int | None = None
+
+    def __post_init__(self):
+        if not self.signal_variance > 0.0:
+            raise ValueError("signal_variance must be positive")
+        if self.search_breadth < 1:
+            raise ValueError("search_breadth must be at least 1")
 
 
 def gamma_threshold(set_size: int, k_branches: int) -> int:
@@ -192,13 +191,14 @@ class _FirstLevels(NamedTuple):
 
 
 class SensingPlan:
-    """What signal sensing of one band set derives from A_S and the variances.
+    """Everything signal sensing of one band set takes besides the slot.
 
     a_sub is the set's K x m sensing sub-matrix, kept as given, in
     select_submatrix's memory layout, so that products with it match the
-    per-slot code bit for bit. sig_s and sig_n are the search's model
-    variances. The two recovery paths' parts are built on first use
-    and read on every later slot:
+    per-slot code bit for bit; K is its row count. cfg is the recovery
+    config. sig_s and sig_n are the search's model variances. The two
+    recovery paths' parts are built on first use and read on every later
+    slot:
 
     - band_noise (direct path, m <= K): the energy detector's per-band
       noise max(noise_variance * diag((A_S^T A_S)^-1), floor). Least
@@ -209,10 +209,6 @@ class SensingPlan:
       by _support_covariances exactly as a level is built per slot and
       stacked, so _first_level_scores scores both levels with one stacked
       solve.
-
-    Only cfg's signal_variance and noise_variance enter a plan. A plan
-    handed to signal_sense or fbmp_recover must come with its own a_sub
-    and a cfg with those two values.
     """
 
     def __init__(self, a_sub: np.ndarray, cfg: RecoveryConfig):
@@ -220,8 +216,7 @@ class SensingPlan:
         if a_sub.ndim != 2:
             raise ValueError("a_sub must be two-dimensional")
         self.a_sub = a_sub
-        self.signal_variance = cfg.signal_variance
-        self.noise_variance = cfg.noise_variance
+        self.cfg = cfg
         self.sig_s = float(cfg.signal_variance)
         self.sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR * self.sig_s)
         self.detect_floor = _DETECT_FLOOR * self.sig_s
@@ -229,7 +224,7 @@ class SensingPlan:
     @functools.cached_property
     def band_noise(self) -> np.ndarray:
         gram_inv_diag = np.diag(np.linalg.inv(self.a_sub.T @ self.a_sub))
-        return np.maximum(self.noise_variance * gram_inv_diag, self.detect_floor)
+        return np.maximum(self.cfg.noise_variance * gram_inv_diag, self.detect_floor)
 
     @functools.cached_property
     def first_levels(self) -> _FirstLevels:
@@ -239,18 +234,6 @@ class SensingPlan:
                   for supports in (np.empty((1, 0), dtype=np.intp), index)]
         phi, logdet = (np.concatenate(parts) for parts in zip(*levels))
         return _FirstLevels([(j,) for j in range(m)], index, phi, logdet)
-
-
-def _checked_plan(plan: SensingPlan | None, a_sub,
-                  cfg: RecoveryConfig) -> SensingPlan:
-    if plan is None:
-        return SensingPlan(a_sub, cfg)
-    if a_sub is not plan.a_sub:
-        raise ValueError("the plan was built for another sub-matrix")
-    if (cfg.signal_variance != plan.signal_variance
-            or cfg.noise_variance != plan.noise_variance):
-        raise ValueError("the plan was built for other variances")
-    return plan
 
 
 def _first_level_scores(first: _FirstLevels, szz: np.ndarray, n_bins: int,
@@ -265,42 +248,30 @@ def _first_level_scores(first: _FirstLevels, szz: np.ndarray, n_bins: int,
     return _scores_from(first.phi, first.logdet, szz, n_bins, log_prior)
 
 
-def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig,
-                 plan: SensingPlan | None = None, *, gamma: int | None = None,
-                 prior_activity=None):
+def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
     """Greedy maximum-a-posteriori search over busy-band supports.
 
-    Supports grow one band at a time; the best cfg.search_breadth
-    candidates per size survive, up to size gamma (cfg.gamma unless given;
-    prior_activity likewise stands in for cfg.prior_activity). The empty
-    support and the singletons are scored together from the plan's
-    stacked covariances with one stacked solve; each deeper level's
-    distinct candidates are scored together in one stacked factorisation
-    (_support_scores). A stable sort ranks each level, so score ties go to
-    the candidate generated first. The scores are bit-identical to scoring
-    one support at a time, so the search picks the same support. plan is
-    a_sub's SensingPlan; without one a throwaway plan is built. Returns
-    the binary support estimate, the posterior-mean spectra of the best
-    support, and the relative residual of the fit.
+    Supports grow one band at a time; the best plan.cfg.search_breadth
+    candidates per size survive, up to size gamma. prior_activity is the
+    per-band prior probability of being busy (a scalar or one entry per
+    selected band). The empty support and the singletons are scored
+    together from the plan's stacked covariances with one stacked solve;
+    each deeper level's distinct candidates are scored together in one
+    stacked factorisation (_support_scores). A stable sort ranks each
+    level, so score ties go to the candidate generated first. The scores
+    are bit-identical to scoring one support at a time, so the search
+    picks the same support. Returns the binary support estimate, the
+    posterior-mean spectra of the best support, and the relative residual
+    of the fit.
     """
     samples = np.asarray(z)
-    plan = _checked_plan(plan, a_sub, cfg)
     a_sub = plan.a_sub
     _, m = a_sub.shape
     n_bins = samples.shape[1]
-    if gamma is None:
-        gamma = cfg.gamma
-    if gamma is None:
-        raise ValueError("cfg.gamma must be set before calling fbmp_recover")
     if not 0 <= gamma <= m:
         raise ValueError("gamma must lie in [0, set size]")
-    if cfg.search_breadth < 1:
-        raise ValueError("search_breadth must be at least 1")
     sig_s, sig_n = plan.sig_s, plan.sig_n
-    if sig_s <= 0.0:
-        raise ValueError("signal_variance must be positive")
-    if prior_activity is None:
-        prior_activity = cfg.prior_activity
+    breadth = plan.cfg.search_breadth
     base_prior, prior_gain = _prior_log_odds(prior_activity, m)
     szz = samples @ samples.conj().T
 
@@ -327,7 +298,7 @@ def fbmp_recover(z, a_sub: np.ndarray, cfg: RecoveryConfig,
                 break
             level_scores = scores(level)
         ranked = sorted(zip(level, level_scores), key=lambda item: -item[1])
-        frontier = [active for active, _ in ranked[:cfg.search_breadth]]
+        frontier = [active for active, _ in ranked[:breadth]]
         if ranked[0][1] > best_score:
             best_active, best_score = ranked[0]
 
@@ -371,33 +342,26 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     return (energies > threshold).astype(np.int8)
 
 
-def signal_sense(z, a_sub: np.ndarray, cfg: RecoveryConfig, k_branches: int,
-                 plan: SensingPlan | None = None, *,
-                 prior_activity=None) -> SenseResult:
+def signal_sense(z, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     """Full signal-mode sensing: recover, detect, and flag failure.
 
-    Set sizes up to the branch count are solved exactly and always succeed;
-    larger sets go through the greedy support search and fail when the
+    Set sizes up to the branch count K (the plan's row count) are solved
+    exactly and always succeed; larger sets go through the greedy support
+    search with prior_activity as the busy prior, and fail when the
     detected busy count exceeds the recoverable limit or the relative
-    residual exceeds cfg.residual_threshold. plan is a_sub's SensingPlan,
-    built here when omitted; prior_activity, when given, stands in for
-    cfg.prior_activity.
+    residual exceeds plan.cfg.residual_threshold.
     """
     samples = np.asarray(z)
-    plan = _checked_plan(plan, a_sub, cfg)
-    a_sub = plan.a_sub
+    a_sub, cfg = plan.a_sub, plan.cfg
     k, m = a_sub.shape
-    if k != k_branches:
-        raise ValueError("a_sub row count must equal k_branches")
-    limit = gamma_threshold(m, k_branches)
-    if m <= k_branches:
+    limit = gamma_threshold(m, k)
+    if m <= k:
         x_hat = direct_solve(samples, a_sub)
         statuses = energy_detect(x_hat, plan.band_noise, cfg.energy_fa_rate)
         ratio = _residual_ratio(samples, a_sub @ x_hat)
         xi = 0
     else:
-        _, x_hat, ratio = fbmp_recover(samples, a_sub, cfg, plan, gamma=limit,
-                                       prior_activity=prior_activity)
+        _, x_hat, ratio = fbmp_recover(samples, plan, limit, prior_activity)
         statuses = energy_detect(x_hat, max(cfg.noise_variance, plan.detect_floor),
                                  cfg.energy_fa_rate)
         # The raw residual of a correct fit still contains the measurement

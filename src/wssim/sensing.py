@@ -12,6 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
+# Random K-column sub-matrices whose rank draw_sensing_matrix checks.
+_SUBSET_CHECKS = 8
+
 
 @dataclass(frozen=True)
 class SensingMatrix:
@@ -38,8 +41,8 @@ def _full_column_rank(a: np.ndarray) -> bool:
     return np.linalg.matrix_rank(a) == min(a.shape)
 
 
-def draw_sensing_matrix(k_branches: int, n_bands: int, rng: np.random.Generator,
-                        subset_checks: int = 8) -> SensingMatrix:
+def draw_sensing_matrix(k_branches: int, n_bands: int,
+                        rng: np.random.Generator) -> SensingMatrix:
     """Draw i.i.d. standard Gaussian mixing coefficients.
 
     Full row rank is verified numerically, along with a random sample of
@@ -53,7 +56,7 @@ def draw_sensing_matrix(k_branches: int, n_bands: int, rng: np.random.Generator,
         if np.linalg.matrix_rank(entries) < k_branches:
             continue
         ok = True
-        for _ in range(subset_checks):
+        for _ in range(_SUBSET_CHECKS):
             cols = rng.choice(n_bands, size=k_branches, replace=False)
             if not _full_column_rank(entries[:, cols]):
                 ok = False

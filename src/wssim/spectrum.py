@@ -37,7 +37,7 @@ class BandStatistics:
         if p01.ndim != 1 or p01.shape != p10.shape or p01.size == 0:
             raise ValueError("p01 and p10 must be equal-length nonempty vectors")
         for name, vec in (("p01", p01), ("p10", p10)):
-            if np.any((vec < 0.0) | (vec > 1.0)):
+            if not np.all((vec >= 0.0) & (vec <= 1.0)):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         if np.any(p01 + p10 <= 0.0):
             raise ValueError("degenerate chain: p01 + p10 must be positive for every band")
@@ -56,7 +56,7 @@ class BandStatistics:
         stationary vacancy equal to p0 for any mixing speed in (0, 1].
         """
         p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-        if np.any((p0 < 0.0) | (p0 > 1.0)):
+        if not np.all((p0 >= 0.0) & (p0 <= 1.0)):
             raise ValueError("stationary vacancy entries must lie in [0, 1]")
         if not 0.0 < mixing <= 1.0:
             raise ValueError("mixing must lie in (0, 1]")

@@ -1,7 +1,6 @@
 """Shared independent oracles for the test suite."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,23 +69,24 @@ def reference_support_score(szz, n_bins, a_sub, active, sig_s, sig_n,
     return -n_bins * logdet - quad + log_prior
 
 
-def score_terms(samples, cfg, m):
+def score_terms(samples, cfg, m, prior_activity=0.5):
     """(szz, n_bins, sig_s, sig_n, base_prior, prior_gain) as fbmp_recover derives them."""
     sig_s = float(cfg.signal_variance)
     sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR * sig_s)
-    base_prior, prior_gain = _prior_log_odds(cfg.prior_activity, m)
+    base_prior, prior_gain = _prior_log_odds(prior_activity, m)
     return (samples @ samples.conj().T, samples.shape[1], sig_s, sig_n,
             base_prior, prior_gain)
 
 
-def reference_greedy_recover(samples, a_sub, cfg):
+def reference_greedy_recover(samples, a_sub, cfg, gamma, prior_activity=0.5):
     """The greedy support search scoring one candidate support at a time.
 
     Reference for wssim.recovery.fbmp_recover: same candidate order, same
     stable ranking, scalar scores.
     """
     m = a_sub.shape[1]
-    szz, n_bins, sig_s, sig_n, base_prior, prior_gain = score_terms(samples, cfg, m)
+    szz, n_bins, sig_s, sig_n, base_prior, prior_gain = score_terms(
+        samples, cfg, m, prior_activity)
 
     def score(active):
         return reference_support_score(szz, n_bins, a_sub, active, sig_s,
@@ -94,7 +94,7 @@ def reference_greedy_recover(samples, a_sub, cfg):
 
     best_active, best_score = (), score(())
     frontier = [()]
-    for _ in range(cfg.gamma):
+    for _ in range(gamma):
         scored = {}
         for active in frontier:
             for j in range(m):
@@ -122,16 +122,17 @@ def all_supports(m, size):
     return np.array(combos, dtype=np.intp).reshape(len(combos), size)
 
 
-def exhaustive_map_support(samples, a_sub, cfg):
-    """Score every support of size up to cfg.gamma; reference for the greedy search.
+def exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity=0.5):
+    """Score every support of size up to gamma; reference for the greedy search.
 
     One stacked scoring call per support size; the first support in
     (size, lexicographic) order wins ties.
     """
     m = a_sub.shape[1]
-    szz, n_bins, sig_s, sig_n, base_prior, prior_gain = score_terms(samples, cfg, m)
+    szz, n_bins, sig_s, sig_n, base_prior, prior_gain = score_terms(
+        samples, cfg, m, prior_activity)
     best_active, best_score = (), -np.inf
-    for size in range(cfg.gamma + 1):
+    for size in range(gamma + 1):
         supports = all_supports(m, size)
         scores = _support_scores(szz, n_bins, a_sub, supports, sig_s, sig_n,
                                  base_prior, prior_gain)
@@ -157,12 +158,12 @@ class ReferenceOracleEnvironment:
         return oracle_sense(self.trajectory[slot, selected], self.k_branches)
 
 
-def reference_signal_sense(samples, a_sub, cfg, k_branches):
+def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
     """Signal-mode sensing computing everything from a_sub on every call.
 
     Reference for wssim.recovery.signal_sense with a reused SensingPlan:
-    the detector noise comes from a fresh Gram inverse, gamma from a copied
-    config, and the support search from reference_greedy_recover.
+    the detector noise comes from a fresh Gram inverse and the support
+    search from reference_greedy_recover.
     """
     a_sub = np.asarray(a_sub, dtype=float)
     k, m = a_sub.shape
@@ -180,8 +181,8 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches):
         ratio = _residual_ratio(samples, a_sub @ x_hat)
         xi = 0
     else:
-        support_cfg = replace(cfg, gamma=limit)
-        _, x_hat, ratio = reference_greedy_recover(samples, a_sub, support_cfg)
+        _, x_hat, ratio = reference_greedy_recover(samples, a_sub, cfg, limit,
+                                                   prior_activity)
         statuses = energy_detect(x_hat, max(cfg.noise_variance, detect_floor),
                                  cfg.energy_fa_rate)
         z_energy = float(np.sum(np.abs(samples) ** 2))
@@ -222,14 +223,13 @@ class ReferenceSignalEnvironment:
             prior_activity = 0.5
         else:
             prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
-        recovery_cfg = RecoveryConfig(prior_activity=prior_activity,
-                                      signal_variance=SIGNAL_POWER,
+        recovery_cfg = RecoveryConfig(signal_variance=SIGNAL_POWER,
                                       noise_variance=self.noise_power,
                                       search_breadth=cfg.search_breadth,
                                       energy_fa_rate=cfg.energy_fa_rate,
                                       residual_threshold=cfg.residual_threshold)
         return reference_signal_sense(samples, a_sub, recovery_cfg,
-                                      cfg.k_branches)
+                                      cfg.k_branches, prior_activity)
 
 
 def step_occupancy(state, stats, rng):

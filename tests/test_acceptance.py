@@ -16,8 +16,8 @@ from wssim.config import ExperimentConfig
 from wssim.experiments import run_experiment
 from wssim.learning import (BeliefState, OracleEnvironment, PolicyConfig,
                             run_policy)
-from wssim.recovery import (RecoveryConfig, direct_solve, gamma_threshold,
-                            oracle_sense, signal_sense)
+from wssim.recovery import (RecoveryConfig, SensingPlan, direct_solve,
+                            gamma_threshold, oracle_sense, signal_sense)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.sizing import (exploration_threshold, mu_correct, optimize_size,
                           poisson_binomial_pmf)
@@ -214,9 +214,8 @@ def test_criterion_8_signal_chain_fidelity():
         state = init_occupancy(stats, slot_rng)
         spectra = synthesize_band_spectra(state, 64, 1.0, slot_rng)
         batch = measure(a_sub, spectra.grid, 20.0, slot_rng)
-        cfg = RecoveryConfig(prior_activity=1.0 - p0, signal_variance=1.0,
-                             noise_variance=noise_var)
-        signal = signal_sense(batch, a_sub, cfg, 4)
+        cfg = RecoveryConfig(signal_variance=1.0, noise_variance=noise_var)
+        signal = signal_sense(batch, SensingPlan(a_sub, cfg), prior_activity=1.0 - p0)
         oracle = oracle_sense(state.statuses, 4)
         agree += int(signal.xi == oracle.xi)
     fraction = agree / trials

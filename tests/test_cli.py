@@ -51,6 +51,13 @@ class TestValidate:
         assert main(["validate", str(bad)]) != 0
         assert "k_branches" in capsys.readouterr().err
 
+    def test_nan_snr_exits_with_usage_error(self, workdir, capsys):
+        tmp_path, _ = workdir
+        bad = tmp_path / "nan.cfg"
+        bad.write_text(TINY + "snr_db = nan\n", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert "snr_db" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "no_such_file.cfg"]) != 0
 

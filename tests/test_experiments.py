@@ -8,9 +8,8 @@ import pytest
 from conftest import ReferenceSignalEnvironment
 from wssim import experiments
 from wssim.config import ExperimentConfig, dump_config, load_config
-from wssim.experiments import (SignalEnvironment, _policy_config,
-                               compute_regret, emit_results, run_experiment,
-                               run_replication)
+from wssim.experiments import (SignalEnvironment, compute_regret,
+                               emit_results, run_experiment, run_replication)
 from wssim.learning import BeliefState, run_policy
 from wssim.sensing import draw_sensing_matrix
 from wssim.spectrum import simulate_occupancy
@@ -163,7 +162,7 @@ class TestSignalEnvironmentMatchesReference:
     def test_policy_runs_identical(self, mode, n, k, snr_db):
         config, trajectory, matrix = signal_setup(n, k, snr_db, 300, seed=11)
         stats = config.band_statistics()
-        cfg = _policy_config(config, mode)
+        cfg = config.policy_config(mode)
         runs = []
         for env in environments(config, trajectory, matrix):
             belief = BeliefState.fresh(n)
@@ -313,6 +312,28 @@ class TestConfigFile:
         cfg = small_config(policies=("IMP", "XYZ"))
         with pytest.raises(ValueError, match="policies"):
             cfg.validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("snr_db", float("nan")), ("snr_db", float("-inf")),
+        ("exploration_coefficient", float("nan")),
+        ("residual_threshold", float("nan"))])
+    def test_validation_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["p01", "p10"])
+    def test_validation_rejects_nan_transition_probability(self, field):
+        vectors = {"p01": (0.1,) * 8, "p10": (0.2,) * 8}
+        vectors[field] = (0.1,) * 7 + (float("nan"),)
+        with pytest.raises(ValueError, match=field):
+            small_config(**vectors).validate()
+
+    def test_positive_infinite_snr_is_noiseless(self):
+        cfg = small_config(snr_db=float("inf"), rs_mode="signal")
+        cfg.validate()
+        env = SignalEnvironment(np.zeros((1, 8)), draw_sensing_matrix(
+            4, 8, np.random.default_rng(0)), cfg, np.random.default_rng(1))
+        assert env.noise_power == 0.0
 
     def test_case_statistics_tile_for_larger_bands(self):
         cfg = small_config(n_bands=12)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,7 +22,12 @@ from wssim.spectrum import OccupancyState, synthesize_band_spectra
 
 def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
                   prior=0.5, fa_rate=0.05):
-    """One sensing slot: random mixing matrix, occupancy, measurement."""
+    """One sensing slot: random mixing matrix, occupancy, measurement.
+
+    Returns the true statuses, the spectra, the sub-matrix's SensingPlan,
+    the samples and the search's keyword arguments (gamma, the recoverable
+    limit, and prior_activity).
+    """
     rng = np.random.default_rng(seed)
     a_sub = rng.standard_normal((k, m))
     statuses = np.zeros(m, dtype=np.int8)
@@ -29,11 +35,11 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     statuses[busy] = 1
     spectra = synthesize_band_spectra(OccupancyState(statuses), n_bins, 1.0, rng)
     samples = measure(a_sub, spectra.grid, snr_db, rng)
-    cfg = RecoveryConfig(prior_activity=prior, signal_variance=1.0,
+    cfg = RecoveryConfig(signal_variance=1.0,
                          noise_variance=noise_power_for_snr(snr_db),
-                         energy_fa_rate=fa_rate,
-                         gamma=gamma_threshold(m, k))
-    return statuses, spectra, a_sub, samples, cfg
+                         energy_fa_rate=fa_rate)
+    search = {"gamma": gamma_threshold(m, k), "prior_activity": prior}
+    return statuses, spectra, SensingPlan(a_sub, cfg), samples, search
 
 
 class TestGammaThreshold:
@@ -116,10 +122,10 @@ class TestDirectSolve:
 
 class TestFbmpRecover:
     def test_zero_measurement_empty_support(self, rng):
-        a_sub = rng.standard_normal((4, 6))
-        cfg = RecoveryConfig(noise_variance=0.0, gamma=2)
+        plan = SensingPlan(rng.standard_normal((4, 6)),
+                           RecoveryConfig(noise_variance=0.0))
         support, x_hat, ratio = fbmp_recover(np.zeros((4, 16), dtype=complex),
-                                             a_sub, cfg)
+                                             plan, 2)
         assert not support.any()
         assert not x_hat.any()
         assert ratio == 0.0
@@ -129,8 +135,8 @@ class TestFbmpRecover:
         trials = 1000
         for seed in range(trials):
             busy_count = seed % 3  # cycle busy counts 0, 1, 2
-            statuses, _, a_sub, samples, cfg = make_instance(seed, busy_count=busy_count)
-            support, _, _ = fbmp_recover(samples, a_sub, cfg)
+            statuses, _, plan, samples, search = make_instance(seed, busy_count=busy_count)
+            support, _, _ = fbmp_recover(samples, plan, **search)
             hits += int(np.array_equal(support, statuses))
         assert hits / trials >= 0.95
 
@@ -138,27 +144,22 @@ class TestFbmpRecover:
         over = 0
         trials = 200
         for seed in range(trials):
-            _, _, a_sub, samples, cfg = make_instance(seed, busy_count=3)
-            _, _, ratio = fbmp_recover(samples, a_sub, cfg)
+            _, _, plan, samples, search = make_instance(seed, busy_count=3)
+            _, _, ratio = fbmp_recover(samples, plan, **search)
             over += int(ratio > 0.1)
         assert over / trials > 0.5
-
-    def test_requires_gamma(self, rng):
-        cfg = RecoveryConfig(gamma=None)
-        with pytest.raises(ValueError):
-            fbmp_recover(np.zeros((4, 4), dtype=complex),
-                         rng.standard_normal((4, 6)), cfg)
 
     def test_adding_truly_busy_band_improves_score(self):
         # Noiseless instances: any support missing a busy band scores below
         # the same support with that band added.
         for seed in range(10):
-            statuses, _, a_sub, samples, cfg = make_instance(
+            statuses, _, plan, samples, search = make_instance(
                 seed, m=7, k=5, busy_count=2, snr_db=None)
+            a_sub = plan.a_sub
             szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                samples, cfg, 7)
+                samples, plan.cfg, 7, search["prior_activity"])
             busy = tuple(np.flatnonzero(statuses))
-            for size in range(cfg.gamma):
+            for size in range(search["gamma"]):
                 pairs = []
                 for active in map(tuple, all_supports(7, size)):
                     missing = [b for b in busy if b not in active]
@@ -179,10 +180,11 @@ class TestFbmpRecover:
         for seed in range(trials):
             m = 5 + seed % 4          # sizes 5..8
             busy_count = seed % 3     # within the recoverable budget
-            statuses, _, a_sub, samples, cfg = make_instance(
+            statuses, _, plan, samples, search = make_instance(
                 seed, m=m, busy_count=busy_count, snr_db=None)
-            exhaustive = exhaustive_map_support(samples, a_sub, cfg)
-            greedy, _, _ = fbmp_recover(samples, a_sub, cfg)
+            exhaustive = exhaustive_map_support(samples, plan.a_sub, plan.cfg,
+                                                **search)
+            greedy, _, _ = fbmp_recover(samples, plan, **search)
             exhaustive_correct += int(np.array_equal(exhaustive, statuses))
             agree += int(np.array_equal(exhaustive, greedy))
         assert exhaustive_correct == trials
@@ -194,11 +196,12 @@ class TestFbmpRecover:
         # seeded noisy instances with uneven priors: exact equality.
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            _, _, a_sub, samples, cfg = make_instance(
+            _, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=gamma, snr_db=10.0 + 5 * seed,
                 prior=rng.uniform(0.05, 0.95, m))
+            a_sub = plan.a_sub
             szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                samples, cfg, m)
+                samples, plan.cfg, m, search["prior_activity"])
             for size in range(gamma + 1):
                 supports = all_supports(m, size)
                 stacked = _support_scores(szz, n_bins, a_sub, supports, sig_s,
@@ -216,12 +219,12 @@ class TestFbmpRecover:
         shapes = [(4, 6), (4, 7), (8, 13), (8, 16)]
         for seed in range(500):
             k, m = shapes[seed % 4]
-            _, _, a_sub, samples, cfg = make_instance(
+            _, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 2),
                 snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
-            support, x_hat, ratio = fbmp_recover(samples, a_sub, cfg)
+            support, x_hat, ratio = fbmp_recover(samples, plan, **search)
             ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
-                samples, a_sub, cfg)
+                samples, plan.a_sub, plan.cfg, **search)
             np.testing.assert_array_equal(support, ref_support)
             np.testing.assert_array_equal(x_hat, ref_x_hat)
             assert ratio == ref_ratio
@@ -282,30 +285,30 @@ class TestSignalSense:
     def test_square_set_noiseless_always_succeeds(self):
         for seed in range(20):
             busy_count = seed % 5
-            statuses, _, a_sub, samples, cfg = make_instance(
+            statuses, _, plan, samples, search = make_instance(
                 seed, m=4, busy_count=busy_count, snr_db=None)
-            result = signal_sense(samples, a_sub, cfg, 4)
+            result = signal_sense(samples, plan, search["prior_activity"])
             assert result.xi == 0
             np.testing.assert_array_equal(result.statuses, statuses)
 
     def test_overloaded_noiseless_fails(self):
-        _, _, a_sub, samples, cfg = make_instance(123, busy_count=3, snr_db=None)
-        result = signal_sense(samples, a_sub, cfg, 4)
+        _, _, plan, samples, search = make_instance(123, busy_count=3, snr_db=None)
+        result = signal_sense(samples, plan, search["prior_activity"])
         assert result.xi == 1
 
     def test_small_noisy_set_statuses(self):
         # A tight false-alarm target makes detection exact at 20 dB, where
         # busy-band energy sits far above any plausible threshold.
         for seed in range(20):
-            statuses, _, a_sub, samples, cfg = make_instance(
+            statuses, _, plan, samples, search = make_instance(
                 seed, m=3, busy_count=seed % 4, snr_db=20.0, fa_rate=1e-4)
-            result = signal_sense(samples, a_sub, cfg, 4)
+            result = signal_sense(samples, plan, search["prior_activity"])
             assert result.xi == 0
             np.testing.assert_array_equal(result.statuses, statuses)
 
     def test_reports_residual_ratio(self):
-        _, _, a_sub, samples, cfg = make_instance(7, busy_count=1)
-        result = signal_sense(samples, a_sub, cfg, 4)
+        _, _, plan, samples, search = make_instance(7, busy_count=1)
+        result = signal_sense(samples, plan, search["prior_activity"])
         assert isinstance(result, SenseResult)
         assert result.residual_ratio is not None
         assert result.residual_ratio >= 0.0
@@ -315,15 +318,14 @@ def plan_draws(seed, k, m, count):
     """One sub-matrix and its plan, then count slots measured through it.
 
     Busy counts run from 0 to beyond the recoverable limit, noise from
-    none to 10 dB, priors vary per slot; cfg.gamma is the limit.
+    none to 10 dB, priors vary per slot.
     """
     rng = np.random.default_rng(seed)
     a_sub = rng.standard_normal((k, m))
     gamma = gamma_threshold(m, k)
     for snr_db in (None, 20.0, 10.0):
-        cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
-                             gamma=gamma)
-        plan = SensingPlan(a_sub, cfg)
+        plan = SensingPlan(a_sub, RecoveryConfig(
+            noise_variance=noise_power_for_snr(snr_db)))
         for i in range(count):
             statuses = np.zeros(m, dtype=np.int8)
             busy_count = min(i % (gamma + 2), m)
@@ -331,7 +333,7 @@ def plan_draws(seed, k, m, count):
             spectra = synthesize_band_spectra(OccupancyState(statuses), 16,
                                               1.0, rng)
             samples = measure(a_sub, spectra.grid, snr_db, rng)
-            yield plan, cfg, samples, rng.uniform(0.05, 0.95, m)
+            yield plan, samples, rng.uniform(0.05, 0.95, m)
 
 
 PLAN_SHAPES = [(4, 7), (4, 6), (8, 12), (8, 16)]
@@ -342,10 +344,9 @@ class TestSensingPlan:
 
     @pytest.mark.parametrize("k, m", PLAN_SHAPES)
     def test_first_level_scores_equal_one_at_a_time(self, k, m):
-        for plan, cfg, samples, prior in plan_draws(k * m, k, m, 10):
-            cfg.prior_activity = prior
+        for plan, samples, prior in plan_draws(k * m, k, m, 10):
             szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                samples, cfg, m)
+                samples, plan.cfg, m, prior)
             got = _first_level_scores(plan.first_levels, szz, n_bins,
                                       base_prior, gain)
             want = [reference_support_score(szz, n_bins, plan.a_sub, active,
@@ -356,12 +357,11 @@ class TestSensingPlan:
     @pytest.mark.parametrize("k, m", PLAN_SHAPES)
     def test_reused_plan_search_identical_to_reference(self, k, m):
         # 252 draws per shape, through three plans (one per noise level).
-        for plan, cfg, samples, prior in plan_draws(k + m, k, m, 84):
-            support, x_hat, ratio = fbmp_recover(samples, plan.a_sub, cfg,
-                                                 plan, prior_activity=prior)
-            cfg.prior_activity = prior
+        gamma = gamma_threshold(m, k)
+        for plan, samples, prior in plan_draws(k + m, k, m, 84):
+            support, x_hat, ratio = fbmp_recover(samples, plan, gamma, prior)
             ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
-                samples, plan.a_sub, cfg)
+                samples, plan.a_sub, plan.cfg, gamma, prior)
             assert support.tobytes() == ref_support.tobytes()
             assert x_hat.tobytes() == ref_x_hat.tobytes()
             assert ratio == ref_ratio
@@ -371,12 +371,10 @@ class TestSensingPlan:
     def test_reused_plan_sensing_identical_to_reference(self, k, m):
         # Both paths: m <= k solves directly with the plan's detector
         # noise, m > k searches.
-        for plan, cfg, samples, prior in plan_draws(7 * m + k, k, m, 12):
-            cfg.gamma = None
-            got = signal_sense(samples, plan.a_sub, cfg, k, plan,
-                               prior_activity=prior)
-            cfg.prior_activity = prior
-            want = reference_signal_sense(samples, plan.a_sub, cfg, k)
+        for plan, samples, prior in plan_draws(7 * m + k, k, m, 12):
+            got = signal_sense(samples, plan, prior)
+            want = reference_signal_sense(samples, plan.a_sub, plan.cfg, k,
+                                          prior)
             assert got.statuses.tobytes() == want.statuses.tobytes()
             assert got.xi == want.xi
             assert got.residual_ratio == want.residual_ratio
@@ -389,13 +387,18 @@ class TestSensingPlan:
         noiseless = SensingPlan(a_sub, RecoveryConfig(signal_variance=2.0))
         assert noiseless.band_noise.tolist() == [2e-12] * 3
 
-    def test_rejects_plan_of_other_inputs(self, rng):
-        cfg = RecoveryConfig(noise_variance=0.01, gamma=2)
-        a_sub = rng.standard_normal((4, 6))
-        plan = SensingPlan(a_sub, cfg)
-        samples = np.zeros((4, 8), dtype=complex)
-        with pytest.raises(ValueError, match="sub-matrix"):
-            fbmp_recover(samples, a_sub.copy(), cfg, plan)
-        with pytest.raises(ValueError, match="variances"):
-            signal_sense(samples, a_sub, RecoveryConfig(noise_variance=0.1),
-                         4, plan)
+
+class TestRecoveryConfig:
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_signal_variance(self, value):
+        with pytest.raises(ValueError, match="signal_variance"):
+            RecoveryConfig(signal_variance=value)
+
+    def test_rejects_zero_search_breadth(self):
+        with pytest.raises(ValueError, match="search_breadth"):
+            RecoveryConfig(search_breadth=0)
+
+    def test_frozen(self):
+        cfg = RecoveryConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.noise_variance = 1.0
