@@ -8,6 +8,7 @@ emitted manifest reloads to the exact same experiment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -51,8 +52,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Reject invalid fields with a message naming the field.
 
-        Float checks are written so that NaN fails them.
+        Integer fields must hold Python or numpy integers, so NaN and
+        non-integral values fail, and float checks are written so that NaN
+        fails them.
         """
+        for name in sorted(_INT_KEYS):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.rs_mode not in RS_MODES:

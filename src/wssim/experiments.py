@@ -1,9 +1,12 @@
 """Experiment orchestration: seeded replications, metrics, and file output.
 
 Within one replication every requested policy sees the same occupancy
-trajectory and the same sensing matrix (common random numbers), so policy
-comparisons are paired. Replication results merge by replication index,
-which keeps the aggregate independent of execution order.
+trajectory and, in signal mode, the same sensing matrix (common random
+numbers), so policy comparisons are paired. Replication results merge by
+replication index, which keeps the aggregate independent of execution
+order. Oracle mode draws no sensing matrix, but the matrix's seed stream
+stays reserved, so every other stream and the output are unchanged; one
+OracleEnvironment serves all policies of a replication.
 
 In signal mode each policy senses through a SignalEnvironment, which
 keeps one recovery.SensingPlan per distinct selected set: the set's
@@ -77,7 +80,7 @@ class SignalEnvironment:
 
     def _plan(self, selected) -> SensingPlan:
         """The sensing plan of a band set, built on its first use."""
-        key = tuple(np.asarray(selected).tolist())
+        key = tuple(selected)
         plan = self._plans.get(key)
         if plan is None:
             if len(self._plans) >= _MAX_PLANS:
@@ -89,6 +92,7 @@ class SignalEnvironment:
     def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
         cfg = self.config
         plan = self._plan(selected)
+        selected = np.asarray(selected)
         spectra = synthesize_band_spectra(self.trajectory[slot],
                                           cfg.bins_per_band, SIGNAL_POWER,
                                           self.rng)
@@ -116,16 +120,18 @@ def run_replication(config: ExperimentConfig, rep_index: int,
     streams = rep_seed.spawn(2 + 2 * len(config.policies))
     trajectory = simulate_occupancy(stats, config.horizon,
                                     np.random.default_rng(streams[0]))
-    matrix = draw_sensing_matrix(config.k_branches, config.n_bands,
-                                 np.random.default_rng(streams[1]))
+    signal = config.rs_mode == "signal"
+    if signal:
+        matrix = draw_sensing_matrix(config.k_branches, config.n_bands,
+                                     np.random.default_rng(streams[1]))
+    else:
+        env = OracleEnvironment(trajectory, config.k_branches)
     series = {}
     for i, policy in enumerate(config.policies):
         policy_rng = np.random.default_rng(streams[2 + 2 * i])
-        if config.rs_mode == "signal":
+        if signal:
             env = SignalEnvironment(trajectory, matrix, config,
                                     np.random.default_rng(streams[3 + 2 * i]))
-        else:
-            env = OracleEnvironment(trajectory, config.k_branches)
         outcomes = run_policy(config.policy_config(policy), env, policy_rng,
                               true_stats=stats)
         series[policy] = np.fromiter((o.throughput for o in outcomes),

@@ -7,30 +7,44 @@ promising bands are sensed each slot). Three policies share the loop:
 
 * LDM  - learns transition statistics, always senses K bands.
 * OLDM - like LDM, but once every band has enough observations the set
-         size is re-optimised from the estimated vacancy probabilities at
-         each exploitation block.
+         size is re-optimised from the estimated vacancy probabilities.
+         The estimates change only in update_counts, so the size is
+         recomputed at the first exploitation block after an update and
+         reused until the next one (84-100 instead of 1,505-1,778
+         optimize_size calls per 10,000-slot case1.cfg replication).
 * IMP  - ideal myopic baseline with the true statistics and the known
          optimal set size from the first slot.
+
+The policy loop hands Environment.sense the selected bands as a tuple of
+ints, the slot index and the current vacancy beliefs. An oracle backend
+(OracleEnvironment) returns the statuses as a list of ints plus xi; a
+signal backend (experiments.SignalEnvironment) returns a
+recovery.SenseResult, whose int8 statuses the loop turns into a list.
+The oracle's xi comes from recovery.oracle_sense, the one home of the
+busy-count rule, and its list is recorded as is. Each slot is recorded as
+a SlotOutcome named tuple, not a dataclass.
 
 While run_policy runs, the per-band learner state (beliefs, estimates,
 transition counts and observation counts) is held in plain Python lists,
 and the per-slot steps (propagate_belief, exploit_select, update_counts)
 work element by element. With few bands, a numpy call on a length-N vector
 costs more in call overhead than in arithmetic. The list-backed loop
-therefore pays off only while N is small. Measured on the policy loop with
-oracle sensing and K = N / 2, it runs 2.0x as fast as the same loop on
-numpy arrays at N = 8 and 1.7x at N = 16, but only 0.76x at N = 64 and
-0.36x at N = 256. Every shipped config has N <= 16. Python float and int
-arithmetic is the same IEEE double arithmetic as numpy's elementwise
-operations, so every belief, estimate and selected set is bit-identical
-to the array form. A caller's BeliefState holds numpy arrays again once
+therefore pays off only while N is small. Measured with oracle sensing,
+K = N / 2 and 4,000 slots against the same loop on numpy arrays (which
+also re-sizes OLDM every block; best of 9 interleaved CPU times, two
+runs), OLDM runs 2.7-2.8x as fast at N = 8, 1.9-2.2x at N = 16 and
+1.0x at N = 64, but only 0.46x at N = 256; IMP, which senses larger
+sets, 1.7-2.1x, 1.5x, 0.7-0.8x and 0.3x. Every shipped config has
+N <= 16. Python float and int arithmetic is the same IEEE double
+arithmetic as numpy's elementwise operations, so every belief, estimate
+and selected set is bit-identical to the array form. A caller's BeliefState holds numpy arrays again once
 run_policy returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -126,37 +140,39 @@ class BeliefState:
             setattr(self, name, np.array(getattr(self, name), dtype=dtype))
 
 
-@dataclass
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     """Record of one sensing slot."""
 
-    selected: np.ndarray
-    statuses: np.ndarray
-    xi: int
-    throughput: int
-    phase: str
+    selected: tuple[int, ...]   # sensed bands, ascending
+    statuses: list[int]         # 0/1 per selected band, selection order
+    xi: int                     # 1 when reconstruction failed
+    throughput: int             # vacant bands reported, 0 on failure
+    phase: str                  # EXPLORE or EXPLOIT
 
 
 class Environment(Protocol):
-    def sense(self, selected: np.ndarray, slot: int,
-              prior_vacancy=None) -> SenseResult: ...
+    def sense(self, selected: tuple[int, ...], slot: int,
+              prior_vacancy=None) -> tuple[list[int], int] | SenseResult: ...
 
 
 class OracleEnvironment:
     """Sensing backend that reads statuses straight off a precomputed trajectory.
 
-    The trajectory is held as one list of ints per slot, so sensing a band
-    set is a row lookup rather than a numpy fancy index.
+    The trajectory is held as one list of ints per slot. sense returns the
+    selected bands' statuses as a fresh list and the xi that
+    recovery.oracle_sense gives them. The environment keeps no per-run
+    state, so one instance serves every policy that senses the same
+    trajectory.
     """
 
     def __init__(self, trajectory: np.ndarray, k_branches: int):
         self.rows = np.asarray(trajectory, dtype=np.int8).tolist()
         self.k_branches = k_branches
 
-    def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
+    def sense(self, selected, slot, prior_vacancy=None) -> tuple[list[int], int]:
         row = self.rows[slot]
-        return oracle_sense([row[band] for band in selected.tolist()],
-                            self.k_branches)
+        statuses = [row[band] for band in selected]
+        return statuses, oracle_sense(statuses, self.k_branches).xi
 
 
 def epsilon(block_index: int, exploration_coefficient: float) -> float:
@@ -195,23 +211,19 @@ def estimate_transition(counts: np.ndarray) -> np.ndarray:
     return np.array([[1.0 - p01, p01], [p10, 1.0 - p10]])
 
 
-def update_counts(belief: BeliefState, selected: np.ndarray,
-                  statuses_prev: np.ndarray,
-                  statuses_now: np.ndarray) -> BeliefState:
+def update_counts(belief: BeliefState, selected, statuses_prev,
+                  statuses_now) -> BeliefState:
     """Credit one observed transition per selected band and refresh that
     band's transition estimates.
 
-    Both status vectors must come from successful senses of the same band
-    set in consecutive slots.
+    Both status sequences must come from successful senses of the same
+    band set in consecutive slots.
     """
-    bands = np.asarray(selected).tolist()
-    prev = np.asarray(statuses_prev).tolist()
-    now = np.asarray(statuses_now).tolist()
-    if not (len(bands) == len(prev) == len(now)):
+    if not (len(selected) == len(statuses_prev) == len(statuses_now)):
         raise ValueError("selected and status vectors must have equal length")
     counts, obs_count = belief.counts, belief.obs_count
     p01_hat, p10_hat = belief.p01_hat, belief.p10_hat
-    for band, u, v in zip(bands, prev, now):
+    for band, u, v in zip(selected, statuses_prev, statuses_now):
         c = counts[band]
         c[u][v] += 1
         obs_count[band] += 1
@@ -233,8 +245,7 @@ def propagate_belief(belief: BeliefState, outcome: SlotOutcome) -> list[float]:
     # every belief's bits.
     new_omega = [o + b - o * (b + a) for o, a, b in zip(belief.omega, p01, p10)]
     if outcome.xi == 0:
-        for band, busy in zip(outcome.selected.tolist(),
-                              outcome.statuses.tolist()):
+        for band, busy in zip(outcome.selected, outcome.statuses):
             new_omega[band] = p10[band] if busy == 1 else 1.0 - p01[band]
     belief.omega = new_omega
     belief.slot_index += 1
@@ -261,11 +272,10 @@ def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
     """Run one policy over the configured horizon.
 
     The environment supplies per-slot sensing of whichever band set the
-    policy requests, as a read-only intp array shared by every slot that
-    senses the same set. IMP needs true_stats for its exact beliefs and
-    fixed optimal set size; LDM and OLDM learn from scratch. A
-    caller-supplied belief is updated in place, which also exposes the
-    final learner state as numpy arrays.
+    policy requests, given as a tuple of band indices. IMP needs
+    true_stats for its exact beliefs and fixed optimal set size; LDM and
+    OLDM learn from scratch. A caller-supplied belief is updated in place,
+    which also exposes the final learner state as numpy arrays.
     """
     cfg.validate()
     n, k = cfg.n_bands, cfg.k_branches
@@ -273,6 +283,7 @@ def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
     block_len = 2 * n_groups
     n_blocks = -(-cfg.horizon // block_len) if cfg.horizon else 0
     is_imp = cfg.mode == "IMP"
+    is_oldm = cfg.mode == "OLDM"
 
     if belief is None:
         belief = BeliefState.fresh(n)
@@ -290,35 +301,31 @@ def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
     else:
         fixed_size = k
     unlock_obs = (exploration_threshold(n, k, cfg.mu, cfg.delta).observations
-                  if cfg.mode == "OLDM" else None)
+                  if is_oldm else None)
 
-    band_sets: dict[tuple[int, ...], np.ndarray] = {}
-
-    def band_array(key):
-        array = band_sets.get(key)
-        if array is None:
-            array = np.array(key, dtype=np.intp)
-            array.flags.writeable = False
-            band_sets[key] = array
-        return array
-
-    group_sets = [band_array(tuple(explore_schedule(g, n, k).tolist()))
+    group_sets = [tuple(explore_schedule(g, n, k).tolist())
                   for g in range(n_groups)]
     outcomes: list[SlotOutcome] = []
+    record = outcomes.append
+    sense = env.sense
     t = 0
     # Last exploitation outcome, kept across consecutive exploitation blocks
     # and cleared by exploration so no pair straddles a phase change.
     prev: SlotOutcome | None = None
+    # OLDM's set size, computed from the estimates and kept until
+    # update_counts, the only step that changes them, runs again.
+    oldm_size: int | None = None
 
     def sense_and_record(selected, phase):
         nonlocal t
-        result = env.sense(selected, t, belief.omega)
-        statuses = result.statuses
-        throughput = (selected.size - sum(statuses.tolist())
-                      if result.xi == 0 else 0)
-        outcome = SlotOutcome(selected=selected, statuses=statuses,
-                              xi=result.xi, throughput=throughput, phase=phase)
-        outcomes.append(outcome)
+        result = sense(selected, t, belief.omega)
+        if type(result) is tuple:
+            statuses, xi = result
+        else:
+            statuses, xi = result.statuses.tolist(), result.xi
+        outcome = SlotOutcome(selected, statuses, xi,
+                              0 if xi else len(selected) - sum(statuses), phase)
+        record(outcome)
         t += 1
         return outcome
 
@@ -340,29 +347,32 @@ def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
                     second = sense_and_record(sel, EXPLORE)
                     if first.xi == 0 and second.xi == 0:
                         update_counts(belief, sel, first.statuses, second.statuses)
+                        oldm_size = None
                     propagate_belief(belief, second)
             else:
                 if is_imp:
                     set_size = fixed_size
-                elif cfg.mode == "OLDM" and min(belief.obs_count) >= unlock_obs:
-                    set_size = optimize_size(belief.vacancy_estimates(), k).size
+                elif is_oldm and min(belief.obs_count) >= unlock_obs:
+                    if oldm_size is None:
+                        oldm_size = optimize_size(belief.vacancy_estimates(), k).size
+                    set_size = oldm_size
                 else:
                     set_size = k
                 for _ in range(block_len):
                     if t >= cfg.horizon:
                         break
-                    sel = band_array(exploit_select(belief, set_size, k))
+                    sel = exploit_select(belief, set_size, k)
                     outcome = sense_and_record(sel, EXPLOIT)
                     # Transition evidence is credited only from same-set pairs
                     # of sets no larger than the branch count: success is then
                     # unconditional, whereas for larger sets conditioning on a
                     # successful reconstruction censors high busy counts and
-                    # biases the vacancy estimates upward. Each band set has
-                    # one array, so identity is set equality.
+                    # biases the vacancy estimates upward.
                     if (not is_imp and prev is not None
-                            and sel.size <= k and prev.selected is sel
+                            and len(sel) <= k and prev.selected == sel
                             and prev.xi == 0 and outcome.xi == 0):
                         update_counts(belief, sel, prev.statuses, outcome.statuses)
+                        oldm_size = None
                     propagate_belief(belief, outcome)
                     prev = outcome
     finally:

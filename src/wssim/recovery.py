@@ -86,7 +86,7 @@ def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
     statuses = np.array(true_statuses, dtype=np.int8, ndmin=1)
     limit = gamma_threshold(statuses.size, k_branches)
     xi = 0 if sum(statuses.tolist()) <= limit else 1
-    return SenseResult(statuses=statuses, xi=xi, residual_ratio=None)
+    return SenseResult(statuses, xi)
 
 
 def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
@@ -103,11 +103,18 @@ def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
 
 
 def _prior_log_odds(prior_activity, m: int):
-    q = np.broadcast_to(np.asarray(prior_activity, dtype=float), (m,))
-    q = np.clip(q, 1e-9, 1.0 - 1e-9)
+    """sum(log(1 - q)) and per-band log(q / (1 - q)) of the busy priors q.
+
+    q is prior_activity broadcast to m bands and clipped to [1e-9, 1 - 1e-9]
+    by two ufuncs writing one fresh array: the bits of np.broadcast_to and
+    np.clip, without their Python-level wrappers.
+    """
+    q = np.empty(m)
+    np.maximum(np.asarray(prior_activity, dtype=float), 1e-9, out=q)
+    np.minimum(q, 1.0 - 1e-9, out=q)
     log_q = np.log(q)
     log_1q = np.log1p(-q)
-    return log_1q.sum(), log_q - log_1q
+    return np.add.reduce(log_1q), log_q - log_1q
 
 
 def _support_covariances(a_sub: np.ndarray, supports: np.ndarray,

@@ -213,6 +213,7 @@ class ReferenceSignalEnvironment:
 
     def sense(self, selected, slot, prior_vacancy=None):
         cfg = self.config
+        selected = np.asarray(selected)
         state = OccupancyState(statuses=self.trajectory[slot], slot_index=slot)
         spectra = synthesize_band_spectra(state, cfg.bins_per_band,
                                           SIGNAL_POWER, self.rng)

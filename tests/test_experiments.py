@@ -15,6 +15,8 @@ from wssim.sensing import draw_sensing_matrix
 from wssim.spectrum import simulate_occupancy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+INTEGER_FIELDS = ["replications", "horizon", "bins_per_band", "n_bands",
+                  "k_branches", "seed", "search_breadth"]
 
 
 def small_config(**overrides):
@@ -172,8 +174,8 @@ class TestSignalEnvironmentMatchesReference:
         (got, belief, state), (want, ref_belief, ref_state) = runs
         assert len(got) == len(want) == 300
         for a, b in zip(got, want):
-            assert a.selected.tolist() == b.selected.tolist()
-            assert a.statuses.tobytes() == b.statuses.tobytes()
+            assert a.selected == b.selected
+            assert a.statuses == b.statuses
             assert (a.xi, a.throughput) == (b.xi, b.throughput)
         for name in ("omega", "counts", "p01_hat", "p10_hat", "obs_count"):
             assert getattr(belief, name).tobytes() == \
@@ -181,7 +183,7 @@ class TestSignalEnvironmentMatchesReference:
         assert state == ref_state
         if mode == "IMP":
             # IMP's fixed sets exceed the branch count: the search path ran.
-            assert max(o.selected.size for o in got) > k
+            assert max(len(o.selected) for o in got) > k
 
     def test_rejects_non_binary_trajectory(self):
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
@@ -320,6 +322,18 @@ class TestConfigFile:
     def test_validation_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 4.0, "4", None])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_validation_rejects_non_integer(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_validation_accepts_numpy_integer(self, field):
+        cfg = small_config()
+        setattr(cfg, field, np.int64(getattr(cfg, field)))
+        cfg.validate()
 
     @pytest.mark.parametrize("field", ["p01", "p10"])
     def test_validation_rejects_nan_transition_probability(self, field):

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import ReferenceOracleEnvironment, reference_run_policy
+from wssim import learning
 from wssim.config import ExperimentConfig
 from wssim.experiments import SignalEnvironment
-from wssim.learning import (BeliefState, OracleEnvironment, PolicyConfig,
-                            SlotOutcome, epsilon, estimate_transition,
-                            exploit_select, explore_schedule,
-                            propagate_belief, run_policy, update_counts)
+from wssim.learning import (EXPLOIT, BeliefState, OracleEnvironment,
+                            PolicyConfig, SlotOutcome, epsilon,
+                            estimate_transition, exploit_select,
+                            explore_schedule, propagate_belief, run_policy,
+                            update_counts)
 from wssim.sensing import draw_sensing_matrix
-from wssim.sizing import exploration_threshold, success_probability
+from wssim.sizing import (exploration_threshold, optimize_size,
+                          success_probability)
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics,
                             simulate_occupancy, stationary_vacancy)
 
@@ -132,8 +135,7 @@ class TestPropagateBelief:
         belief = BeliefState.fresh(2)
         belief.p01_hat = np.array([0.2, 0.2])   # p00 = 0.8
         belief.p10_hat = np.array([0.4, 0.4])
-        outcome = SlotOutcome(selected=np.array([0]),
-                              statuses=np.array([0], dtype=np.int8),
+        outcome = SlotOutcome(selected=(0,), statuses=[0],
                               xi=0, throughput=1, phase="exploit")
         omega = propagate_belief(belief, outcome)
         assert omega[0] == pytest.approx(0.8)
@@ -141,8 +143,7 @@ class TestPropagateBelief:
     def test_observed_busy_jumps_to_leave_probability(self):
         belief = BeliefState.fresh(1)
         belief.p10_hat = np.array([0.3])
-        outcome = SlotOutcome(selected=np.array([0]),
-                              statuses=np.array([1], dtype=np.int8),
+        outcome = SlotOutcome(selected=(0,), statuses=[1],
                               xi=0, throughput=0, phase="exploit")
         assert propagate_belief(belief, outcome)[0] == pytest.approx(0.3)
 
@@ -151,8 +152,7 @@ class TestPropagateBelief:
         belief.omega = np.array([0.0, 0.5])
         belief.p10_hat = np.array([0.3, 0.2])
         belief.p01_hat = np.array([0.5, 0.2])   # p00 = 0.5, 0.8
-        outcome = SlotOutcome(selected=np.array([], dtype=int),
-                              statuses=np.array([], dtype=np.int8),
+        outcome = SlotOutcome(selected=(), statuses=[],
                               xi=0, throughput=0, phase="exploit")
         omega = propagate_belief(belief, outcome)
         assert omega[0] == pytest.approx(0.3)
@@ -163,16 +163,14 @@ class TestPropagateBelief:
         belief.omega = np.array([0.5, 0.5])
         belief.p10_hat = np.array([0.2, 0.2])
         belief.p01_hat = np.array([0.2, 0.2])
-        outcome = SlotOutcome(selected=np.array([0, 1]),
-                              statuses=np.array([1, 1], dtype=np.int8),
+        outcome = SlotOutcome(selected=(0, 1), statuses=[1, 1],
                               xi=1, throughput=0, phase="exploit")
         omega = propagate_belief(belief, outcome)
         np.testing.assert_allclose(omega, 0.5)
 
     def test_slot_index_advances(self):
         belief = BeliefState.fresh(1)
-        outcome = SlotOutcome(selected=np.array([0]),
-                              statuses=np.array([0], dtype=np.int8),
+        outcome = SlotOutcome(selected=(0,), statuses=[0],
                               xi=0, throughput=1, phase="exploit")
         propagate_belief(belief, outcome)
         assert belief.slot_index == 1
@@ -216,14 +214,13 @@ class TestRunPolicy:
         assert len(outcomes) == 400
         for t, outcome in enumerate(outcomes):
             group = (t % 4) // 2
-            np.testing.assert_array_equal(outcome.selected,
-                                          explore_schedule(group, 8, 4))
+            assert outcome.selected == tuple(explore_schedule(group, 8, 4).tolist())
             assert outcome.phase == "explore"
             assert outcome.xi == 0
 
     def test_imp_uses_optimal_size_from_first_slot(self):
         outcomes, _, _ = oracle_run("IMP", 40)
-        assert all(o.selected.size == 7 for o in outcomes)
+        assert all(len(o.selected) == 7 for o in outcomes)
         assert all(o.phase == "exploit" for o in outcomes)
 
     def test_imp_requires_true_stats(self):
@@ -239,19 +236,19 @@ class TestRunPolicy:
         for t, outcome in enumerate(outcomes):
             truth = trajectory[t, outcome.selected]
             if outcome.xi == 0:
-                assert outcome.throughput == outcome.selected.size - truth.sum()
+                assert outcome.throughput == len(outcome.selected) - truth.sum()
             else:
                 assert outcome.throughput == 0
-            assert outcome.throughput <= outcome.selected.size
+            assert outcome.throughput <= len(outcome.selected)
 
     def test_ldm_always_senses_k_bands(self):
         outcomes, _, _ = oracle_run("LDM", 1000, seed=5)
-        assert all(o.selected.size == 4 for o in outcomes)
+        assert all(len(o.selected) == 4 for o in outcomes)
 
     def test_oldm_grows_sets_after_unlock(self):
         outcomes, _, _ = oracle_run("OLDM", 6000, seed=7,
                                     exploration_coefficient=50.0, mu=0.4)
-        sizes = {o.selected.size for o in outcomes[-200:] if o.phase == "exploit"}
+        sizes = {len(o.selected) for o in outcomes[-200:] if o.phase == "exploit"}
         assert sizes and sizes.issubset({5, 6, 7, 8})
 
     def test_omega_stays_in_unit_interval(self):
@@ -289,16 +286,15 @@ class TestRunPolicy:
         expected = np.zeros(8, dtype=int)
         oversized_pairs = 0
         for prev, cur in zip(outcomes, outcomes[1:]):
-            same_set = (prev.selected.size == cur.selected.size
-                        and np.array_equal(prev.selected, cur.selected))
+            same_set = prev.selected == cur.selected
             both_ok = prev.xi == 0 and cur.xi == 0
             if not (same_set and both_ok):
                 continue
             if prev.phase == "explore" and cur.phase == "explore":
-                expected[cur.selected] += 1
+                expected[list(cur.selected)] += 1
             elif prev.phase == "exploit" and cur.phase == "exploit":
-                if cur.selected.size <= 4:
-                    expected[cur.selected] += 1
+                if len(cur.selected) <= 4:
+                    expected[list(cur.selected)] += 1
                 else:
                     oversized_pairs += 1
         assert oversized_pairs > 0  # the scenario exercises oversized sets
@@ -309,9 +305,7 @@ class TestRunPolicy:
         b = oracle_run("OLDM", 1200, seed=21)[0]
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.selected, y.selected)
-            np.testing.assert_array_equal(x.statuses, y.statuses)
-            assert (x.xi, x.throughput, x.phase) == (y.xi, y.throughput, y.phase)
+            assert x == y
 
     def test_zero_horizon(self):
         outcomes, _, _ = oracle_run("LDM", 0)
@@ -356,9 +350,11 @@ class TestImpThroughputLevel:
         assert realized <= 7.0
 
 
-def assert_same_run(cfg, stats, make_env, make_reference_env, seed):
+def assert_same_run(cfg, stats, make_env, make_reference_env, seed, belief=None):
     """run_policy and the numpy reference loop give identical runs."""
-    belief, ref_belief = BeliefState.fresh(cfg.n_bands), BeliefState.fresh(cfg.n_bands)
+    if belief is None:
+        belief = BeliefState.fresh(cfg.n_bands)
+    ref_belief = BeliefState.fresh(cfg.n_bands)
     outcomes = run_policy(cfg, make_env(), np.random.default_rng(seed),
                           true_stats=stats, belief=belief)
     expected = reference_run_policy(cfg, make_reference_env(),
@@ -366,10 +362,10 @@ def assert_same_run(cfg, stats, make_env, make_reference_env, seed):
                                     true_stats=stats, belief=ref_belief)
     assert len(outcomes) == len(expected) == cfg.horizon
     for got, want in zip(outcomes, expected):
-        assert got.selected.dtype == want.selected.dtype
-        assert got.selected.tolist() == want.selected.tolist()
-        assert got.statuses.dtype == want.statuses.dtype
-        assert got.statuses.tolist() == want.statuses.tolist()
+        assert type(got.selected) is tuple and type(got.statuses) is list
+        assert all(type(x) is int for x in got.selected + tuple(got.statuses))
+        assert got.selected == tuple(want.selected.tolist())
+        assert got.statuses == want.statuses.tolist()
         assert (got.xi, got.throughput, got.phase) == \
             (want.xi, want.throughput, want.phase)
     for name in ("omega", "counts", "p01_hat", "p10_hat", "obs_count"):
@@ -411,7 +407,46 @@ class TestMatchesNumpyReference:
                                    lambda: ReferenceOracleEnvironment(trajectory, 4),
                                    8)
         # Adaptive sizing unlocked and grew some exploitation sets.
-        assert max(o.selected.size for o in outcomes) > 4
+        assert max(len(o.selected) for o in outcomes) > 4
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_oldm_reused_size_equals_fresh_decision(self, case, monkeypatch):
+        # OLDM sizes a block again only after update_counts has changed its
+        # estimates. At the start of every unlocked exploitation block a
+        # spy recomputes optimize_size from the live belief; every set of
+        # the block must have that size, and the whole run must match the
+        # reference loop, which re-sizes every block.
+        n, k, seed = 8, 4, 7
+        stats = ExperimentConfig(case=case).band_statistics()
+        cfg = PolicyConfig(n_bands=n, k_branches=k, horizon=6000, mode="OLDM",
+                           exploration_coefficient=50.0, mu=0.4)
+        block_len = 2 * -(-n // k)
+        unlock = exploration_threshold(n, k, cfg.mu, cfg.delta).observations
+        trajectory = simulate_occupancy(stats, cfg.horizon,
+                                        np.random.default_rng(seed))
+        env = OracleEnvironment(trajectory, k)
+        belief = BeliefState.fresh(n)
+        fresh = {}
+
+        class Spy:
+            def sense(self, selected, slot, prior_vacancy=None):
+                if slot % block_len == 0 and min(belief.obs_count) >= unlock:
+                    fresh[slot] = optimize_size(belief.vacancy_estimates(), k).size
+                return env.sense(selected, slot, prior_vacancy)
+
+        calls = []
+        sized = learning.optimize_size
+        monkeypatch.setattr(learning, "optimize_size",
+                            lambda *args: calls.append(args) or sized(*args))
+        outcomes = assert_same_run(
+            cfg, stats, Spy, lambda: ReferenceOracleEnvironment(trajectory, k),
+            seed + 1, belief=belief)
+        blocks = [t for t in fresh if outcomes[t].phase == EXPLOIT]
+        for t in blocks:
+            assert {len(o.selected) for o in outcomes[t:t + block_len]} == {fresh[t]}
+        assert max(fresh[t] for t in blocks) > k
+        # Decisions were reused: far fewer calls than unlocked blocks.
+        assert 0 < len(calls) < len(blocks) / 2
 
     @pytest.mark.parametrize("mode", ["IMP", "LDM"])
     def test_signal_runs_identical(self, mode):

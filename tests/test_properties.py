@@ -1,4 +1,4 @@
-"""Property tests of recovery invariants, over hypothesis-drawn instances."""
+"""Property tests of recovery and sizing invariants, over hypothesis-drawn instances."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from wssim.recovery import (RecoveryConfig, SensingPlan, oracle_sense,  # noqa: E402
                             signal_sense)
 from wssim.sensing import measure  # noqa: E402
+from wssim.sizing import (optimize_size, poisson_binomial_pmf,  # noqa: E402
+                          success_probability)
 from wssim.spectrum import synthesize_band_spectra  # noqa: E402
 
 
@@ -37,3 +39,44 @@ def test_noiseless_direct_path_returns_truth(slot):
     result = signal_sense(samples, SensingPlan(a_sub, RecoveryConfig()))
     assert result.statuses.tolist() == truth.tolist()
     assert result.xi == oracle_sense(truth, k).xi == 0
+
+
+probabilities = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(probabilities, st.data())
+def test_optimize_size_beats_every_other_prefix_size(vacancy, data):
+    # The chosen size's objective is at least that of every other prefix
+    # of the vacancy-sorted bands, recomputed through success_probability.
+    k = data.draw(st.integers(1, len(vacancy)))
+    decision = optimize_size(vacancy, k)
+    top = sorted(vacancy, reverse=True)
+    assert k <= decision.size <= len(vacancy)
+    objectives = {size: success_probability(top[:size], k) * sum(top[:size])
+                  for size in range(k, len(vacancy) + 1)}
+    tolerance = 1e-12 * max(1.0, max(objectives.values()))
+    assert decision.objective_value == pytest.approx(objectives[decision.size],
+                                                     abs=tolerance)
+    for objective in objectives.values():
+        assert decision.objective_value >= objective - tolerance
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(probabilities)
+def test_poisson_binomial_pmf_sums_to_one_over_all_counts(busy):
+    pmf = poisson_binomial_pmf(busy, len(busy))
+    assert pmf.shape == (len(busy) + 1,)
+    assert np.all(pmf >= 0.0)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(probabilities, st.integers(1, 8))
+def test_success_probability_does_not_increase_as_bands_are_added(vacancy, k):
+    # Each added band can only raise the busy count, so the probability of
+    # staying recoverable never grows, across the jump past K included.
+    chances = [success_probability(vacancy[:size], k)
+               for size in range(1, len(vacancy) + 1)]
+    for before, after in zip(chances, chances[1:]):
+        assert after <= before + 1e-12

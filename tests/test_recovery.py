@@ -15,7 +15,7 @@ from wssim.recovery import (RecoveryConfig, SenseResult, SensingPlan,
                             direct_solve, energy_detect, fbmp_recover,
                             gamma_threshold, oracle_sense, signal_sense)
 from wssim.recovery import (_chi2_quantile, _first_level_scores,
-                            _support_scores)
+                            _prior_log_odds, _support_scores)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import OccupancyState, synthesize_band_spectra
 
@@ -402,3 +402,54 @@ class TestRecoveryConfig:
         cfg = RecoveryConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.noise_variance = 1.0
+
+
+def broadcast_clip_log_odds(prior_activity, m):
+    """The np.broadcast_to and np.clip form that _prior_log_odds replaced."""
+    q = np.broadcast_to(np.asarray(prior_activity, dtype=float), (m,))
+    q = np.clip(q, 1e-9, 1.0 - 1e-9)
+    log_q = np.log(q)
+    log_1q = np.log1p(-q)
+    return log_1q.sum(), log_q - log_1q
+
+
+class TestPriorLogOdds:
+    # Both ends, the clip bounds, and values within 1e-9 of either end on
+    # both sides of the bounds.
+    EDGES = [0.0, 1e-300, 1e-12, 5e-10, np.nextafter(1e-9, 0.0), 1e-9,
+             np.nextafter(1e-9, 1.0), 1.5e-9, 0.5, 1.0 - 1.5e-9,
+             np.nextafter(1.0 - 1e-9, 0.0), 1.0 - 1e-9,
+             np.nextafter(1.0 - 1e-9, 1.0), 1.0 - 5e-10, 1.0 - 1e-12, 1.0]
+
+    @staticmethod
+    def assert_same_bits(prior, m):
+        base, gain = _prior_log_odds(prior, m)
+        want_base, want_gain = broadcast_clip_log_odds(prior, m)
+        assert base == want_base
+        assert np.float64(base).tobytes() == np.float64(want_base).tobytes()
+        assert gain.shape == (m,) and gain.dtype == np.float64
+        assert gain.tobytes() == want_gain.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 16])
+    def test_scalar_prior_equals_broadcast_clip(self, m):
+        for q in self.EDGES + [0, 1, 0.25, 0.9]:
+            self.assert_same_bits(q, m)
+            self.assert_same_bits(np.float64(q), m)
+            self.assert_same_bits([q], m)
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 16])
+    def test_per_band_prior_equals_broadcast_clip(self, m):
+        draws = np.random.default_rng(m)
+        for _ in range(200):
+            prior = np.where(draws.random(m) < 0.5,
+                             draws.choice(self.EDGES, size=m), draws.random(m))
+            self.assert_same_bits(prior, m)
+            self.assert_same_bits(prior.tolist(), m)
+            self.assert_same_bits(1.0 - prior, m)
+
+    def test_rejects_prior_of_other_length(self):
+        for prior in ([0.2, 0.3], np.full((2, 4), 0.5)):
+            with pytest.raises(ValueError):
+                _prior_log_odds(prior, 4)
+            with pytest.raises(ValueError):
+                broadcast_clip_log_odds(prior, 4)
