@@ -6,7 +6,9 @@ numbers), so policy comparisons are paired. Replication results merge by
 replication index, which keeps the aggregate independent of execution
 order. Oracle mode draws no sensing matrix, but the matrix's seed stream
 stays reserved, so every other stream and the output are unchanged; one
-OracleEnvironment serves all policies of a replication.
+OracleEnvironment serves all policies of a replication. Both sensing
+backends check the trajectory once, with spectrum.check_trajectory, and
+return a recovery.SenseResult per slot.
 
 In signal mode each policy senses through a SignalEnvironment, which
 keeps one recovery.SensingPlan per distinct selected set: the set's
@@ -31,9 +33,9 @@ import numpy as np
 from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, run_policy
 from .recovery import RecoveryConfig, SenseResult, SensingPlan, signal_sense
-from .sensing import (SensingMatrix, draw_sensing_matrix, measure,
-                      noise_power_for_snr, select_submatrix)
-from .spectrum import (BandStatistics, simulate_occupancy,
+from .sensing import (draw_sensing_matrix, measure, noise_power_for_snr,
+                      select_submatrix)
+from .spectrum import (BandStatistics, check_trajectory, simulate_occupancy,
                        synthesize_band_spectra)
 
 SIGNAL_POWER = 1.0
@@ -55,18 +57,13 @@ class MetricSeries:
 class SignalEnvironment:
     """Sensing backend running the full measurement and recovery chain.
 
-    The trajectory's 0/1 statuses are checked and the recovery config is
-    built once, here.
+    The trajectory is checked by spectrum.check_trajectory and the
+    recovery config is built once, here.
     """
 
-    def __init__(self, trajectory: np.ndarray, matrix: SensingMatrix,
+    def __init__(self, trajectory: np.ndarray, matrix: np.ndarray,
                  config: ExperimentConfig, rng: np.random.Generator):
-        trajectory = np.asarray(trajectory, dtype=np.int8)
-        if trajectory.ndim != 2:
-            raise ValueError("trajectory must be a slots x bands array")
-        if not np.all((trajectory == 0) | (trajectory == 1)):
-            raise ValueError("statuses must be 0/1")
-        self.trajectory = trajectory
+        self.trajectory = check_trajectory(trajectory)
         self.matrix = matrix
         self.config = config
         self.rng = rng
@@ -93,10 +90,9 @@ class SignalEnvironment:
         cfg = self.config
         plan = self._plan(selected)
         selected = np.asarray(selected)
-        spectra = synthesize_band_spectra(self.trajectory[slot],
-                                          cfg.bins_per_band, SIGNAL_POWER,
-                                          self.rng)
-        samples = measure(plan.a_sub, spectra.grid[selected], cfg.snr_db,
+        grid = synthesize_band_spectra(self.trajectory[slot],
+                                       cfg.bins_per_band, SIGNAL_POWER, self.rng)
+        samples = measure(plan.a_sub, grid[selected], cfg.snr_db,
                           self.rng, signal_power=SIGNAL_POWER)
         if prior_vacancy is None:
             prior_activity = 0.5

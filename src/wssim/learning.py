@@ -16,13 +16,13 @@ promising bands are sensed each slot). Three policies share the loop:
          optimal set size from the first slot.
 
 The policy loop hands Environment.sense the selected bands as a tuple of
-ints, the slot index and the current vacancy beliefs. An oracle backend
-(OracleEnvironment) returns the statuses as a list of ints plus xi; a
-signal backend (experiments.SignalEnvironment) returns a
-recovery.SenseResult, whose int8 statuses the loop turns into a list.
-The oracle's xi comes from recovery.oracle_sense, the one home of the
-busy-count rule, and its list is recorded as is. Each slot is recorded as
-a SlotOutcome named tuple, not a dataclass.
+ints, the slot index and the current vacancy beliefs, and both backends
+return a recovery.SenseResult. The oracle backend (OracleEnvironment)
+returns recovery.oracle_sense of the selected statuses, a list of ints,
+so the busy-count rule has one home; the signal backend
+(experiments.SignalEnvironment) returns signal_sense's result, whose
+int8 statuses the loop turns into a list. Each slot is recorded as a
+SlotOutcome named tuple, not a dataclass.
 
 While run_policy runs, the per-band learner state (beliefs, estimates,
 transition counts and observation counts) is held in plain Python lists,
@@ -50,7 +50,7 @@ import numpy as np
 
 from .recovery import SenseResult, oracle_sense
 from .sizing import exploration_threshold, optimize_size
-from .spectrum import BandStatistics, stationary_vacancy
+from .spectrum import BandStatistics, check_trajectory, stationary_vacancy
 
 POLICY_MODES = ("LDM", "OLDM", "IMP")
 
@@ -152,27 +152,26 @@ class SlotOutcome(NamedTuple):
 
 class Environment(Protocol):
     def sense(self, selected: tuple[int, ...], slot: int,
-              prior_vacancy=None) -> tuple[list[int], int] | SenseResult: ...
+              prior_vacancy=None) -> SenseResult: ...
 
 
 class OracleEnvironment:
     """Sensing backend that reads statuses straight off a precomputed trajectory.
 
-    The trajectory is held as one list of ints per slot. sense returns the
-    selected bands' statuses as a fresh list and the xi that
-    recovery.oracle_sense gives them. The environment keeps no per-run
-    state, so one instance serves every policy that senses the same
-    trajectory.
+    The trajectory, checked by spectrum.check_trajectory, is held as one
+    list of ints per slot. sense returns recovery.oracle_sense of the
+    selected bands' statuses, a fresh list. The environment keeps no
+    per-run state, so one instance serves every policy that senses the
+    same trajectory.
     """
 
     def __init__(self, trajectory: np.ndarray, k_branches: int):
-        self.rows = np.asarray(trajectory, dtype=np.int8).tolist()
+        self.rows = check_trajectory(trajectory).tolist()
         self.k_branches = k_branches
 
-    def sense(self, selected, slot, prior_vacancy=None) -> tuple[list[int], int]:
+    def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
         row = self.rows[slot]
-        statuses = [row[band] for band in selected]
-        return statuses, oracle_sense(statuses, self.k_branches).xi
+        return oracle_sense([row[band] for band in selected], self.k_branches)
 
 
 def epsilon(block_index: int, exploration_coefficient: float) -> float:
@@ -196,19 +195,6 @@ def _off_diagonal(c) -> tuple[float, float]:
     """(p01, p10) estimates from one band's 2x2 counts: C_uv / (C_uv + C_uu)."""
     (c00, c01), (c10, c11) = c
     return c01 / (c01 + c00), c10 / (c10 + c11)
-
-
-def estimate_transition(counts: np.ndarray) -> np.ndarray:
-    """Row-normalised transition estimates from one band's 2x2 counts.
-
-    The off-diagonal estimate is C_uv / (C_uv + C_uu) and each row sums
-    to one. With the Laplace initialisation every denominator is >= 2.
-    """
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (2, 2):
-        raise ValueError("counts must be a 2x2 matrix")
-    p01, p10 = _off_diagonal(counts.tolist())
-    return np.array([[1.0 - p01, p01], [p10, 1.0 - p10]])
 
 
 def update_counts(belief: BeliefState, selected, statuses_prev,
@@ -318,11 +304,9 @@ def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
 
     def sense_and_record(selected, phase):
         nonlocal t
-        result = sense(selected, t, belief.omega)
-        if type(result) is tuple:
-            statuses, xi = result
-        else:
-            statuses, xi = result.statuses.tolist(), result.xi
+        statuses, xi, _ = sense(selected, t, belief.omega)
+        if type(statuses) is not list:
+            statuses = statuses.tolist()
         outcome = SlotOutcome(selected, statuses, xi,
                               0 if xi else len(selected) - sum(statuses), phase)
         record(outcome)

@@ -5,7 +5,7 @@ rule directly to ground-truth statuses. Signal sensing recovers the band
 spectra from sub-Nyquist samples (least squares when the system is square
 or overdetermined, greedy Bayesian support search otherwise), runs an
 energy detector, and declares reconstruction failure from the detected
-busy count and the relative fit residual.
+busy count and the relative fit residual. Both return a SenseResult.
 
 A SensingPlan is the one way set-level inputs reach signal_sense and
 fbmp_recover: the selected set's K x m sensing sub-matrix, the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -34,21 +34,12 @@ _MODEL_FLOOR = 1e-10
 _DETECT_FLOOR = 1e-12
 
 
-@dataclass
-class SenseResult:
-    """Outcome of sensing one selected band set."""
+class SenseResult(NamedTuple):
+    """Outcome of sensing one selected band set, in either mode."""
 
-    statuses: np.ndarray            # 0/1 per selected band, selection order
-    xi: int                         # 1 when reconstruction failed
+    statuses: Sequence[int]   # 0/1 per selected band, selection order
+    xi: int                   # 1 when reconstruction failed
     residual_ratio: float | None = None   # signal mode only
-
-    def __post_init__(self):
-        statuses = self.statuses
-        if not (isinstance(statuses, np.ndarray) and statuses.dtype == np.int8
-                and statuses.ndim == 1):
-            self.statuses = np.atleast_1d(np.asarray(statuses)).astype(np.int8)
-        if self.xi not in (0, 1):
-            raise ValueError("xi must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -78,15 +69,17 @@ def gamma_threshold(set_size: int, k_branches: int) -> int:
 def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
     """Apply the busy-count feasibility rule to ground-truth statuses.
 
-    true_statuses is a 0/1 sequence, a list of ints or an int8 array. The
-    reported statuses are a fresh int8 copy of ground truth either way;
+    true_statuses is a 0/1 list of ints or int8 array, reported as given:
     when xi = 1 they are flagged unusable and the caller must not learn
-    from them.
+    from them. The busy count is a sum of Python ints, exact at any
+    length, where a sum of int8 values would wrap past 127.
     """
-    statuses = np.array(true_statuses, dtype=np.int8, ndmin=1)
-    limit = gamma_threshold(statuses.size, k_branches)
-    xi = 0 if sum(statuses.tolist()) <= limit else 1
-    return SenseResult(statuses, xi)
+    if isinstance(true_statuses, np.ndarray):
+        busy = sum(true_statuses.tolist())
+    else:
+        busy = sum(true_statuses)
+    xi = 0 if busy <= gamma_threshold(len(true_statuses), k_branches) else 1
+    return SenseResult(true_statuses, xi)
 
 
 def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:

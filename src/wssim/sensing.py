@@ -7,7 +7,6 @@ band content plus optional additive white Gaussian noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,34 +15,9 @@ import numpy as np
 _SUBSET_CHECKS = 8
 
 
-@dataclass(frozen=True)
-class SensingMatrix:
-    """Master K x N matrix of real branch mixing coefficients."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise ValueError("sensing matrix must be two-dimensional")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def k_branches(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_bands(self) -> int:
-        return self.entries.shape[1]
-
-
-def _full_column_rank(a: np.ndarray) -> bool:
-    return np.linalg.matrix_rank(a) == min(a.shape)
-
-
 def draw_sensing_matrix(k_branches: int, n_bands: int,
-                        rng: np.random.Generator) -> SensingMatrix:
-    """Draw i.i.d. standard Gaussian mixing coefficients.
+                        rng: np.random.Generator) -> np.ndarray:
+    """Draw the K x N matrix of i.i.d. standard Gaussian mixing coefficients.
 
     Full row rank is verified numerically, along with a random sample of
     K-column sub-matrices (Gaussian draws satisfy both almost surely). A
@@ -55,29 +29,25 @@ def draw_sensing_matrix(k_branches: int, n_bands: int,
         entries = rng.standard_normal((k_branches, n_bands))
         if np.linalg.matrix_rank(entries) < k_branches:
             continue
-        ok = True
         for _ in range(_SUBSET_CHECKS):
             cols = rng.choice(n_bands, size=k_branches, replace=False)
-            if not _full_column_rank(entries[:, cols]):
-                ok = False
+            if np.linalg.matrix_rank(entries[:, cols]) < k_branches:
                 break
-        if ok:
-            return SensingMatrix(entries=entries)
+        else:
+            return entries
     raise np.linalg.LinAlgError("sensing matrix rank-deficient after redraw")
 
 
-def select_submatrix(matrix: SensingMatrix | np.ndarray,
-                     selected: Sequence[int]) -> np.ndarray:
-    """Columns of the master matrix at the selected bands, order preserved."""
-    entries = matrix.entries if isinstance(matrix, SensingMatrix) else np.asarray(matrix)
+def select_submatrix(matrix: np.ndarray, selected: Sequence[int]) -> np.ndarray:
+    """Columns of the K x N master matrix at the selected bands, order preserved."""
     idx = np.asarray(selected, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("selected must be a nonempty index vector")
     if np.unique(idx).size != idx.size:
         raise ValueError("selected band indices must be distinct")
-    if np.any((idx < 0) | (idx >= entries.shape[1])):
+    if np.any((idx < 0) | (idx >= matrix.shape[1])):
         raise ValueError("selected band index out of range")
-    return entries[:, idx]
+    return matrix[:, idx]
 
 
 def noise_power_for_snr(snr_db: float | None, signal_power: float = 1.0) -> float:

@@ -37,7 +37,7 @@ def poisson_binomial_pmf(busy_probs, max_count: int) -> np.ndarray:
     the returned vector sums to 1 only when max_count covers all bands.
     """
     probs = np.atleast_1d(np.asarray(busy_probs, dtype=float))
-    if np.any((probs < 0.0) | (probs > 1.0)):
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
     if max_count < 0:
         raise ValueError("max_count must be nonnegative")
@@ -59,6 +59,8 @@ def success_probability(vacancy_probs, k_branches: int) -> float:
     vacancy = np.atleast_1d(np.asarray(vacancy_probs, dtype=float))
     if vacancy.size == 0:
         raise ValueError("candidate set must be nonempty")
+    if not np.all((vacancy >= 0.0) & (vacancy <= 1.0)):
+        raise ValueError("vacancy probabilities must lie in [0, 1]")
     if k_branches < 1:
         raise ValueError("k_branches must be at least 1")
     if vacancy.size <= k_branches:
@@ -79,6 +81,8 @@ def optimize_size(vacancy_probs, k_branches: int) -> SizeDecision:
     n = vacancy.size
     if not 1 <= k_branches <= n:
         raise ValueError("need 1 <= k_branches <= number of bands")
+    if not np.all((vacancy >= 0.0) & (vacancy <= 1.0)):
+        raise ValueError("vacancy probabilities must lie in [0, 1]")
     sorted_vacancy = np.sort(vacancy)[::-1]
     # Grow the busy-count distribution one band at a time so the whole scan
     # costs O(N * K) instead of one fresh convolution per candidate size.

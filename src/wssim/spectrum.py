@@ -1,8 +1,10 @@
 """Ground-truth spectrum environment.
 
 Each frequency band is an independent two-state Markov chain (0 = vacant,
-1 = busy). Busy bands carry a flat complex-Gaussian spectrum on a discrete
-grid of frequency bins; vacant bands are identically zero.
+1 = busy). A slot's statuses are an int8 vector and a trajectory is a
+(slots, bands) int8 array, checked once by check_trajectory where it
+enters a sensing backend. Busy bands carry a flat complex-Gaussian
+spectrum on a (bands, bins) grid; vacant bands' rows are identically zero.
 """
 
 from __future__ import annotations
@@ -63,46 +65,27 @@ class BandStatistics:
         return cls(p01=mixing * (1.0 - p0), p10=mixing * p0)
 
 
-@dataclass
-class OccupancyState:
-    """Busy/vacant statuses of all bands at one time slot."""
-
-    statuses: np.ndarray  # int8 vector, 0 = vacant, 1 = busy
-    slot_index: int = 0
-
-    def __post_init__(self):
-        statuses = np.atleast_1d(np.asarray(self.statuses))
-        if not np.all((statuses == 0) | (statuses == 1)):
-            raise ValueError("statuses must be 0/1")
-        self.statuses = statuses.astype(np.int8)
-
-    @property
-    def n_bands(self) -> int:
-        return self.statuses.size
-
-
-@dataclass
-class BandSpectra:
-    """Frequency-domain content of all bands over one time slot.
-
-    grid has one row per band and one column per frequency bin. Rows of
-    vacant bands are exactly zero; rows of busy bands average exactly the
-    configured signal power per bin.
-    """
-
-    grid: np.ndarray
-
-
 def stationary_vacancy(stats: BandStatistics) -> np.ndarray:
     """Stationary probability that each band is vacant: p10 / (p10 + p01)."""
     return stats.p10 / (stats.p10 + stats.p01)
 
 
-def init_occupancy(stats: BandStatistics, rng: np.random.Generator) -> OccupancyState:
-    """Draw slot-0 statuses independently from each band's stationary law."""
+def init_occupancy(stats: BandStatistics, rng: np.random.Generator) -> np.ndarray:
+    """Draw slot-0 int8 statuses independently from each band's stationary law."""
     vacant_prob = stationary_vacancy(stats)
-    statuses = (rng.random(stats.n_bands) >= vacant_prob).astype(np.int8)
-    return OccupancyState(statuses=statuses, slot_index=0)
+    return (rng.random(stats.n_bands) >= vacant_prob).astype(np.int8)
+
+
+def check_trajectory(trajectory) -> np.ndarray:
+    """A status trajectory as a (slots, bands) int8 array, after checking
+    that it is 2-D and, before the cast, that it holds only 0 and 1 (so 0.5
+    or 257 is rejected rather than truncated or wrapped into 0/1)."""
+    trajectory = np.asarray(trajectory)
+    if trajectory.ndim != 2:
+        raise ValueError("trajectory must be a slots x bands array")
+    if not np.all((trajectory == 0) | (trajectory == 1)):
+        raise ValueError("trajectory statuses must be 0/1")
+    return trajectory.astype(np.int8, copy=False)
 
 
 def simulate_occupancy(stats: BandStatistics, horizon: int,
@@ -125,7 +108,7 @@ def simulate_occupancy(stats: BandStatistics, horizon: int,
     out = np.empty((horizon, n), dtype=np.int8)
     if horizon == 0:
         return out
-    first = init_occupancy(stats, rng).statuses.astype(bool)
+    first = init_occupancy(stats, rng).astype(bool)
     # Band-major (n, horizon) layout, so each band's slots are contiguous.
     u = rng.random((horizon - 1, n)).T
     a = np.empty((n, horizon), dtype=bool)
@@ -154,22 +137,21 @@ def simulate_occupancy(stats: BandStatistics, horizon: int,
     return out
 
 
-def synthesize_band_spectra(state: OccupancyState | np.ndarray,
-                            bins_per_band: int, signal_power: float,
-                            rng: np.random.Generator) -> BandSpectra:
+def synthesize_band_spectra(statuses: np.ndarray, bins_per_band: int,
+                            signal_power: float,
+                            rng: np.random.Generator) -> np.ndarray:
     """Fill busy bands with flat-spectrum circular complex Gaussian content.
 
-    state is an OccupancyState or its 0/1 status vector, which is used as
-    is: a caller passing rows of a trajectory validates them once, not
-    per slot. Each busy row is rescaled so its mean per-bin power equals
-    signal_power exactly; vacant rows stay zero, so the support of the
-    grid equals the busy set of the generating state.
+    Returns one slot's (bands, bins) complex grid. statuses is a 0/1
+    vector used as is: a caller passing trajectory rows checks them once,
+    with check_trajectory, not per slot. Each busy row is rescaled so its
+    mean per-bin power equals signal_power exactly; vacant rows stay zero,
+    so the support of the grid equals the busy set.
     """
     if bins_per_band < 1:
         raise ValueError("bins_per_band must be at least 1")
     if signal_power <= 0.0:
         raise ValueError("signal_power must be positive")
-    statuses = state.statuses if isinstance(state, OccupancyState) else state
     grid = np.zeros((len(statuses), bins_per_band), dtype=np.complex128)
     busy = np.flatnonzero(statuses)
     if busy.size:
@@ -177,4 +159,4 @@ def synthesize_band_spectra(state: OccupancyState | np.ndarray,
                + 1j * rng.standard_normal((busy.size, bins_per_band)))
         mean_power = np.mean(np.abs(raw) ** 2, axis=1)
         grid[busy] = raw * np.sqrt(signal_power / mean_power)[:, None]
-    return BandSpectra(grid=grid)
+    return grid

@@ -15,7 +15,7 @@ from wssim.recovery import (_DETECT_FLOOR, _MODEL_FLOOR, RecoveryConfig,
 from wssim.sensing import measure, noise_power_for_snr, select_submatrix
 from wssim.sizing import (exploration_threshold, optimize_size,
                           success_probability)
-from wssim.spectrum import (BandStatistics, OccupancyState, stationary_vacancy,
+from wssim.spectrum import (BandStatistics, stationary_vacancy,
                             synthesize_band_spectra)
 
 
@@ -199,9 +199,9 @@ class ReferenceSignalEnvironment:
     """The signal chain rebuilding every per-set value on every slot.
 
     Reference for wssim.experiments.SignalEnvironment, which keeps one
-    sensing plan per selected set: here each slot validates its statuses
-    through an OccupancyState, selects and checks the sub-matrix, builds a
-    RecoveryConfig and senses through reference_signal_sense.
+    sensing plan per selected set: here each slot selects and checks the
+    sub-matrix, builds a RecoveryConfig and senses through
+    reference_signal_sense.
     """
 
     def __init__(self, trajectory, matrix, config, rng):
@@ -214,11 +214,10 @@ class ReferenceSignalEnvironment:
     def sense(self, selected, slot, prior_vacancy=None):
         cfg = self.config
         selected = np.asarray(selected)
-        state = OccupancyState(statuses=self.trajectory[slot], slot_index=slot)
-        spectra = synthesize_band_spectra(state, cfg.bins_per_band,
-                                          SIGNAL_POWER, self.rng)
+        grid = synthesize_band_spectra(self.trajectory[slot], cfg.bins_per_band,
+                                       SIGNAL_POWER, self.rng)
         a_sub = select_submatrix(self.matrix, selected)
-        samples = measure(a_sub, spectra.grid[selected], cfg.snr_db, self.rng,
+        samples = measure(a_sub, grid[selected], cfg.snr_db, self.rng,
                           signal_power=SIGNAL_POWER)
         if prior_vacancy is None:
             prior_activity = 0.5
@@ -233,18 +232,32 @@ class ReferenceSignalEnvironment:
                                       cfg.k_branches, prior_activity)
 
 
-def step_occupancy(state, stats, rng):
-    """Advance every band by one Markov transition.
+def step_occupancy(statuses, stats, rng):
+    """Advance every band's 0/1 status by one Markov transition.
 
     Reference for wssim.spectrum.simulate_occupancy, which must equal
     init_occupancy followed by repeated calls of this step.
     """
-    if state.n_bands != stats.n_bands:
-        raise ValueError("occupancy state length does not match band statistics")
+    if len(statuses) != stats.n_bands:
+        raise ValueError("status vector length does not match band statistics")
     u = rng.random(stats.n_bands)
-    busy_next = np.where(state.statuses == 0, u < stats.p01, u >= stats.p10)
-    return OccupancyState(statuses=busy_next.astype(np.int8),
-                          slot_index=state.slot_index + 1)
+    return np.where(statuses == 0, u < stats.p01, u >= stats.p10).astype(np.int8)
+
+
+def estimate_transition(counts):
+    """Row-normalised transition estimates from one band's 2x2 counts.
+
+    Reference for the p01_hat and p10_hat that wssim.learning.update_counts
+    caches: the off-diagonal estimate is C_uv / (C_uv + C_uu) and each row
+    sums to one. With the Laplace initialisation every denominator is >= 2.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (2, 2):
+        raise ValueError("counts must be a 2x2 matrix")
+    (c00, c01), (c10, c11) = counts.tolist()
+    p01 = c01 / (c01 + c00)
+    p10 = c10 / (c10 + c11)
+    return np.array([[1.0 - p01, p01], [p10, 1.0 - p10]])
 
 
 # The policy loop on numpy state, one kernel per step, kept as the reference

@@ -21,9 +21,8 @@ from wssim.recovery import (RecoveryConfig, SensingPlan, direct_solve,
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.sizing import (exploration_threshold, mu_correct, optimize_size,
                           poisson_binomial_pmf)
-from wssim.spectrum import (CASE_STATIONARY, BandStatistics, OccupancyState,
-                            init_occupancy, simulate_occupancy,
-                            synthesize_band_spectra)
+from wssim.spectrum import (CASE_STATIONARY, BandStatistics, init_occupancy,
+                            simulate_occupancy, synthesize_band_spectra)
 
 from conftest import brute_force_busy_pmf, brute_force_best_set
 
@@ -211,12 +210,12 @@ def test_criterion_8_signal_chain_fidelity():
     for seed in range(trials):
         slot_rng = np.random.default_rng(seed)
         a_sub = slot_rng.standard_normal((4, 6))
-        state = init_occupancy(stats, slot_rng)
-        spectra = synthesize_band_spectra(state, 64, 1.0, slot_rng)
-        batch = measure(a_sub, spectra.grid, 20.0, slot_rng)
+        statuses = init_occupancy(stats, slot_rng)
+        grid = synthesize_band_spectra(statuses, 64, 1.0, slot_rng)
+        batch = measure(a_sub, grid, 20.0, slot_rng)
         cfg = RecoveryConfig(signal_variance=1.0, noise_variance=noise_var)
         signal = signal_sense(batch, SensingPlan(a_sub, cfg), prior_activity=1.0 - p0)
-        oracle = oracle_sense(state.statuses, 4)
+        oracle = oracle_sense(statuses, 4)
         agree += int(signal.xi == oracle.xi)
     fraction = agree / trials
     elapsed = time.perf_counter() - start

@@ -10,7 +10,8 @@ from wssim import experiments
 from wssim.config import ExperimentConfig, dump_config, load_config
 from wssim.experiments import (SignalEnvironment, compute_regret,
                                emit_results, run_experiment, run_replication)
-from wssim.learning import BeliefState, run_policy
+from wssim.learning import BeliefState, OracleEnvironment, run_policy
+from wssim.recovery import SenseResult
 from wssim.sensing import draw_sensing_matrix
 from wssim.spectrum import simulate_occupancy
 
@@ -192,6 +193,39 @@ class TestSignalEnvironmentMatchesReference:
         with pytest.raises(ValueError, match="0/1"):
             SignalEnvironment(trajectory, matrix, config,
                               np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [-1, 0.5, 257])
+    def test_rejects_non_binary_values_before_cast(self, bad):
+        # Checked before the int8 cast, which would turn 0.5 into 0 and 257
+        # into 1.
+        config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
+        trajectory = trajectory.astype(float)
+        trajectory[4, 2] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            SignalEnvironment(trajectory, matrix, config,
+                              np.random.default_rng(0))
+
+    def test_rejects_one_dimensional_trajectory(self):
+        config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
+        with pytest.raises(ValueError, match="slots x bands"):
+            SignalEnvironment(trajectory[0], matrix, config,
+                              np.random.default_rng(0))
+
+
+def test_both_backends_return_sense_result():
+    config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
+    oracle = OracleEnvironment(trajectory, 4).sense((0, 2, 5), 3)
+    signal = SignalEnvironment(trajectory, matrix, config,
+                               np.random.default_rng(0)).sense((0, 2, 5), 3)
+    for result in (oracle, signal):
+        assert type(result) is SenseResult
+        statuses, xi, _ = result
+        assert xi in (0, 1) and len(statuses) == 3
+    assert oracle.statuses == trajectory[3, [0, 2, 5]].tolist()
+    assert oracle.residual_ratio is None
+    # The signal backend's statuses stay an int8 array.
+    assert signal.statuses.dtype == np.int8
+    assert signal.residual_ratio is not None
 
 
 class TestPinnedOracleOutput:

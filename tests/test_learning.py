@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import ReferenceOracleEnvironment, reference_run_policy
+from conftest import (ReferenceOracleEnvironment, estimate_transition,
+                      reference_run_policy)
 from wssim import learning
 from wssim.config import ExperimentConfig
 from wssim.experiments import SignalEnvironment
 from wssim.learning import (EXPLOIT, BeliefState, OracleEnvironment,
                             PolicyConfig, SlotOutcome, epsilon,
-                            estimate_transition, exploit_select,
-                            explore_schedule, propagate_belief, run_policy,
-                            update_counts)
+                            exploit_select, explore_schedule,
+                            propagate_belief, run_policy, update_counts)
 from wssim.sensing import draw_sensing_matrix
 from wssim.sizing import (exploration_threshold, optimize_size,
                           success_probability)
@@ -329,6 +329,19 @@ class TestRunPolicy:
         p0_hat = p10_hat / (p10_hat + p01_hat)
         hits = np.abs(p0_hat - 0.5) < 0.02
         assert hits.mean() >= 0.95
+
+
+class TestOracleEnvironment:
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5, 257])
+    def test_rejects_non_binary_trajectory(self, bad):
+        trajectory = np.zeros((6, 8))
+        trajectory[3, 5] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            OracleEnvironment(trajectory, 4)
+
+    def test_rejects_one_dimensional_trajectory(self):
+        with pytest.raises(ValueError, match="slots x bands"):
+            OracleEnvironment(np.zeros(8, dtype=np.int8), 4)
 
 
 class TestImpThroughputLevel:

@@ -34,8 +34,8 @@ def test_noiseless_direct_path_returns_truth(slot):
     k, truth, bins, seed = slot
     rng = np.random.default_rng(seed)
     a_sub = rng.standard_normal((k, truth.size))
-    spectra = synthesize_band_spectra(truth, bins, 1.0, rng)
-    samples = measure(a_sub, spectra.grid, None, rng)
+    grid = synthesize_band_spectra(truth, bins, 1.0, rng)
+    samples = measure(a_sub, grid, None, rng)
     result = signal_sense(samples, SensingPlan(a_sub, RecoveryConfig()))
     assert result.statuses.tolist() == truth.tolist()
     assert result.xi == oracle_sense(truth, k).xi == 0

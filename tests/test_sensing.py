@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wssim.sensing import (SensingMatrix, draw_sensing_matrix, measure,
-                           noise_power_for_snr, select_submatrix)
-from wssim.spectrum import OccupancyState, synthesize_band_spectra
+from wssim.sensing import (draw_sensing_matrix, measure, noise_power_for_snr,
+                           select_submatrix)
+from wssim.spectrum import synthesize_band_spectra
 
 
 def dense_product(a, x):
@@ -23,24 +23,24 @@ def dense_product(a, x):
 class TestDrawSensingMatrix:
     def test_shape_and_rank(self, rng):
         matrix = draw_sensing_matrix(4, 8, rng)
-        assert matrix.entries.shape == (4, 8)
-        assert np.linalg.matrix_rank(matrix.entries) == 4
+        assert matrix.shape == (4, 8) and matrix.dtype == np.float64
+        assert np.linalg.matrix_rank(matrix) == 4
 
     def test_single_branch_single_band(self, rng):
         matrix = draw_sensing_matrix(1, 1, rng)
-        assert matrix.entries.shape == (1, 1)
-        assert matrix.entries[0, 0] != 0.0
+        assert matrix.shape == (1, 1)
+        assert matrix[0, 0] != 0.0
 
     def test_deterministic_for_fixed_seed(self):
         a = draw_sensing_matrix(3, 6, np.random.default_rng(77))
         b = draw_sensing_matrix(3, 6, np.random.default_rng(77))
-        np.testing.assert_array_equal(a.entries, b.entries)
+        np.testing.assert_array_equal(a, b)
 
     def test_sampled_column_subsets_full_rank(self, rng):
         matrix = draw_sensing_matrix(4, 10, rng)
         for _ in range(20):
             cols = rng.choice(10, size=4, replace=False)
-            assert np.linalg.matrix_rank(matrix.entries[:, cols]) == 4
+            assert np.linalg.matrix_rank(matrix[:, cols]) == 4
 
     def test_rejects_bad_branch_counts(self, rng):
         with pytest.raises(ValueError):
@@ -53,18 +53,18 @@ class TestSelectSubmatrix:
     def test_identity_selection(self, rng):
         matrix = draw_sensing_matrix(3, 5, rng)
         np.testing.assert_array_equal(select_submatrix(matrix, range(5)),
-                                      matrix.entries)
+                                      matrix)
 
     def test_single_column(self, rng):
         matrix = draw_sensing_matrix(3, 5, rng)
         np.testing.assert_array_equal(select_submatrix(matrix, [2]),
-                                      matrix.entries[:, [2]])
+                                      matrix[:, [2]])
 
     def test_order_preserved(self, rng):
         matrix = draw_sensing_matrix(3, 6, rng)
         sub = select_submatrix(matrix, [4, 1])
-        np.testing.assert_array_equal(sub[:, 0], matrix.entries[:, 4])
-        np.testing.assert_array_equal(sub[:, 1], matrix.entries[:, 1])
+        np.testing.assert_array_equal(sub[:, 0], matrix[:, 4])
+        np.testing.assert_array_equal(sub[:, 1], matrix[:, 1])
 
     def test_rejects_duplicates_and_out_of_range(self, rng):
         matrix = draw_sensing_matrix(3, 5, rng)
@@ -115,13 +115,13 @@ class TestMeasure:
     def test_column_subset_consistency(self, rng):
         matrix = draw_sensing_matrix(4, 8, rng)
         statuses = np.array([1, 0, 1, 1, 0, 1, 0, 1], dtype=np.int8)
-        spectra = synthesize_band_spectra(OccupancyState(statuses), 16, 1.0, rng)
+        grid = synthesize_band_spectra(statuses, 16, 1.0, rng)
         selected = np.array([0, 3, 5, 6])
-        masked = spectra.grid.copy()
+        masked = grid.copy()
         masked[[i for i in range(8) if i not in selected]] = 0.0
-        full = measure(matrix.entries, masked, None, rng)
-        sub = measure(select_submatrix(matrix, selected),
-                      spectra.grid[selected], None, rng)
+        full = measure(matrix, masked, None, rng)
+        sub = measure(select_submatrix(matrix, selected), grid[selected], None,
+                      rng)
         np.testing.assert_allclose(full, sub, atol=1e-12)
 
     def test_noise_power_calibration(self, rng):

@@ -52,6 +52,10 @@ class TestPoissonBinomialPmf:
         with pytest.raises(ValueError):
             poisson_binomial_pmf([0.5], -1)
 
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            poisson_binomial_pmf([float("nan"), 0.2], 2)
+
 
 class TestSuccessProbability:
     def test_small_sets_always_succeed(self, rng):
@@ -89,6 +93,14 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             success_probability([], 4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_rejects_vacancy_outside_unit_interval(self, bad):
+        # Checked before the small-set shortcut, which would return 1.0.
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            success_probability([bad], 4)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            success_probability([0.5] * 7 + [bad], 4)
+
 
 class TestOptimizeSize:
     def test_case1_optimum(self):
@@ -124,6 +136,13 @@ class TestOptimizeSize:
             best_set, best_value = brute_force_best_set(vacancy, k)
             assert decision.size == len(best_set)
             assert decision.objective_value == pytest.approx(best_value, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_rejects_vacancy_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            optimize_size([bad] * 8, 4)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            optimize_size([0.9] * 7 + [bad], 4)
 
 
 class TestExplorationThreshold:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import step_occupancy
-from wssim.spectrum import (CASE_STATIONARY, BandStatistics, OccupancyState,
-                            init_occupancy, simulate_occupancy,
-                            stationary_vacancy, synthesize_band_spectra)
+from wssim.spectrum import (CASE_STATIONARY, BandStatistics, init_occupancy,
+                            simulate_occupancy, stationary_vacancy,
+                            synthesize_band_spectra)
 
 
 def uniform_stats(n, p01, p10):
@@ -55,44 +55,40 @@ class TestStationaryVacancy:
 
 class TestInitOccupancy:
     def test_absorbing_vacant(self, rng):
-        state = init_occupancy(uniform_stats(6, 0.0, 1.0), rng)
-        assert not state.statuses.any()
-        assert state.slot_index == 0
+        statuses = init_occupancy(uniform_stats(6, 0.0, 1.0), rng)
+        assert statuses.dtype == np.int8
+        assert not statuses.any()
 
     def test_absorbing_busy(self, rng):
-        state = init_occupancy(uniform_stats(6, 1.0, 0.0), rng)
-        assert state.statuses.all()
+        assert init_occupancy(uniform_stats(6, 1.0, 0.0), rng).all()
 
     def test_stationary_fraction(self, rng):
         # 1e5 independent draws via one wide statistics vector.
-        state = init_occupancy(uniform_stats(100_000, 0.2, 0.2), rng)
-        vacancy = 1.0 - state.statuses.mean()
+        statuses = init_occupancy(uniform_stats(100_000, 0.2, 0.2), rng)
+        vacancy = 1.0 - statuses.mean()
         assert vacancy == pytest.approx(0.5, abs=0.01)
 
 
 class TestStepOccupancy:
     def test_vacant_stays_without_arrivals(self, rng):
         stats = uniform_stats(5, 0.0, 0.5)
-        state = OccupancyState(np.zeros(5, dtype=np.int8))
-        nxt = step_occupancy(state, stats, rng)
-        assert not nxt.statuses.any()
-        assert nxt.slot_index == 1
+        nxt = step_occupancy(np.zeros(5, dtype=np.int8), stats, rng)
+        assert not nxt.any()
 
     def test_busy_leaves_when_certain(self, rng):
         stats = uniform_stats(5, 0.3, 1.0)
-        state = OccupancyState(np.ones(5, dtype=np.int8))
-        assert not step_occupancy(state, stats, rng).statuses.any()
+        assert not step_occupancy(np.ones(5, dtype=np.int8), stats, rng).any()
 
     def test_transition_frequency(self, rng):
         stats = uniform_stats(100_000, 0.3, 0.5)
-        state = OccupancyState(np.zeros(100_000, dtype=np.int8))
-        busy_fraction = step_occupancy(state, stats, rng).statuses.mean()
+        statuses = np.zeros(100_000, dtype=np.int8)
+        busy_fraction = step_occupancy(statuses, stats, rng).mean()
         assert busy_fraction == pytest.approx(0.3, abs=0.01)
 
     def test_length_mismatch(self, rng):
-        state = OccupancyState(np.zeros(4, dtype=np.int8))
         with pytest.raises(ValueError):
-            step_occupancy(state, uniform_stats(5, 0.1, 0.1), rng)
+            step_occupancy(np.zeros(4, dtype=np.int8), uniform_stats(5, 0.1, 0.1),
+                           rng)
 
 
 class TestTrajectory:
@@ -116,11 +112,11 @@ class TestTrajectory:
                 assert trajectory.shape == (horizon, stats.n_bands)
                 assert trajectory.dtype == np.int8
                 rng = np.random.default_rng(seed)
-                state = init_occupancy(stats, rng)
+                statuses = init_occupancy(stats, rng)
                 for t in range(horizon):
-                    np.testing.assert_array_equal(trajectory[t], state.statuses)
+                    np.testing.assert_array_equal(trajectory[t], statuses)
                     if t < horizon - 1:
-                        state = step_occupancy(state, stats, rng)
+                        statuses = step_occupancy(statuses, stats, rng)
                 # Both forms leave the generator at the same point.
                 rng_bulk = np.random.default_rng(seed)
                 simulate_occupancy(stats, horizon, rng_bulk)
@@ -151,43 +147,42 @@ class TestTrajectory:
 
 class TestSynthesizeBandSpectra:
     def test_all_vacant_gives_zero_grid(self, rng):
-        state = OccupancyState(np.zeros(5, dtype=np.int8))
-        spectra = synthesize_band_spectra(state, 16, 1.0, rng)
-        assert not spectra.grid.any()
-        assert not np.mean(np.abs(spectra.grid) ** 2, axis=1).any()
+        grid = synthesize_band_spectra(np.zeros(5, dtype=np.int8), 16, 1.0, rng)
+        assert grid.shape == (5, 16) and grid.dtype == np.complex128
+        assert not grid.any()
+        assert not np.mean(np.abs(grid) ** 2, axis=1).any()
 
     def test_single_busy_band_single_row(self, rng):
-        state = OccupancyState(np.array([0, 0, 1, 0], dtype=np.int8))
-        spectra = synthesize_band_spectra(state, 32, 1.0, rng)
-        nonzero_rows = np.flatnonzero(np.abs(spectra.grid).sum(axis=1))
+        statuses = np.array([0, 0, 1, 0], dtype=np.int8)
+        grid = synthesize_band_spectra(statuses, 32, 1.0, rng)
+        nonzero_rows = np.flatnonzero(np.abs(grid).sum(axis=1))
         np.testing.assert_array_equal(nonzero_rows, [2])
 
     def test_support_equals_busy_set(self, rng):
         statuses = (rng.random(10) < 0.5).astype(np.int8)
-        spectra = synthesize_band_spectra(OccupancyState(statuses), 8, 2.0, rng)
-        support = (np.abs(spectra.grid).sum(axis=1) > 0).astype(np.int8)
+        grid = synthesize_band_spectra(statuses, 8, 2.0, rng)
+        support = (np.abs(grid).sum(axis=1) > 0).astype(np.int8)
         np.testing.assert_array_equal(support, statuses)
 
     def test_busy_rows_hit_exact_power(self, rng):
-        state = OccupancyState(np.ones(6, dtype=np.int8))
-        spectra = synthesize_band_spectra(state, 64, 3.5, rng)
-        row_power = np.mean(np.abs(spectra.grid) ** 2, axis=1)
+        grid = synthesize_band_spectra(np.ones(6, dtype=np.int8), 64, 3.5, rng)
+        row_power = np.mean(np.abs(grid) ** 2, axis=1)
         np.testing.assert_allclose(row_power, 3.5, rtol=1e-9)
-        band_power = np.mean(np.abs(spectra.grid) ** 2, axis=1)
+        band_power = np.mean(np.abs(grid) ** 2, axis=1)
         np.testing.assert_allclose(band_power, 3.5, rtol=1e-9)
 
     def test_mean_bin_power_across_draws(self, rng):
-        state = OccupancyState(np.ones(1, dtype=np.int8))
+        statuses = np.ones(1, dtype=np.int8)
         total = 0.0
         draws = 10_000
         for _ in range(draws):
-            spectra = synthesize_band_spectra(state, 64, 1.0, rng)
-            total += np.mean(np.abs(spectra.grid) ** 2, axis=1)[0]
+            grid = synthesize_band_spectra(statuses, 64, 1.0, rng)
+            total += np.mean(np.abs(grid) ** 2, axis=1)[0]
         assert total / draws == pytest.approx(1.0, abs=0.05)
 
     def test_rejects_bad_arguments(self, rng):
-        state = OccupancyState(np.ones(2, dtype=np.int8))
+        statuses = np.ones(2, dtype=np.int8)
         with pytest.raises(ValueError):
-            synthesize_band_spectra(state, 0, 1.0, rng)
+            synthesize_band_spectra(statuses, 0, 1.0, rng)
         with pytest.raises(ValueError):
-            synthesize_band_spectra(state, 8, 0.0, rng)
+            synthesize_band_spectra(statuses, 8, 0.0, rng)
