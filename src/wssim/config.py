@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .learning import POLICY_MODES, PolicyConfig
+from .recovery import detection_quantile
 from .spectrum import CASE_STATIONARY, BandStatistics
 
 RS_MODES = ("oracle", "signal")
@@ -54,7 +55,12 @@ class ExperimentConfig:
 
         Integer fields must hold Python or numpy integers, so NaN and
         non-integral values fail, and float checks are written so that NaN
-        fails them.
+        fails them. In signal mode this also evaluates the energy
+        detector's quantile, as energy_detect will: it rejects an
+        energy_fa_rate so small that 1 - energy_fa_rate rounds to 1 and the
+        threshold is infinite, and it imports scipy.special here, in
+        set-up, rather than on the run's first detection. Oracle mode has
+        no detector and never imports SciPy.
         """
         for name in sorted(_INT_KEYS):
             value = getattr(self, name)
@@ -80,6 +86,12 @@ class ExperimentConfig:
             raise ValueError("bins_per_band must be at least 1")
         if not 0.0 < self.energy_fa_rate < 1.0:
             raise ValueError("energy_fa_rate must lie in (0, 1)")
+        if self.rs_mode == "signal" and not np.isfinite(
+                detection_quantile(self.energy_fa_rate, self.bins_per_band)):
+            raise ValueError(
+                f"energy_fa_rate = {self.energy_fa_rate!r} is too small: "
+                "1 - energy_fa_rate rounds to 1, so the detection threshold "
+                "is not finite")
         if self.search_breadth < 1:
             raise ValueError("search_breadth must be at least 1")
         if not self.residual_threshold > 0.0:

@@ -17,6 +17,11 @@ computes its values with the same expressions, operands and memory
 layouts as the per-slot code, and the per-slot solve is kept rather than
 replaced by a product with a cached inverse, so every score, status and
 residual is bit-identical to computing all of it on every slot.
+
+SciPy is imported only by the energy detector's chi-square quantile, on
+its first evaluation, so oracle runs never load it. A signal-mode
+ExperimentConfig.validate() evaluates that quantile, which keeps the
+import (about 0.3 s) in set-up and out of the slot loop.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 # Relative noise-variance floors keeping the Gaussian model and the energy
 # threshold well defined when the configured noise power is exactly zero.
@@ -315,9 +319,22 @@ def _chi2_quantile(prob: float, dof: int) -> float:
 
     A chi-square variable is twice a Gamma(dof / 2) variable, so this is
     the expression scipy.stats.chi2.ppf evaluates, without importing
-    scipy.stats.
+    scipy.stats. scipy.special is imported here rather than with the
+    module, so only runs that detect energy pay for it; behind the cache,
+    the import statement runs once per distinct (prob, dof).
     """
+    from scipy.special import gammaincinv
     return 2.0 * gammaincinv(dof / 2.0, prob)
+
+
+def detection_quantile(energy_fa_rate: float, n_bins: int) -> float:
+    """The energy detector's chi-square quantile for bands of n_bins bins.
+
+    energy_detect scales this by noise_variance / 2 to get its threshold;
+    ExperimentConfig.validate() calls it with the same arguments, so a
+    signal run loads SciPy and fills the cache during set-up.
+    """
+    return _chi2_quantile(1.0 - energy_fa_rate, 2 * n_bins)
 
 
 def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:
@@ -328,7 +345,9 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     its (1 - energy_fa_rate) quantile, per band when noise_variance is a
     vector. The quantile is computed once per (1 - energy_fa_rate,
     2 * bins) and cached, so repeated calls return the same threshold bits
-    without re-running the inverse distribution function.
+    without re-running the inverse distribution function. The first
+    computation imports scipy.special; in a run, the config's validate()
+    has already made it.
     """
     if not 0.0 < energy_fa_rate < 1.0:
         raise ValueError("energy_fa_rate must lie in (0, 1)")
@@ -338,7 +357,7 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     n_bins = spectra.shape[1]
     energies = np.sum(np.abs(spectra) ** 2, axis=1)
     threshold = 0.5 * np.asarray(noise_variance, dtype=float) \
-        * _chi2_quantile(1.0 - energy_fa_rate, 2 * n_bins)
+        * detection_quantile(energy_fa_rate, n_bins)
     return (energies > threshold).astype(np.int8)
 
 

@@ -58,6 +58,14 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "snr_db" in capsys.readouterr().err
 
+    def test_infinite_detection_threshold_exits_with_usage_error(self, workdir, capsys):
+        tmp_path, _ = workdir
+        bad = tmp_path / "fa.cfg"
+        bad.write_text(TINY + "rs_mode = signal\nenergy_fa_rate = 1e-17\n",
+                       encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert "energy_fa_rate" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "no_such_file.cfg"]) != 0
 

@@ -11,7 +11,7 @@ from wssim.config import ExperimentConfig, dump_config, load_config
 from wssim.experiments import (SignalEnvironment, compute_regret,
                                emit_results, run_experiment, run_replication)
 from wssim.learning import BeliefState, OracleEnvironment, run_policy
-from wssim.recovery import SenseResult
+from wssim.recovery import SenseResult, _chi2_quantile
 from wssim.sensing import draw_sensing_matrix
 from wssim.spectrum import simulate_occupancy
 
@@ -82,6 +82,18 @@ class TestRunExperiment:
         for policy in cfg.policies:
             assert np.all(np.isfinite(series.mean_throughput[policy]))
             assert series.mean_throughput[policy].max() <= 8.0
+
+    def test_signal_validate_computes_detector_quantile(self):
+        # validate() evaluates the detector quantile (and so imports
+        # scipy.special) in set-up; the run itself then only hits the cache.
+        cfg = small_config(horizon=48, replications=1, rs_mode="signal",
+                           snr_db=20.0, bins_per_band=16)
+        _chi2_quantile.cache_clear()
+        cfg.validate()
+        misses = _chi2_quantile.cache_info().misses
+        assert misses == 1
+        run_experiment(cfg)
+        assert _chi2_quantile.cache_info().misses == misses
 
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(ValueError, match="k_branches"):
@@ -375,6 +387,17 @@ class TestConfigFile:
         vectors[field] = (0.1,) * 7 + (float("nan"),)
         with pytest.raises(ValueError, match=field):
             small_config(**vectors).validate()
+
+    def test_signal_validation_rejects_infinite_detection_threshold(self):
+        # 1 - 1e-17 == 1.0, so the detector's quantile is +inf and every
+        # sensed band would read vacant.
+        with pytest.raises(ValueError, match="energy_fa_rate"):
+            small_config(rs_mode="signal", energy_fa_rate=1e-17).validate()
+
+    def test_validation_accepts_smallest_finite_detection_threshold(self):
+        small_config(rs_mode="signal", energy_fa_rate=1e-16).validate()
+        # Oracle mode has no energy detector to check.
+        small_config(energy_fa_rate=1e-17).validate()
 
     def test_positive_infinite_snr_is_noiseless(self):
         cfg = small_config(snr_db=float("inf"), rs_mode="signal")

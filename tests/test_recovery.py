@@ -283,6 +283,29 @@ class TestEnergyDetect:
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "[]"
 
+    def test_oracle_mode_leaves_scipy_unloaded(self):
+        # Only the signal-mode energy detector needs SciPy, so an oracle
+        # run, the CLI's validate and theorem1 never import it.
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "case1.cfg"
+        code = "\n".join([
+            "import sys, wssim",
+            "from wssim.cli import main",
+            f"cfg = wssim.load_config({str(cfg)!r})",
+            "cfg.replications, cfg.horizon = 1, 200",
+            "cfg.validate()",
+            "wssim.run_experiment(cfg)",
+            f"assert main(['validate', {str(cfg)!r}]) == 0",
+            "assert main(['theorem1', '--N', '8', '--K', '4', "
+            "'--mu', '0.05', '--delta', '0.1']) == 0",
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"])
+        src = str(Path(wssim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+
 
 class TestSignalSense:
     def test_square_set_noiseless_always_succeeds(self):
