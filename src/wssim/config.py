@@ -86,12 +86,8 @@ class ExperimentConfig:
             raise ValueError("bins_per_band must be at least 1")
         if not 0.0 < self.energy_fa_rate < 1.0:
             raise ValueError("energy_fa_rate must lie in (0, 1)")
-        if self.rs_mode == "signal" and not np.isfinite(
-                detection_quantile(self.energy_fa_rate, self.bins_per_band)):
-            raise ValueError(
-                f"energy_fa_rate = {self.energy_fa_rate!r} is too small: "
-                "1 - energy_fa_rate rounds to 1, so the detection threshold "
-                "is not finite")
+        if self.rs_mode == "signal":
+            detection_quantile(self.energy_fa_rate, self.bins_per_band)
         if self.search_breadth < 1:
             raise ValueError("search_breadth must be at least 1")
         if not self.residual_threshold > 0.0:

@@ -11,15 +11,18 @@ backends check the trajectory once, with spectrum.check_trajectory, and
 return a recovery.SenseResult per slot.
 
 In signal mode each policy senses through a SignalEnvironment, which
-keeps one recovery.SensingPlan per distinct selected set: the set's
-sensing sub-matrix, the environment's one RecoveryConfig, and everything
-that depends only on those two, built the first time the set is sensed
-and keyed by its band tuple. Each slot hands signal_sense the plan, the
-slot's samples and the selected bands' busy priors, nothing else. At
-most _MAX_PLANS plans are kept (the oldest goes first), which bounds
-memory whatever the horizon. A plan holds exactly the values the
-per-slot chain would compute and the slot's random draws are unchanged,
-so the output is bit-identical to building everything on every slot.
+keeps one recovery.SupportTable over the whole sensing matrix and one
+recovery.SensingPlan per distinct selected set (its sub-matrix and bands,
+the environment's RecoveryConfig and table), built the first time the set
+is sensed. Each slot hands signal_sense the plan, the slot's samples and
+the selected bands' busy priors, nothing else. At most _MAX_PLANS plans
+(the oldest goes first) and recovery._MAX_SUPPORTS table rows are kept,
+which bounds memory whatever the horizon. Plans and table return the same
+values whatever they held before and the slot's random draws are
+unchanged, so the output depends on the config alone. It matches
+building everything on every slot except where two supports' search
+scores tie to the last bits, which the table's cached inverses can change
+(see recovery).
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import numpy as np
 
 from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, run_policy
-from .recovery import RecoveryConfig, SenseResult, SensingPlan, signal_sense
+from .recovery import (RecoveryConfig, SenseResult, SensingPlan, SupportTable,
+                       signal_sense)
 from .sensing import (draw_sensing_matrix, measure, noise_power_for_snr,
                       select_submatrix)
 from .spectrum import (BandStatistics, check_trajectory, simulate_occupancy,
@@ -57,8 +61,9 @@ class MetricSeries:
 class SignalEnvironment:
     """Sensing backend running the full measurement and recovery chain.
 
-    The trajectory is checked by spectrum.check_trajectory and the
-    recovery config is built once, here.
+    The trajectory is checked by spectrum.check_trajectory, and the
+    recovery config and the support table of the whole matrix are built
+    once, here.
     """
 
     def __init__(self, trajectory: np.ndarray, matrix: np.ndarray,
@@ -73,6 +78,7 @@ class SignalEnvironment:
             search_breadth=config.search_breadth,
             energy_fa_rate=config.energy_fa_rate,
             residual_threshold=config.residual_threshold)
+        self.support_table = SupportTable(matrix, self.recovery_config)
         self._plans: dict[tuple[int, ...], SensingPlan] = {}
 
     def _plan(self, selected) -> SensingPlan:
@@ -83,7 +89,8 @@ class SignalEnvironment:
             if len(self._plans) >= _MAX_PLANS:
                 del self._plans[next(iter(self._plans))]
             plan = self._plans[key] = SensingPlan(
-                select_submatrix(self.matrix, key), self.recovery_config)
+                select_submatrix(self.matrix, key), self.recovery_config,
+                key, self.support_table)
         return plan
 
     def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:

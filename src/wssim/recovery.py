@@ -8,15 +8,23 @@ energy detector, and declares reconstruction failure from the detected
 busy count and the relative fit residual. Both return a SenseResult.
 
 A SensingPlan is the one way set-level inputs reach signal_sense and
-fbmp_recover: the selected set's K x m sensing sub-matrix, the
-RecoveryConfig, and what follows from those two alone, not from the
-slot's samples or priors. Besides the plan, those calls take only the
-slot's samples and busy priors (and fbmp_recover its search depth), so a
-caller sensing the same set again passes the same plan back in. A plan
-computes its values with the same expressions, operands and memory
-layouts as the per-slot code, and the per-slot solve is kept rather than
-replaced by a product with a cached inverse, so every score, status and
-residual is bit-identical to computing all of it on every slot.
+fbmp_recover: the selected set's K x m sensing sub-matrix, its bands, the
+RecoveryConfig, the SupportTable the search scores from, and what follows
+from those alone, not from the slot's samples or priors. Besides the plan,
+those calls take only the slot's samples and busy priors (and
+fbmp_recover its search depth), so a caller sensing the same set again
+passes the same plan back in.
+
+The search scores each support S from Phi_S^-1 and log det Phi_S, which
+a SupportTable keeps keyed by the sorted tuple of S's absolute bands, at
+most _MAX_SUPPORTS rows (emptied when full); a SignalEnvironment shares
+one table among all its sets. Scores are products with the cached
+inverse, not solves, so they can differ from per-slot factorisation in
+the last bits, and only supports whose scores are that close could rank
+differently. Still exact: given the chosen support, the posterior mean
+(its own solve), the statuses and the residual match the
+one-support-at-a-time search bit for bit, and the direct path (least
+squares) and the detector are unchanged.
 
 SciPy is imported only by the energy detector's chi-square quantile, on
 its first evaluation, so oracle runs never load it. A signal-mode
@@ -27,6 +35,7 @@ import (about 0.3 s) in set-up and out of the slot loop.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -61,6 +70,8 @@ class RecoveryConfig:
             raise ValueError("signal_variance must be positive")
         if self.search_breadth < 1:
             raise ValueError("search_breadth must be at least 1")
+        if not 0.0 < self.energy_fa_rate < 1.0:
+            raise ValueError("energy_fa_rate must lie in (0, 1)")
 
 
 def gamma_threshold(set_size: int, k_branches: int) -> int:
@@ -135,36 +146,6 @@ def _support_covariances(a_sub: np.ndarray, supports: np.ndarray,
     return phi, logdet
 
 
-def _scores_from(phi: np.ndarray, logdet: np.ndarray, szz: np.ndarray,
-                 n_bins: int, log_prior) -> np.ndarray:
-    """Log posterior of each support from its covariance and log-determinant.
-
-    The likelihood factorises over bins; the quadratic form of all C
-    matrices comes from one stacked solve against szz.
-    """
-    quad = np.trace(np.linalg.solve(phi, szz), axis1=1, axis2=2).real
-    return -n_bins * logdet - quad + log_prior
-
-
-def _support_scores(szz: np.ndarray, n_bins: int, a_sub: np.ndarray,
-                    supports: np.ndarray, sig_s: float, sig_n: float,
-                    base_prior: float, prior_gain: np.ndarray) -> np.ndarray:
-    """Log posterior (up to a support-independent constant) of busy sets.
-
-    supports is a (C, s) index array of C supports of equal size s (s = 0
-    scores the empty support); the result holds one score per row. All C
-    matrices Phi are built with one batched matmul, factorised with one
-    stacked Cholesky and solved against szz with one stacked solve.
-    Stacked LAPACK calls run the same routine once per matrix, on the same
-    per-matrix memory layout as a single call, so each score is
-    bit-identical to scoring its support on its own, in any stack.
-    """
-    phi, logdet = _support_covariances(a_sub, supports, sig_s, sig_n)
-    log_prior = base_prior + prior_gain[supports].sum(axis=1) \
-        if supports.shape[1] else base_prior
-    return _scores_from(phi, logdet, szz, n_bins, log_prior)
-
-
 def _conditional_mean(samples: np.ndarray, a_sub: np.ndarray,
                       active: tuple[int, ...], sig_s: float,
                       sig_n: float) -> np.ndarray:
@@ -185,13 +166,82 @@ def _residual_ratio(samples: np.ndarray, fitted: np.ndarray) -> float:
     return float(np.linalg.norm(samples - fitted) / z_norm)
 
 
-class _FirstLevels(NamedTuple):
-    """The greedy search's first two levels, as a SensingPlan keeps them."""
+# Rows a SupportTable keeps before it starts over: every support of at most
+# 4 of 16 bands (2,517 rows, about 1.3 MiB at 8 branches) fits.
+_MAX_SUPPORTS = 4096
 
-    supports: list[tuple[int, ...]]   # level 1: (0,), (1,), ..., (m - 1,)
-    index: np.ndarray                 # level 1 as an (m, 1) support array
-    phi: np.ndarray                   # (m + 1, k, k): empty support, then level 1
-    logdet: np.ndarray                # (m + 1,) log det of each phi
+
+def _model_variances(cfg: RecoveryConfig) -> tuple[float, float]:
+    """The search's signal and (floored) noise variances sig_s and sig_n."""
+    sig_s = float(cfg.signal_variance)
+    return sig_s, max(float(cfg.noise_variance), _MODEL_FLOOR * sig_s)
+
+
+class SupportTable:
+    """Phi_S^-1 and log det Phi_S of busy sets S, keyed by absolute bands.
+
+    matrix is the K x N sensing matrix and cfg the recovery config giving
+    the model variances. A key is the sorted tuple of a support's columns
+    of matrix (its bands), () being the empty support. Phi_S = sig_n * I +
+    sig_s * A_S A_S^T depends on those bands alone, not on the set they
+    were sensed in, so all plans over one matrix and config can share one
+    table. A lookup computes its missing rows with one _support_covariances
+    call per support size and one stacked inverse, and keeps them. Each
+    row is a function of its key alone (stacked LAPACK calls treat every
+    matrix as a single call would), so a lookup returns the same bits
+    whatever the table held before. A lookup that would take the table
+    past _MAX_SUPPORTS rows empties it first.
+    """
+
+    def __init__(self, matrix: np.ndarray, cfg: RecoveryConfig):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2:
+            raise ValueError("matrix must be two-dimensional")
+        self.matrix = matrix
+        self.sig_s, self.sig_n = _model_variances(cfg)
+        k = matrix.shape[0]
+        self._rows: dict[tuple[int, ...], int] = {}
+        self._inv = np.empty((0, k, k))
+        self._logdet = np.empty(0)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def lookup(self, keys: Sequence[tuple[int, ...]]):
+        """The (C, K, K) stack of Phi^-1 and the (C,) log det Phi of C keys."""
+        rows = self._rows
+        missing = [key for key in keys if key not in rows]
+        if missing:
+            if len(rows) + len(missing) > _MAX_SUPPORTS:
+                rows.clear()
+                missing = keys
+            self._add(list(dict.fromkeys(missing)))
+        index = [rows[key] for key in keys]
+        return self._inv[index], self._logdet[index]
+
+    def _add(self, keys: list[tuple[int, ...]]) -> None:
+        """Compute and keep the rows of distinct keys not in the table."""
+        start = len(self._rows)
+        stop = start + len(keys)
+        if stop > len(self._logdet):
+            # Storage doubles up to the cap; only a lookup larger than the
+            # cap takes it beyond.
+            size = max(stop, min(2 * len(self._logdet) or 64, _MAX_SUPPORTS))
+            inv, logdet = np.empty((size,) + self._inv.shape[1:]), np.empty(size)
+            inv[:start], logdet[:start] = self._inv[:start], self._logdet[:start]
+            self._inv, self._logdet = inv, logdet
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for key in keys:
+            by_size.setdefault(len(key), []).append(key)
+        stacks = [_support_covariances(
+                      self.matrix, np.array(group, dtype=np.intp).reshape(len(group), size),
+                      self.sig_s, self.sig_n)
+                  for size, group in by_size.items()]
+        phi, logdet = (np.concatenate(parts) for parts in zip(*stacks))
+        self._inv[start:stop] = np.linalg.inv(phi)
+        self._logdet[start:stop] = logdet
+        ordered = [key for group in by_size.values() for key in group]
+        self._rows.update(zip(ordered, range(start, stop)))
 
 
 class SensingPlan:
@@ -200,56 +250,60 @@ class SensingPlan:
     a_sub is the set's K x m sensing sub-matrix, kept as given, in
     select_submatrix's memory layout, so that products with it match the
     per-slot code bit for bit; K is its row count. cfg is the recovery
-    config. sig_s and sig_n are the search's model variances. The two
-    recovery paths' parts are built on first use and read on every later
-    slot:
+    config. sig_s and sig_n are the search's model variances. bands are
+    the set's bands in selection order, column j of a_sub being column
+    bands[j] of table.matrix, and table is the SupportTable the search
+    scores from; a SignalEnvironment passes its one table, shared by all
+    its plans. Without them the plan gets a table of its own over a_sub's
+    columns, bands 0 to m - 1.
 
-    - band_noise (direct path, m <= K): the energy detector's per-band
-      noise max(noise_variance * diag((A_S^T A_S)^-1), floor). Least
-      squares colours the noise, so each band is thresholded at its
-      post-inversion noise level.
-    - first_levels (search path): the covariances Phi and log det Phi of
-      the empty support followed by the m singletons in band order, built
-      by _support_covariances exactly as a level is built per slot and
-      stacked, so _first_level_scores scores both levels with one stacked
-      solve.
+    band_noise (direct path, m <= K) is built on first use and read on
+    every later slot: the energy detector's per-band noise
+    max(noise_variance * diag((A_S^T A_S)^-1), floor). Least squares
+    colours the noise, so each band is thresholded at its post-inversion
+    noise level.
     """
 
-    def __init__(self, a_sub: np.ndarray, cfg: RecoveryConfig):
+    def __init__(self, a_sub: np.ndarray, cfg: RecoveryConfig,
+                 bands: Sequence[int] | None = None,
+                 table: SupportTable | None = None):
         a_sub = np.asarray(a_sub, dtype=float)
         if a_sub.ndim != 2:
             raise ValueError("a_sub must be two-dimensional")
+        if (bands is None) != (table is None):
+            raise ValueError("bands and table must be given together")
         self.a_sub = a_sub
         self.cfg = cfg
-        self.sig_s = float(cfg.signal_variance)
-        self.sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR * self.sig_s)
+        self.sig_s, self.sig_n = _model_variances(cfg)
         self.detect_floor = _DETECT_FLOOR * self.sig_s
+        if table is None:
+            bands, table = range(a_sub.shape[1]), SupportTable(a_sub, cfg)
+        self.bands = tuple(map(int, bands))
+        if len(self.bands) != a_sub.shape[1]:
+            raise ValueError("bands must name one band per column of a_sub")
+        self.table = table
+        self.band_index = np.array(self.bands, dtype=np.intp)
+        self.position = {band: j for j, band in enumerate(self.bands)}
 
     @functools.cached_property
     def band_noise(self) -> np.ndarray:
         gram_inv_diag = np.diag(np.linalg.inv(self.a_sub.T @ self.a_sub))
         return np.maximum(self.cfg.noise_variance * gram_inv_diag, self.detect_floor)
 
-    @functools.cached_property
-    def first_levels(self) -> _FirstLevels:
-        m = self.a_sub.shape[1]
-        index = np.arange(m, dtype=np.intp).reshape(m, 1)
-        levels = [_support_covariances(self.a_sub, supports, self.sig_s, self.sig_n)
-                  for supports in (np.empty((1, 0), dtype=np.intp), index)]
-        phi, logdet = (np.concatenate(parts) for parts in zip(*levels))
-        return _FirstLevels([(j,) for j in range(m)], index, phi, logdet)
 
+def _table_scores(table: SupportTable, keys, szz: np.ndarray, n_bins: int,
+                  log_prior) -> np.ndarray:
+    """Log posterior (up to a support-independent constant) of busy sets.
 
-def _first_level_scores(first: _FirstLevels, szz: np.ndarray, n_bins: int,
-                        base_prior: float, prior_gain: np.ndarray) -> np.ndarray:
-    """Scores of the empty support and of every singleton, in that order.
-
-    One stacked solve against szz; each score is bit-identical to the
-    _support_scores call of its own level.
+    keys are table keys and log_prior their log prior probabilities; szz
+    is Re(S_zz) flattened. Phi^-1 is real symmetric and S_zz Hermitian, so
+    each quadratic form trace(Phi^-1 S_zz) is the dot product of Phi^-1
+    with Re(S_zz), and all C of them are one (C, K*K) matrix-vector
+    product.
     """
-    log_prior = np.concatenate(
-        ([base_prior], base_prior + prior_gain[first.index].sum(axis=1)))
-    return _scores_from(first.phi, first.logdet, szz, n_bins, log_prior)
+    inv, logdet = table.lookup(keys)
+    quad = inv.reshape(len(keys), -1) @ szz
+    return -n_bins * logdet - quad + log_prior
 
 
 def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
@@ -258,58 +312,60 @@ def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
     Supports grow one band at a time; the best plan.cfg.search_breadth
     candidates per size survive, up to size gamma. prior_activity is the
     per-band prior probability of being busy (a scalar or one entry per
-    selected band). The empty support and the singletons are scored
-    together from the plan's stacked covariances with one stacked solve;
-    each deeper level's distinct candidates are scored together in one
-    stacked factorisation (_support_scores). A stable sort ranks each
-    level, so score ties go to the candidate generated first. The scores
-    are bit-identical to scoring one support at a time, so the search
-    picks the same support. Returns the binary support estimate, the
-    posterior-mean spectra of the best support, and the relative residual
-    of the fit.
+    selected band). Candidates are sorted tuples of the plan's bands.
+    Every level, the empty support and the singletons being the first,
+    is scored from one plan.table lookup (_table_scores). These scores can
+    differ in the last bits from scoring each support with its own solve,
+    so supports whose scores tie to those bits could rank differently. A
+    stable sort ranks each level, so score ties go to the candidate
+    generated first. Returns the binary support estimate, the
+    posterior-mean spectra of the best support (from a solve, exactly as
+    the one-support-at-a-time search computes them) and the relative
+    residual of the fit.
     """
     samples = np.asarray(z)
-    a_sub = plan.a_sub
-    _, m = a_sub.shape
+    bands, table = plan.bands, plan.table
+    m = len(bands)
     n_bins = samples.shape[1]
     if not 0 <= gamma <= m:
         raise ValueError("gamma must lie in [0, set size]")
-    sig_s, sig_n = plan.sig_s, plan.sig_n
     breadth = plan.cfg.search_breadth
     base_prior, prior_gain = _prior_log_odds(prior_activity, m)
-    szz = samples @ samples.conj().T
+    szz = (samples @ samples.conj().T).real.ravel()
+    # The prior log-odds indexed by band rather than by selection position.
+    band_gain = np.zeros(table.matrix.shape[1])
+    band_gain[plan.band_index] = prior_gain
 
-    def scores(level):
-        supports = np.array(level, dtype=np.intp).reshape(len(level), -1)
-        return _support_scores(szz, n_bins, a_sub, supports, sig_s, sig_n,
-                               base_prior, prior_gain).tolist()
-
-    first = plan.first_levels
-    first_scores = _first_level_scores(first, szz, n_bins, base_prior,
-                                       prior_gain).tolist()
+    first = [()] + [(band,) for band in bands]
+    first_scores = _table_scores(table, first, szz, n_bins, np.concatenate(
+        ([base_prior], base_prior + prior_gain))).tolist()
     best_active: tuple[int, ...] = ()
     best_score = first_scores[0]
     frontier = [()]
-    level, level_scores = first.supports, first_scores[1:]
+    level, level_scores = first[1:], first_scores[1:]
     for depth in range(gamma):
         if depth:
             # Distinct candidates in first-seen order; the stable sort
             # below then breaks score ties by that order.
-            level = list(dict.fromkeys(tuple(sorted(active + (j,)))
+            level = list(dict.fromkeys(tuple(sorted(active + (band,)))
                                        for active in frontier
-                                       for j in range(m) if j not in active))
+                                       for band in bands if band not in active))
             if not level:
                 break
-            level_scores = scores(level)
+            supports = np.array(level, dtype=np.intp)
+            level_scores = _table_scores(
+                table, level, szz, n_bins,
+                base_prior + band_gain[supports].sum(axis=1)).tolist()
         ranked = sorted(zip(level, level_scores), key=lambda item: -item[1])
         frontier = [active for active, _ in ranked[:breadth]]
         if ranked[0][1] > best_score:
             best_active, best_score = ranked[0]
 
-    x_hat = _conditional_mean(samples, a_sub, best_active, sig_s, sig_n)
-    ratio = _residual_ratio(samples, a_sub @ x_hat)
+    active = tuple(sorted(plan.position[band] for band in best_active))
+    x_hat = _conditional_mean(samples, plan.a_sub, active, plan.sig_s, plan.sig_n)
+    ratio = _residual_ratio(samples, plan.a_sub @ x_hat)
     support = np.zeros(m, dtype=np.int8)
-    support[list(best_active)] = 1
+    support[list(active)] = 1
     return support, x_hat, ratio
 
 
@@ -332,9 +388,20 @@ def detection_quantile(energy_fa_rate: float, n_bins: int) -> float:
 
     energy_detect scales this by noise_variance / 2 to get its threshold;
     ExperimentConfig.validate() calls it with the same arguments, so a
-    signal run loads SciPy and fills the cache during set-up.
+    signal run loads SciPy and fills the cache during set-up. Both get
+    their energy_fa_rate checks here: it must lie in (0, 1), and it is
+    rejected when 1 - energy_fa_rate rounds to 1 (energy_fa_rate = 1e-17),
+    which makes the quantile, and with it the threshold, infinite.
     """
-    return _chi2_quantile(1.0 - energy_fa_rate, 2 * n_bins)
+    if not 0.0 < energy_fa_rate < 1.0:
+        raise ValueError("energy_fa_rate must lie in (0, 1)")
+    quantile = _chi2_quantile(1.0 - energy_fa_rate, 2 * n_bins)
+    if not math.isfinite(quantile):
+        raise ValueError(
+            f"energy_fa_rate = {energy_fa_rate!r} is too small: "
+            "1 - energy_fa_rate rounds to 1, so the detection threshold "
+            "is not finite")
+    return quantile
 
 
 def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:
@@ -347,10 +414,9 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     2 * bins) and cached, so repeated calls return the same threshold bits
     without re-running the inverse distribution function. The first
     computation imports scipy.special; in a run, the config's validate()
-    has already made it.
+    has already made it. detection_quantile rejects an energy_fa_rate
+    outside (0, 1) or too small for a finite threshold.
     """
-    if not 0.0 < energy_fa_rate < 1.0:
-        raise ValueError("energy_fa_rate must lie in (0, 1)")
     spectra = np.asarray(spectra)
     if spectra.ndim != 2:
         raise ValueError("spectra must be a bands x bins matrix")

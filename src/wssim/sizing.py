@@ -3,8 +3,9 @@
 The busy count of a set of independently occupied bands follows a
 Poisson-binomial law; its lower tail gives the probability that
 reconstruction succeeds, and scanning prefix sets of the vacancy-sorted
-bands yields the throughput-optimal set size. Also provides the
-observation budget that guarantees accurate vacancy estimates.
+bands, growing that tail one band at a time, yields the throughput-optimal
+set size. Also provides the observation budget that guarantees accurate
+vacancy estimates.
 """
 
 from __future__ import annotations
@@ -28,45 +29,6 @@ class SizeDecision:
 class ExplorationBudget(NamedTuple):
     observations: int   # per-band transition observations required
     slots: int          # time slots needed to collect them for every band
-
-
-def poisson_binomial_pmf(busy_probs, max_count: int) -> np.ndarray:
-    """P(exactly i bands busy) for i = 0..max_count by iterative convolution.
-
-    One linear pass per band; counts above max_count are truncated away, so
-    the returned vector sums to 1 only when max_count covers all bands.
-    """
-    probs = np.atleast_1d(np.asarray(busy_probs, dtype=float))
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if max_count < 0:
-        raise ValueError("max_count must be nonnegative")
-    pmf = np.zeros(max_count + 1)
-    pmf[0] = 1.0
-    for p in probs:
-        pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
-        pmf[0] *= 1.0 - p
-    return pmf
-
-
-def success_probability(vacancy_probs, k_branches: int) -> float:
-    """Probability that the busy count of the set stays recoverable.
-
-    Sets no larger than the branch count always reconstruct; larger sets
-    succeed when at most floor(K/2) bands are busy (the all-vacant outcome
-    counts as success).
-    """
-    vacancy = np.atleast_1d(np.asarray(vacancy_probs, dtype=float))
-    if vacancy.size == 0:
-        raise ValueError("candidate set must be nonempty")
-    if not np.all((vacancy >= 0.0) & (vacancy <= 1.0)):
-        raise ValueError("vacancy probabilities must lie in [0, 1]")
-    if k_branches < 1:
-        raise ValueError("k_branches must be at least 1")
-    if vacancy.size <= k_branches:
-        return 1.0
-    pmf = poisson_binomial_pmf(1.0 - vacancy, k_branches // 2)
-    return float(pmf.sum())
 
 
 def optimize_size(vacancy_probs, k_branches: int) -> SizeDecision:
@@ -123,12 +85,3 @@ def exploration_threshold(n_bands: int, k_branches: int, mu: float,
     observations = math.ceil(2.0 / mu ** 2 * math.log(2.0 * n_bands / delta))
     slots = 2 * math.ceil(n_bands / k_branches) * observations
     return ExplorationBudget(observations=observations, slots=slots)
-
-
-def mu_correct(estimates, truth, mu: float) -> bool:
-    """True when every band's estimate is strictly within mu/2 of truth."""
-    est = np.atleast_1d(np.asarray(estimates, dtype=float))
-    tru = np.atleast_1d(np.asarray(truth, dtype=float))
-    if est.shape != tru.shape:
-        raise ValueError("estimates and truth must have equal length")
-    return bool(np.all(np.abs(est - tru) < mu / 2.0))

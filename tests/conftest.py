@@ -10,13 +10,63 @@ from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
 from wssim.recovery import (_DETECT_FLOOR, _MODEL_FLOOR, RecoveryConfig,
                             SenseResult, _conditional_mean, _prior_log_odds,
-                            _residual_ratio, _support_scores, direct_solve,
-                            energy_detect, gamma_threshold, oracle_sense)
+                            _residual_ratio, _support_covariances,
+                            direct_solve, energy_detect, gamma_threshold,
+                            oracle_sense)
 from wssim.sensing import measure, noise_power_for_snr, select_submatrix
-from wssim.sizing import (exploration_threshold, optimize_size,
-                          success_probability)
+from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (BandStatistics, stationary_vacancy,
                             synthesize_band_spectra)
+
+
+# Sizing references: wssim.sizing.optimize_size grows the same
+# Poisson-binomial tail incrementally.
+def poisson_binomial_pmf(busy_probs, max_count: int) -> np.ndarray:
+    """P(exactly i bands busy) for i = 0..max_count by iterative convolution.
+
+    One linear pass per band; counts above max_count are truncated away, so
+    the returned vector sums to 1 only when max_count covers all bands.
+    """
+    probs = np.atleast_1d(np.asarray(busy_probs, dtype=float))
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if max_count < 0:
+        raise ValueError("max_count must be nonnegative")
+    pmf = np.zeros(max_count + 1)
+    pmf[0] = 1.0
+    for p in probs:
+        pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
+        pmf[0] *= 1.0 - p
+    return pmf
+
+
+def success_probability(vacancy_probs, k_branches: int) -> float:
+    """Probability that the busy count of the set stays recoverable.
+
+    Sets no larger than the branch count always reconstruct; larger sets
+    succeed when at most floor(K/2) bands are busy (the all-vacant outcome
+    counts as success).
+    """
+    vacancy = np.atleast_1d(np.asarray(vacancy_probs, dtype=float))
+    if vacancy.size == 0:
+        raise ValueError("candidate set must be nonempty")
+    if not np.all((vacancy >= 0.0) & (vacancy <= 1.0)):
+        raise ValueError("vacancy probabilities must lie in [0, 1]")
+    if k_branches < 1:
+        raise ValueError("k_branches must be at least 1")
+    if vacancy.size <= k_branches:
+        return 1.0
+    pmf = poisson_binomial_pmf(1.0 - vacancy, k_branches // 2)
+    return float(pmf.sum())
+
+
+def mu_correct(estimates, truth, mu: float) -> bool:
+    """True when every band's estimate is strictly within mu/2 of truth."""
+    est = np.atleast_1d(np.asarray(estimates, dtype=float))
+    tru = np.atleast_1d(np.asarray(truth, dtype=float))
+    if est.shape != tru.shape:
+        raise ValueError("estimates and truth must have equal length")
+    return bool(np.all(np.abs(est - tru) < mu / 2.0))
 
 
 def brute_force_busy_pmf(busy_probs):
@@ -50,12 +100,31 @@ def brute_force_best_set(vacancy_probs, k_branches):
     return best_set, best_value
 
 
+def solve_support_scores(szz, n_bins, a_sub, supports, sig_s, sig_n,
+                         base_prior, prior_gain):
+    """Log posterior (up to a support-independent constant) of busy sets.
+
+    The solve-based reference scorer of wssim.recovery.SupportTable's
+    inverse-based scores. supports is a (C, s) index array of C supports
+    of equal size s (s = 0 scores the empty support). All C matrices Phi
+    are built with one batched matmul (_support_covariances), factorised
+    with one stacked Cholesky and solved against szz with one stacked
+    solve. Stacked LAPACK calls run the same routine once per matrix, so
+    each score is bit-identical to reference_support_score's.
+    """
+    phi, logdet = _support_covariances(a_sub, supports, sig_s, sig_n)
+    log_prior = base_prior + prior_gain[supports].sum(axis=1) \
+        if supports.shape[1] else base_prior
+    quad = np.trace(np.linalg.solve(phi, szz), axis1=1, axis2=2).real
+    return -n_bins * logdet - quad + log_prior
+
+
 def reference_support_score(szz, n_bins, a_sub, active, sig_s, sig_n,
                             base_prior, prior_gain):
     """Log posterior of one busy set, one Cholesky and one solve at a time.
 
-    The scalar form of wssim.recovery._support_scores, which must match it
-    bit for bit.
+    The scalar form of solve_support_scores, which must match it bit for
+    bit.
     """
     k = a_sub.shape[0]
     phi = sig_n * np.eye(k)
@@ -134,8 +203,8 @@ def exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity=0.5):
     best_active, best_score = (), -np.inf
     for size in range(gamma + 1):
         supports = all_supports(m, size)
-        scores = _support_scores(szz, n_bins, a_sub, supports, sig_s, sig_n,
-                                 base_prior, prior_gain)
+        scores = solve_support_scores(szz, n_bins, a_sub, supports, sig_s,
+                                      sig_n, base_prior, prior_gain)
         top = int(np.argmax(scores))
         if scores[top] > best_score:
             best_active, best_score = tuple(supports[top]), scores[top]

@@ -19,12 +19,12 @@ from wssim.learning import (BeliefState, OracleEnvironment, PolicyConfig,
 from wssim.recovery import (RecoveryConfig, SensingPlan, direct_solve,
                             gamma_threshold, oracle_sense, signal_sense)
 from wssim.sensing import measure, noise_power_for_snr
-from wssim.sizing import (exploration_threshold, mu_correct, optimize_size,
-                          poisson_binomial_pmf)
+from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics, init_occupancy,
                             simulate_occupancy, synthesize_band_spectra)
 
-from conftest import brute_force_busy_pmf, brute_force_best_set
+from conftest import (brute_force_busy_pmf, brute_force_best_set, mu_correct,
+                      poisson_binomial_pmf)
 
 # Shared configuration of the paper-scale regret experiments (criteria 4-6).
 # The exploration coefficient and estimation-gap target are free parameters;

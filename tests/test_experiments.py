@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import ReferenceSignalEnvironment
-from wssim import experiments
+from wssim import experiments, recovery
 from wssim.config import ExperimentConfig, dump_config, load_config
 from wssim.experiments import (SignalEnvironment, compute_regret,
                                emit_results, run_experiment, run_replication)
 from wssim.learning import BeliefState, OracleEnvironment, run_policy
-from wssim.recovery import SenseResult, _chi2_quantile
+from wssim.recovery import SenseResult, SupportTable, _chi2_quantile
 from wssim.sensing import draw_sensing_matrix
 from wssim.spectrum import simulate_occupancy
 
@@ -222,6 +222,67 @@ class TestSignalEnvironmentMatchesReference:
         with pytest.raises(ValueError, match="slots x bands"):
             SignalEnvironment(trajectory[0], matrix, config,
                               np.random.default_rng(0))
+
+
+class RecordingEnvironment(SignalEnvironment):
+    """A SignalEnvironment keeping every slot's SenseResult.
+
+    With fresh_table, each slot senses through a new support table and
+    new plans, so no row outlives the slot that computed it.
+    """
+
+    def __init__(self, *args, fresh_table=False):
+        super().__init__(*args)
+        self.fresh_table = fresh_table
+        self.results = []
+
+    def sense(self, selected, slot, prior_vacancy=None):
+        if self.fresh_table:
+            self.support_table = SupportTable(self.matrix, self.recovery_config)
+            self._plans.clear()
+        result = super().sense(selected, slot, prior_vacancy)
+        self.results.append(result)
+        return result
+
+
+class TestSupportTableHistory:
+    """Sensing does not depend on what the support table held before."""
+
+    @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+    def test_shared_fresh_and_capped_tables_agree(self, n, k, monkeypatch):
+        config, trajectory, matrix = signal_setup(n, k, 10.0, 300, seed=11)
+        stats = config.band_statistics()
+        supports = []
+        search = recovery.fbmp_recover
+
+        def recording_search(*args):
+            found = search(*args)
+            supports.append(found[0].tolist())
+            return found
+
+        monkeypatch.setattr(recovery, "fbmp_recover", recording_search)
+
+        def run(fresh_table=False):
+            supports.clear()
+            env = RecordingEnvironment(trajectory, matrix, config,
+                                       np.random.default_rng(3),
+                                       fresh_table=fresh_table)
+            run_policy(config.policy_config("IMP"), env,
+                       np.random.default_rng(13), true_stats=stats)
+            return list(supports), [(r.statuses.tolist(), r.xi, r.residual_ratio)
+                                    for r in env.results], len(env.support_table)
+
+        shared = run()
+        fresh = run(fresh_table=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(recovery, "_MAX_SUPPORTS", 3)
+            capped = run()
+        # IMP's sets exceed the branch count, so every slot searched.
+        assert len(shared[0]) == len(shared[1]) == 300
+        assert fresh[:2] == shared[:2]
+        assert capped[:2] == shared[:2]
+        # The shared table kept rows across slots; the capped one could not.
+        assert shared[2] > 3 * n and capped[2] < shared[2]
 
 
 def test_both_backends_return_sense_result():

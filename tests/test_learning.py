@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (ReferenceOracleEnvironment, estimate_transition,
-                      reference_run_policy)
+                      reference_run_policy, success_probability)
 from wssim import learning
 from wssim.config import ExperimentConfig
 from wssim.experiments import SignalEnvironment
@@ -11,8 +11,7 @@ from wssim.learning import (EXPLOIT, BeliefState, OracleEnvironment,
                             exploit_select, explore_schedule,
                             propagate_belief, run_policy, update_counts)
 from wssim.sensing import draw_sensing_matrix
-from wssim.sizing import (exploration_threshold, optimize_size,
-                          success_probability)
+from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics,
                             simulate_occupancy, stationary_vacancy)
 

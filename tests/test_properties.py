@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from wssim.recovery import (RecoveryConfig, SensingPlan, oracle_sense,  # noqa: E402
                             signal_sense)
 from wssim.sensing import measure  # noqa: E402
-from wssim.sizing import (optimize_size, poisson_binomial_pmf,  # noqa: E402
-                          success_probability)
+from wssim.sizing import optimize_size  # noqa: E402
 from wssim.spectrum import synthesize_band_spectra  # noqa: E402
+
+from conftest import poisson_binomial_pmf, success_probability  # noqa: E402
 
 
 @st.composite

@@ -9,13 +9,16 @@ import pytest
 
 from conftest import (all_supports, exhaustive_map_support,
                       reference_greedy_recover, reference_signal_sense,
-                      reference_support_score, score_terms)
+                      reference_support_score, score_terms,
+                      solve_support_scores)
 import wssim
+from wssim import recovery
 from wssim.recovery import (RecoveryConfig, SenseResult, SensingPlan,
-                            direct_solve, energy_detect, fbmp_recover,
-                            gamma_threshold, oracle_sense, signal_sense)
-from wssim.recovery import (_chi2_quantile, _first_level_scores,
-                            _prior_log_odds, _support_scores)
+                            SupportTable, direct_solve, energy_detect,
+                            fbmp_recover, gamma_threshold, oracle_sense,
+                            signal_sense)
+from wssim.recovery import (_chi2_quantile, _prior_log_odds,
+                            _table_scores)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import synthesize_band_spectra
 
@@ -171,10 +174,10 @@ class TestFbmpRecover:
                         pairs.append((active, tuple(sorted(active + (missing[0],)))))
                 base, grown = (np.array(side, dtype=np.intp).reshape(len(pairs), -1)
                                for side in zip(*pairs))
-                better = _support_scores(szz, n_bins, a_sub, grown, sig_s,
-                                         sig_n, base_prior, gain)
-                worse = _support_scores(szz, n_bins, a_sub, base, sig_s,
-                                        sig_n, base_prior, gain)
+                better = solve_support_scores(szz, n_bins, a_sub, grown, sig_s,
+                                              sig_n, base_prior, gain)
+                worse = solve_support_scores(szz, n_bins, a_sub, base, sig_s,
+                                             sig_n, base_prior, gain)
                 assert np.all(better > worse)
 
     def test_greedy_matches_exhaustive_on_noiseless_instances(self):
@@ -208,8 +211,8 @@ class TestFbmpRecover:
                 samples, plan.cfg, m, search["prior_activity"])
             for size in range(gamma + 1):
                 supports = all_supports(m, size)
-                stacked = _support_scores(szz, n_bins, a_sub, supports, sig_s,
-                                          sig_n, base_prior, gain)
+                stacked = solve_support_scores(szz, n_bins, a_sub, supports,
+                                               sig_s, sig_n, base_prior, gain)
                 scalar = [reference_support_score(szz, n_bins, a_sub,
                                                   tuple(s), sig_s, sig_n,
                                                   base_prior, gain)
@@ -261,6 +264,13 @@ class TestEnergyDetect:
     def test_rejects_bad_fa_rate(self):
         with pytest.raises(ValueError):
             energy_detect(np.zeros((1, 4), dtype=complex), 0.01, 0.0)
+
+    def test_rejects_fa_rate_with_infinite_threshold(self):
+        # 1 - 1e-17 == 1.0: the threshold would be infinite and these two
+        # clearly busy bands would read vacant.
+        with pytest.raises(ValueError, match="energy_fa_rate"):
+            energy_detect(np.full((2, 64), 10 + 0j), 1.0, 1e-17)
+        assert energy_detect(np.full((2, 64), 10 + 0j), 1.0, 1e-16).tolist() == [1, 1]
 
     def test_quantile_equals_scipy_stats(self):
         from scipy.stats import chi2
@@ -363,21 +373,42 @@ def plan_draws(seed, k, m, count):
 
 PLAN_SHAPES = [(4, 7), (4, 6), (8, 12), (8, 16)]
 
+# Table scores against solve-based ones: |difference| <= SCORE_RTOL *
+# max(1, |score|). The inverse and the solve each err by about cond(Phi)
+# times the unit roundoff, and noiseless draws floor sig_n at 1e-10 *
+# sig_s, so cond(Phi) reaches about 1e10 for supports smaller than K.
+# Largest relative difference seen: 1.3e-5 noiseless, 9e-13 noisy.
+SCORE_RTOL = 1e-4
+NOISY_SCORE_RTOL = 1e-10
+
+
+def assert_scores_close(got, want, rtol=SCORE_RTOL):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
+
 
 class TestSensingPlan:
-    """A reused plan gives the bits of computing everything per call."""
+    """A reused plan gives the outcomes of computing everything per call.
+
+    Searches and sensing are compared bit for bit; the table's scores, to
+    SCORE_RTOL.
+    """
 
     @pytest.mark.parametrize("k, m", PLAN_SHAPES)
-    def test_first_level_scores_equal_one_at_a_time(self, k, m):
+    def test_first_level_table_scores_match_one_at_a_time(self, k, m):
+        # The search's first lookup: the empty support, then every
+        # singleton in band order.
         for plan, samples, prior in plan_draws(k * m, k, m, 10):
             szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
                 samples, plan.cfg, m, prior)
-            got = _first_level_scores(plan.first_levels, szz, n_bins,
-                                      base_prior, gain)
+            first = [()] + [(j,) for j in range(m)]
+            got = _table_scores(plan.table, first, szz.real.ravel(), n_bins,
+                                np.concatenate(([base_prior], base_prior + gain)))
             want = [reference_support_score(szz, n_bins, plan.a_sub, active,
                                             sig_s, sig_n, base_prior, gain)
-                    for active in [()] + [(j,) for j in range(m)]]
-            assert got.tolist() == want
+                    for active in first]
+            assert_scores_close(got, want)
 
     @pytest.mark.parametrize("k, m", PLAN_SHAPES)
     def test_reused_plan_search_identical_to_reference(self, k, m):
@@ -413,11 +444,140 @@ class TestSensingPlan:
         assert noiseless.band_noise.tolist() == [2e-12] * 3
 
 
+def table_keys(supports):
+    return [tuple(map(int, support)) for support in supports]
+
+
+class TestSupportTable:
+    @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
+    @pytest.mark.parametrize("k, m", [(4, 7), (8, 16)])
+    def test_scores_match_solve_reference(self, k, m, snr_db):
+        # Every support up to gamma, the empty support included, through
+        # one table per draw, which therefore also serves later sizes from
+        # rows of earlier lookups.
+        gamma = gamma_threshold(m, k)
+        rtol = SCORE_RTOL if snr_db is None else NOISY_SCORE_RTOL
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            _, _, plan, samples, search = make_instance(
+                seed, m=m, k=k, busy_count=seed % (gamma + 2), snr_db=snr_db,
+                prior=rng.uniform(0.05, 0.95, m))
+            szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
+                samples, plan.cfg, m, search["prior_activity"])
+            for size in range(gamma + 1):
+                supports = all_supports(m, size)
+                want = solve_support_scores(szz, n_bins, plan.a_sub, supports,
+                                            sig_s, sig_n, base_prior, gain)
+                log_prior = base_prior + gain[supports].sum(axis=1) \
+                    if size else np.full(len(supports), base_prior)
+                got = _table_scores(plan.table, table_keys(supports),
+                                    szz.real.ravel(), n_bins, log_prior)
+                assert_scores_close(got, want, rtol)
+
+    def test_rows_independent_of_history(self, rng, monkeypatch):
+        # Rows come out with the same bits whether computed alone, among
+        # other keys of their size and others, or after the table was
+        # emptied for being full.
+        matrix = rng.standard_normal((4, 8))
+        cfg = RecoveryConfig(noise_variance=0.1)
+        keys = [(), (1,), (0, 3), (2, 5), (6,), (1, 4, 7), (0, 1)]
+        alone = [SupportTable(matrix, cfg).lookup([key]) for key in keys]
+        monkeypatch.setattr(recovery, "_MAX_SUPPORTS", 3)
+        table = SupportTable(matrix, cfg)
+        for batch in ([keys[0], keys[3]], keys[1:6], keys, keys[::-1]):
+            inv, logdet = table.lookup(batch)
+            for i, key in enumerate(batch):
+                want_inv, want_logdet = alone[keys.index(key)]
+                assert inv[i].tobytes() == want_inv[0].tobytes()
+                assert logdet[i] == want_logdet[0]
+            assert len(table) <= max(3, len(batch))
+
+    def test_clears_when_full(self, rng, monkeypatch):
+        monkeypatch.setattr(recovery, "_MAX_SUPPORTS", 3)
+        table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
+        table.lookup([(0,), (1,)])
+        assert len(table) == 2
+        table.lookup([(0,), (1,), (2,)])
+        assert len(table) == 3
+        table.lookup([(3,)])
+        assert len(table) == 1
+        # A lookup larger than the cap keeps its own rows until the next.
+        table.lookup([(j,) for j in range(8)])
+        assert len(table) == 8
+
+    def test_own_table_over_sub_matrix_columns(self, rng):
+        a_sub = rng.standard_normal((4, 6))
+        plan = SensingPlan(a_sub, RecoveryConfig())
+        assert plan.bands == tuple(range(6))
+        assert plan.table.matrix is plan.a_sub
+        with pytest.raises(ValueError, match="together"):
+            SensingPlan(a_sub, RecoveryConfig(), bands=range(6))
+        with pytest.raises(ValueError, match="one band per column"):
+            SensingPlan(a_sub, RecoveryConfig(), range(5), plan.table)
+
+    def test_plans_of_different_sets_share_rows(self, rng):
+        matrix = rng.standard_normal((4, 8))
+        cfg = RecoveryConfig(noise_variance=0.01)
+        table = SupportTable(matrix, cfg)
+        sets = [(0, 1, 2, 3, 4, 5), (7, 3, 5, 4, 6)]
+        plans = [SensingPlan(matrix[:, list(bands)], cfg, bands, table)
+                 for bands in sets]
+        samples = [measure(plan.a_sub, synthesize_band_spectra(
+                       np.eye(len(plan.bands), dtype=np.int8)[1], 16, 1.0, rng),
+                       20.0, rng) for plan in plans]
+        # One level: the empty support and the six singletons of the
+        # first set, then only the second set's new bands 6 and 7.
+        fbmp_recover(samples[0], plans[0], 1)
+        assert len(table) == 7
+        fbmp_recover(samples[1], plans[1], 1)
+        assert len(table) == 9
+        # Deeper levels reuse every pair of the common bands 3, 4, 5.
+        fbmp_recover(samples[0], plans[0], 2)
+        rows = len(table)
+        inv, logdet = table.lookup([(3, 4), (3, 5), (4, 5)])
+        assert len(table) == rows
+        fresh_inv, fresh_logdet = SupportTable(matrix, cfg).lookup(
+            [(3, 4), (3, 5), (4, 5)])
+        assert inv.tobytes() == fresh_inv.tobytes()
+        assert logdet.tobytes() == fresh_logdet.tobytes()
+        # The unsorted set's search finds the same support as the
+        # reference on its own sub-matrix.
+        for plan, z in zip(plans, samples):
+            support, x_hat, ratio = fbmp_recover(z, plan, 2)
+            want = reference_greedy_recover(z, plan.a_sub, cfg, 2)
+            assert support.tobytes() == want[0].tobytes()
+            assert x_hat.tobytes() == want[1].tobytes()
+            assert ratio == want[2]
+
+
 class TestRecoveryConfig:
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_signal_variance(self, value):
         with pytest.raises(ValueError, match="signal_variance"):
             RecoveryConfig(signal_variance=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.1, float("nan")])
+    def test_rejects_fa_rate_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match="energy_fa_rate"):
+            RecoveryConfig(energy_fa_rate=value)
+
+    def test_fa_rate_check_leaves_scipy_unloaded(self):
+        # The range check is SciPy-free; only detection imports SciPy.
+        code = "\n".join([
+            "import sys",
+            "from wssim.recovery import RecoveryConfig",
+            "RecoveryConfig(energy_fa_rate=0.05)",
+            "try:",
+            "    RecoveryConfig(energy_fa_rate=2.0)",
+            "except ValueError:",
+            "    pass",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+        src = str(Path(wssim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
     def test_rejects_zero_search_breadth(self):
         with pytest.raises(ValueError, match="search_breadth"):

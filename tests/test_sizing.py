@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from wssim.sizing import (exploration_threshold, mu_correct, optimize_size,
-                          poisson_binomial_pmf, success_probability)
+from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import CASE_STATIONARY
 
-from conftest import brute_force_busy_pmf, brute_force_best_set
+from conftest import (brute_force_busy_pmf, brute_force_best_set, mu_correct,
+                      poisson_binomial_pmf, success_probability)
 
 CASE2_TOP5_VACANCY = [0.90, 0.80, 0.70, 0.65, 0.60]
 
