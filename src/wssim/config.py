@@ -1,9 +1,10 @@
 """Experiment configuration: declarative description of one run.
 
-Configs live in flat ``key = value`` text files (``#`` starts a comment).
-Band statistics come either from a named case or from explicit per-band
-transition vectors; explicit vectors win when both are present, so an
-emitted manifest reloads to the exact same experiment.
+Configs live in flat ``key = value`` text files (``#`` starts a comment),
+each key at most once; a value that does not parse is an error naming its
+key and line. Band statistics come either from a named case or from
+explicit per-band transition vectors; explicit vectors win when both are
+present, so an emitted manifest reloads to the exact same experiment.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .learning import POLICY_MODES, PolicyConfig
-from .recovery import detection_quantile
+from .recovery import RecoveryConfig, detection_quantile
+from .sensing import noise_power_for_snr
 from .spectrum import CASE_STATIONARY, BandStatistics
 
 RS_MODES = ("oracle", "signal")
@@ -50,16 +52,24 @@ class ExperimentConfig:
                             exploration_coefficient=self.exploration_coefficient,
                             mu=self.mu, delta=self.delta, mode=mode)
 
+    def recovery_config(self) -> RecoveryConfig:
+        """The signal-mode recovery settings of this experiment."""
+        return RecoveryConfig(noise_variance=noise_power_for_snr(self.snr_db),
+                              search_breadth=self.search_breadth,
+                              energy_fa_rate=self.energy_fa_rate,
+                              residual_threshold=self.residual_threshold)
+
     def validate(self) -> None:
         """Reject invalid fields with a message naming the field.
 
         Integer fields must hold Python or numpy integers, so NaN and
         non-integral values fail, and float checks are written so that NaN
-        fails them. In signal mode this also evaluates the energy
-        detector's quantile, as energy_detect will: it rejects an
-        energy_fa_rate so small that 1 - energy_fa_rate rounds to 1 and the
-        threshold is infinite, and it imports scipy.special here, in
-        set-up, rather than on the run's first detection. Oracle mode has
+        fails them. The recovery fields are checked by building
+        recovery_config(), in either mode. In signal mode this also
+        evaluates the energy detector's quantile, as energy_detect will: it
+        rejects an energy_fa_rate so small that 1 - energy_fa_rate rounds to
+        1 and the threshold is infinite, and it imports scipy.special here,
+        in set-up, rather than on the run's first detection. Oracle mode has
         no detector and never imports SciPy.
         """
         for name in sorted(_INT_KEYS):
@@ -84,14 +94,9 @@ class ExperimentConfig:
             raise ValueError("lambda_mixing must lie in (0, 1]")
         if self.bins_per_band < 1:
             raise ValueError("bins_per_band must be at least 1")
-        if not 0.0 < self.energy_fa_rate < 1.0:
-            raise ValueError("energy_fa_rate must lie in (0, 1)")
+        self.recovery_config()
         if self.rs_mode == "signal":
             detection_quantile(self.energy_fa_rate, self.bins_per_band)
-        if self.search_breadth < 1:
-            raise ValueError("search_breadth must be at least 1")
-        if not self.residual_threshold > 0.0:
-            raise ValueError("residual_threshold must be positive")
         if (self.p01 is None) != (self.p10 is None):
             raise ValueError("p01 and p10 must be given together")
         if self.p01 is not None:
@@ -129,25 +134,30 @@ _FLOAT_KEYS = {"exploration_coefficient", "mu", "delta", "lambda_mixing",
 _ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
-def _parse_value(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key == "snr_db":
-        return None if raw.lower() in ("noiseless", "none", "inf") else float(raw)
-    if key == "policies":
-        return tuple(part.strip().upper() for part in raw.split(",") if part.strip())
-    if key in ("p01", "p10"):
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    if key in ("case", "rs_mode"):
-        return raw.strip()
-    raise ValueError(f"unknown configuration key: {key}")
+def _parse_value(key: str, raw: str, where: str = ""):
+    """The value of one config key from its text; every error names the key
+    and starts with where (a file's path:lineno)."""
+    if key not in _ALL_KEYS:
+        raise ValueError(f"{where}unknown configuration key: {key}")
+    try:
+        if key in _INT_KEYS:
+            return int(raw)
+        if key in _FLOAT_KEYS:
+            return float(raw)
+        if key == "snr_db":
+            return None if raw.lower() in ("noiseless", "none", "inf") else float(raw)
+        if key == "policies":
+            return tuple(part.strip().upper() for part in raw.split(",") if part.strip())
+        if key in ("p01", "p10"):
+            return tuple(float(part) for part in raw.split(",") if part.strip())
+    except ValueError as exc:
+        raise ValueError(f"{where}cannot parse {key} = {raw!r}: {exc}") from None
+    return raw.strip()   # case, rs_mode
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a flat key = value config file."""
-    values = {}
+    """Parse a flat key = value config file; errors give path:lineno."""
+    values, first_line = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -155,9 +165,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown configuration key: {key}")
-        values[key] = _parse_value(key, raw)
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: {key} repeats line {first_line[key]}")
+        values[key] = _parse_value(key, raw, f"{path}:{lineno}: ")
+        first_line[key] = lineno
     return ExperimentConfig(**values)
 
 

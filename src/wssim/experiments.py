@@ -11,18 +11,20 @@ backends check the trajectory once, with spectrum.check_trajectory, and
 return a recovery.SenseResult per slot.
 
 In signal mode each policy senses through a SignalEnvironment, which
-keeps one recovery.SupportTable over the whole sensing matrix and one
-recovery.SensingPlan per distinct selected set (its sub-matrix and bands,
-the environment's RecoveryConfig and table), built the first time the set
-is sensed. Each slot hands signal_sense the plan, the slot's samples and
-the selected bands' busy priors, nothing else. At most _MAX_PLANS plans
-(the oldest goes first) and recovery._MAX_SUPPORTS table rows are kept,
-which bounds memory whatever the horizon. Plans and table return the same
-values whatever they held before and the slot's random draws are
-unchanged, so the output depends on the config alone. It matches
-building everything on every slot except where two supports' search
-scores tie to the last bits, which the table's cached inverses can change
-(see recovery).
+keeps one recovery.SupportTable over the whole sensing matrix, with the
+RecoveryConfig that ExperimentConfig.recovery_config() builds, and one
+recovery.SensingPlan per distinct selected set, a view of that table
+built the first time the set is sensed. Signal power is the unit: busy
+bands carry mean power 1 per bin and the noise power per bin is
+10^(-snr_db/10). Each slot hands signal_sense the plan, the slot's
+samples and the selected bands' busy priors, nothing else. At most
+_MAX_PLANS plans (the oldest goes first) and recovery._MAX_SUPPORTS table
+rows are kept, which bounds memory whatever the horizon. Plans and table
+return the same values whatever they held before and the slot's random
+draws are unchanged, so the output depends on the config alone. It
+matches building everything on every slot except where two supports'
+search scores tie to the last bits, which the table's cached inverses
+can change (see recovery).
 """
 
 from __future__ import annotations
@@ -35,14 +37,11 @@ import numpy as np
 
 from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, run_policy
-from .recovery import (RecoveryConfig, SenseResult, SensingPlan, SupportTable,
-                       signal_sense)
-from .sensing import (draw_sensing_matrix, measure, noise_power_for_snr,
-                      select_submatrix)
+from .recovery import SenseResult, SensingPlan, SupportTable, signal_sense
+from .sensing import draw_sensing_matrix, measure
 from .spectrum import (BandStatistics, check_trajectory, simulate_occupancy,
                        synthesize_band_spectra)
 
-SIGNAL_POWER = 1.0
 # Sensing plans kept per SignalEnvironment: every subset of 8 bands.
 _MAX_PLANS = 256
 
@@ -62,23 +61,16 @@ class SignalEnvironment:
     """Sensing backend running the full measurement and recovery chain.
 
     The trajectory is checked by spectrum.check_trajectory, and the
-    recovery config and the support table of the whole matrix are built
-    once, here.
+    support table of the whole matrix, with the config's recovery
+    settings, is built once, here.
     """
 
     def __init__(self, trajectory: np.ndarray, matrix: np.ndarray,
                  config: ExperimentConfig, rng: np.random.Generator):
         self.trajectory = check_trajectory(trajectory)
-        self.matrix = matrix
         self.config = config
         self.rng = rng
-        self.noise_power = noise_power_for_snr(config.snr_db, SIGNAL_POWER)
-        self.recovery_config = RecoveryConfig(
-            signal_variance=SIGNAL_POWER, noise_variance=self.noise_power,
-            search_breadth=config.search_breadth,
-            energy_fa_rate=config.energy_fa_rate,
-            residual_threshold=config.residual_threshold)
-        self.support_table = SupportTable(matrix, self.recovery_config)
+        self.support_table = SupportTable(matrix, config.recovery_config())
         self._plans: dict[tuple[int, ...], SensingPlan] = {}
 
     def _plan(self, selected) -> SensingPlan:
@@ -88,9 +80,7 @@ class SignalEnvironment:
         if plan is None:
             if len(self._plans) >= _MAX_PLANS:
                 del self._plans[next(iter(self._plans))]
-            plan = self._plans[key] = SensingPlan(
-                select_submatrix(self.matrix, key), self.recovery_config,
-                key, self.support_table)
+            plan = self._plans[key] = SensingPlan(self.support_table, key)
         return plan
 
     def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
@@ -98,9 +88,8 @@ class SignalEnvironment:
         plan = self._plan(selected)
         selected = np.asarray(selected)
         grid = synthesize_band_spectra(self.trajectory[slot],
-                                       cfg.bins_per_band, SIGNAL_POWER, self.rng)
-        samples = measure(plan.a_sub, grid[selected], cfg.snr_db,
-                          self.rng, signal_power=SIGNAL_POWER)
+                                       cfg.bins_per_band, self.rng)
+        samples = measure(plan.a_sub, grid[selected], cfg.snr_db, self.rng)
         if prior_vacancy is None:
             prior_activity = 0.5
         else:

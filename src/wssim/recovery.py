@@ -7,13 +7,18 @@ or overdetermined, greedy Bayesian support search otherwise), runs an
 energy detector, and declares reconstruction failure from the detected
 busy count and the relative fit residual. Both return a SenseResult.
 
+Signal power is the unit: a busy band's mean per-bin power is 1, and the
+per-bin noise power of an SNR is 10^(-SNR/10) (sensing.noise_power_for_snr).
+The model floors _MODEL_FLOOR (the search's noise variance) and
+_DETECT_FLOOR (the detector's noise level) are therefore absolute.
+
 A SensingPlan is the one way set-level inputs reach signal_sense and
-fbmp_recover: the selected set's K x m sensing sub-matrix, its bands, the
-RecoveryConfig, the SupportTable the search scores from, and what follows
-from those alone, not from the slot's samples or priors. Besides the plan,
-those calls take only the slot's samples and busy priors (and
-fbmp_recover its search depth), so a caller sensing the same set again
-passes the same plan back in.
+fbmp_recover. It is a view of a SupportTable: the table holds the K x N
+sensing matrix and the RecoveryConfig, and the plan adds the selected
+bands, their K x m sub-matrix and what follows from those alone, not from
+the slot's samples or priors. Besides the plan, those calls take only the
+slot's samples and busy priors (and fbmp_recover its search depth), so a
+caller sensing the same set again passes the same plan back in.
 
 The search scores each support S from Phi_S^-1 and log det Phi_S, which
 a SupportTable keeps keyed by the sorted tuple of S's absolute bands, at
@@ -41,7 +46,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Relative noise-variance floors keeping the Gaussian model and the energy
+from .sensing import select_submatrix
+
+# Absolute noise-variance floors keeping the Gaussian model and the energy
 # threshold well defined when the configured noise power is exactly zero.
 _MODEL_FLOOR = 1e-10
 _DETECT_FLOOR = 1e-12
@@ -57,21 +64,24 @@ class SenseResult(NamedTuple):
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Knobs of the signal-mode recovery chain, checked once when built."""
+    """Knobs of the signal-mode recovery chain, checked once when built
+    (NaN fails every check, and none imports SciPy). noise_variance is per
+    bin, in units of the signal power."""
 
-    signal_variance: float = 1.0
     noise_variance: float = 0.0
     search_breadth: int = 5
     energy_fa_rate: float = 0.05
     residual_threshold: float = 0.1
 
     def __post_init__(self):
-        if not self.signal_variance > 0.0:
-            raise ValueError("signal_variance must be positive")
+        if not 0.0 <= self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be finite and nonnegative")
         if self.search_breadth < 1:
             raise ValueError("search_breadth must be at least 1")
         if not 0.0 < self.energy_fa_rate < 1.0:
             raise ValueError("energy_fa_rate must lie in (0, 1)")
+        if not self.residual_threshold > 0.0:
+            raise ValueError("residual_threshold must be positive")
 
 
 def gamma_threshold(set_size: int, k_branches: int) -> int:
@@ -125,14 +135,13 @@ def _prior_log_odds(prior_activity, m: int):
     return np.add.reduce(log_1q), log_q - log_1q
 
 
-def _support_covariances(a_sub: np.ndarray, supports: np.ndarray,
-                         sig_s: float, sig_n: float):
+def _support_covariances(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
     """Measurement covariances of busy sets and their log-determinants.
 
     supports is a (C, s) index array of C supports of equal size s (s = 0
     is the empty support). The active bands are modelled as zero-mean
-    complex Gaussian with per-bin variance sig_s, so the measurement
-    covariance per bin is Phi = sig_n * I + sig_s * A_S A_S^T. Returns the
+    complex Gaussian with unit per-bin variance, so the measurement
+    covariance per bin is Phi = sig_n * I + A_S A_S^T. Returns the
     (C, k, k) stack of Phi, built with one batched matmul, and log det Phi
     from one stacked Cholesky factorisation.
     """
@@ -140,22 +149,21 @@ def _support_covariances(a_sub: np.ndarray, supports: np.ndarray,
     # (C, k, s) with every k x s block C-contiguous, the layout of
     # a_sub[:, support] for a single support.
     a_s = np.ascontiguousarray(a_sub[:, supports].transpose(1, 0, 2))
-    phi = sig_n * np.eye(k) + sig_s * (a_s @ a_s.transpose(0, 2, 1))
+    phi = sig_n * np.eye(k) + (a_s @ a_s.transpose(0, 2, 1))
     chol = np.linalg.cholesky(phi)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     return phi, logdet
 
 
 def _conditional_mean(samples: np.ndarray, a_sub: np.ndarray,
-                      active: tuple[int, ...], sig_s: float,
-                      sig_n: float) -> np.ndarray:
+                      active: tuple[int, ...], sig_n: float) -> np.ndarray:
     """Posterior-mean spectra given the support; inactive rows are zero."""
     m = a_sub.shape[1]
     x_hat = np.zeros((m, samples.shape[1]), dtype=np.complex128)
     if active:
         a_s = a_sub[:, list(active)]
-        phi = sig_n * np.eye(a_sub.shape[0]) + sig_s * (a_s @ a_s.T)
-        x_hat[list(active)] = sig_s * (a_s.T @ np.linalg.solve(phi, samples))
+        phi = sig_n * np.eye(a_sub.shape[0]) + (a_s @ a_s.T)
+        x_hat[list(active)] = a_s.T @ np.linalg.solve(phi, samples)
     return x_hat
 
 
@@ -171,26 +179,21 @@ def _residual_ratio(samples: np.ndarray, fitted: np.ndarray) -> float:
 _MAX_SUPPORTS = 4096
 
 
-def _model_variances(cfg: RecoveryConfig) -> tuple[float, float]:
-    """The search's signal and (floored) noise variances sig_s and sig_n."""
-    sig_s = float(cfg.signal_variance)
-    return sig_s, max(float(cfg.noise_variance), _MODEL_FLOOR * sig_s)
-
-
 class SupportTable:
     """Phi_S^-1 and log det Phi_S of busy sets S, keyed by absolute bands.
 
-    matrix is the K x N sensing matrix and cfg the recovery config giving
-    the model variances. A key is the sorted tuple of a support's columns
-    of matrix (its bands), () being the empty support. Phi_S = sig_n * I +
-    sig_s * A_S A_S^T depends on those bands alone, not on the set they
-    were sensed in, so all plans over one matrix and config can share one
-    table. A lookup computes its missing rows with one _support_covariances
-    call per support size and one stacked inverse, and keeps them. Each
-    row is a function of its key alone (stacked LAPACK calls treat every
-    matrix as a single call would), so a lookup returns the same bits
-    whatever the table held before. A lookup that would take the table
-    past _MAX_SUPPORTS rows empties it first.
+    matrix is the K x N sensing matrix and cfg the recovery config; sig_n
+    is the search's model noise variance, cfg.noise_variance floored at
+    _MODEL_FLOOR. A key is the sorted tuple of a support's columns of
+    matrix (its bands), () being the empty support. Phi_S = sig_n * I +
+    A_S A_S^T depends on those bands alone, not on the set they were
+    sensed in, so all plans over one table share its rows. A lookup
+    computes its missing rows with one _support_covariances call per
+    support size and one stacked inverse, and keeps them. Each row is a
+    function of its key alone (stacked LAPACK calls treat every matrix as
+    a single call would), so a lookup returns the same bits whatever the
+    table held before. A lookup that would take the table past
+    _MAX_SUPPORTS rows empties it first.
     """
 
     def __init__(self, matrix: np.ndarray, cfg: RecoveryConfig):
@@ -198,7 +201,8 @@ class SupportTable:
         if matrix.ndim != 2:
             raise ValueError("matrix must be two-dimensional")
         self.matrix = matrix
-        self.sig_s, self.sig_n = _model_variances(cfg)
+        self.cfg = cfg
+        self.sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
         k = matrix.shape[0]
         self._rows: dict[tuple[int, ...], int] = {}
         self._inv = np.empty((0, k, k))
@@ -235,7 +239,7 @@ class SupportTable:
             by_size.setdefault(len(key), []).append(key)
         stacks = [_support_covariances(
                       self.matrix, np.array(group, dtype=np.intp).reshape(len(group), size),
-                      self.sig_s, self.sig_n)
+                      self.sig_n)
                   for size, group in by_size.items()]
         phi, logdet = (np.concatenate(parts) for parts in zip(*stacks))
         self._inv[start:stop] = np.linalg.inv(phi)
@@ -247,48 +251,32 @@ class SupportTable:
 class SensingPlan:
     """Everything signal sensing of one band set takes besides the slot.
 
-    a_sub is the set's K x m sensing sub-matrix, kept as given, in
-    select_submatrix's memory layout, so that products with it match the
-    per-slot code bit for bit; K is its row count. cfg is the recovery
-    config. sig_s and sig_n are the search's model variances. bands are
-    the set's bands in selection order, column j of a_sub being column
-    bands[j] of table.matrix, and table is the SupportTable the search
-    scores from; a SignalEnvironment passes its one table, shared by all
-    its plans. Without them the plan gets a table of its own over a_sub's
-    columns, bands 0 to m - 1.
+    A plan is a view of table, the SupportTable the search scores from:
+    the recovery config and the sensing matrix are the table's, and a
+    SignalEnvironment's plans all share its one table. bands are the set's
+    bands in selection order. a_sub is the set's K x m sensing sub-matrix,
+    select_submatrix(table.matrix, bands), in the memory layout per-slot
+    code gets, so that products with it match that code bit for bit;
+    column j is column bands[j] of the matrix, and K is its row count.
 
     band_noise (direct path, m <= K) is built on first use and read on
     every later slot: the energy detector's per-band noise
-    max(noise_variance * diag((A_S^T A_S)^-1), floor). Least squares
-    colours the noise, so each band is thresholded at its post-inversion
-    noise level.
+    max(noise_variance * diag((A_S^T A_S)^-1), _DETECT_FLOOR). Least
+    squares colours the noise, so each band is thresholded at its
+    post-inversion noise level.
     """
 
-    def __init__(self, a_sub: np.ndarray, cfg: RecoveryConfig,
-                 bands: Sequence[int] | None = None,
-                 table: SupportTable | None = None):
-        a_sub = np.asarray(a_sub, dtype=float)
-        if a_sub.ndim != 2:
-            raise ValueError("a_sub must be two-dimensional")
-        if (bands is None) != (table is None):
-            raise ValueError("bands and table must be given together")
-        self.a_sub = a_sub
-        self.cfg = cfg
-        self.sig_s, self.sig_n = _model_variances(cfg)
-        self.detect_floor = _DETECT_FLOOR * self.sig_s
-        if table is None:
-            bands, table = range(a_sub.shape[1]), SupportTable(a_sub, cfg)
-        self.bands = tuple(map(int, bands))
-        if len(self.bands) != a_sub.shape[1]:
-            raise ValueError("bands must name one band per column of a_sub")
+    def __init__(self, table: SupportTable, bands: Sequence[int]):
         self.table = table
+        self.bands = tuple(map(int, bands))
+        self.a_sub = select_submatrix(table.matrix, self.bands)
         self.band_index = np.array(self.bands, dtype=np.intp)
         self.position = {band: j for j, band in enumerate(self.bands)}
 
     @functools.cached_property
     def band_noise(self) -> np.ndarray:
         gram_inv_diag = np.diag(np.linalg.inv(self.a_sub.T @ self.a_sub))
-        return np.maximum(self.cfg.noise_variance * gram_inv_diag, self.detect_floor)
+        return np.maximum(self.table.cfg.noise_variance * gram_inv_diag, _DETECT_FLOOR)
 
 
 def _table_scores(table: SupportTable, keys, szz: np.ndarray, n_bins: int,
@@ -309,7 +297,7 @@ def _table_scores(table: SupportTable, keys, szz: np.ndarray, n_bins: int,
 def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
     """Greedy maximum-a-posteriori search over busy-band supports.
 
-    Supports grow one band at a time; the best plan.cfg.search_breadth
+    Supports grow one band at a time; the best plan.table.cfg.search_breadth
     candidates per size survive, up to size gamma. prior_activity is the
     per-band prior probability of being busy (a scalar or one entry per
     selected band). Candidates are sorted tuples of the plan's bands.
@@ -329,7 +317,7 @@ def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
     n_bins = samples.shape[1]
     if not 0 <= gamma <= m:
         raise ValueError("gamma must lie in [0, set size]")
-    breadth = plan.cfg.search_breadth
+    breadth = table.cfg.search_breadth
     base_prior, prior_gain = _prior_log_odds(prior_activity, m)
     szz = (samples @ samples.conj().T).real.ravel()
     # The prior log-odds indexed by band rather than by selection position.
@@ -362,7 +350,7 @@ def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
             best_active, best_score = ranked[0]
 
     active = tuple(sorted(plan.position[band] for band in best_active))
-    x_hat = _conditional_mean(samples, plan.a_sub, active, plan.sig_s, plan.sig_n)
+    x_hat = _conditional_mean(samples, plan.a_sub, active, table.sig_n)
     ratio = _residual_ratio(samples, plan.a_sub @ x_hat)
     support = np.zeros(m, dtype=np.int8)
     support[list(active)] = 1
@@ -434,10 +422,10 @@ def signal_sense(z, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     exactly and always succeed; larger sets go through the greedy support
     search with prior_activity as the busy prior, and fail when the
     detected busy count exceeds the recoverable limit or the relative
-    residual exceeds plan.cfg.residual_threshold.
+    residual exceeds the config's residual_threshold.
     """
     samples = np.asarray(z)
-    a_sub, cfg = plan.a_sub, plan.cfg
+    a_sub, cfg = plan.a_sub, plan.table.cfg
     k, m = a_sub.shape
     limit = gamma_threshold(m, k)
     if m <= k:
@@ -447,7 +435,7 @@ def signal_sense(z, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
         xi = 0
     else:
         _, x_hat, ratio = fbmp_recover(samples, plan, limit, prior_activity)
-        statuses = energy_detect(x_hat, max(cfg.noise_variance, plan.detect_floor),
+        statuses = energy_detect(x_hat, max(cfg.noise_variance, _DETECT_FLOOR),
                                  cfg.energy_fa_rate)
         # The raw residual of a correct fit still contains the measurement
         # noise, so the failure statistic discounts the expected noise

@@ -2,7 +2,8 @@
 
 A bank of K mixing branches observes the selected bands through a fixed
 K x N coefficient matrix; per frequency bin the measurement is the mixed
-band content plus optional additive white Gaussian noise.
+band content plus optional additive white Gaussian noise. Signal power is
+the unit, so the per-bin noise power at an SNR of s dB is 10^(-s/10).
 """
 
 from __future__ import annotations
@@ -50,22 +51,25 @@ def select_submatrix(matrix: np.ndarray, selected: Sequence[int]) -> np.ndarray:
     return matrix[:, idx]
 
 
-def noise_power_for_snr(snr_db: float | None, signal_power: float = 1.0) -> float:
+def noise_power_for_snr(snr_db: float | None) -> float:
     """Per-bin noise power giving the requested per-busy-band SNR (None = noiseless)."""
     if snr_db is None or np.isinf(snr_db):
         return 0.0
-    return signal_power * 10.0 ** (-snr_db / 10.0)
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db = {snr_db!r} overflows the noise power") from None
 
 
 def measure(a_sub: np.ndarray, band_rows: np.ndarray, snr_db: float | None,
-            rng: np.random.Generator, signal_power: float = 1.0) -> np.ndarray:
+            rng: np.random.Generator) -> np.ndarray:
     """Mix the selected band spectra through the branch coefficients.
 
     Returns the (k_branches, bins) sub-Nyquist samples of one slot, one
     column per frequency bin. Per bin f the measurement is
     a_sub @ band_rows[:, f] plus complex AWGN whose per-bin power makes the
-    busy-band SNR equal snr_db. Passing snr_db=None (or +inf) produces a
-    noiseless measurement.
+    busy-band SNR equal snr_db at unit signal power. Passing snr_db=None
+    (or +inf) produces a noiseless measurement.
     """
     a_sub = np.asarray(a_sub, dtype=float)
     band_rows = np.asarray(band_rows)
@@ -74,7 +78,7 @@ def measure(a_sub: np.ndarray, band_rows: np.ndarray, snr_db: float | None,
     if a_sub.shape[1] != band_rows.shape[0]:
         raise ValueError("a_sub column count must equal the number of selected bands")
     samples = a_sub @ band_rows
-    noise_power = noise_power_for_snr(snr_db, signal_power)
+    noise_power = noise_power_for_snr(snr_db)
     if noise_power > 0.0:
         k, bins = samples.shape
         noise = (rng.standard_normal((k, bins))

@@ -5,6 +5,8 @@ Each frequency band is an independent two-state Markov chain (0 = vacant,
 (slots, bands) int8 array, checked once by check_trajectory where it
 enters a sensing backend. Busy bands carry a flat complex-Gaussian
 spectrum on a (bands, bins) grid; vacant bands' rows are identically zero.
+Signal power is the unit: every busy row has mean power 1 per bin, and
+the SNR sets the noise power relative to it (sensing.noise_power_for_snr).
 """
 
 from __future__ import annotations
@@ -138,25 +140,22 @@ def simulate_occupancy(stats: BandStatistics, horizon: int,
 
 
 def synthesize_band_spectra(statuses: np.ndarray, bins_per_band: int,
-                            signal_power: float,
                             rng: np.random.Generator) -> np.ndarray:
     """Fill busy bands with flat-spectrum circular complex Gaussian content.
 
     Returns one slot's (bands, bins) complex grid. statuses is a 0/1
     vector used as is: a caller passing trajectory rows checks them once,
     with check_trajectory, not per slot. Each busy row is rescaled so its
-    mean per-bin power equals signal_power exactly; vacant rows stay zero,
+    mean per-bin power is exactly 1; vacant rows stay zero,
     so the support of the grid equals the busy set.
     """
     if bins_per_band < 1:
         raise ValueError("bins_per_band must be at least 1")
-    if signal_power <= 0.0:
-        raise ValueError("signal_power must be positive")
     grid = np.zeros((len(statuses), bins_per_band), dtype=np.complex128)
     busy = np.flatnonzero(statuses)
     if busy.size:
         raw = (rng.standard_normal((busy.size, bins_per_band))
                + 1j * rng.standard_normal((busy.size, bins_per_band)))
         mean_power = np.mean(np.abs(raw) ** 2, axis=1)
-        grid[busy] = raw * np.sqrt(signal_power / mean_power)[:, None]
+        grid[busy] = raw * np.sqrt(1.0 / mean_power)[:, None]
     return grid

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from wssim.experiments import SIGNAL_POWER
 from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
 from wssim.recovery import (_DETECT_FLOOR, _MODEL_FLOOR, RecoveryConfig,
@@ -100,8 +99,8 @@ def brute_force_best_set(vacancy_probs, k_branches):
     return best_set, best_value
 
 
-def solve_support_scores(szz, n_bins, a_sub, supports, sig_s, sig_n,
-                         base_prior, prior_gain):
+def solve_support_scores(szz, n_bins, a_sub, supports, sig_n, base_prior,
+                         prior_gain):
     """Log posterior (up to a support-independent constant) of busy sets.
 
     The solve-based reference scorer of wssim.recovery.SupportTable's
@@ -112,15 +111,15 @@ def solve_support_scores(szz, n_bins, a_sub, supports, sig_s, sig_n,
     solve. Stacked LAPACK calls run the same routine once per matrix, so
     each score is bit-identical to reference_support_score's.
     """
-    phi, logdet = _support_covariances(a_sub, supports, sig_s, sig_n)
+    phi, logdet = _support_covariances(a_sub, supports, sig_n)
     log_prior = base_prior + prior_gain[supports].sum(axis=1) \
         if supports.shape[1] else base_prior
     quad = np.trace(np.linalg.solve(phi, szz), axis1=1, axis2=2).real
     return -n_bins * logdet - quad + log_prior
 
 
-def reference_support_score(szz, n_bins, a_sub, active, sig_s, sig_n,
-                            base_prior, prior_gain):
+def reference_support_score(szz, n_bins, a_sub, active, sig_n, base_prior,
+                            prior_gain):
     """Log posterior of one busy set, one Cholesky and one solve at a time.
 
     The scalar form of solve_support_scores, which must match it bit for
@@ -130,7 +129,7 @@ def reference_support_score(szz, n_bins, a_sub, active, sig_s, sig_n,
     phi = sig_n * np.eye(k)
     if active:
         a_s = a_sub[:, list(active)]
-        phi = phi + sig_s * (a_s @ a_s.T)
+        phi = phi + (a_s @ a_s.T)
     chol = np.linalg.cholesky(phi)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
     quad = np.trace(np.linalg.solve(phi, szz)).real
@@ -139,12 +138,11 @@ def reference_support_score(szz, n_bins, a_sub, active, sig_s, sig_n,
 
 
 def score_terms(samples, cfg, m, prior_activity=0.5):
-    """(szz, n_bins, sig_s, sig_n, base_prior, prior_gain) as fbmp_recover derives them."""
-    sig_s = float(cfg.signal_variance)
-    sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR * sig_s)
+    """(szz, n_bins, sig_n, base_prior, prior_gain) as fbmp_recover derives them."""
+    sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
     base_prior, prior_gain = _prior_log_odds(prior_activity, m)
-    return (samples @ samples.conj().T, samples.shape[1], sig_s, sig_n,
-            base_prior, prior_gain)
+    return (samples @ samples.conj().T, samples.shape[1], sig_n, base_prior,
+            prior_gain)
 
 
 def reference_greedy_recover(samples, a_sub, cfg, gamma, prior_activity=0.5):
@@ -154,12 +152,12 @@ def reference_greedy_recover(samples, a_sub, cfg, gamma, prior_activity=0.5):
     stable ranking, scalar scores.
     """
     m = a_sub.shape[1]
-    szz, n_bins, sig_s, sig_n, base_prior, prior_gain = score_terms(
+    szz, n_bins, sig_n, base_prior, prior_gain = score_terms(
         samples, cfg, m, prior_activity)
 
     def score(active):
-        return reference_support_score(szz, n_bins, a_sub, active, sig_s,
-                                       sig_n, base_prior, prior_gain)
+        return reference_support_score(szz, n_bins, a_sub, active, sig_n,
+                                       base_prior, prior_gain)
 
     best_active, best_score = (), score(())
     frontier = [()]
@@ -178,7 +176,7 @@ def reference_greedy_recover(samples, a_sub, cfg, gamma, prior_activity=0.5):
         frontier = [active for active, _ in ranked[:cfg.search_breadth]]
         if ranked[0][1] > best_score:
             best_active, best_score = ranked[0]
-    x_hat = _conditional_mean(samples, a_sub, best_active, sig_s, sig_n)
+    x_hat = _conditional_mean(samples, a_sub, best_active, sig_n)
     ratio = _residual_ratio(samples, a_sub @ x_hat)
     support = np.zeros(m, dtype=np.int8)
     support[list(best_active)] = 1
@@ -198,13 +196,13 @@ def exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity=0.5):
     (size, lexicographic) order wins ties.
     """
     m = a_sub.shape[1]
-    szz, n_bins, sig_s, sig_n, base_prior, prior_gain = score_terms(
+    szz, n_bins, sig_n, base_prior, prior_gain = score_terms(
         samples, cfg, m, prior_activity)
     best_active, best_score = (), -np.inf
     for size in range(gamma + 1):
         supports = all_supports(m, size)
-        scores = solve_support_scores(szz, n_bins, a_sub, supports, sig_s,
-                                      sig_n, base_prior, prior_gain)
+        scores = solve_support_scores(szz, n_bins, a_sub, supports, sig_n,
+                                      base_prior, prior_gain)
         top = int(np.argmax(scores))
         if scores[top] > best_score:
             best_active, best_score = tuple(supports[top]), scores[top]
@@ -239,20 +237,19 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
     if k != k_branches:
         raise ValueError("a_sub row count must equal k_branches")
     limit = gamma_threshold(m, k_branches)
-    detect_floor = _DETECT_FLOOR * float(cfg.signal_variance)
     if m <= k_branches:
         x_hat = direct_solve(samples, a_sub)
         # Least squares colours the noise; threshold each band at its
         # post-inversion noise level.
         gram_inv_diag = np.diag(np.linalg.inv(a_sub.T @ a_sub))
-        per_band_noise = np.maximum(cfg.noise_variance * gram_inv_diag, detect_floor)
+        per_band_noise = np.maximum(cfg.noise_variance * gram_inv_diag, _DETECT_FLOOR)
         statuses = energy_detect(x_hat, per_band_noise, cfg.energy_fa_rate)
         ratio = _residual_ratio(samples, a_sub @ x_hat)
         xi = 0
     else:
         _, x_hat, ratio = reference_greedy_recover(samples, a_sub, cfg, limit,
                                                    prior_activity)
-        statuses = energy_detect(x_hat, max(cfg.noise_variance, detect_floor),
+        statuses = energy_detect(x_hat, max(cfg.noise_variance, _DETECT_FLOOR),
                                  cfg.energy_fa_rate)
         z_energy = float(np.sum(np.abs(samples) ** 2))
         n_terms = samples.size
@@ -278,22 +275,19 @@ class ReferenceSignalEnvironment:
         self.matrix = matrix
         self.config = config
         self.rng = rng
-        self.noise_power = noise_power_for_snr(config.snr_db, SIGNAL_POWER)
 
     def sense(self, selected, slot, prior_vacancy=None):
         cfg = self.config
         selected = np.asarray(selected)
         grid = synthesize_band_spectra(self.trajectory[slot], cfg.bins_per_band,
-                                       SIGNAL_POWER, self.rng)
+                                       self.rng)
         a_sub = select_submatrix(self.matrix, selected)
-        samples = measure(a_sub, grid[selected], cfg.snr_db, self.rng,
-                          signal_power=SIGNAL_POWER)
+        samples = measure(a_sub, grid[selected], cfg.snr_db, self.rng)
         if prior_vacancy is None:
             prior_activity = 0.5
         else:
             prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
-        recovery_cfg = RecoveryConfig(signal_variance=SIGNAL_POWER,
-                                      noise_variance=self.noise_power,
+        recovery_cfg = RecoveryConfig(noise_variance=noise_power_for_snr(cfg.snr_db),
                                       search_breadth=cfg.search_breadth,
                                       energy_fa_rate=cfg.energy_fa_rate,
                                       residual_threshold=cfg.residual_threshold)

@@ -16,8 +16,9 @@ from wssim.config import ExperimentConfig
 from wssim.experiments import run_experiment
 from wssim.learning import (BeliefState, OracleEnvironment, PolicyConfig,
                             run_policy)
-from wssim.recovery import (RecoveryConfig, SensingPlan, direct_solve,
-                            gamma_threshold, oracle_sense, signal_sense)
+from wssim.recovery import (RecoveryConfig, SensingPlan, SupportTable,
+                            direct_solve, gamma_threshold, oracle_sense,
+                            signal_sense)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics, init_occupancy,
@@ -211,10 +212,11 @@ def test_criterion_8_signal_chain_fidelity():
         slot_rng = np.random.default_rng(seed)
         a_sub = slot_rng.standard_normal((4, 6))
         statuses = init_occupancy(stats, slot_rng)
-        grid = synthesize_band_spectra(statuses, 64, 1.0, slot_rng)
+        grid = synthesize_band_spectra(statuses, 64, slot_rng)
         batch = measure(a_sub, grid, 20.0, slot_rng)
-        cfg = RecoveryConfig(signal_variance=1.0, noise_variance=noise_var)
-        signal = signal_sense(batch, SensingPlan(a_sub, cfg), prior_activity=1.0 - p0)
+        plan = SensingPlan(SupportTable(a_sub, RecoveryConfig(noise_variance=noise_var)),
+                           range(6))
+        signal = signal_sense(batch, plan, prior_activity=1.0 - p0)
         oracle = oracle_sense(statuses, 4)
         agree += int(signal.xi == oracle.xi)
     fraction = agree / trials

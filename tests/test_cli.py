@@ -66,6 +66,18 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "energy_fa_rate" in capsys.readouterr().err
 
+    def test_unparsable_override_names_key(self, workdir, capsys):
+        _, cfg = workdir
+        assert main(["validate", str(cfg), "--set", "mu=high"]) == 2
+        assert "cannot parse mu = 'high'" in capsys.readouterr().err
+
+    def test_repeated_key_exits_with_usage_error(self, workdir, capsys):
+        tmp_path, _ = workdir
+        bad = tmp_path / "repeat.cfg"
+        bad.write_text(TINY + "n_bands = 16\n", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert f"{bad}:8: n_bands repeats line 1" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "no_such_file.cfg"]) != 0
 

@@ -11,7 +11,8 @@ from wssim.config import ExperimentConfig, dump_config, load_config
 from wssim.experiments import (SignalEnvironment, compute_regret,
                                emit_results, run_experiment, run_replication)
 from wssim.learning import BeliefState, OracleEnvironment, run_policy
-from wssim.recovery import SenseResult, SupportTable, _chi2_quantile
+from wssim.recovery import (RecoveryConfig, SenseResult, SupportTable,
+                            _chi2_quantile)
 from wssim.sensing import draw_sensing_matrix
 from wssim.spectrum import simulate_occupancy
 
@@ -238,7 +239,8 @@ class RecordingEnvironment(SignalEnvironment):
 
     def sense(self, selected, slot, prior_vacancy=None):
         if self.fresh_table:
-            self.support_table = SupportTable(self.matrix, self.recovery_config)
+            self.support_table = SupportTable(self.support_table.matrix,
+                                              self.config.recovery_config())
             self._plans.clear()
         result = super().sense(selected, slot, prior_vacancy)
         self.results.append(result)
@@ -414,6 +416,35 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="bogus"):
             load_config(path)
 
+    @pytest.mark.parametrize("line, key", [("seed = abc", "seed"),
+                                           ("mu = high", "mu"),
+                                           ("snr_db = loud", "snr_db"),
+                                           ("p01 = 0.1, x", "p01")])
+    def test_unparsable_value_names_key_and_line(self, tmp_path, line, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"n_bands = 8\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"exp.cfg:2: cannot parse {key} = "):
+            load_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("n_bands = 8\nseed = 1\n\nn_bands = 16\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="exp.cfg:4: n_bands repeats line 1"):
+            load_config(path)
+
+    def test_recovery_config_takes_the_recovery_fields(self):
+        cfg = small_config(snr_db=20.0, search_breadth=3, energy_fa_rate=0.01,
+                           residual_threshold=0.2)
+        assert cfg.recovery_config() == RecoveryConfig(
+            noise_variance=10.0 ** -2.0, search_breadth=3,
+            energy_fa_rate=0.01, residual_threshold=0.2)
+        assert small_config().recovery_config().noise_variance == 0.0
+
+    def test_validation_rejects_overflowing_noise_power(self):
+        # 10^(4000/10) overflows a float; the error names snr_db.
+        with pytest.raises(ValueError, match="snr_db"):
+            small_config(snr_db=-4000.0).validate()
+
     def test_validation_names_offending_field(self):
         cfg = small_config(mu=1.5)
         with pytest.raises(ValueError, match="mu"):
@@ -465,7 +496,7 @@ class TestConfigFile:
         cfg.validate()
         env = SignalEnvironment(np.zeros((1, 8)), draw_sensing_matrix(
             4, 8, np.random.default_rng(0)), cfg, np.random.default_rng(1))
-        assert env.noise_power == 0.0
+        assert env.support_table.cfg.noise_variance == 0.0
 
     def test_case_statistics_tile_for_larger_bands(self):
         cfg = small_config(n_bands=12)

@@ -6,8 +6,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wssim.recovery import (RecoveryConfig, SensingPlan, oracle_sense,  # noqa: E402
-                            signal_sense)
+from wssim.recovery import (RecoveryConfig, SensingPlan, SupportTable,  # noqa: E402
+                            oracle_sense, signal_sense)
 from wssim.sensing import measure  # noqa: E402
 from wssim.sizing import optimize_size  # noqa: E402
 from wssim.spectrum import synthesize_band_spectra  # noqa: E402
@@ -35,9 +35,10 @@ def test_noiseless_direct_path_returns_truth(slot):
     k, truth, bins, seed = slot
     rng = np.random.default_rng(seed)
     a_sub = rng.standard_normal((k, truth.size))
-    grid = synthesize_band_spectra(truth, bins, 1.0, rng)
+    grid = synthesize_band_spectra(truth, bins, rng)
     samples = measure(a_sub, grid, None, rng)
-    result = signal_sense(samples, SensingPlan(a_sub, RecoveryConfig()))
+    plan = SensingPlan(SupportTable(a_sub, RecoveryConfig()), range(truth.size))
+    result = signal_sense(samples, plan)
     assert result.statuses.tolist() == truth.tolist()
     assert result.xi == oracle_sense(truth, k).xi == 0
 

@@ -36,13 +36,13 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     statuses = np.zeros(m, dtype=np.int8)
     busy = rng.choice(m, size=busy_count, replace=False)
     statuses[busy] = 1
-    spectra = synthesize_band_spectra(statuses, n_bins, 1.0, rng)
+    spectra = synthesize_band_spectra(statuses, n_bins, rng)
     samples = measure(a_sub, spectra, snr_db, rng)
-    cfg = RecoveryConfig(signal_variance=1.0,
-                         noise_variance=noise_power_for_snr(snr_db),
+    cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
                          energy_fa_rate=fa_rate)
     search = {"gamma": gamma_threshold(m, k), "prior_activity": prior}
-    return statuses, spectra, SensingPlan(a_sub, cfg), samples, search
+    plan = SensingPlan(SupportTable(a_sub, cfg), range(m))
+    return statuses, spectra, plan, samples, search
 
 
 class TestGammaThreshold:
@@ -129,8 +129,8 @@ class TestDirectSolve:
 
 class TestFbmpRecover:
     def test_zero_measurement_empty_support(self, rng):
-        plan = SensingPlan(rng.standard_normal((4, 6)),
-                           RecoveryConfig(noise_variance=0.0))
+        plan = SensingPlan(SupportTable(rng.standard_normal((4, 6)),
+                                        RecoveryConfig(noise_variance=0.0)), range(6))
         support, x_hat, ratio = fbmp_recover(np.zeros((4, 16), dtype=complex),
                                              plan, 2)
         assert not support.any()
@@ -163,8 +163,8 @@ class TestFbmpRecover:
             statuses, _, plan, samples, search = make_instance(
                 seed, m=7, k=5, busy_count=2, snr_db=None)
             a_sub = plan.a_sub
-            szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                samples, plan.cfg, 7, search["prior_activity"])
+            szz, n_bins, sig_n, base_prior, gain = score_terms(
+                samples, plan.table.cfg, 7, search["prior_activity"])
             busy = tuple(np.flatnonzero(statuses))
             for size in range(search["gamma"]):
                 pairs = []
@@ -174,10 +174,10 @@ class TestFbmpRecover:
                         pairs.append((active, tuple(sorted(active + (missing[0],)))))
                 base, grown = (np.array(side, dtype=np.intp).reshape(len(pairs), -1)
                                for side in zip(*pairs))
-                better = solve_support_scores(szz, n_bins, a_sub, grown, sig_s,
-                                              sig_n, base_prior, gain)
-                worse = solve_support_scores(szz, n_bins, a_sub, base, sig_s,
-                                             sig_n, base_prior, gain)
+                better = solve_support_scores(szz, n_bins, a_sub, grown, sig_n,
+                                              base_prior, gain)
+                worse = solve_support_scores(szz, n_bins, a_sub, base, sig_n,
+                                             base_prior, gain)
                 assert np.all(better > worse)
 
     def test_greedy_matches_exhaustive_on_noiseless_instances(self):
@@ -189,7 +189,7 @@ class TestFbmpRecover:
             busy_count = seed % 3     # within the recoverable budget
             statuses, _, plan, samples, search = make_instance(
                 seed, m=m, busy_count=busy_count, snr_db=None)
-            exhaustive = exhaustive_map_support(samples, plan.a_sub, plan.cfg,
+            exhaustive = exhaustive_map_support(samples, plan.a_sub, plan.table.cfg,
                                                 **search)
             greedy, _, _ = fbmp_recover(samples, plan, **search)
             exhaustive_correct += int(np.array_equal(exhaustive, statuses))
@@ -207,14 +207,14 @@ class TestFbmpRecover:
                 seed, m=m, k=k, busy_count=gamma, snr_db=10.0 + 5 * seed,
                 prior=rng.uniform(0.05, 0.95, m))
             a_sub = plan.a_sub
-            szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                samples, plan.cfg, m, search["prior_activity"])
+            szz, n_bins, sig_n, base_prior, gain = score_terms(
+                samples, plan.table.cfg, m, search["prior_activity"])
             for size in range(gamma + 1):
                 supports = all_supports(m, size)
                 stacked = solve_support_scores(szz, n_bins, a_sub, supports,
-                                               sig_s, sig_n, base_prior, gain)
+                                               sig_n, base_prior, gain)
                 scalar = [reference_support_score(szz, n_bins, a_sub,
-                                                  tuple(s), sig_s, sig_n,
+                                                  tuple(s), sig_n,
                                                   base_prior, gain)
                           for s in supports]
                 assert stacked.tolist() == scalar
@@ -231,7 +231,7 @@ class TestFbmpRecover:
                 snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
             support, x_hat, ratio = fbmp_recover(samples, plan, **search)
             ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
-                samples, plan.a_sub, plan.cfg, **search)
+                samples, plan.a_sub, plan.table.cfg, **search)
             np.testing.assert_array_equal(support, ref_support)
             np.testing.assert_array_equal(x_hat, ref_x_hat)
             assert ratio == ref_ratio
@@ -243,7 +243,7 @@ class TestEnergyDetect:
         assert not statuses.any()
 
     def test_noiseless_busy_band_detected(self, rng):
-        spectra = synthesize_band_spectra(np.ones(1, dtype=np.int8), 64, 1.0, rng)
+        spectra = synthesize_band_spectra(np.ones(1, dtype=np.int8), 64, rng)
         statuses = energy_detect(spectra, 0.01, 0.05)
         assert statuses[0] == 1
 
@@ -360,13 +360,13 @@ def plan_draws(seed, k, m, count):
     a_sub = rng.standard_normal((k, m))
     gamma = gamma_threshold(m, k)
     for snr_db in (None, 20.0, 10.0):
-        plan = SensingPlan(a_sub, RecoveryConfig(
-            noise_variance=noise_power_for_snr(snr_db)))
+        plan = SensingPlan(SupportTable(a_sub, RecoveryConfig(
+            noise_variance=noise_power_for_snr(snr_db))), range(m))
         for i in range(count):
             statuses = np.zeros(m, dtype=np.int8)
             busy_count = min(i % (gamma + 2), m)
             statuses[rng.choice(m, size=busy_count, replace=False)] = 1
-            spectra = synthesize_band_spectra(statuses, 16, 1.0, rng)
+            spectra = synthesize_band_spectra(statuses, 16, rng)
             samples = measure(a_sub, spectra, snr_db, rng)
             yield plan, samples, rng.uniform(0.05, 0.95, m)
 
@@ -375,8 +375,9 @@ PLAN_SHAPES = [(4, 7), (4, 6), (8, 12), (8, 16)]
 
 # Table scores against solve-based ones: |difference| <= SCORE_RTOL *
 # max(1, |score|). The inverse and the solve each err by about cond(Phi)
-# times the unit roundoff, and noiseless draws floor sig_n at 1e-10 *
-# sig_s, so cond(Phi) reaches about 1e10 for supports smaller than K.
+# times the unit roundoff, and noiseless draws floor sig_n at 1e-10 (of
+# the unit signal power), so cond(Phi) reaches about 1e10 for supports
+# smaller than K.
 # Largest relative difference seen: 1.3e-5 noiseless, 9e-13 noisy.
 SCORE_RTOL = 1e-4
 NOISY_SCORE_RTOL = 1e-10
@@ -400,13 +401,13 @@ class TestSensingPlan:
         # The search's first lookup: the empty support, then every
         # singleton in band order.
         for plan, samples, prior in plan_draws(k * m, k, m, 10):
-            szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                samples, plan.cfg, m, prior)
+            szz, n_bins, sig_n, base_prior, gain = score_terms(
+                samples, plan.table.cfg, m, prior)
             first = [()] + [(j,) for j in range(m)]
             got = _table_scores(plan.table, first, szz.real.ravel(), n_bins,
                                 np.concatenate(([base_prior], base_prior + gain)))
             want = [reference_support_score(szz, n_bins, plan.a_sub, active,
-                                            sig_s, sig_n, base_prior, gain)
+                                            sig_n, base_prior, gain)
                     for active in first]
             assert_scores_close(got, want)
 
@@ -417,7 +418,7 @@ class TestSensingPlan:
         for plan, samples, prior in plan_draws(k + m, k, m, 84):
             support, x_hat, ratio = fbmp_recover(samples, plan, gamma, prior)
             ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
-                samples, plan.a_sub, plan.cfg, gamma, prior)
+                samples, plan.a_sub, plan.table.cfg, gamma, prior)
             assert support.tobytes() == ref_support.tobytes()
             assert x_hat.tobytes() == ref_x_hat.tobytes()
             assert ratio == ref_ratio
@@ -429,7 +430,7 @@ class TestSensingPlan:
         # noise, m > k searches.
         for plan, samples, prior in plan_draws(7 * m + k, k, m, 12):
             got = signal_sense(samples, plan, prior)
-            want = reference_signal_sense(samples, plan.a_sub, plan.cfg, k,
+            want = reference_signal_sense(samples, plan.a_sub, plan.table.cfg, k,
                                           prior)
             assert got.statuses.tobytes() == want.statuses.tobytes()
             assert got.xi == want.xi
@@ -437,11 +438,12 @@ class TestSensingPlan:
 
     def test_band_noise_is_floored_post_inversion_noise(self, rng):
         a_sub = rng.standard_normal((4, 3))
-        gram_inv_diag = np.diag(np.linalg.inv(a_sub.T @ a_sub))
-        noisy = SensingPlan(a_sub, RecoveryConfig(noise_variance=0.01))
+        noisy = SensingPlan(SupportTable(a_sub, RecoveryConfig(noise_variance=0.01)),
+                            range(3))
+        gram_inv_diag = np.diag(np.linalg.inv(noisy.a_sub.T @ noisy.a_sub))
         assert noisy.band_noise.tolist() == (0.01 * gram_inv_diag).tolist()
-        noiseless = SensingPlan(a_sub, RecoveryConfig(signal_variance=2.0))
-        assert noiseless.band_noise.tolist() == [2e-12] * 3
+        noiseless = SensingPlan(SupportTable(a_sub, RecoveryConfig()), range(3))
+        assert noiseless.band_noise.tolist() == [1e-12] * 3
 
 
 def table_keys(supports):
@@ -462,12 +464,12 @@ class TestSupportTable:
             _, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (gamma + 2), snr_db=snr_db,
                 prior=rng.uniform(0.05, 0.95, m))
-            szz, n_bins, sig_s, sig_n, base_prior, gain = score_terms(
-                samples, plan.cfg, m, search["prior_activity"])
+            szz, n_bins, sig_n, base_prior, gain = score_terms(
+                samples, plan.table.cfg, m, search["prior_activity"])
             for size in range(gamma + 1):
                 supports = all_supports(m, size)
                 want = solve_support_scores(szz, n_bins, plan.a_sub, supports,
-                                            sig_s, sig_n, base_prior, gain)
+                                            sig_n, base_prior, gain)
                 log_prior = base_prior + gain[supports].sum(axis=1) \
                     if size else np.full(len(supports), base_prior)
                 got = _table_scores(plan.table, table_keys(supports),
@@ -506,24 +508,27 @@ class TestSupportTable:
         assert len(table) == 8
 
     def test_own_table_over_sub_matrix_columns(self, rng):
+        # A plan over every column of a table of its own sub-matrix, and
+        # plans viewing a table's columns in any order.
         a_sub = rng.standard_normal((4, 6))
-        plan = SensingPlan(a_sub, RecoveryConfig())
+        table = SupportTable(a_sub, RecoveryConfig())
+        plan = SensingPlan(table, range(6))
         assert plan.bands == tuple(range(6))
-        assert plan.table.matrix is plan.a_sub
-        with pytest.raises(ValueError, match="together"):
-            SensingPlan(a_sub, RecoveryConfig(), bands=range(6))
-        with pytest.raises(ValueError, match="one band per column"):
-            SensingPlan(a_sub, RecoveryConfig(), range(5), plan.table)
+        assert plan.a_sub.tolist() == a_sub.tolist()
+        assert np.array_equal(SensingPlan(table, (5, 0, 2)).a_sub, a_sub[:, [5, 0, 2]])
+        with pytest.raises(ValueError, match="out of range"):
+            SensingPlan(table, range(7))
+        with pytest.raises(ValueError, match="distinct"):
+            SensingPlan(table, (1, 1))
 
     def test_plans_of_different_sets_share_rows(self, rng):
         matrix = rng.standard_normal((4, 8))
         cfg = RecoveryConfig(noise_variance=0.01)
         table = SupportTable(matrix, cfg)
         sets = [(0, 1, 2, 3, 4, 5), (7, 3, 5, 4, 6)]
-        plans = [SensingPlan(matrix[:, list(bands)], cfg, bands, table)
-                 for bands in sets]
+        plans = [SensingPlan(table, bands) for bands in sets]
         samples = [measure(plan.a_sub, synthesize_band_spectra(
-                       np.eye(len(plan.bands), dtype=np.int8)[1], 16, 1.0, rng),
+                       np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng),
                        20.0, rng) for plan in plans]
         # One level: the empty support and the six singletons of the
         # first set, then only the second set's new bands 6 and 7.
@@ -551,10 +556,17 @@ class TestSupportTable:
 
 
 class TestRecoveryConfig:
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-    def test_rejects_nonpositive_signal_variance(self, value):
-        with pytest.raises(ValueError, match="signal_variance"):
-            RecoveryConfig(signal_variance=value)
+    @pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
+    def test_rejects_bad_noise_variance(self, value):
+        # A NaN noise variance made every detection threshold NaN, so
+        # signal_sense on a 4 x 6 plan read every band vacant with xi = 0.
+        with pytest.raises(ValueError, match="noise_variance"):
+            RecoveryConfig(noise_variance=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, float("nan")])
+    def test_rejects_nonpositive_residual_threshold(self, value):
+        with pytest.raises(ValueError, match="residual_threshold"):
+            RecoveryConfig(residual_threshold=value)
 
     @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.1, float("nan")])
     def test_rejects_fa_rate_outside_unit_interval(self, value):

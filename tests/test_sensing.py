@@ -115,7 +115,7 @@ class TestMeasure:
     def test_column_subset_consistency(self, rng):
         matrix = draw_sensing_matrix(4, 8, rng)
         statuses = np.array([1, 0, 1, 1, 0, 1, 0, 1], dtype=np.int8)
-        grid = synthesize_band_spectra(statuses, 16, 1.0, rng)
+        grid = synthesize_band_spectra(statuses, 16, rng)
         selected = np.array([0, 3, 5, 6])
         masked = grid.copy()
         masked[[i for i in range(8) if i not in selected]] = 0.0
@@ -130,10 +130,10 @@ class TestMeasure:
         assert noise_power_for_snr(np.inf) == 0.0
         a_sub = np.zeros((2, 1))
         spectra = np.zeros((1, 50_000), dtype=complex)
-        assert noise_power_for_snr(10.0, signal_power=2.0) == pytest.approx(0.2)
-        samples = measure(a_sub, spectra, 10.0, rng, signal_power=2.0)
+        assert noise_power_for_snr(10.0) == pytest.approx(0.1)
+        samples = measure(a_sub, spectra, 10.0, rng)
         measured = np.mean(np.abs(samples) ** 2)
-        assert measured == pytest.approx(0.2, rel=0.05)
+        assert measured == pytest.approx(0.1, rel=0.05)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):

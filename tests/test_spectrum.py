@@ -147,42 +147,39 @@ class TestTrajectory:
 
 class TestSynthesizeBandSpectra:
     def test_all_vacant_gives_zero_grid(self, rng):
-        grid = synthesize_band_spectra(np.zeros(5, dtype=np.int8), 16, 1.0, rng)
+        grid = synthesize_band_spectra(np.zeros(5, dtype=np.int8), 16, rng)
         assert grid.shape == (5, 16) and grid.dtype == np.complex128
         assert not grid.any()
         assert not np.mean(np.abs(grid) ** 2, axis=1).any()
 
     def test_single_busy_band_single_row(self, rng):
         statuses = np.array([0, 0, 1, 0], dtype=np.int8)
-        grid = synthesize_band_spectra(statuses, 32, 1.0, rng)
+        grid = synthesize_band_spectra(statuses, 32, rng)
         nonzero_rows = np.flatnonzero(np.abs(grid).sum(axis=1))
         np.testing.assert_array_equal(nonzero_rows, [2])
 
     def test_support_equals_busy_set(self, rng):
         statuses = (rng.random(10) < 0.5).astype(np.int8)
-        grid = synthesize_band_spectra(statuses, 8, 2.0, rng)
+        grid = synthesize_band_spectra(statuses, 8, rng)
         support = (np.abs(grid).sum(axis=1) > 0).astype(np.int8)
         np.testing.assert_array_equal(support, statuses)
 
     def test_busy_rows_hit_exact_power(self, rng):
-        grid = synthesize_band_spectra(np.ones(6, dtype=np.int8), 64, 3.5, rng)
+        # Signal power is the unit: every busy row has mean power 1 per bin.
+        grid = synthesize_band_spectra(np.ones(6, dtype=np.int8), 64, rng)
         row_power = np.mean(np.abs(grid) ** 2, axis=1)
-        np.testing.assert_allclose(row_power, 3.5, rtol=1e-9)
-        band_power = np.mean(np.abs(grid) ** 2, axis=1)
-        np.testing.assert_allclose(band_power, 3.5, rtol=1e-9)
+        np.testing.assert_allclose(row_power, 1.0, rtol=1e-9)
 
     def test_mean_bin_power_across_draws(self, rng):
         statuses = np.ones(1, dtype=np.int8)
         total = 0.0
         draws = 10_000
         for _ in range(draws):
-            grid = synthesize_band_spectra(statuses, 64, 1.0, rng)
+            grid = synthesize_band_spectra(statuses, 64, rng)
             total += np.mean(np.abs(grid) ** 2, axis=1)[0]
         assert total / draws == pytest.approx(1.0, abs=0.05)
 
     def test_rejects_bad_arguments(self, rng):
         statuses = np.ones(2, dtype=np.int8)
         with pytest.raises(ValueError):
-            synthesize_band_spectra(statuses, 0, 1.0, rng)
-        with pytest.raises(ValueError):
-            synthesize_band_spectra(statuses, 8, 0.0, rng)
+            synthesize_band_spectra(statuses, 0, rng)
