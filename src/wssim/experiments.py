@@ -10,21 +10,25 @@ OracleEnvironment serves all policies of a replication. Both sensing
 backends check the trajectory once, with spectrum.check_trajectory, and
 return a recovery.SenseResult per slot.
 
-In signal mode each policy senses through a SignalEnvironment, which
-keeps one recovery.SupportTable over the whole sensing matrix, with the
-RecoveryConfig that ExperimentConfig.recovery_config() builds, and one
-recovery.SensingPlan per distinct selected set, a view of that table
-built the first time the set is sensed. Signal power is the unit: busy
-bands carry mean power 1 per bin and the noise power per bin is
+In signal mode run_replication builds one recovery.SupportTable of the
+replication's sensing matrix, with the RecoveryConfig that
+ExperimentConfig.recovery_config() builds, and hands it to every policy's
+SignalEnvironment. The table is eager (Phi_S^-1 and log det Phi_S of
+every support of at most K // 2 bands, from the start) and never grows or
+clears. Each environment keeps one recovery.SensingPlan per distinct
+selected set, a view of the table built the first time the set is
+sensed, and at most _MAX_PLANS of them (the oldest goes first), which
+bounds memory whatever the horizon. Signal power is the unit: busy bands
+carry mean power 1 per bin and the noise power per bin is
 10^(-snr_db/10). Each slot hands signal_sense the plan, the slot's
-samples and the selected bands' busy priors, nothing else. At most
-_MAX_PLANS plans (the oldest goes first) and recovery._MAX_SUPPORTS table
-rows are kept, which bounds memory whatever the horizon. Plans and table
-return the same values whatever they held before and the slot's random
-draws are unchanged, so the output depends on the config alone. It
-matches building everything on every slot except where two supports'
-search scores tie to the last bits, which the table's cached inverses
-can change (see recovery).
+samples and the selected bands' busy priors, nothing else; the search
+scores every support of at most gamma of the set's bands and keeps the
+first maximum in (size, lexicographic) order. Plans return the same
+values whatever the environment held before and the slot's random draws
+are unchanged, so the output depends on the config alone. It matches
+scoring each support with its own solve except where two supports'
+scores tie to the last bits, which the table's cached inverses can
+change (see recovery).
 """
 
 from __future__ import annotations
@@ -60,17 +64,17 @@ class MetricSeries:
 class SignalEnvironment:
     """Sensing backend running the full measurement and recovery chain.
 
-    The trajectory is checked by spectrum.check_trajectory, and the
-    support table of the whole matrix, with the config's recovery
-    settings, is built once, here.
+    The trajectory is checked by spectrum.check_trajectory. table is the
+    replication's SupportTable, over its whole sensing matrix, with the
+    config's recovery settings; every policy's environment shares it.
     """
 
-    def __init__(self, trajectory: np.ndarray, matrix: np.ndarray,
+    def __init__(self, trajectory: np.ndarray, table: SupportTable,
                  config: ExperimentConfig, rng: np.random.Generator):
         self.trajectory = check_trajectory(trajectory)
         self.config = config
         self.rng = rng
-        self.support_table = SupportTable(matrix, config.recovery_config())
+        self.support_table = table
         self._plans: dict[tuple[int, ...], SensingPlan] = {}
 
     def _plan(self, selected) -> SensingPlan:
@@ -116,13 +120,14 @@ def run_replication(config: ExperimentConfig, rep_index: int,
     if signal:
         matrix = draw_sensing_matrix(config.k_branches, config.n_bands,
                                      np.random.default_rng(streams[1]))
+        table = SupportTable(matrix, config.recovery_config())
     else:
         env = OracleEnvironment(trajectory, config.k_branches)
     series = {}
     for i, policy in enumerate(config.policies):
         policy_rng = np.random.default_rng(streams[2 + 2 * i])
         if signal:
-            env = SignalEnvironment(trajectory, matrix, config,
+            env = SignalEnvironment(trajectory, table, config,
                                     np.random.default_rng(streams[3 + 2 * i]))
         outcomes = run_policy(config.policy_config(policy), env, policy_rng,
                               true_stats=stats)

@@ -3,7 +3,7 @@
 Two modes are provided. Oracle sensing applies the busy-count feasibility
 rule directly to ground-truth statuses. Signal sensing recovers the band
 spectra from sub-Nyquist samples (least squares when the system is square
-or overdetermined, greedy Bayesian support search otherwise), runs an
+or overdetermined, exact Bayesian MAP support search otherwise), runs an
 energy detector, and declares reconstruction failure from the detected
 busy count and the relative fit residual. Both return a SenseResult.
 
@@ -20,16 +20,18 @@ the slot's samples or priors. Besides the plan, those calls take only the
 slot's samples and busy priors (and fbmp_recover its search depth), so a
 caller sensing the same set again passes the same plan back in.
 
-The search scores each support S from Phi_S^-1 and log det Phi_S, which
-a SupportTable keeps keyed by the sorted tuple of S's absolute bands, at
-most _MAX_SUPPORTS rows (emptied when full); a SignalEnvironment shares
-one table among all its sets. Scores are products with the cached
-inverse, not solves, so they can differ from per-slot factorisation in
-the last bits, and only supports whose scores are that close could rank
-differently. Still exact: given the chosen support, the posterior mean
-(its own solve), the statuses and the residual match the
-one-support-at-a-time search bit for bit, and the direct path (least
-squares) and the detector are unchanged.
+The search is exact: it scores every support of at most gamma of the
+set's bands and keeps the first maximum a posteriori one in (size,
+lexicographic) order over selection positions. A SupportTable holds
+Phi_S^-1 and log det Phi_S of every support of at most K // 2 of the N
+bands, indexed by colex rank and built eagerly, once per replication,
+for every policy; support_count caps it at _MAX_SUPPORTS rows. Scores are
+products with the cached inverses, not solves, so they can differ from
+per-slot factorisation in the last bits, and only supports whose scores
+are that close could rank differently. Still exact: given the chosen
+support, the posterior mean (its own solve), the statuses and the
+residual match scoring each support with its own solve bit for bit, and
+the direct path (least squares) and the detector are unchanged.
 
 SciPy is imported only by the energy detector's chi-square quantile, on
 its first evaluation, so oracle runs never load it. A signal-mode
@@ -40,6 +42,7 @@ import (about 0.3 s) in set-up and out of the slot loop.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -69,15 +72,12 @@ class RecoveryConfig:
     bin, in units of the signal power."""
 
     noise_variance: float = 0.0
-    search_breadth: int = 5
     energy_fa_rate: float = 0.05
     residual_threshold: float = 0.1
 
     def __post_init__(self):
         if not 0.0 <= self.noise_variance < math.inf:
             raise ValueError("noise_variance must be finite and nonnegative")
-        if self.search_breadth < 1:
-            raise ValueError("search_breadth must be at least 1")
         if not 0.0 < self.energy_fa_rate < 1.0:
             raise ValueError("energy_fa_rate must lie in (0, 1)")
         if not self.residual_threshold > 0.0:
@@ -174,78 +174,93 @@ def _residual_ratio(samples: np.ndarray, fitted: np.ndarray) -> float:
     return float(np.linalg.norm(samples - fitted) / z_norm)
 
 
-# Rows a SupportTable keeps before it starts over: every support of at most
-# 4 of 16 bands (2,517 rows, about 1.3 MiB at 8 branches) fits.
+# Rows a SupportTable may hold: every support of at most 4 of 16 bands
+# (2,517 rows, about 1.3 MiB at 8 branches) fits; 32 bands at 8 branches
+# (41,449 rows) do not.
 _MAX_SUPPORTS = 4096
 
 
+def support_count(n_bands: int, k_branches: int) -> int:
+    """Rows of the SupportTable of a k_branches x n_bands sensing matrix.
+
+    One row per support of at most k_branches // 2 of the n_bands bands.
+    Raises a ValueError naming both fields when that is more than
+    _MAX_SUPPORTS; ExperimentConfig.validate() calls this in signal mode.
+    """
+    count = sum(math.comb(n_bands, size) for size in range(k_branches // 2 + 1))
+    if count > _MAX_SUPPORTS:
+        raise ValueError(
+            f"n_bands = {n_bands} with k_branches = {k_branches} needs "
+            f"{count:,} support-table rows (every set of at most "
+            f"k_branches // 2 bands); signal mode allows {_MAX_SUPPORTS:,}")
+    return count
+
+
+def _combinations(m: int, size: int) -> np.ndarray:
+    """Every size-subset of range(m), ascending, in lexicographic order."""
+    return np.array(list(itertools.combinations(range(m), size)),
+                    dtype=np.intp).reshape(math.comb(m, size), size)
+
+
 class SupportTable:
-    """Phi_S^-1 and log det Phi_S of busy sets S, keyed by absolute bands.
+    """Phi_S^-1 and log det Phi_S of every busy set S of at most K // 2 bands.
 
     matrix is the K x N sensing matrix and cfg the recovery config; sig_n
     is the search's model noise variance, cfg.noise_variance floored at
-    _MODEL_FLOOR. A key is the sorted tuple of a support's columns of
-    matrix (its bands), () being the empty support. Phi_S = sig_n * I +
-    A_S A_S^T depends on those bands alone, not on the set they were
-    sensed in, so all plans over one table share its rows. A lookup
-    computes its missing rows with one _support_covariances call per
-    support size and one stacked inverse, and keeps them. Each row is a
-    function of its key alone (stacked LAPACK calls treat every matrix as
-    a single call would), so a lookup returns the same bits whatever the
-    table held before. A lookup that would take the table past
-    _MAX_SUPPORTS rows empties it first.
+    _MODEL_FLOOR. Phi_S = sig_n * I + A_S A_S^T depends on S's bands alone,
+    so all plans over one table share its rows. The table is built here,
+    eagerly, size by size, with one _support_covariances call and one
+    stacked inverse each, into one preallocated (rows, K*K) array of
+    inverses and one (rows,) array of log-determinants; it never grows or
+    clears. Each row is a function of its support alone (stacked LAPACK
+    calls treat every matrix as a single call would). Support S of size s
+    with bands c_0 < c_1 < ... sits at row offset[s] + sum_i C(c_i, i + 1),
+    its colex rank after the smaller sizes' rows.
     """
 
     def __init__(self, matrix: np.ndarray, cfg: RecoveryConfig):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("matrix must be two-dimensional")
+        k, n = matrix.shape
         self.matrix = matrix
         self.cfg = cfg
         self.sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
-        k = matrix.shape[0]
-        self._rows: dict[tuple[int, ...], int] = {}
-        self._inv = np.empty((0, k, k))
-        self._logdet = np.empty(0)
+        self.max_size = min(k // 2, n)
+        sizes = range(self.max_size + 1)
+        self.offset = np.cumsum([0] + [math.comb(n, size) for size in sizes])
+        self._binom = np.array([[math.comb(c, i) for i in sizes] for c in range(n)],
+                               dtype=np.intp)
+        self.inv = np.empty((support_count(n, k), k * k))
+        self.logdet = np.empty(len(self.inv))
+        for size in sizes:
+            supports = _combinations(n, size)
+            rows = self.rows(supports)
+            phi, self.logdet[rows] = _support_covariances(matrix, supports, self.sig_n)
+            self.inv[rows] = np.linalg.inv(phi).reshape(len(rows), k * k)
 
-    def __len__(self) -> int:
-        return len(self._rows)
+    def rows(self, supports: np.ndarray) -> np.ndarray:
+        """Rows of a (C, s) array of supports, each row's bands ascending."""
+        size = supports.shape[1]
+        return self.offset[size] + self._binom[supports, np.arange(1, size + 1)].sum(axis=1)
 
-    def lookup(self, keys: Sequence[tuple[int, ...]]):
-        """The (C, K, K) stack of Phi^-1 and the (C,) log det Phi of C keys."""
-        rows = self._rows
-        missing = [key for key in keys if key not in rows]
-        if missing:
-            if len(rows) + len(missing) > _MAX_SUPPORTS:
-                rows.clear()
-                missing = keys
-            self._add(list(dict.fromkeys(missing)))
-        index = [rows[key] for key in keys]
-        return self._inv[index], self._logdet[index]
 
-    def _add(self, keys: list[tuple[int, ...]]) -> None:
-        """Compute and keep the rows of distinct keys not in the table."""
-        start = len(self._rows)
-        stop = start + len(keys)
-        if stop > len(self._logdet):
-            # Storage doubles up to the cap; only a lookup larger than the
-            # cap takes it beyond.
-            size = max(stop, min(2 * len(self._logdet) or 64, _MAX_SUPPORTS))
-            inv, logdet = np.empty((size,) + self._inv.shape[1:]), np.empty(size)
-            inv[:start], logdet[:start] = self._inv[:start], self._logdet[:start]
-            self._inv, self._logdet = inv, logdet
-        by_size: dict[int, list[tuple[int, ...]]] = {}
-        for key in keys:
-            by_size.setdefault(len(key), []).append(key)
-        stacks = [_support_covariances(
-                      self.matrix, np.array(group, dtype=np.intp).reshape(len(group), size),
-                      self.sig_n)
-                  for size, group in by_size.items()]
-        phi, logdet = (np.concatenate(parts) for parts in zip(*stacks))
-        self._inv[start:stop] = np.linalg.inv(phi)
-        self._logdet[start:stop] = logdet
-        ordered = [key for group in by_size.values() for key in group]
-        self._rows.update(zip(ordered, range(start, stop)))
+@functools.lru_cache(maxsize=64)
+def _position_supports(m: int, gamma: int):
+    """Every support of at most gamma of m selection positions.
+
+    Supports come in (size, lexicographic) order. Returns their (C, m)
+    0/1 indicator, ends, where ends[s] counts the supports of size at
+    most s (so a smaller gamma's supports are a prefix), and per size s
+    the (C_s, s) array of the supports' positions.
+    """
+    by_size = [_combinations(m, size) for size in range(gamma + 1)]
+    ends = np.cumsum([len(positions) for positions in by_size])
+    indicator = np.concatenate([(positions[:, :, None] == np.arange(m)).any(axis=1)
+                                for positions in by_size]).astype(float)
+    for array in (indicator, ends, *by_size):
+        array.flags.writeable = False   # shared by every caller of the cache
+    return indicator, ends, by_size
 
 
 class SensingPlan:
@@ -253,25 +268,35 @@ class SensingPlan:
 
     A plan is a view of table, the SupportTable the search scores from:
     the recovery config and the sensing matrix are the table's, and a
-    SignalEnvironment's plans all share its one table. bands are the set's
+    replication's plans all share its one table. bands are the set's
     bands in selection order. a_sub is the set's K x m sensing sub-matrix,
     select_submatrix(table.matrix, bands), in the memory layout per-slot
     code gets, so that products with it match that code bit for bit;
     column j is column bands[j] of the matrix, and K is its row count.
 
-    band_noise (direct path, m <= K) is built on first use and read on
-    every later slot: the energy detector's per-band noise
-    max(noise_variance * diag((A_S^T A_S)^-1), _DETECT_FLOOR). Least
-    squares colours the noise, so each band is thresholded at its
-    post-inversion noise level.
+    Two arrays are built on first use and read on every later slot:
+
+    - rows (search path, m > K): the table row of every support of at
+      most gamma = min(m, table.max_size) selection positions, in the
+      order of _position_supports(m, gamma).
+    - band_noise (direct path, m <= K): the energy detector's per-band
+      noise max(noise_variance * diag((A_S^T A_S)^-1), _DETECT_FLOOR).
+      Least squares colours the noise, so each band is thresholded at
+      its post-inversion noise level.
     """
 
     def __init__(self, table: SupportTable, bands: Sequence[int]):
         self.table = table
         self.bands = tuple(map(int, bands))
         self.a_sub = select_submatrix(table.matrix, self.bands)
-        self.band_index = np.array(self.bands, dtype=np.intp)
-        self.position = {band: j for j, band in enumerate(self.bands)}
+        self.gamma = min(len(self.bands), table.max_size)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        _, _, by_size = _position_supports(len(self.bands), self.gamma)
+        band_index = np.array(self.bands, dtype=np.intp)
+        return np.concatenate([self.table.rows(np.sort(band_index[positions], axis=1))
+                               for positions in by_size])
 
     @functools.cached_property
     def band_noise(self) -> np.ndarray:
@@ -279,77 +304,38 @@ class SensingPlan:
         return np.maximum(self.table.cfg.noise_variance * gram_inv_diag, _DETECT_FLOOR)
 
 
-def _table_scores(table: SupportTable, keys, szz: np.ndarray, n_bins: int,
-                  log_prior) -> np.ndarray:
-    """Log posterior (up to a support-independent constant) of busy sets.
-
-    keys are table keys and log_prior their log prior probabilities; szz
-    is Re(S_zz) flattened. Phi^-1 is real symmetric and S_zz Hermitian, so
-    each quadratic form trace(Phi^-1 S_zz) is the dot product of Phi^-1
-    with Re(S_zz), and all C of them are one (C, K*K) matrix-vector
-    product.
-    """
-    inv, logdet = table.lookup(keys)
-    quad = inv.reshape(len(keys), -1) @ szz
-    return -n_bins * logdet - quad + log_prior
-
-
 def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
-    """Greedy maximum-a-posteriori search over busy-band supports.
+    """Exact maximum-a-posteriori search over busy-band supports.
 
-    Supports grow one band at a time; the best plan.table.cfg.search_breadth
-    candidates per size survive, up to size gamma. prior_activity is the
-    per-band prior probability of being busy (a scalar or one entry per
-    selected band). Candidates are sorted tuples of the plan's bands.
-    Every level, the empty support and the singletons being the first,
-    is scored from one plan.table lookup (_table_scores). These scores can
-    differ in the last bits from scoring each support with its own solve,
-    so supports whose scores tie to those bits could rank differently. A
-    stable sort ranks each level, so score ties go to the candidate
-    generated first. Returns the binary support estimate, the
-    posterior-mean spectra of the best support (from a solve, exactly as
-    the one-support-at-a-time search computes them) and the relative
-    residual of the fit.
+    Scores every support of at most gamma <= min(m, K // 2) of the plan's
+    bands at once; prior_activity is the per-band prior probability of
+    being busy (a scalar or one entry per selected band). The score is
+    the log posterior up to a support-independent constant,
+    -n_bins * log det Phi_S - trace(Phi_S^-1 S_zz) + log prior(S). Phi^-1
+    is real symmetric and S_zz Hermitian, so the traces are one (C, K*K)
+    product of the plan's table rows with Re(S_zz), and the log priors
+    one (C, m) indicator product with the prior log-odds. np.argmax keeps
+    the first maximum in (size, lexicographic) order over selection
+    positions. The cached inverses can move scores in the last bits
+    against factorising each Phi_S, so only supports that close could
+    rank differently. Returns the binary support estimate, the
+    posterior-mean spectra of the best support (from its own solve) and
+    the relative residual of the fit.
     """
     samples = np.asarray(z)
-    bands, table = plan.bands, plan.table
-    m = len(bands)
+    table = plan.table
+    m = len(plan.bands)
     n_bins = samples.shape[1]
-    if not 0 <= gamma <= m:
-        raise ValueError("gamma must lie in [0, set size]")
-    breadth = table.cfg.search_breadth
+    if not 0 <= gamma <= plan.gamma:
+        raise ValueError("gamma must lie in [0, min(set size, K // 2)]")
+    indicator, ends, _ = _position_supports(m, plan.gamma)
+    count = ends[gamma]
+    rows = plan.rows[:count]
     base_prior, prior_gain = _prior_log_odds(prior_activity, m)
     szz = (samples @ samples.conj().T).real.ravel()
-    # The prior log-odds indexed by band rather than by selection position.
-    band_gain = np.zeros(table.matrix.shape[1])
-    band_gain[plan.band_index] = prior_gain
-
-    first = [()] + [(band,) for band in bands]
-    first_scores = _table_scores(table, first, szz, n_bins, np.concatenate(
-        ([base_prior], base_prior + prior_gain))).tolist()
-    best_active: tuple[int, ...] = ()
-    best_score = first_scores[0]
-    frontier = [()]
-    level, level_scores = first[1:], first_scores[1:]
-    for depth in range(gamma):
-        if depth:
-            # Distinct candidates in first-seen order; the stable sort
-            # below then breaks score ties by that order.
-            level = list(dict.fromkeys(tuple(sorted(active + (band,)))
-                                       for active in frontier
-                                       for band in bands if band not in active))
-            if not level:
-                break
-            supports = np.array(level, dtype=np.intp)
-            level_scores = _table_scores(
-                table, level, szz, n_bins,
-                base_prior + band_gain[supports].sum(axis=1)).tolist()
-        ranked = sorted(zip(level, level_scores), key=lambda item: -item[1])
-        frontier = [active for active, _ in ranked[:breadth]]
-        if ranked[0][1] > best_score:
-            best_active, best_score = ranked[0]
-
-    active = tuple(sorted(plan.position[band] for band in best_active))
+    log_prior = base_prior + indicator[:count] @ prior_gain
+    scores = -n_bins * table.logdet[rows] - table.inv[rows] @ szz + log_prior
+    active = tuple(np.flatnonzero(indicator[int(np.argmax(scores))]).tolist())
     x_hat = _conditional_mean(samples, plan.a_sub, active, table.sig_n)
     ratio = _residual_ratio(samples, plan.a_sub @ x_hat)
     support = np.zeros(m, dtype=np.int8)
@@ -419,7 +405,7 @@ def signal_sense(z, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     """Full signal-mode sensing: recover, detect, and flag failure.
 
     Set sizes up to the branch count K (the plan's row count) are solved
-    exactly and always succeed; larger sets go through the greedy support
+    exactly and always succeed; larger sets go through the exact support
     search with prior_activity as the busy prior, and fail when the
     detected busy count exceeds the recoverable limit or the relative
     residual exceeds the config's residual_threshold.

@@ -8,6 +8,7 @@ the unit, so the per-bin noise power at an SNR of s dB is 10^(-s/10).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -52,11 +53,17 @@ def select_submatrix(matrix: np.ndarray, selected: Sequence[int]) -> np.ndarray:
 
 
 def noise_power_for_snr(snr_db: float | None) -> float:
-    """Per-bin noise power giving the requested per-busy-band SNR (None = noiseless)."""
-    if snr_db is None or np.isinf(snr_db):
+    """Per-bin noise power giving the requested per-busy-band SNR.
+
+    None and +inf mean noiseless; -inf, NaN and an SNR whose power
+    overflows (numpy scalars included) raise a ValueError naming snr_db.
+    """
+    if snr_db is None or snr_db == math.inf:
         return 0.0
+    if not snr_db > -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf (noiseless), got {snr_db!r}")
     try:
-        return 10.0 ** (-snr_db / 10.0)
+        return 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db = {snr_db!r} overflows the noise power") from None
 

@@ -145,44 +145,6 @@ def score_terms(samples, cfg, m, prior_activity=0.5):
             prior_gain)
 
 
-def reference_greedy_recover(samples, a_sub, cfg, gamma, prior_activity=0.5):
-    """The greedy support search scoring one candidate support at a time.
-
-    Reference for wssim.recovery.fbmp_recover: same candidate order, same
-    stable ranking, scalar scores.
-    """
-    m = a_sub.shape[1]
-    szz, n_bins, sig_n, base_prior, prior_gain = score_terms(
-        samples, cfg, m, prior_activity)
-
-    def score(active):
-        return reference_support_score(szz, n_bins, a_sub, active, sig_n,
-                                       base_prior, prior_gain)
-
-    best_active, best_score = (), score(())
-    frontier = [()]
-    for _ in range(gamma):
-        scored = {}
-        for active in frontier:
-            for j in range(m):
-                if j in active:
-                    continue
-                cand = tuple(sorted(active + (j,)))
-                if cand not in scored:
-                    scored[cand] = score(cand)
-        if not scored:
-            break
-        ranked = sorted(scored.items(), key=lambda item: -item[1])
-        frontier = [active for active, _ in ranked[:cfg.search_breadth]]
-        if ranked[0][1] > best_score:
-            best_active, best_score = ranked[0]
-    x_hat = _conditional_mean(samples, a_sub, best_active, sig_n)
-    ratio = _residual_ratio(samples, a_sub @ x_hat)
-    support = np.zeros(m, dtype=np.int8)
-    support[list(best_active)] = 1
-    return support, x_hat, ratio
-
-
 def all_supports(m, size):
     """Every support of the given size as a (C, size) index array."""
     combos = list(itertools.combinations(range(m), size))
@@ -190,10 +152,10 @@ def all_supports(m, size):
 
 
 def exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity=0.5):
-    """Score every support of size up to gamma; reference for the greedy search.
+    """Score every support of size up to gamma; reference for fbmp_recover.
 
-    One stacked scoring call per support size; the first support in
-    (size, lexicographic) order wins ties.
+    One stacked solve-based scoring call per support size; the first
+    support in (size, lexicographic) order wins ties.
     """
     m = a_sub.shape[1]
     szz, n_bins, sig_n, base_prior, prior_gain = score_terms(
@@ -209,6 +171,54 @@ def exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity=0.5):
     support = np.zeros(m, dtype=np.int8)
     support[list(best_active)] = 1
     return support
+
+
+def reference_greedy_support(samples, a_sub, cfg, gamma, prior_activity=0.5,
+                             breadth=5):
+    """FBMP's greedy support search, one candidate support at a time.
+
+    Supports grow one band at a time and only the best `breadth` of each
+    size are grown further; the best support seen wins. fbmp_recover
+    replaced this search with the exhaustive one, which must find what it
+    found.
+    """
+    m = a_sub.shape[1]
+    szz, n_bins, sig_n, base_prior, prior_gain = score_terms(
+        samples, cfg, m, prior_activity)
+
+    def score(active):
+        return reference_support_score(szz, n_bins, a_sub, active, sig_n,
+                                       base_prior, prior_gain)
+
+    best_active, best_score = (), score(())
+    frontier = [()]
+    for _ in range(gamma):
+        scored = {}
+        for active in frontier:
+            for j in range(m):
+                cand = tuple(sorted(set(active) | {j}))
+                if j not in active and cand not in scored:
+                    scored[cand] = score(cand)
+        if not scored:
+            break
+        ranked = sorted(scored.items(), key=lambda item: -item[1])
+        frontier = [active for active, _ in ranked[:breadth]]
+        if ranked[0][1] > best_score:
+            best_active, best_score = ranked[0]
+    support = np.zeros(m, dtype=np.int8)
+    support[list(best_active)] = 1
+    return support
+
+
+def reference_map_recover(samples, a_sub, cfg, gamma, prior_activity=0.5):
+    """exhaustive_map_support's support, its posterior-mean spectra from
+    _conditional_mean and the relative residual: what fbmp_recover returns.
+    """
+    support = exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity)
+    sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
+    x_hat = _conditional_mean(samples, a_sub, tuple(np.flatnonzero(support).tolist()),
+                              sig_n)
+    return support, x_hat, _residual_ratio(samples, a_sub @ x_hat)
 
 
 class ReferenceOracleEnvironment:
@@ -230,7 +240,8 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
 
     Reference for wssim.recovery.signal_sense with a reused SensingPlan:
     the detector noise comes from a fresh Gram inverse and the support
-    search from reference_greedy_recover.
+    search from reference_map_recover, which scores every support with
+    its own solve.
     """
     a_sub = np.asarray(a_sub, dtype=float)
     k, m = a_sub.shape
@@ -247,8 +258,8 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
         ratio = _residual_ratio(samples, a_sub @ x_hat)
         xi = 0
     else:
-        _, x_hat, ratio = reference_greedy_recover(samples, a_sub, cfg, limit,
-                                                   prior_activity)
+        _, x_hat, ratio = reference_map_recover(samples, a_sub, cfg, limit,
+                                                prior_activity)
         statuses = energy_detect(x_hat, max(cfg.noise_variance, _DETECT_FLOOR),
                                  cfg.energy_fa_rate)
         z_energy = float(np.sum(np.abs(samples) ** 2))
@@ -288,7 +299,6 @@ class ReferenceSignalEnvironment:
         else:
             prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
         recovery_cfg = RecoveryConfig(noise_variance=noise_power_for_snr(cfg.snr_db),
-                                      search_breadth=cfg.search_breadth,
                                       energy_fa_rate=cfg.energy_fa_rate,
                                       residual_threshold=cfg.residual_threshold)
         return reference_signal_sense(samples, a_sub, recovery_cfg,

@@ -66,6 +66,20 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "energy_fa_rate" in capsys.readouterr().err
 
+    def test_oversized_signal_table_exits_with_usage_error(self, workdir, capsys):
+        _, cfg = workdir
+        wide = ["--set", "n_bands=32", "--set", "k_branches=8"]
+        assert main(["validate", str(cfg)] + wide) == 0
+        capsys.readouterr()
+        assert main(["validate", str(cfg), "--set", "rs_mode=signal"] + wide) == 2
+        err = capsys.readouterr().err
+        assert "n_bands" in err and "k_branches" in err
+
+    def test_search_breadth_override_is_unknown(self, workdir, capsys):
+        _, cfg = workdir
+        assert main(["validate", str(cfg), "--set", "search_breadth=5"]) == 2
+        assert "unknown configuration key: search_breadth" in capsys.readouterr().err
+
     def test_unparsable_override_names_key(self, workdir, capsys):
         _, cfg = workdir
         assert main(["validate", str(cfg), "--set", "mu=high"]) == 2

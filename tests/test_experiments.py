@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from wssim.spectrum import simulate_occupancy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 INTEGER_FIELDS = ["replications", "horizon", "bins_per_band", "n_bands",
-                  "k_branches", "seed", "search_breadth"]
+                  "k_branches", "seed"]
 
 
 def small_config(**overrides):
@@ -116,10 +117,15 @@ def signal_setup(n, k, snr_db, horizon, seed=1):
     return config, trajectory, matrix
 
 
+def signal_environment(config, trajectory, matrix, seed):
+    """A SignalEnvironment over its own support table of matrix."""
+    return SignalEnvironment(trajectory, SupportTable(matrix, config.recovery_config()),
+                             config, np.random.default_rng(seed))
+
+
 def environments(config, trajectory, matrix, seed=3):
     """A SignalEnvironment and its reference, on equal generators."""
-    return (SignalEnvironment(trajectory, matrix, config,
-                              np.random.default_rng(seed)),
+    return (signal_environment(config, trajectory, matrix, seed),
             ReferenceSignalEnvironment(trajectory, matrix, config,
                                        np.random.default_rng(seed)))
 
@@ -137,7 +143,9 @@ def assert_same_sense(env, ref, selected, slot, prior_vacancy):
 
 
 class TestSignalEnvironmentMatchesReference:
-    """Per-set sensing plans leave signal sensing bit-identical."""
+    """Per-set sensing plans over a shared support table leave signal
+    sensing bit-identical to the reference, which factorises and solves
+    every support's covariance on every slot."""
 
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
     @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
@@ -204,8 +212,7 @@ class TestSignalEnvironmentMatchesReference:
         trajectory = trajectory.copy()
         trajectory[4, 2] = 2
         with pytest.raises(ValueError, match="0/1"):
-            SignalEnvironment(trajectory, matrix, config,
-                              np.random.default_rng(0))
+            signal_environment(config, trajectory, matrix, 0)
 
     @pytest.mark.parametrize("bad", [-1, 0.5, 257])
     def test_rejects_non_binary_values_before_cast(self, bad):
@@ -215,21 +222,19 @@ class TestSignalEnvironmentMatchesReference:
         trajectory = trajectory.astype(float)
         trajectory[4, 2] = bad
         with pytest.raises(ValueError, match="0/1"):
-            SignalEnvironment(trajectory, matrix, config,
-                              np.random.default_rng(0))
+            signal_environment(config, trajectory, matrix, 0)
 
     def test_rejects_one_dimensional_trajectory(self):
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
         with pytest.raises(ValueError, match="slots x bands"):
-            SignalEnvironment(trajectory[0], matrix, config,
-                              np.random.default_rng(0))
+            signal_environment(config, trajectory[0], matrix, 0)
 
 
 class RecordingEnvironment(SignalEnvironment):
     """A SignalEnvironment keeping every slot's SenseResult.
 
     With fresh_table, each slot senses through a new support table and
-    new plans, so no row outlives the slot that computed it.
+    new plans, so no row or plan outlives the slot that built it.
     """
 
     def __init__(self, *args, fresh_table=False):
@@ -248,10 +253,11 @@ class RecordingEnvironment(SignalEnvironment):
 
 
 class TestSupportTableHistory:
-    """Sensing does not depend on what the support table held before."""
+    """Sensing does not depend on what the support table or plans served
+    before."""
 
     @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
-    def test_shared_fresh_and_capped_tables_agree(self, n, k, monkeypatch):
+    def test_shared_and_fresh_tables_agree(self, n, k, monkeypatch):
         config, trajectory, matrix = signal_setup(n, k, 10.0, 300, seed=11)
         stats = config.band_statistics()
         supports = []
@@ -263,35 +269,34 @@ class TestSupportTableHistory:
             return found
 
         monkeypatch.setattr(recovery, "fbmp_recover", recording_search)
+        # One table, shared by two policies' environments as in a
+        # replication: IMP runs second, after LDM has used the table.
+        table = SupportTable(matrix, config.recovery_config())
+        run_policy(config.policy_config("LDM"),
+                   SignalEnvironment(trajectory, table, config, np.random.default_rng(5)),
+                   np.random.default_rng(6), true_stats=stats)
 
         def run(fresh_table=False):
             supports.clear()
-            env = RecordingEnvironment(trajectory, matrix, config,
+            env = RecordingEnvironment(trajectory, table, config,
                                        np.random.default_rng(3),
                                        fresh_table=fresh_table)
             run_policy(config.policy_config("IMP"), env,
                        np.random.default_rng(13), true_stats=stats)
             return list(supports), [(r.statuses.tolist(), r.xi, r.residual_ratio)
-                                    for r in env.results], len(env.support_table)
+                                    for r in env.results]
 
         shared = run()
         fresh = run(fresh_table=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(recovery, "_MAX_SUPPORTS", 3)
-            capped = run()
         # IMP's sets exceed the branch count, so every slot searched.
         assert len(shared[0]) == len(shared[1]) == 300
-        assert fresh[:2] == shared[:2]
-        assert capped[:2] == shared[:2]
-        # The shared table kept rows across slots; the capped one could not.
-        assert shared[2] > 3 * n and capped[2] < shared[2]
+        assert fresh == shared
 
 
 def test_both_backends_return_sense_result():
     config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
     oracle = OracleEnvironment(trajectory, 4).sense((0, 2, 5), 3)
-    signal = SignalEnvironment(trajectory, matrix, config,
-                               np.random.default_rng(0)).sense((0, 2, 5), 3)
+    signal = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 3)
     for result in (oracle, signal):
         assert type(result) is SenseResult
         statuses, xi, _ = result
@@ -433,11 +438,11 @@ class TestConfigFile:
             load_config(path)
 
     def test_recovery_config_takes_the_recovery_fields(self):
-        cfg = small_config(snr_db=20.0, search_breadth=3, energy_fa_rate=0.01,
+        cfg = small_config(snr_db=20.0, energy_fa_rate=0.01,
                            residual_threshold=0.2)
         assert cfg.recovery_config() == RecoveryConfig(
-            noise_variance=10.0 ** -2.0, search_breadth=3,
-            energy_fa_rate=0.01, residual_threshold=0.2)
+            noise_variance=10.0 ** -2.0, energy_fa_rate=0.01,
+            residual_threshold=0.2)
         assert small_config().recovery_config().noise_variance == 0.0
 
     def test_validation_rejects_overflowing_noise_power(self):
@@ -494,9 +499,31 @@ class TestConfigFile:
     def test_positive_infinite_snr_is_noiseless(self):
         cfg = small_config(snr_db=float("inf"), rs_mode="signal")
         cfg.validate()
-        env = SignalEnvironment(np.zeros((1, 8)), draw_sensing_matrix(
-            4, 8, np.random.default_rng(0)), cfg, np.random.default_rng(1))
-        assert env.support_table.cfg.noise_variance == 0.0
+        assert cfg.recovery_config().noise_variance == 0.0
+
+    def test_numpy_snr_overflow_names_snr_db(self):
+        # np.float64(-4000) used to overflow to an infinite noise power with
+        # a RuntimeWarning, and the error named noise_variance instead.
+        cfg = small_config(rs_mode="signal")
+        cfg.snr_db = np.float64(-4000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="snr_db = .* overflows"):
+                cfg.validate()
+
+    def test_signal_validation_caps_the_support_table(self):
+        # 32 bands at 8 branches need 41,449 support-table rows; oracle
+        # mode builds no table.
+        with pytest.raises(ValueError, match="n_bands = 32 with k_branches = 8"):
+            small_config(rs_mode="signal", n_bands=32, k_branches=8).validate()
+        small_config(n_bands=32, k_branches=8).validate()
+        small_config(rs_mode="signal", n_bands=16, k_branches=8).validate()
+
+    def test_search_breadth_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("n_bands = 8\nsearch_breadth = 5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown configuration key: search_breadth"):
+            load_config(path)
 
     def test_case_statistics_tile_for_larger_bands(self):
         cfg = small_config(n_bands=12)

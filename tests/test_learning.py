@@ -10,6 +10,7 @@ from wssim.learning import (EXPLOIT, BeliefState, OracleEnvironment,
                             PolicyConfig, SlotOutcome, epsilon,
                             exploit_select, explore_schedule,
                             propagate_belief, run_policy, update_counts)
+from wssim.recovery import SupportTable
 from wssim.sensing import draw_sensing_matrix
 from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics,
@@ -467,10 +468,11 @@ class TestMatchesNumpyReference:
         stats = config.band_statistics()
         trajectory = simulate_occupancy(stats, config.horizon,
                                         np.random.default_rng(1))
-        matrix = draw_sensing_matrix(4, 8, np.random.default_rng(2))
+        table = SupportTable(draw_sensing_matrix(4, 8, np.random.default_rng(2)),
+                             config.recovery_config())
 
         def make_env():
-            return SignalEnvironment(trajectory, matrix, config,
+            return SignalEnvironment(trajectory, table, config,
                                      np.random.default_rng(3))
 
         cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=config.horizon,

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -8,17 +10,17 @@ import numpy as np
 import pytest
 
 from conftest import (all_supports, exhaustive_map_support,
-                      reference_greedy_recover, reference_signal_sense,
-                      reference_support_score, score_terms,
-                      solve_support_scores)
+                      reference_greedy_support, reference_map_recover,
+                      reference_signal_sense, reference_support_score,
+                      score_terms, solve_support_scores)
 import wssim
 from wssim import recovery
 from wssim.recovery import (RecoveryConfig, SenseResult, SensingPlan,
                             SupportTable, direct_solve, energy_detect,
                             fbmp_recover, gamma_threshold, oracle_sense,
-                            signal_sense)
+                            signal_sense, support_count)
 from wssim.recovery import (_chi2_quantile, _prior_log_odds,
-                            _table_scores)
+                            _support_covariances)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import synthesize_band_spectra
 
@@ -181,8 +183,10 @@ class TestFbmpRecover:
                 assert np.all(better > worse)
 
     def test_greedy_matches_exhaustive_on_noiseless_instances(self):
+        # The exact search equals the exhaustive reference on every
+        # instance, and FBMP's greedy search, which it replaced, agreed
+        # with both on all but at most 1 % of them.
         trials = 200
-        exhaustive_correct = 0
         agree = 0
         for seed in range(trials):
             m = 5 + seed % 4          # sizes 5..8
@@ -191,11 +195,64 @@ class TestFbmpRecover:
                 seed, m=m, busy_count=busy_count, snr_db=None)
             exhaustive = exhaustive_map_support(samples, plan.a_sub, plan.table.cfg,
                                                 **search)
-            greedy, _, _ = fbmp_recover(samples, plan, **search)
-            exhaustive_correct += int(np.array_equal(exhaustive, statuses))
-            agree += int(np.array_equal(exhaustive, greedy))
-        assert exhaustive_correct == trials
+            found, _, _ = fbmp_recover(samples, plan, **search)
+            greedy = reference_greedy_support(samples, plan.a_sub, plan.table.cfg,
+                                              **search)
+            assert np.array_equal(exhaustive, statuses)
+            assert np.array_equal(found, exhaustive)
+            agree += int(np.array_equal(greedy, exhaustive))
         assert agree / trials >= 0.99
+
+    @pytest.mark.parametrize("k, m, gamma", [(4, 7, 2), (8, 10, 4)])
+    def test_support_equals_exhaustive_map_support(self, k, m, gamma):
+        # Seeded noisy draws with uneven priors, busy counts from none to
+        # beyond the limit, through a plan over a wider matrix whose bands
+        # are selected out of order.
+        rng = np.random.default_rng(k * m)
+        for trial in range(60):
+            table = SupportTable(rng.standard_normal((k, m + 3)), RecoveryConfig(
+                noise_variance=noise_power_for_snr((20.0, 10.0, 5.0)[trial % 3])))
+            plan = SensingPlan(table, rng.permutation(m + 3)[:m])
+            statuses = np.zeros(m, dtype=np.int8)
+            statuses[rng.choice(m, size=trial % (gamma + 2), replace=False)] = 1
+            samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
+                              (20.0, 10.0, 5.0)[trial % 3], rng)
+            prior = rng.uniform(0.05, 0.95, m)
+            support, _, _ = fbmp_recover(samples, plan, gamma, prior)
+            want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma, prior)
+            assert support.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k, m, gamma", [(4, 7, 2), (8, 10, 4)])
+    def test_exact_tie_goes_to_first_selection_position(self, k, m, gamma):
+        # Bands 2 and 5 have the same column, so every support with one of
+        # them scores exactly as the same support with the other. Band 5
+        # is selected first: the tie must go to its position, not to the
+        # lower band number.
+        rng = np.random.default_rng(m)
+        matrix = rng.standard_normal((k, m))
+        matrix[:, 2] = matrix[:, 5]
+        table = SupportTable(matrix, RecoveryConfig(noise_variance=0.01))
+        bands = [5] + [b for b in rng.permutation(m).tolist() if b != 5]
+        plan = SensingPlan(table, bands)
+        first, second = 0, bands.index(2)
+        for trial in range(10):
+            statuses = np.zeros(m, dtype=np.int8)
+            statuses[first] = 1
+            samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
+                              20.0, rng)
+            support, _, _ = fbmp_recover(samples, plan, gamma)
+            want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma)
+            assert support.tobytes() == want.tobytes()
+            assert support[first] == 1 and support[second] == 0
+
+    def test_rejects_gamma_beyond_table(self, rng):
+        plan = SensingPlan(SupportTable(rng.standard_normal((4, 8)), RecoveryConfig()),
+                           range(6))
+        samples = np.zeros((4, 8), dtype=complex)
+        fbmp_recover(samples, plan, 2)
+        for gamma in (-1, 3):
+            with pytest.raises(ValueError, match="gamma"):
+                fbmp_recover(samples, plan, gamma)
 
     @pytest.mark.parametrize("k, m, gamma", [(4, 7, 2), (8, 16, 4)])
     def test_stacked_scores_equal_one_at_a_time(self, k, m, gamma):
@@ -222,7 +279,7 @@ class TestFbmpRecover:
     def test_identical_to_one_support_at_a_time_search(self):
         # 500 seeded draws across set sizes, noise levels and busy counts,
         # some beyond the recoverable limit: support, spectra and residual
-        # must be exactly those of the scalar reference search.
+        # must be exactly those of the solve-based exhaustive reference.
         shapes = [(4, 6), (4, 7), (8, 13), (8, 16)]
         for seed in range(500):
             k, m = shapes[seed % 4]
@@ -230,7 +287,7 @@ class TestFbmpRecover:
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 2),
                 snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
             support, x_hat, ratio = fbmp_recover(samples, plan, **search)
-            ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
+            ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, **search)
             np.testing.assert_array_equal(support, ref_support)
             np.testing.assert_array_equal(x_hat, ref_x_hat)
@@ -389,6 +446,14 @@ def assert_scores_close(got, want, rtol=SCORE_RTOL):
     assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
 
 
+def table_scores(plan, supports, szz, n_bins, log_prior):
+    """fbmp_recover's scores of a (C, s) array of selection-position
+    supports, from the rows of plan's table."""
+    table = plan.table
+    rows = table.rows(np.sort(np.array(plan.bands)[supports], axis=1))
+    return -n_bins * table.logdet[rows] - table.inv[rows] @ szz.real.ravel() + log_prior
+
+
 class TestSensingPlan:
     """A reused plan gives the outcomes of computing everything per call.
 
@@ -398,14 +463,14 @@ class TestSensingPlan:
 
     @pytest.mark.parametrize("k, m", PLAN_SHAPES)
     def test_first_level_table_scores_match_one_at_a_time(self, k, m):
-        # The search's first lookup: the empty support, then every
-        # singleton in band order.
+        # The empty support, then every singleton in band order.
         for plan, samples, prior in plan_draws(k * m, k, m, 10):
             szz, n_bins, sig_n, base_prior, gain = score_terms(
                 samples, plan.table.cfg, m, prior)
             first = [()] + [(j,) for j in range(m)]
-            got = _table_scores(plan.table, first, szz.real.ravel(), n_bins,
-                                np.concatenate(([base_prior], base_prior + gain)))
+            got = np.concatenate([
+                table_scores(plan, all_supports(m, 0), szz, n_bins, base_prior),
+                table_scores(plan, all_supports(m, 1), szz, n_bins, base_prior + gain)])
             want = [reference_support_score(szz, n_bins, plan.a_sub, active,
                                             sig_n, base_prior, gain)
                     for active in first]
@@ -417,7 +482,7 @@ class TestSensingPlan:
         gamma = gamma_threshold(m, k)
         for plan, samples, prior in plan_draws(k + m, k, m, 84):
             support, x_hat, ratio = fbmp_recover(samples, plan, gamma, prior)
-            ref_support, ref_x_hat, ref_ratio = reference_greedy_recover(
+            ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, gamma, prior)
             assert support.tobytes() == ref_support.tobytes()
             assert x_hat.tobytes() == ref_x_hat.tobytes()
@@ -446,17 +511,11 @@ class TestSensingPlan:
         assert noiseless.band_noise.tolist() == [1e-12] * 3
 
 
-def table_keys(supports):
-    return [tuple(map(int, support)) for support in supports]
-
-
 class TestSupportTable:
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
     @pytest.mark.parametrize("k, m", [(4, 7), (8, 16)])
     def test_scores_match_solve_reference(self, k, m, snr_db):
-        # Every support up to gamma, the empty support included, through
-        # one table per draw, which therefore also serves later sizes from
-        # rows of earlier lookups.
+        # Every support up to gamma, the empty support included.
         gamma = gamma_threshold(m, k)
         rtol = SCORE_RTOL if snr_db is None else NOISY_SCORE_RTOL
         for seed in range(6):
@@ -472,40 +531,43 @@ class TestSupportTable:
                                             sig_n, base_prior, gain)
                 log_prior = base_prior + gain[supports].sum(axis=1) \
                     if size else np.full(len(supports), base_prior)
-                got = _table_scores(plan.table, table_keys(supports),
-                                    szz.real.ravel(), n_bins, log_prior)
+                got = table_scores(plan, supports, szz, n_bins, log_prior)
                 assert_scores_close(got, want, rtol)
 
-    def test_rows_independent_of_history(self, rng, monkeypatch):
-        # Rows come out with the same bits whether computed alone, among
-        # other keys of their size and others, or after the table was
-        # emptied for being full.
-        matrix = rng.standard_normal((4, 8))
-        cfg = RecoveryConfig(noise_variance=0.1)
-        keys = [(), (1,), (0, 3), (2, 5), (6,), (1, 4, 7), (0, 1)]
-        alone = [SupportTable(matrix, cfg).lookup([key]) for key in keys]
-        monkeypatch.setattr(recovery, "_MAX_SUPPORTS", 3)
-        table = SupportTable(matrix, cfg)
-        for batch in ([keys[0], keys[3]], keys[1:6], keys, keys[::-1]):
-            inv, logdet = table.lookup(batch)
-            for i, key in enumerate(batch):
-                want_inv, want_logdet = alone[keys.index(key)]
-                assert inv[i].tobytes() == want_inv[0].tobytes()
-                assert logdet[i] == want_logdet[0]
-            assert len(table) <= max(3, len(batch))
+    def test_rows_independent_of_history(self, rng):
+        # Every eager row has the bits of its own support's covariance and
+        # inverse computed alone, at the row its colex rank names: the
+        # smaller sizes' rows, then sum_i C(c_i, i + 1).
+        for k, n in [(4, 8), (8, 16), (8, 3)]:
+            matrix = rng.standard_normal((k, n))
+            table = SupportTable(matrix, RecoveryConfig(noise_variance=0.1))
+            assert len(table.inv) == len(table.logdet) == support_count(n, k)
+            seen = []
+            for size in range(table.max_size + 1):
+                supports = all_supports(n, size)
+                rows = table.rows(supports)
+                for support, row in zip(supports.tolist(), rows.tolist()):
+                    rank = sum(math.comb(c, i + 1) for i, c in enumerate(support))
+                    assert row == table.offset[size] + rank
+                    phi, logdet = _support_covariances(
+                        matrix, np.array([support], dtype=np.intp).reshape(1, size),
+                        table.sig_n)
+                    assert table.inv[row].tobytes() == np.linalg.inv(phi).tobytes()
+                    assert table.logdet[row] == logdet[0]
+                seen += rows.tolist()
+            assert sorted(seen) == list(range(len(table.logdet)))
 
-    def test_clears_when_full(self, rng, monkeypatch):
-        monkeypatch.setattr(recovery, "_MAX_SUPPORTS", 3)
-        table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
-        table.lookup([(0,), (1,)])
-        assert len(table) == 2
-        table.lookup([(0,), (1,), (2,)])
-        assert len(table) == 3
-        table.lookup([(3,)])
-        assert len(table) == 1
-        # A lookup larger than the cap keeps its own rows until the next.
-        table.lookup([(j,) for j in range(8)])
-        assert len(table) == 8
+    @pytest.mark.parametrize("n, k, rows", [(8, 4, 37), (16, 4, 137),
+                                            (16, 8, 2517), (90, 4, 4096)])
+    def test_row_counts(self, n, k, rows):
+        assert support_count(n, k) == rows
+
+    @pytest.mark.parametrize("n, k", [(32, 8), (91, 4), (16, 12)])
+    def test_rejects_more_rows_than_the_cap(self, n, k):
+        with pytest.raises(ValueError, match=f"n_bands = {n} with k_branches = {k}"):
+            support_count(n, k)
+        with pytest.raises(ValueError, match="k_branches"):
+            SupportTable(np.ones((k, n)), RecoveryConfig())
 
     def test_own_table_over_sub_matrix_columns(self, rng):
         # A plan over every column of a table of its own sub-matrix, and
@@ -527,32 +589,29 @@ class TestSupportTable:
         table = SupportTable(matrix, cfg)
         sets = [(0, 1, 2, 3, 4, 5), (7, 3, 5, 4, 6)]
         plans = [SensingPlan(table, bands) for bands in sets]
-        samples = [measure(plan.a_sub, synthesize_band_spectra(
-                       np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng),
-                       20.0, rng) for plan in plans]
-        # One level: the empty support and the six singletons of the
-        # first set, then only the second set's new bands 6 and 7.
-        fbmp_recover(samples[0], plans[0], 1)
-        assert len(table) == 7
-        fbmp_recover(samples[1], plans[1], 1)
-        assert len(table) == 9
-        # Deeper levels reuse every pair of the common bands 3, 4, 5.
-        fbmp_recover(samples[0], plans[0], 2)
-        rows = len(table)
-        inv, logdet = table.lookup([(3, 4), (3, 5), (4, 5)])
-        assert len(table) == rows
-        fresh_inv, fresh_logdet = SupportTable(matrix, cfg).lookup(
-            [(3, 4), (3, 5), (4, 5)])
-        assert inv.tobytes() == fresh_inv.tobytes()
-        assert logdet.tobytes() == fresh_logdet.tobytes()
+        # A plan's rows are the table rows of its supports' sorted bands,
+        # in (size, lexicographic) order over selection positions; the two
+        # sets share exactly the rows of the supports of bands 3, 4 and 5.
+        for plan in plans:
+            bands = np.array(plan.bands)
+            want = [table.rows(np.sort(bands[all_supports(len(bands), size)], axis=1))
+                    for size in range(3)]
+            assert plan.rows.tolist() == np.concatenate(want).tolist()
+        common = [table.rows(np.array([3, 4, 5])[all_supports(3, size)])
+                  for size in range(3)]
+        assert set(plans[0].rows.tolist()) & set(plans[1].rows.tolist()) == \
+            set(np.concatenate(common).tolist())
         # The unsorted set's search finds the same support as the
         # reference on its own sub-matrix.
-        for plan, z in zip(plans, samples):
-            support, x_hat, ratio = fbmp_recover(z, plan, 2)
-            want = reference_greedy_recover(z, plan.a_sub, cfg, 2)
-            assert support.tobytes() == want[0].tobytes()
-            assert x_hat.tobytes() == want[1].tobytes()
-            assert ratio == want[2]
+        for plan in plans:
+            z = measure(plan.a_sub, synthesize_band_spectra(
+                np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng), 20.0, rng)
+            for gamma in (1, 2):
+                support, x_hat, ratio = fbmp_recover(z, plan, gamma)
+                want = reference_map_recover(z, plan.a_sub, cfg, gamma)
+                assert support.tobytes() == want[0].tobytes()
+                assert x_hat.tobytes() == want[1].tobytes()
+                assert ratio == want[2]
 
 
 class TestRecoveryConfig:
@@ -590,10 +649,6 @@ class TestRecoveryConfig:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "[]"
-
-    def test_rejects_zero_search_breadth(self):
-        with pytest.raises(ValueError, match="search_breadth"):
-            RecoveryConfig(search_breadth=0)
 
     def test_frozen(self):
         cfg = RecoveryConfig()

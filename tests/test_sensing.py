@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,27 @@ class TestMeasure:
         samples = measure(a_sub, spectra, 10.0, rng)
         measured = np.mean(np.abs(samples) ** 2)
         assert measured == pytest.approx(0.1, rel=0.05)
+
+    @pytest.mark.parametrize("snr_db", [float("-inf"), np.float64("-inf"),
+                                        float("nan")])
+    def test_negative_infinite_snr_rejected(self, snr_db, rng):
+        # np.isinf matched -inf too, so -inf used to read as noiseless.
+        with pytest.raises(ValueError, match="snr_db"):
+            noise_power_for_snr(snr_db)
+        with pytest.raises(ValueError, match="snr_db"):
+            measure(np.ones((2, 1)), np.ones((1, 4), dtype=complex), snr_db, rng)
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, np.float64(-4000.0)])
+    def test_overflowing_snr_rejected_without_warning(self, snr_db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="snr_db = .* overflows"):
+                noise_power_for_snr(snr_db)
+
+    def test_numpy_scalar_snr_matches_float(self):
+        for snr_db in (-300.0, -20.0, 0.0, 7.5, 20.0, 300.0):
+            assert noise_power_for_snr(np.float64(snr_db)) == noise_power_for_snr(snr_db)
+        assert noise_power_for_snr(np.float64("inf")) == 0.0
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
