@@ -18,7 +18,7 @@ import numpy as np
 from .learning import POLICY_MODES, PolicyConfig
 from .recovery import RecoveryConfig, detection_quantile, support_count
 from .sensing import noise_power_for_snr
-from .spectrum import CASE_STATIONARY, BandStatistics
+from .spectrum import CASE_STATIONARY, BandStatistics, check_bins_per_band
 
 RS_MODES = ("oracle", "signal")
 
@@ -90,8 +90,7 @@ class ExperimentConfig:
             self.policy_config(policy).validate()
         if not 0.0 < self.lambda_mixing <= 1.0:
             raise ValueError("lambda_mixing must lie in (0, 1]")
-        if self.bins_per_band < 1:
-            raise ValueError("bins_per_band must be at least 1")
+        check_bins_per_band(self.bins_per_band)
         self.recovery_config()
         if self.rs_mode == "signal":
             detection_quantile(self.energy_fa_rate, self.bins_per_band)

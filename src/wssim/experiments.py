@@ -24,11 +24,24 @@ carry mean power 1 per bin and the noise power per bin is
 samples and the selected bands' busy priors, nothing else; the search
 scores every support of at most gamma of the set's bands and keeps the
 first maximum in (size, lexicographic) order. Plans return the same
-values whatever the environment held before and the slot's random draws
-are unchanged, so the output depends on the config alone. It matches
-scoring each support with its own solve except where two supports'
-scores tie to the last bits, which the table's cached inverses can
-change (see recovery).
+values whatever the environment held before, so the output depends on
+the config alone. It matches scoring each support with its own solve
+except where two supports' scores tie to the last bits, which the
+table's cached inverses can change (see recovery).
+
+A slot's random draws depend only on its trajectory row, bins_per_band,
+K and the SNR, not on the selected bands. So a SignalEnvironment draws
+the spectra and noise of a block of consecutive slots in one generator
+call when it senses the block's first slot, at most _BLOCK_DRAWS values
+(at least one slot; the last block ends at the trajectory's end). The
+values, their order and the formulas that shape them
+(spectrum.unit_power_rows, sensing.complex_noise) are those of calling
+synthesize_band_spectra and measure slot by slot, so every slot's
+samples are bit-identical to them, and the generator is in the same
+state after each block and at the horizon's end. Each sense() call must
+therefore name the slot after the previous call's (the first call may
+name any slot), as run_policy does; any other slot raises a ValueError
+naming the expected one.
 """
 
 from __future__ import annotations
@@ -42,12 +55,15 @@ import numpy as np
 from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, run_policy
 from .recovery import SenseResult, SensingPlan, SupportTable, signal_sense
-from .sensing import draw_sensing_matrix, measure
-from .spectrum import (BandStatistics, check_trajectory, simulate_occupancy,
-                       synthesize_band_spectra)
+from .sensing import complex_noise, draw_sensing_matrix, noise_power_for_snr
+from .spectrum import (BandStatistics, check_bins_per_band, check_trajectory,
+                       simulate_occupancy, unit_power_rows)
 
 # Sensing plans kept per SignalEnvironment: every subset of 8 bands.
 _MAX_PLANS = 256
+# Random values a SignalEnvironment draws at most per block of slots. A
+# slot draws at most 2 * bins_per_band * (n_bands + k_branches) of them.
+_BLOCK_DRAWS = 1 << 15
 
 
 @dataclass
@@ -67,6 +83,9 @@ class SignalEnvironment:
     The trajectory is checked by spectrum.check_trajectory. table is the
     replication's SupportTable, over its whole sensing matrix, with the
     config's recovery settings; every policy's environment shares it.
+    Slots are sensed in order: each sense() call names the slot after the
+    previous call's (the first may name any slot), and any other slot
+    raises a ValueError.
     """
 
     def __init__(self, trajectory: np.ndarray, table: SupportTable,
@@ -76,6 +95,13 @@ class SignalEnvironment:
         self.rng = rng
         self.support_table = table
         self._plans: dict[tuple[int, ...], SensingPlan] = {}
+        self._noise_power = noise_power_for_snr(config.snr_db)
+        most_draws = (2 * check_bins_per_band(config.bins_per_band)
+                      * (self.trajectory.shape[1] + config.k_branches))
+        self.block_slots = max(1, _BLOCK_DRAWS // most_draws)
+        self._next_slot: int | None = None
+        self._block_start = self._block_end = 0
+        self._grid = self._noise = None
 
     def _plan(self, selected) -> SensingPlan:
         """The sensing plan of a band set, built on its first use."""
@@ -87,13 +113,51 @@ class SignalEnvironment:
             plan = self._plans[key] = SensingPlan(self.support_table, key)
         return plan
 
+    def _draw_block(self, start: int) -> None:
+        """Draw the spectra and noise of the block_slots slots from start
+        (fewer at the trajectory's end) in one generator call.
+
+        The values come in the order per-slot synthesize_band_spectra and
+        measure draw them, bins_per_band to a row: per slot, the real parts
+        of every busy band in band order, then their imaginary parts, then
+        (unless the run is noiseless) K rows of the noise's real parts and
+        K of its imaginary parts.
+        """
+        k = self.config.k_branches
+        self._grid = self._noise = None   # free the last block first
+        busy_mask = self.trajectory[start:start + self.block_slots] != 0
+        busy = np.count_nonzero(busy_mask, axis=1)
+        noise_rows = 2 * k if self._noise_power > 0.0 else 0
+        rows_per_slot = 2 * busy + noise_rows
+        offsets = np.cumsum(rows_per_slot) - rows_per_slot
+        draws = self.rng.standard_normal((int(rows_per_slot.sum()),
+                                          self.config.bins_per_band))
+        # A busy band's real row: its slot's offset plus its rank among the
+        # slot's busy bands.
+        row_slot = np.nonzero(busy_mask)[0]
+        rank = np.arange(row_slot.size) - (np.cumsum(busy) - busy)[row_slot]
+        real = offsets[row_slot] + rank
+        self._grid = np.zeros(busy_mask.shape + draws.shape[1:], dtype=np.complex128)
+        self._grid[busy_mask] = unit_power_rows(draws[real],
+                                                draws[real + busy[row_slot]])
+        if noise_rows:
+            real = (offsets + 2 * busy)[:, None] + np.arange(k)
+            self._noise = complex_noise(draws[real], draws[real + k], self._noise_power)
+        self._block_start, self._block_end = start, start + busy.size
+
     def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
-        cfg = self.config
+        if self._next_slot is not None and slot != self._next_slot:
+            raise ValueError(f"slots are sensed in order: expected slot "
+                             f"{self._next_slot}, got {slot}")
         plan = self._plan(selected)
         selected = np.asarray(selected)
-        grid = synthesize_band_spectra(self.trajectory[slot],
-                                       cfg.bins_per_band, self.rng)
-        samples = measure(plan.a_sub, grid[selected], cfg.snr_db, self.rng)
+        if self._next_slot is None or slot == self._block_end:
+            self._draw_block(slot)
+        i = slot - self._block_start
+        samples = plan.a_sub @ self._grid[i][selected]
+        self._next_slot = slot + 1
+        if self._noise is not None:
+            samples = samples + self._noise[i]
         if prior_vacancy is None:
             prior_activity = 0.5
         else:
@@ -112,7 +176,9 @@ def run_replication(config: ExperimentConfig, rep_index: int,
         raise ValueError("rep_index out of range")
     if stats is None:
         stats = config.band_statistics()
-    rep_seed = np.random.SeedSequence(config.seed).spawn(config.replications)[rep_index]
+    # Child rep_index of SeedSequence(config.seed), without spawning the
+    # other replications' children.
+    rep_seed = np.random.SeedSequence(config.seed, spawn_key=(rep_index,))
     streams = rep_seed.spawn(2 + 2 * len(config.policies))
     trajectory = simulate_occupancy(stats, config.horizon,
                                     np.random.default_rng(streams[0]))

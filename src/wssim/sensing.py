@@ -88,7 +88,14 @@ def measure(a_sub: np.ndarray, band_rows: np.ndarray, snr_db: float | None,
     noise_power = noise_power_for_snr(snr_db)
     if noise_power > 0.0:
         k, bins = samples.shape
-        noise = (rng.standard_normal((k, bins))
-                 + 1j * rng.standard_normal((k, bins))) * np.sqrt(noise_power / 2.0)
-        samples = samples + noise
+        samples = samples + complex_noise(rng.standard_normal((k, bins)),
+                                          rng.standard_normal((k, bins)),
+                                          noise_power)
     return samples
+
+
+def complex_noise(real: np.ndarray, imag: np.ndarray,
+                  noise_power: float) -> np.ndarray:
+    """Circular complex AWGN of the given per-bin power from standard
+    normal real and imaginary parts, elementwise and of any shape."""
+    return (real + 1j * imag) * np.sqrt(noise_power / 2.0)

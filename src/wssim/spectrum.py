@@ -90,6 +90,13 @@ def check_trajectory(trajectory) -> np.ndarray:
     return trajectory.astype(np.int8, copy=False)
 
 
+def check_bins_per_band(bins_per_band: int) -> int:
+    """bins_per_band, after checking that it is at least 1."""
+    if bins_per_band < 1:
+        raise ValueError("bins_per_band must be at least 1")
+    return bins_per_band
+
+
 def simulate_occupancy(stats: BandStatistics, horizon: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Full status trajectory, shape (horizon, n_bands), slot 0 stationary.
@@ -149,13 +156,20 @@ def synthesize_band_spectra(statuses: np.ndarray, bins_per_band: int,
     mean per-bin power is exactly 1; vacant rows stay zero,
     so the support of the grid equals the busy set.
     """
-    if bins_per_band < 1:
-        raise ValueError("bins_per_band must be at least 1")
-    grid = np.zeros((len(statuses), bins_per_band), dtype=np.complex128)
+    grid = np.zeros((len(statuses), check_bins_per_band(bins_per_band)),
+                    dtype=np.complex128)
     busy = np.flatnonzero(statuses)
     if busy.size:
-        raw = (rng.standard_normal((busy.size, bins_per_band))
-               + 1j * rng.standard_normal((busy.size, bins_per_band)))
-        mean_power = np.mean(np.abs(raw) ** 2, axis=1)
-        grid[busy] = raw * np.sqrt(1.0 / mean_power)[:, None]
+        grid[busy] = unit_power_rows(rng.standard_normal((busy.size, bins_per_band)),
+                                     rng.standard_normal((busy.size, bins_per_band)))
     return grid
+
+
+def unit_power_rows(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """The (rows, bins) complex rows real + 1j * imag, each rescaled so its
+    mean per-bin power is exactly 1. Each row's result depends only on its
+    own values, so rows drawn for many slots at once come out as they
+    would one slot at a time."""
+    raw = real + 1j * imag
+    mean_power = np.mean(np.abs(raw) ** 2, axis=1)
+    return raw * np.sqrt(1.0 / mean_power)[:, None]

@@ -105,12 +105,34 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_replication(small_config(), 3)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**70])
+    def test_replication_seed_is_the_spawned_child(self, seed):
+        # run_replication builds child rep_index of SeedSequence(seed)
+        # directly; it must equal spawning every replication's child.
+        for rep_index in (0, 1, 9):
+            spawned = np.random.SeedSequence(seed).spawn(10)[rep_index]
+            direct = np.random.SeedSequence(seed, spawn_key=(rep_index,))
+            assert (direct.entropy, direct.spawn_key, direct.pool_size) == \
+                (spawned.entropy, spawned.spawn_key, spawned.pool_size)
+            assert direct.generate_state(8).tobytes() == \
+                spawned.generate_state(8).tobytes()
+            for a, b in zip(direct.spawn(4), spawned.spawn(4)):
+                assert a.generate_state(8).tobytes() == b.generate_state(8).tobytes()
 
-def signal_setup(n, k, snr_db, horizon, seed=1):
+    @pytest.mark.parametrize("rs_mode", ["oracle", "signal"])
+    def test_replication_independent_of_replication_count(self, rs_mode):
+        cfg = dict(horizon=60, rs_mode=rs_mode, snr_db=20.0, bins_per_band=16)
+        few = run_replication(small_config(replications=2, **cfg), 1)
+        many = run_replication(small_config(replications=50, **cfg), 1)
+        for policy in few:
+            assert few[policy].tobytes() == many[policy].tobytes()
+
+
+def signal_setup(n, k, snr_db, horizon, seed=1, bins_per_band=32):
     """A signal-mode config with its trajectory and sensing matrix."""
     config = ExperimentConfig(n_bands=n, k_branches=k, horizon=horizon,
                               case="case2", rs_mode="signal", snr_db=snr_db,
-                              bins_per_band=32)
+                              bins_per_band=bins_per_band)
     trajectory = simulate_occupancy(config.band_statistics(), horizon,
                                     np.random.default_rng(seed))
     matrix = draw_sensing_matrix(k, n, np.random.default_rng(seed + 1))
@@ -130,7 +152,11 @@ def environments(config, trajectory, matrix, seed=3):
                                        np.random.default_rng(seed)))
 
 
-def assert_same_sense(env, ref, selected, slot, prior_vacancy):
+def assert_same_sense(env, ref, selected, slot, prior_vacancy, first_slot=0):
+    """Sense one slot with both environments and compare the results bit
+    for bit. env draws a block of slots ahead when it senses the block's
+    first slot, so the generators are compared after the last slot of each
+    block, counted from first_slot, and of the trajectory."""
     got = env.sense(selected, slot, prior_vacancy)
     want = ref.sense(selected, slot, prior_vacancy)
     assert got.statuses.dtype == want.statuses.dtype == np.int8
@@ -138,8 +164,28 @@ def assert_same_sense(env, ref, selected, slot, prior_vacancy):
     assert got.xi == want.xi
     assert struct.pack("<d", got.residual_ratio) == \
         struct.pack("<d", want.residual_ratio)
-    assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+    if ((slot + 1 - first_slot) % env.block_slots == 0
+            or slot + 1 == len(env.trajectory)):
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
     return got
+
+
+def sense_every_slot(env, ref, n, k, slots, seed=4):
+    """Sense slots in order with both environments, cycling through sets
+    of every size on both recovery paths, one of them unsorted; returns
+    the paths taken (True for the direct path)."""
+    draws = np.random.default_rng(seed)
+    sizes = [1, k // 2, k, k + 1, k + 3, n]
+    pool = [draws.choice(n, size=size, replace=False) for size in sizes
+            for _ in range(2)]
+    pool = [np.sort(sel) for sel in pool[1:]] + [pool[0]]
+    paths = set()
+    for slot in slots:
+        selected = pool[slot % len(pool)]
+        prior = None if slot % 7 == 0 else draws.random(n).tolist()
+        assert_same_sense(env, ref, selected, slot, prior, first_slot=slots[0])
+        paths.add(selected.size <= k)
+    return paths
 
 
 class TestSignalEnvironmentMatchesReference:
@@ -153,20 +199,10 @@ class TestSignalEnvironmentMatchesReference:
         horizon = 90
         config, trajectory, matrix = signal_setup(n, k, snr_db, horizon)
         env, ref = environments(config, trajectory, matrix)
-        draws = np.random.default_rng(4)
         # Two sets of every size on both paths (so plans of equal size
-        # differ), one in unsorted order; each is sensed several times.
-        sizes = [1, k // 2, k, k + 1, k + 3, n]
-        pool = [draws.choice(n, size=size, replace=False) for size in sizes
-                for _ in range(2)]
-        pool = [np.sort(sel) for sel in pool[1:]] + [pool[0]]
-        paths = set()
-        for slot in range(horizon):
-            selected = pool[slot % len(pool)]
-            prior = None if slot % 7 == 0 else draws.random(n).tolist()
-            assert_same_sense(env, ref, selected, slot, prior)
-            paths.add(selected.size <= k)
-        assert paths == {True, False}
+        # differ); each is sensed several times.
+        assert sense_every_slot(env, ref, n, k, range(horizon)) == {True, False}
+        assert 1 < env.block_slots < horizon
 
     def test_plan_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(experiments, "_MAX_PLANS", 3)
@@ -206,6 +242,68 @@ class TestSignalEnvironmentMatchesReference:
         if mode == "IMP":
             # IMP's fixed sets exceed the branch count: the search path ran.
             assert max(len(o.selected) for o in got) > k
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
+    @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+    def test_blocks_and_a_partial_block(self, n, k, snr_db):
+        # Two whole blocks and three slots of a third, cut by the
+        # trajectory's end.
+        config, trajectory, matrix = signal_setup(n, k, snr_db, 1)
+        horizon = 2 * signal_environment(config, trajectory, matrix, 0).block_slots + 3
+        config, trajectory, matrix = signal_setup(n, k, snr_db, horizon, seed=2)
+        env, ref = environments(config, trajectory, matrix)
+        assert sense_every_slot(env, ref, n, k, range(horizon)) == {True, False}
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
+    @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+    def test_vacant_and_busy_slots(self, n, k, snr_db):
+        # Runs of all-vacant and all-busy slots inside and across blocks,
+        # starting mid-trajectory.
+        config, trajectory, matrix = signal_setup(n, k, snr_db, 100, seed=3)
+        trajectory = trajectory.copy()
+        trajectory[10:40] = 0
+        trajectory[55:70] = 1
+        trajectory[80::3] = 0
+        env, ref = environments(config, trajectory, matrix)
+        sense_every_slot(env, ref, n, k, range(5, 100))
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0])
+    @pytest.mark.parametrize("trajectory_of", [np.zeros, np.ones])
+    def test_all_vacant_and_all_busy_trajectories(self, trajectory_of, snr_db):
+        config, _, matrix = signal_setup(8, 4, snr_db, 50)
+        trajectory = trajectory_of((50, 8), dtype=np.int8)
+        env, ref = environments(config, trajectory, matrix)
+        sense_every_slot(env, ref, 8, 4, range(50))
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    def test_one_slot_blocks(self, snr_db):
+        # So many bins per band that one slot fills the draw budget: every
+        # block is a single slot.
+        bins = experiments._BLOCK_DRAWS // (8 + 4)
+        config, trajectory, matrix = signal_setup(8, 4, snr_db, 12,
+                                                  bins_per_band=bins)
+        env, ref = environments(config, trajectory, matrix)
+        assert env.block_slots == 1
+        sense_every_slot(env, ref, 8, 4, range(12))
+
+    @pytest.mark.parametrize("slots, expected", [((0, 1, 1), 2), ((4, 5, 7), 6),
+                                                 ((3, 2), 4)])
+    def test_slots_are_sensed_in_order(self, slots, expected):
+        config, trajectory, matrix = signal_setup(8, 4, 20.0, 20)
+        env = signal_environment(config, trajectory, matrix, 0)
+        for slot in slots[:-1]:
+            env.sense((0, 2, 5), slot)
+        with pytest.raises(ValueError, match=f"expected slot {expected}, got {slots[-1]}"):
+            env.sense((0, 2, 5), slots[-1])
+
+    def test_rejects_zero_bins_per_band(self):
+        # Checked when the block length is worked out, before any draw.
+        config, trajectory, matrix = signal_setup(8, 4, 20.0, 10, bins_per_band=0)
+        with pytest.raises(ValueError, match="bins_per_band"):
+            signal_environment(config, trajectory, matrix, 0)
 
     def test_rejects_non_binary_trajectory(self):
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
