@@ -13,9 +13,9 @@ return a recovery.SenseResult per slot.
 In signal mode run_replication builds one recovery.SupportTable of the
 replication's sensing matrix, with the RecoveryConfig that
 ExperimentConfig.recovery_config() builds, and hands it to every policy's
-SignalEnvironment. The table is eager (Phi_S^-1 and log det Phi_S of
-every support of at most K // 2 bands, from the start) and never grows or
-clears. Each environment keeps one recovery.SensingPlan per distinct
+SignalEnvironment. The table is eager (Phi_S^-1, log det Phi_S and the
+posterior-mean operator of every support of at most K // 2 bands, from
+the start) and never grows or clears. Each environment keeps one recovery.SensingPlan per distinct
 selected set, a view of the table built the first time the set is
 sensed, and at most _MAX_PLANS of them (the oldest goes first), which
 bounds memory whatever the horizon. Signal power is the unit: busy bands
@@ -25,9 +25,10 @@ samples and the selected bands' busy priors, nothing else; the search
 scores every support of at most gamma of the set's bands and keeps the
 first maximum in (size, lexicographic) order. Plans return the same
 values whatever the environment held before, so the output depends on
-the config alone. It matches scoring each support with its own solve
-except where two supports' scores tie to the last bits, which the
-table's cached inverses can change (see recovery).
+the config alone. It matches a search that factorises every support's
+covariance except where two supports' scores tie to the last bits, which
+the table's cached inverses can change; the recovered spectra are
+products with cached operators, not per-slot solves (see recovery).
 
 A slot's random draws depend only on its trajectory row, bins_per_band,
 K and the SNR, not on the selected bands. So a SignalEnvironment draws

@@ -23,15 +23,22 @@ caller sensing the same set again passes the same plan back in.
 The search is exact: it scores every support of at most gamma of the
 set's bands and keeps the first maximum a posteriori one in (size,
 lexicographic) order over selection positions. A SupportTable holds
-Phi_S^-1 and log det Phi_S of every support of at most K // 2 of the N
-bands, indexed by colex rank and built eagerly, once per replication,
-for every policy; support_count caps it at _MAX_SUPPORTS rows. Scores are
-products with the cached inverses, not solves, so they can differ from
-per-slot factorisation in the last bits, and only supports whose scores
-are that close could rank differently. Still exact: given the chosen
-support, the posterior mean (its own solve), the statuses and the
-residual match scoring each support with its own solve bit for bit, and
-the direct path (least squares) and the detector are unchanged.
+Phi_S^-1, log det Phi_S and the posterior-mean operator
+G_S = (A_S^T A_S + sig_n I)^-1 A_S^T of every support of at most K // 2
+of the N bands, indexed by colex rank and built eagerly, once per
+replication, for every policy; support_count caps it at _MAX_SUPPORTS
+rows. Scores are products with the cached inverses, not solves, so they
+can differ from per-slot factorisation in the last bits, and only
+supports whose scores are that close could rank differently. Given the
+chosen support, the posterior mean is G_S times the samples: the bits of
+the support's own s x s solve, applied the same way.
+
+No slot factorises anything. The direct path applies the plan's cached
+least-squares operator (the pseudo-inverse direct_solve also builds),
+and both paths apply their operator to the samples' real view, a
+(K, bins) complex array seen as (K, 2 * bins) float64, with one real
+product. The band energies and the residual ratio come from the same
+real views.
 
 SciPy is imported only by the energy detector's chi-square quantile, on
 its first evaluation, so oracle runs never load it. A signal-mode
@@ -107,17 +114,39 @@ def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
     return SenseResult(true_statuses, xi)
 
 
+def _real_view(spectra) -> np.ndarray:
+    """A (rows, bins) complex array as (rows, 2 * bins) float64, each
+    value's real part next to its imaginary part; no copy when spectra is
+    already C-contiguous complex128."""
+    return np.ascontiguousarray(spectra, dtype=np.complex128).view(np.float64)
+
+
+def _least_squares_operator(a_sub: np.ndarray) -> np.ndarray:
+    """The m x K least-squares operator (pseudo-inverse) of a K x m
+    sub-matrix with m <= K, from its SVD.
+
+    np.linalg.lstsq's rank rule: singular values at most
+    eps * max(K, m) * s_max count as zero, and any such one raises a
+    LinAlgError, as a rank below m did.
+    """
+    u, sv, vt = np.linalg.svd(a_sub, full_matrices=False)
+    if not sv[-1] > np.finfo(float).eps * max(a_sub.shape) * sv[0]:
+        raise np.linalg.LinAlgError("sensing sub-matrix is numerically singular")
+    return (vt.T / sv) @ u.T
+
+
 def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
-    """Per-bin least-squares recovery for set sizes up to the branch count."""
-    samples = np.asarray(z)
+    """Per-bin least-squares recovery for set sizes up to the branch count.
+
+    Builds a_sub's least-squares operator and applies it to the samples'
+    real view with one real product, as signal_sense applies a plan's
+    cached operator.
+    """
     a_sub = np.asarray(a_sub, dtype=float)
     k, m = a_sub.shape
     if m > k:
         raise ValueError("direct solve requires at most k_branches selected bands")
-    solution, _, rank, _ = np.linalg.lstsq(a_sub, samples, rcond=None)
-    if rank < m:
-        raise np.linalg.LinAlgError("sensing sub-matrix is numerically singular")
-    return solution
+    return (_least_squares_operator(a_sub) @ _real_view(z)).view(np.complex128)
 
 
 def _prior_log_odds(prior_activity, m: int):
@@ -155,23 +184,29 @@ def _support_covariances(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
     return phi, logdet
 
 
-def _conditional_mean(samples: np.ndarray, a_sub: np.ndarray,
-                      active: tuple[int, ...], sig_n: float) -> np.ndarray:
-    """Posterior-mean spectra given the support; inactive rows are zero."""
-    m = a_sub.shape[1]
-    x_hat = np.zeros((m, samples.shape[1]), dtype=np.complex128)
-    if active:
-        a_s = a_sub[:, list(active)]
-        phi = sig_n * np.eye(a_sub.shape[0]) + (a_s @ a_s.T)
-        x_hat[list(active)] = a_s.T @ np.linalg.solve(phi, samples)
-    return x_hat
+def _residual_ratio(y: np.ndarray, fitted: np.ndarray) -> float:
+    """||y - fitted|| / ||y|| of real views, 0 when y is zero."""
+    y_sq = _sq_norm(y)
+    return math.sqrt(_sq_norm(y - fitted) / y_sq) if y_sq else 0.0
 
 
-def _residual_ratio(samples: np.ndarray, fitted: np.ndarray) -> float:
-    z_norm = np.linalg.norm(samples)
-    if z_norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(samples - fitted) / z_norm)
+def _sq_norm(x: np.ndarray) -> float:
+    flat = x.reshape(-1)
+    return float(flat @ flat)
+
+
+def _posterior_gains(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
+    """Posterior-mean operators G_S = (A_S^T A_S + sig_n * I)^-1 A_S^T.
+
+    supports is a (C, s) index array of C supports of equal size s >= 1.
+    Returns the (C, s, k) stack, from one batched Gram product and one
+    stacked solve; G_S @ Y is the posterior mean of S's spectra. It equals
+    A_S^T Phi_S^-1 Y, but the s x s Gram matrix stays well conditioned
+    when Phi_S (condition number about 1 / sig_n without noise) does not.
+    """
+    a_s = np.ascontiguousarray(a_sub[:, supports].transpose(1, 0, 2))
+    a_t = a_s.transpose(0, 2, 1)
+    return np.linalg.solve(sig_n * np.eye(supports.shape[1]) + a_t @ a_s, a_t)
 
 
 # Rows a SupportTable may hold: every support of at most 4 of 16 bands
@@ -203,19 +238,24 @@ def _combinations(m: int, size: int) -> np.ndarray:
 
 
 class SupportTable:
-    """Phi_S^-1 and log det Phi_S of every busy set S of at most K // 2 bands.
+    """Phi_S^-1, log det Phi_S and G_S of every busy set S of at most K // 2
+    bands.
 
     matrix is the K x N sensing matrix and cfg the recovery config; sig_n
     is the search's model noise variance, cfg.noise_variance floored at
-    _MODEL_FLOOR. Phi_S = sig_n * I + A_S A_S^T depends on S's bands alone,
-    so all plans over one table share its rows. The table is built here,
-    eagerly, size by size, with one _support_covariances call and one
-    stacked inverse each, into one preallocated (rows, K*K) array of
-    inverses and one (rows,) array of log-determinants; it never grows or
-    clears. Each row is a function of its support alone (stacked LAPACK
-    calls treat every matrix as a single call would). Support S of size s
-    with bands c_0 < c_1 < ... sits at row offset[s] + sum_i C(c_i, i + 1),
-    its colex rank after the smaller sizes' rows.
+    _MODEL_FLOOR. Phi_S = sig_n * I + A_S A_S^T and the posterior-mean
+    operator G_S = (A_S^T A_S + sig_n * I)^-1 A_S^T depend on S's bands
+    alone, so all plans over one table share its rows. The table is built
+    here, eagerly, size by size, with one _support_covariances call, one
+    stacked inverse and one _posterior_gains call each, into one
+    preallocated (rows, K*K) array of inverses, one (rows,) array of
+    log-determinants and one (rows, (K // 2) * K) array of operators; it
+    never grows or clears. A size-s row of gain holds G_S's s x K values
+    (rows in ascending band order), then zeros. Each row is a function of
+    its support alone (stacked LAPACK calls treat every matrix as a single
+    call would). Support S of size s with bands c_0 < c_1 < ... sits at
+    row offset[s] + sum_i C(c_i, i + 1), its colex rank after the smaller
+    sizes' rows.
     """
 
     def __init__(self, matrix: np.ndarray, cfg: RecoveryConfig):
@@ -233,11 +273,15 @@ class SupportTable:
                                dtype=np.intp)
         self.inv = np.empty((support_count(n, k), k * k))
         self.logdet = np.empty(len(self.inv))
+        self.gain = np.zeros((len(self.inv), self.max_size * k))
         for size in sizes:
             supports = _combinations(n, size)
             rows = self.rows(supports)
             phi, self.logdet[rows] = _support_covariances(matrix, supports, self.sig_n)
             self.inv[rows] = np.linalg.inv(phi).reshape(len(rows), k * k)
+            if size:
+                self.gain[rows, :size * k] = _posterior_gains(
+                    matrix, supports, self.sig_n).reshape(len(rows), size * k)
 
     def rows(self, supports: np.ndarray) -> np.ndarray:
         """Rows of a (C, s) array of supports, each row's bands ascending."""
@@ -274,15 +318,17 @@ class SensingPlan:
     code gets, so that products with it match that code bit for bit;
     column j is column bands[j] of the matrix, and K is its row count.
 
-    Two arrays are built on first use and read on every later slot:
+    What follows is built on first use and read on every later slot:
 
     - rows (search path, m > K): the table row of every support of at
       most gamma = min(m, table.max_size) selection positions, in the
       order of _position_supports(m, gamma).
-    - band_noise (direct path, m <= K): the energy detector's per-band
-      noise max(noise_variance * diag((A_S^T A_S)^-1), _DETECT_FLOOR).
-      Least squares colours the noise, so each band is thresholded at
-      its post-inversion noise level.
+    - lsq (direct path, m <= K): a_sub's m x K least-squares operator
+      (_least_squares_operator, which direct_solve also builds).
+    - band_noise (direct path): the energy detector's per-band noise
+      max(noise_variance * diag((A_S^T A_S)^-1), _DETECT_FLOOR). Least
+      squares colours the noise, so each band is thresholded at its
+      post-inversion noise level.
     """
 
     def __init__(self, table: SupportTable, bands: Sequence[int]):
@@ -297,6 +343,10 @@ class SensingPlan:
         band_index = np.array(self.bands, dtype=np.intp)
         return np.concatenate([self.table.rows(np.sort(band_index[positions], axis=1))
                                for positions in by_size])
+
+    @functools.cached_property
+    def lsq(self) -> np.ndarray:
+        return _least_squares_operator(self.a_sub)
 
     @functools.cached_property
     def band_noise(self) -> np.ndarray:
@@ -319,8 +369,9 @@ def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
     positions. The cached inverses can move scores in the last bits
     against factorising each Phi_S, so only supports that close could
     rank differently. Returns the binary support estimate, the
-    posterior-mean spectra of the best support (from its own solve) and
-    the relative residual of the fit.
+    posterior-mean spectra of the best support (its table row's operator
+    G_S times the samples' real view, one real product) and the relative
+    residual of the fit.
     """
     samples = np.asarray(z)
     table = plan.table
@@ -335,12 +386,17 @@ def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
     szz = (samples @ samples.conj().T).real.ravel()
     log_prior = base_prior + indicator[:count] @ prior_gain
     scores = -n_bins * table.logdet[rows] - table.inv[rows] @ szz + log_prior
-    active = tuple(np.flatnonzero(indicator[int(np.argmax(scores))]).tolist())
-    x_hat = _conditional_mean(samples, plan.a_sub, active, table.sig_n)
-    ratio = _residual_ratio(samples, plan.a_sub @ x_hat)
-    support = np.zeros(m, dtype=np.int8)
-    support[list(active)] = 1
-    return support, x_hat, ratio
+    best = int(np.argmax(scores))
+    support = indicator[best].astype(np.int8)
+    # The row's operator lists the support's bands in ascending order.
+    active = sorted(np.flatnonzero(support).tolist(), key=plan.bands.__getitem__)
+    y = _real_view(samples)
+    x = np.zeros((m, y.shape[1]))
+    if active:
+        k = len(y)
+        x[active] = table.gain[rows[best], :len(active) * k].reshape(-1, k) @ y
+    ratio = _residual_ratio(y, plan.a_sub @ x)
+    return support, x.view(np.complex128), ratio
 
 
 @functools.lru_cache(maxsize=64)
@@ -378,6 +434,15 @@ def detection_quantile(energy_fa_rate: float, n_bins: int) -> float:
     return quantile
 
 
+def _detect_bands(x: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:
+    """energy_detect on the (bands, 2 * bins) real view x of the spectra:
+    a band's energy is its row's sum of squares."""
+    energies = np.einsum("ij,ij->i", x, x)
+    threshold = 0.5 * np.asarray(noise_variance, dtype=float) \
+        * detection_quantile(energy_fa_rate, x.shape[1] // 2)
+    return (energies > threshold).astype(np.int8)
+
+
 def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:
     """Declare bands busy whose energy exceeds the noise-only quantile.
 
@@ -394,40 +459,40 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     spectra = np.asarray(spectra)
     if spectra.ndim != 2:
         raise ValueError("spectra must be a bands x bins matrix")
-    n_bins = spectra.shape[1]
-    energies = np.sum(np.abs(spectra) ** 2, axis=1)
-    threshold = 0.5 * np.asarray(noise_variance, dtype=float) \
-        * detection_quantile(energy_fa_rate, n_bins)
-    return (energies > threshold).astype(np.int8)
+    return _detect_bands(_real_view(spectra), noise_variance, energy_fa_rate)
 
 
 def signal_sense(z, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     """Full signal-mode sensing: recover, detect, and flag failure.
 
     Set sizes up to the branch count K (the plan's row count) are solved
-    exactly and always succeed; larger sets go through the exact support
-    search with prior_activity as the busy prior, and fail when the
-    detected busy count exceeds the recoverable limit or the relative
-    residual exceeds the config's residual_threshold.
+    exactly, with the plan's least-squares operator, and always succeed;
+    larger sets go through the exact support search with prior_activity
+    as the busy prior, and fail when the detected busy count exceeds the
+    recoverable limit or the relative residual exceeds the config's
+    residual_threshold.
     """
     samples = np.asarray(z)
+    y = _real_view(samples)
     a_sub, cfg = plan.a_sub, plan.table.cfg
     k, m = a_sub.shape
     limit = gamma_threshold(m, k)
     if m <= k:
-        x_hat = direct_solve(samples, a_sub)
-        statuses = energy_detect(x_hat, plan.band_noise, cfg.energy_fa_rate)
-        ratio = _residual_ratio(samples, a_sub @ x_hat)
+        x = plan.lsq @ y
+        statuses = _detect_bands(x, plan.band_noise, cfg.energy_fa_rate)
+        ratio = _residual_ratio(y, a_sub @ x)
         xi = 0
     else:
         _, x_hat, ratio = fbmp_recover(samples, plan, limit, prior_activity)
-        statuses = energy_detect(x_hat, max(cfg.noise_variance, _DETECT_FLOOR),
+        statuses = _detect_bands(x_hat.view(np.float64),
+                                 max(cfg.noise_variance, _DETECT_FLOOR),
                                  cfg.energy_fa_rate)
         # The raw residual of a correct fit still contains the measurement
         # noise, so the failure statistic discounts the expected noise
         # energy (plus a four-sigma guard band) before thresholding; with
-        # zero noise it reduces to the raw residual ratio.
-        z_energy = float(np.sum(np.abs(samples) ** 2))
+        # zero noise it reduces to the raw residual ratio. z_energy is the
+        # ||Y||^2 of the residual ratio's denominator.
+        z_energy = _sq_norm(y)
         n_terms = samples.size
         noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
         excess = max(0.0, ratio ** 2 * z_energy - noise_guard)

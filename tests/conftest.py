@@ -8,8 +8,8 @@ import pytest
 from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
 from wssim.recovery import (_DETECT_FLOOR, _MODEL_FLOOR, RecoveryConfig,
-                            SenseResult, _conditional_mean, _prior_log_odds,
-                            _residual_ratio, _support_covariances,
+                            SenseResult, _prior_log_odds, _real_view,
+                            _residual_ratio, _sq_norm, _support_covariances,
                             direct_solve, energy_detect, gamma_threshold,
                             oracle_sense)
 from wssim.sensing import measure, noise_power_for_snr, select_submatrix
@@ -210,15 +210,46 @@ def reference_greedy_support(samples, a_sub, cfg, gamma, prior_activity=0.5,
     return support
 
 
-def reference_map_recover(samples, a_sub, cfg, gamma, prior_activity=0.5):
-    """exhaustive_map_support's support, its posterior-mean spectra from
-    _conditional_mean and the relative residual: what fbmp_recover returns.
+def conditional_mean(samples, a_sub, active, sig_n):
+    """Posterior-mean spectra given the support, in the K x K form
+    A_S^T Phi_S^-1 Y with its own solve; inactive rows are zero.
+
+    Reference for the s x s form (A_S^T A_S + sig_n I)^-1 A_S^T Y that
+    wssim.recovery.SupportTable caches: the two are equal in exact
+    arithmetic, but Phi_S's condition number reaches about 1 / sig_n.
+    """
+    m = a_sub.shape[1]
+    x_hat = np.zeros((m, samples.shape[1]), dtype=np.complex128)
+    if active:
+        a_s = a_sub[:, list(active)]
+        phi = sig_n * np.eye(a_sub.shape[0]) + (a_s @ a_s.T)
+        x_hat[list(active)] = a_s.T @ np.linalg.solve(phi, samples)
+    return x_hat
+
+
+def reference_map_recover(samples, a_sub, cfg, gamma, prior_activity=0.5,
+                          bands=None):
+    """exhaustive_map_support's support, its posterior-mean spectra and the
+    relative residual: what fbmp_recover returns.
+
+    The posterior mean solves the support's s x s system
+    (A_S^T A_S + sig_n I) G = A_S^T on every call and applies G to the
+    samples' real view. The support's columns go in selection order or,
+    when the selected bands are given, in ascending band order, the order
+    of a SupportTable row; the two differ only for unsorted sets.
     """
     support = exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity)
+    active = np.flatnonzero(support).tolist()
+    if bands is not None:
+        active.sort(key=lambda j: bands[j])
     sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
-    x_hat = _conditional_mean(samples, a_sub, tuple(np.flatnonzero(support).tolist()),
-                              sig_n)
-    return support, x_hat, _residual_ratio(samples, a_sub @ x_hat)
+    y = _real_view(samples)
+    x = np.zeros((a_sub.shape[1], y.shape[1]))
+    if active:
+        a_s = a_sub[:, active]
+        gain = np.linalg.solve(sig_n * np.eye(len(active)) + a_s.T @ a_s, a_s.T)
+        x[active] = gain @ y
+    return support, x.view(np.complex128), _residual_ratio(y, a_sub @ x)
 
 
 class ReferenceOracleEnvironment:
@@ -248,6 +279,7 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
     if k != k_branches:
         raise ValueError("a_sub row count must equal k_branches")
     limit = gamma_threshold(m, k_branches)
+    y = _real_view(samples)
     if m <= k_branches:
         x_hat = direct_solve(samples, a_sub)
         # Least squares colours the noise; threshold each band at its
@@ -255,14 +287,14 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
         gram_inv_diag = np.diag(np.linalg.inv(a_sub.T @ a_sub))
         per_band_noise = np.maximum(cfg.noise_variance * gram_inv_diag, _DETECT_FLOOR)
         statuses = energy_detect(x_hat, per_band_noise, cfg.energy_fa_rate)
-        ratio = _residual_ratio(samples, a_sub @ x_hat)
+        ratio = _residual_ratio(y, a_sub @ _real_view(x_hat))
         xi = 0
     else:
         _, x_hat, ratio = reference_map_recover(samples, a_sub, cfg, limit,
                                                 prior_activity)
         statuses = energy_detect(x_hat, max(cfg.noise_variance, _DETECT_FLOOR),
                                  cfg.energy_fa_rate)
-        z_energy = float(np.sum(np.abs(samples) ** 2))
+        z_energy = _sq_norm(y)
         n_terms = samples.size
         noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
         excess = max(0.0, ratio ** 2 * z_energy - noise_guard)

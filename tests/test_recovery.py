@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (all_supports, exhaustive_map_support,
+from conftest import (all_supports, conditional_mean, exhaustive_map_support,
                       reference_greedy_support, reference_map_recover,
                       reference_signal_sense, reference_support_score,
                       score_terms, solve_support_scores)
@@ -127,6 +127,19 @@ class TestDirectSolve:
     def test_rejects_underdetermined(self, rng):
         with pytest.raises(ValueError):
             direct_solve(np.zeros((4, 8), dtype=complex), rng.standard_normal((4, 5)))
+
+    def test_equal_columns_raise_linalg_error(self, rng):
+        # lstsq's rank rule: a direct-path plan over two equal columns has
+        # no least-squares operator, from direct_solve or a plan.
+        matrix = rng.standard_normal((4, 3))
+        matrix[:, 2] = matrix[:, 0]
+        samples = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        with pytest.raises(np.linalg.LinAlgError):
+            direct_solve(samples, matrix)
+        plan = SensingPlan(SupportTable(matrix, RecoveryConfig(noise_variance=0.01)),
+                           range(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            signal_sense(samples, plan)
 
 
 class TestFbmpRecover:
@@ -557,6 +570,24 @@ class TestSupportTable:
                 seen += rows.tolist()
             assert sorted(seen) == list(range(len(table.logdet)))
 
+    @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
+    @pytest.mark.parametrize("k, n", [(4, 8), (8, 16)])
+    def test_gain_rows_equal_own_solve(self, k, n, snr_db):
+        # Each row's posterior-mean operator has the bits of its support's
+        # own s x s solve, zero-padded to K // 2 rows of K.
+        matrix = np.random.default_rng(k * n).standard_normal((k, n))
+        table = SupportTable(matrix, RecoveryConfig(
+            noise_variance=noise_power_for_snr(snr_db)))
+        assert table.gain.shape == (support_count(n, k), (k // 2) * k)
+        assert not table.gain[0].any()
+        for size in range(1, table.max_size + 1):
+            supports = all_supports(n, size)
+            for support, row in zip(supports.tolist(), table.rows(supports).tolist()):
+                a_s = matrix[:, support]
+                want = np.linalg.solve(table.sig_n * np.eye(size) + a_s.T @ a_s, a_s.T)
+                assert table.gain[row, :size * k].tobytes() == want.tobytes()
+                assert not table.gain[row, size * k:].any()
+
     @pytest.mark.parametrize("n, k, rows", [(8, 4, 37), (16, 4, 137),
                                             (16, 8, 2517), (90, 4, 4096)])
     def test_row_counts(self, n, k, rows):
@@ -608,10 +639,73 @@ class TestSupportTable:
                 np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng), 20.0, rng)
             for gamma in (1, 2):
                 support, x_hat, ratio = fbmp_recover(z, plan, gamma)
-                want = reference_map_recover(z, plan.a_sub, cfg, gamma)
+                want = reference_map_recover(z, plan.a_sub, cfg, gamma,
+                                             bands=plan.bands)
                 assert support.tobytes() == want[0].tobytes()
                 assert x_hat.tobytes() == want[1].tobytes()
                 assert ratio == want[2]
+
+
+class TestPosteriorMean:
+    """The table's s x s operators G_S against the K x K form
+    A_S^T Phi_S^-1 Y (conftest.conditional_mean)."""
+
+    @pytest.mark.parametrize("snr_db", [20.0, 10.0])
+    @pytest.mark.parametrize("k, m", [(4, 7), (8, 16)])
+    def test_every_support_matches_k_by_k_form(self, k, m, snr_db):
+        for seed in range(4):
+            _, _, plan, samples, _ = make_instance(
+                seed, m=m, k=k, busy_count=seed % (k // 2 + 1), snr_db=snr_db,
+                n_bins=16)
+            table = plan.table
+            y = samples.view(np.float64)
+            for size in range(1, table.max_size + 1):
+                supports = all_supports(m, size)
+                for support, row in zip(supports.tolist(),
+                                        table.rows(supports).tolist()):
+                    gain = table.gain[row, :size * k].reshape(size, k)
+                    got = (gain @ y).view(np.complex128)
+                    want = conditional_mean(samples, plan.a_sub, tuple(support),
+                                            table.sig_n)[support]
+                    np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("k, m", [(4, 7), (8, 16)])
+    def test_noiseless_found_support_gives_true_spectra(self, k, m):
+        # Without noise the search's sig_n is 1e-10, which biases G_S @ Y
+        # by about 1e-10 times diag((A_S^T A_S)^-1); the bound, set before
+        # measuring: relative error at most 1e-6.
+        found = 0
+        for seed in range(40):
+            statuses, spectra, plan, samples, search = make_instance(
+                seed, m=m, k=k, busy_count=seed % (k // 2 + 1), snr_db=None,
+                n_bins=16)
+            support, x_hat, _ = fbmp_recover(samples, plan, **search)
+            if support.tolist() != statuses.tolist():
+                continue
+            found += 1
+            assert np.linalg.norm(x_hat - spectra) <= 1e-6 * np.linalg.norm(spectra)
+        assert found >= 36
+
+    def test_unsorted_set_solves_in_band_order(self, rng):
+        # A table row orders a support's bands ascending; for a set in
+        # another order the spectra are that row's, within rounding of the
+        # selection-order solve.
+        table = SupportTable(rng.standard_normal((4, 8)),
+                             RecoveryConfig(noise_variance=0.01))
+        plan = SensingPlan(table, (7, 3, 5, 4, 6))
+        cfg = table.cfg
+        for _ in range(10):
+            statuses = np.zeros(5, dtype=np.int8)
+            statuses[rng.choice(5, size=2, replace=False)] = 1
+            z = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
+                        20.0, rng)
+            support, x_hat, ratio = fbmp_recover(z, plan, 2)
+            want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
+            assert support.tobytes() == want[0].tobytes()
+            assert x_hat.tobytes() == want[1].tobytes()
+            assert ratio == want[2]
+            in_selection_order = reference_map_recover(z, plan.a_sub, cfg, 2)
+            np.testing.assert_allclose(x_hat, in_selection_order[1], rtol=1e-9)
 
 
 class TestRecoveryConfig:
