@@ -18,7 +18,7 @@ import numpy as np
 from .learning import POLICY_MODES, PolicyConfig
 from .recovery import RecoveryConfig, detection_quantile, support_count
 from .sensing import noise_power_for_snr
-from .spectrum import CASE_STATIONARY, BandStatistics, check_bins_per_band
+from .spectrum import CASE_STATIONARY, BandStatistics
 
 RS_MODES = ("oracle", "signal")
 
@@ -55,22 +55,24 @@ class ExperimentConfig:
         """The signal-mode recovery settings of this experiment."""
         return RecoveryConfig(noise_variance=noise_power_for_snr(self.snr_db),
                               energy_fa_rate=self.energy_fa_rate,
-                              residual_threshold=self.residual_threshold)
+                              residual_threshold=self.residual_threshold,
+                              bins_per_band=self.bins_per_band)
 
     def validate(self) -> None:
         """Reject invalid fields with a message naming the field.
 
         Integer fields must hold Python or numpy integers, so NaN and
         non-integral values fail, and float checks are written so that NaN
-        fails them. The recovery fields, snr_db among them, are checked by
-        building recovery_config(), in either mode. In signal mode this also
-        evaluates the energy detector's quantile, as energy_detect will: it
-        rejects an energy_fa_rate so small that 1 - energy_fa_rate rounds to
-        1 and the threshold is infinite, and it imports scipy.special here,
-        in set-up, rather than on the run's first detection. Signal mode
-        also rejects an n_bands and k_branches whose support table would
-        exceed recovery._MAX_SUPPORTS rows (support_count). Oracle mode has
-        no detector or table and never imports SciPy.
+        fails them. The recovery fields, snr_db and bins_per_band among
+        them, are checked by building recovery_config(), in either mode. In
+        signal mode this also evaluates the energy detector's quantile, as
+        each sensing plan's threshold will: it rejects an energy_fa_rate so
+        small that 1 - energy_fa_rate rounds to 1 and the threshold is
+        infinite, and it imports scipy.special here, in set-up, rather than
+        on the run's first detection. Signal mode also rejects an n_bands
+        and k_branches whose support table would exceed
+        recovery._MAX_SUPPORTS rows (support_count). Oracle mode has no
+        detector or table and never imports SciPy.
         """
         for name in sorted(_INT_KEYS):
             value = getattr(self, name)
@@ -90,7 +92,6 @@ class ExperimentConfig:
             self.policy_config(policy).validate()
         if not 0.0 < self.lambda_mixing <= 1.0:
             raise ValueError("lambda_mixing must lie in (0, 1]")
-        check_bins_per_band(self.bins_per_band)
         self.recovery_config()
         if self.rs_mode == "signal":
             detection_quantile(self.energy_fa_rate, self.bins_per_band)

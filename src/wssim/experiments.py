@@ -20,29 +20,36 @@ selected set, a view of the table built the first time the set is
 sensed, and at most _MAX_PLANS of them (the oldest goes first), which
 bounds memory whatever the horizon. Signal power is the unit: busy bands
 carry mean power 1 per bin and the noise power per bin is
-10^(-snr_db/10). Each slot hands signal_sense the plan, the slot's
-samples and the selected bands' busy priors, nothing else; the search
-scores every support of at most gamma of the set's bands and keeps the
-first maximum in (size, lexicographic) order. Plans return the same
-values whatever the environment held before, so the output depends on
-the config alone. It matches a search that factorises every support's
-covariance except where two supports' scores tie to the last bits, which
-the table's cached inverses can change; the recovered spectra are
-products with cached operators, not per-slot solves (see recovery).
+10^(-snr_db/10). Each slot hands signal_sense the plan, the slot's sample
+Gram and, on the search path only, the selected bands' busy priors,
+nothing else; the search scores every support of at most gamma of the
+set's bands and keeps the first maximum in (size, lexicographic) order.
+Plans return the same values whatever the environment held before, so
+the output depends on the config alone. It matches a search that
+factorises every support's covariance except where two supports' scores
+tie to the last bits, which the table's cached inverses can change; band
+energies and residuals are products with cached operators, not per-slot
+solves (see recovery).
 
 A slot's random draws depend only on its trajectory row, bins_per_band,
 K and the SNR, not on the selected bands. So a SignalEnvironment draws
 the spectra and noise of a block of consecutive slots in one generator
 call when it senses the block's first slot, at most _BLOCK_DRAWS values
 (at least one slot; the last block ends at the trajectory's end). The
-values, their order and the formulas that shape them
-(spectrum.unit_power_rows, sensing.complex_noise) are those of calling
-synthesize_band_spectra and measure slot by slot, so every slot's
-samples are bit-identical to them, and the generator is in the same
-state after each block and at the horizon's end. Each sense() call must
-therefore name the slot after the previous call's (the first call may
-name any slot), as run_policy does; any other slot raises a ValueError
-naming the expected one.
+values and their order are those of calling synthesize_band_spectra and
+measure slot by slot, so the generator is in the same state after each
+block and at the horizon's end. Each sense() call must therefore name
+the slot after the previous call's (the first call may name any slot),
+as run_policy does; any other slot raises a ValueError naming the
+expected one.
+
+No complex spectra or samples are formed. Recovery reads a slot only
+through its sample Gram S_yy (see recovery), so the environment keeps each
+slot's Gram of its band spectra and noise (_draw_block), and a slot's
+S_yy is two small products with the plan's mixing matrix. It equals the
+Gram of the per-slot samples up to rounding, not bit for bit, so a status
+or xi can differ from the per-slot chain only where an energy or a
+residual meets its threshold to the last bits.
 """
 
 from __future__ import annotations
@@ -56,9 +63,9 @@ import numpy as np
 from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, run_policy
 from .recovery import SenseResult, SensingPlan, SupportTable, signal_sense
-from .sensing import complex_noise, draw_sensing_matrix, noise_power_for_snr
+from .sensing import draw_sensing_matrix, noise_power_for_snr, noise_scale
 from .spectrum import (BandStatistics, check_bins_per_band, check_trajectory,
-                       simulate_occupancy, unit_power_rows)
+                       simulate_occupancy, unit_power_scale)
 
 # Sensing plans kept per SignalEnvironment: every subset of 8 bands.
 _MAX_PLANS = 256
@@ -102,7 +109,7 @@ class SignalEnvironment:
         self.block_slots = max(1, _BLOCK_DRAWS // most_draws)
         self._next_slot: int | None = None
         self._block_start = self._block_end = 0
-        self._grid = self._noise = None
+        self._grams = None
 
     def _plan(self, selected) -> SensingPlan:
         """The sensing plan of a band set, built on its first use."""
@@ -116,34 +123,51 @@ class SignalEnvironment:
 
     def _draw_block(self, start: int) -> None:
         """Draw the spectra and noise of the block_slots slots from start
-        (fewer at the trajectory's end) in one generator call.
+        (fewer at the trajectory's end) in one generator call, and keep
+        each slot's Gram of them.
 
         The values come in the order per-slot synthesize_band_spectra and
         measure draw them, bins_per_band to a row: per slot, the real parts
         of every busy band in band order, then their imaginary parts, then
         (unless the run is noiseless) K rows of the noise's real parts and
-        K of its imaginary parts.
+        K of its imaginary parts. They are laid out as one (slots, N + K,
+        2 * bins) array, a row per band (zero when vacant) and per noise
+        branch (none when noiseless), real draws then imaginary ones, and
+        one batched product gives each slot's raw Gram H. Scaling a busy
+        band's row and column by unit_power_scale(H_jj / bins) and the
+        noise rows' by noise_scale(noise power), the formulas of
+        synthesize_band_spectra and measure, makes it the Gram of the
+        slot's unit-power spectra and noise; sense() forms the slot's S_yy
+        from it as plan.mixing @ Gram @ plan.mixing^T (the mixing's first N
+        columns when noiseless).
         """
-        k = self.config.k_branches
-        self._grid = self._noise = None   # free the last block first
+        n, k = self.trajectory.shape[1], self.config.k_branches
+        bins = self.config.bins_per_band
+        self._grams = None   # free the last block first
         busy_mask = self.trajectory[start:start + self.block_slots] != 0
         busy = np.count_nonzero(busy_mask, axis=1)
-        noise_rows = 2 * k if self._noise_power > 0.0 else 0
-        rows_per_slot = 2 * busy + noise_rows
+        noise_rows = k if self._noise_power > 0.0 else 0
+        rows_per_slot = 2 * busy + 2 * noise_rows
         offsets = np.cumsum(rows_per_slot) - rows_per_slot
-        draws = self.rng.standard_normal((int(rows_per_slot.sum()),
-                                          self.config.bins_per_band))
+        draws = self.rng.standard_normal((int(rows_per_slot.sum()), bins))
+        stack = np.zeros((busy.size, n + noise_rows, 2, bins))
         # A busy band's real row: its slot's offset plus its rank among the
-        # slot's busy bands.
-        row_slot = np.nonzero(busy_mask)[0]
-        rank = np.arange(row_slot.size) - (np.cumsum(busy) - busy)[row_slot]
-        real = offsets[row_slot] + rank
-        self._grid = np.zeros(busy_mask.shape + draws.shape[1:], dtype=np.complex128)
-        self._grid[busy_mask] = unit_power_rows(draws[real],
-                                                draws[real + busy[row_slot]])
+        # slot's busy bands; its imaginary row is the slot's busy count on.
+        slot_of, band = np.nonzero(busy_mask)
+        rank = np.arange(slot_of.size) - (np.cumsum(busy) - busy)[slot_of]
+        real = offsets[slot_of] + rank
+        stack[slot_of, band] = draws[np.stack([real, real + busy[slot_of]], axis=1)]
         if noise_rows:
             real = (offsets + 2 * busy)[:, None] + np.arange(k)
-            self._noise = complex_noise(draws[real], draws[real + k], self._noise_power)
+            stack[:, n:] = draws[np.stack([real, real + k], axis=2)]
+        flat = stack.reshape(busy.size, n + noise_rows, 2 * bins)
+        grams = flat @ flat.transpose(0, 2, 1)
+        scale = np.zeros((busy.size, n + noise_rows))
+        scale[slot_of, band] = unit_power_scale(grams[slot_of, band, band] / bins)
+        scale[:, n:] = noise_scale(self._noise_power)
+        grams *= scale[:, :, None]
+        grams *= scale[:, None, :]
+        self._grams = grams
         self._block_start, self._block_end = start, start + busy.size
 
     def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
@@ -151,19 +175,17 @@ class SignalEnvironment:
             raise ValueError(f"slots are sensed in order: expected slot "
                              f"{self._next_slot}, got {slot}")
         plan = self._plan(selected)
-        selected = np.asarray(selected)
         if self._next_slot is None or slot == self._block_end:
             self._draw_block(slot)
-        i = slot - self._block_start
-        samples = plan.a_sub @ self._grid[i][selected]
         self._next_slot = slot + 1
-        if self._noise is not None:
-            samples = samples + self._noise[i]
-        if prior_vacancy is None:
+        gram = self._grams[slot - self._block_start]
+        mixing = plan.mixing[:, :len(gram)]
+        s_yy = mixing @ gram @ mixing.T
+        if prior_vacancy is None or plan.direct:
             prior_activity = 0.5
         else:
-            prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
-        return signal_sense(samples, plan, prior_activity)
+            prior_activity = 1.0 - np.asarray(prior_vacancy)[np.asarray(selected)]
+        return signal_sense(s_yy, plan, prior_activity)
 
 
 def run_replication(config: ExperimentConfig, rep_index: int,

@@ -2,22 +2,40 @@
 
 Two modes are provided. Oracle sensing applies the busy-count feasibility
 rule directly to ground-truth statuses. Signal sensing recovers the band
-spectra from sub-Nyquist samples (least squares when the system is square
-or overdetermined, exact Bayesian MAP support search otherwise), runs an
-energy detector, and declares reconstruction failure from the detected
-busy count and the relative fit residual. Both return a SenseResult.
+energies of a slot (least squares when the system is square or
+overdetermined, exact Bayesian MAP support search otherwise), runs an
+energy detector on them and, on the search path, declares reconstruction
+failure from the detected busy count and the relative fit residual. Both
+return a SenseResult.
 
 Signal power is the unit: a busy band's mean per-bin power is 1, and the
 per-bin noise power of an SNR is 10^(-SNR/10) (sensing.noise_power_for_snr).
 The model floors _MODEL_FLOOR (the search's noise variance) and
 _DETECT_FLOOR (the detector's noise level) are therefore absolute.
 
+Signal recovery reads a slot only through its sample Gram
+S_yy = Re(Z Z^H), the K x K Gram of the real view Y (K x 2 * bins) of the
+slot's complex samples Z: the support scores take trace(Phi_S^-1 S_yy),
+an estimate x = G Y has band energies diag(G S_yy G^T), the residual
+||Y - A_S x||^2 is tr(F S_yy F^T) with F = I - A_S G, and ||Y||^2 is
+tr(S_yy). So signal_sense and fbmp_recover take S_yy, never samples.
+Callers holding samples form it with sample_gram; a SignalEnvironment
+builds it from its random draws (see experiments). The bin count is
+RecoveryConfig.bins_per_band. Gram-domain values differ from
+sample-domain ones in the last bits, and where the true value is 0 they
+are rounding of about eps times the Gram's size rather than eps^2. So the
+residual ratio of an exact fit is about sqrt(eps) (1e-8), not 0; near the
+residual threshold the two agree to about eps / ratio. And the direct
+path's energy of a band absent from the samples is such rounding, which
+without noise exceeds the detector's absolute threshold, so it is also
+compared with a floor relative to tr(S_yy) (_GRAM_FLOOR).
+
 A SensingPlan is the one way set-level inputs reach signal_sense and
 fbmp_recover. It is a view of a SupportTable: the table holds the K x N
 sensing matrix and the RecoveryConfig, and the plan adds the selected
 bands, their K x m sub-matrix and what follows from those alone, not from
-the slot's samples or priors. Besides the plan, those calls take only the
-slot's samples and busy priors (and fbmp_recover its search depth), so a
+the slot's Gram or priors. Besides the plan, those calls take only the
+slot's S_yy and busy priors (and fbmp_recover its search depth), so a
 caller sensing the same set again passes the same plan back in.
 
 The search is exact: it scores every support of at most gamma of the
@@ -29,21 +47,19 @@ of the N bands, indexed by colex rank and built eagerly, once per
 replication, for every policy; support_count caps it at _MAX_SUPPORTS
 rows. Scores are products with the cached inverses, not solves, so they
 can differ from per-slot factorisation in the last bits, and only
-supports whose scores are that close could rank differently. Given the
-chosen support, the posterior mean is G_S times the samples: the bits of
-the support's own s x s solve, applied the same way.
+supports whose scores are that close could rank differently.
 
-No slot factorises anything. The direct path applies the plan's cached
-least-squares operator (the pseudo-inverse direct_solve also builds),
-and both paths apply their operator to the samples' real view, a
-(K, bins) complex array seen as (K, 2 * bins) float64, with one real
-product. The band energies and the residual ratio come from the same
-real views.
+No slot factorises anything. The direct path's band energies are
+diag(L S_yy L^T), with L the plan's cached least-squares operator (the
+pseudo-inverse direct_solve also builds), and the search's are
+diag(G_S S_yy G_S^T) for the chosen support. Each plan caches its detector
+threshold. The direct path always succeeds and computes no residual.
 
 SciPy is imported only by the energy detector's chi-square quantile, on
 its first evaluation, so oracle runs never load it. A signal-mode
 ExperimentConfig.validate() evaluates that quantile, which keeps the
-import (about 0.3 s) in set-up and out of the slot loop.
+import (about 0.3 s) in set-up and out of the slot loop; a plan reads it
+from the cache when it first computes its threshold.
 """
 
 from __future__ import annotations
@@ -57,11 +73,18 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .sensing import select_submatrix
+from .spectrum import check_bins_per_band
 
 # Absolute noise-variance floors keeping the Gaussian model and the energy
 # threshold well defined when the configured noise power is exactly zero.
 _MODEL_FLOOR = 1e-10
 _DETECT_FLOOR = 1e-12
+# The direct path's energy l_j S_yy l_j^T of a band absent from the samples
+# is rounding of about eps * tr(S_yy) * ||l_j||^2 (at most 0.36 times that
+# in noiseless 8/4 and 16/8 runs; busy bands at least 1e9 times it), so
+# energies up to _GRAM_FLOOR times that read vacant. The floor binds only
+# when the noise power is below about 1e-12 of the signal power.
+_GRAM_FLOOR = 1e-12
 
 
 class SenseResult(NamedTuple):
@@ -76,11 +99,13 @@ class SenseResult(NamedTuple):
 class RecoveryConfig:
     """Knobs of the signal-mode recovery chain, checked once when built
     (NaN fails every check, and none imports SciPy). noise_variance is per
-    bin, in units of the signal power."""
+    bin, in units of the signal power; bins_per_band is the bin count of
+    the samples whose Gram signal_sense reads."""
 
     noise_variance: float = 0.0
     energy_fa_rate: float = 0.05
     residual_threshold: float = 0.1
+    bins_per_band: int = 64
 
     def __post_init__(self):
         if not 0.0 <= self.noise_variance < math.inf:
@@ -89,6 +114,7 @@ class RecoveryConfig:
             raise ValueError("energy_fa_rate must lie in (0, 1)")
         if not self.residual_threshold > 0.0:
             raise ValueError("residual_threshold must be positive")
+        check_bins_per_band(self.bins_per_band)
 
 
 def gamma_threshold(set_size: int, k_branches: int) -> int:
@@ -112,6 +138,14 @@ def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
         busy = sum(true_statuses)
     xi = 0 if busy <= gamma_threshold(len(true_statuses), k_branches) else 1
     return SenseResult(true_statuses, xi)
+
+
+def sample_gram(z) -> np.ndarray:
+    """S_yy = Re(Z Z^H) of (K, bins) complex samples Z: the K x K Gram of
+    their real view, which is all signal_sense and fbmp_recover read of a
+    slot."""
+    samples = np.asarray(z)
+    return np.ascontiguousarray((samples @ samples.conj().T).real)
 
 
 def _real_view(spectra) -> np.ndarray:
@@ -139,8 +173,8 @@ def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
     """Per-bin least-squares recovery for set sizes up to the branch count.
 
     Builds a_sub's least-squares operator and applies it to the samples'
-    real view with one real product, as signal_sense applies a plan's
-    cached operator.
+    real view with one real product. signal_sense reads the same operator,
+    cached per plan, but applies it to the slot's Gram.
     """
     a_sub = np.asarray(a_sub, dtype=float)
     k, m = a_sub.shape
@@ -182,17 +216,6 @@ def _support_covariances(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
     chol = np.linalg.cholesky(phi)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     return phi, logdet
-
-
-def _residual_ratio(y: np.ndarray, fitted: np.ndarray) -> float:
-    """||y - fitted|| / ||y|| of real views, 0 when y is zero."""
-    y_sq = _sq_norm(y)
-    return math.sqrt(_sq_norm(y - fitted) / y_sq) if y_sq else 0.0
-
-
-def _sq_norm(x: np.ndarray) -> float:
-    flat = x.reshape(-1)
-    return float(flat @ flat)
 
 
 def _posterior_gains(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
@@ -255,7 +278,9 @@ class SupportTable:
     its support alone (stacked LAPACK calls treat every matrix as a single
     call would). Support S of size s with bands c_0 < c_1 < ... sits at
     row offset[s] + sum_i C(c_i, i + 1), its colex rank after the smaller
-    sizes' rows.
+    sizes' rows. noise_guard is the expected noise energy of a fit's
+    residual plus a four-sigma guard band, (n + 4 sqrt(n)) * noise_variance
+    for the n = K * bins_per_band complex samples of a slot.
     """
 
     def __init__(self, matrix: np.ndarray, cfg: RecoveryConfig):
@@ -271,6 +296,8 @@ class SupportTable:
         self.offset = np.cumsum([0] + [math.comb(n, size) for size in sizes])
         self._binom = np.array([[math.comb(c, i) for i in sizes] for c in range(n)],
                                dtype=np.intp)
+        n_terms = k * cfg.bins_per_band
+        self.noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
         self.inv = np.empty((support_count(n, k), k * k))
         self.logdet = np.empty(len(self.inv))
         self.gain = np.zeros((len(self.inv), self.max_size * k))
@@ -314,21 +341,32 @@ class SensingPlan:
     the recovery config and the sensing matrix are the table's, and a
     replication's plans all share its one table. bands are the set's
     bands in selection order. a_sub is the set's K x m sensing sub-matrix,
-    select_submatrix(table.matrix, bands), in the memory layout per-slot
-    code gets, so that products with it match that code bit for bit;
-    column j is column bands[j] of the matrix, and K is its row count.
+    select_submatrix(table.matrix, bands); column j is column bands[j] of
+    the matrix, and K is its row count. direct is whether the set takes
+    the direct path (m <= K) rather than the search.
 
     What follows is built on first use and read on every later slot:
 
     - rows (search path, m > K): the table row of every support of at
       most gamma = min(m, table.max_size) selection positions, in the
       order of _position_supports(m, gamma).
-    - lsq (direct path, m <= K): a_sub's m x K least-squares operator
+    - lsq (direct path): a_sub's m x K least-squares operator
       (_least_squares_operator, which direct_solve also builds).
     - band_noise (direct path): the energy detector's per-band noise
       max(noise_variance * diag((A_S^T A_S)^-1), _DETECT_FLOOR). Least
       squares colours the noise, so each band is thresholded at its
       post-inversion noise level.
+    - threshold: the detector's energy threshold, per band on the direct
+      path (from band_noise) and one level on the search path (the
+      floored noise variance), for bands of bins_per_band bins.
+    - gram_floor (direct path): _GRAM_FLOOR * ||l_j||^2 per band, for the
+      rows l_j of lsq; times tr(S_yy), the energy below which a band's
+      Gram-domain energy is rounding.
+    - mixing: the K x (N + K) front end of the set, a_sub in the columns
+      of the selected bands, zeros in the other bands' columns, then the
+      K x K identity for the noise branches. Samples are mixing times the
+      stacked band spectra and noise, so their Gram is
+      mixing @ (the stack's Gram) @ mixing^T.
     """
 
     def __init__(self, table: SupportTable, bands: Sequence[int]):
@@ -336,6 +374,7 @@ class SensingPlan:
         self.bands = tuple(map(int, bands))
         self.a_sub = select_submatrix(table.matrix, self.bands)
         self.gamma = min(len(self.bands), table.max_size)
+        self.direct = len(self.bands) <= len(self.a_sub)
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
@@ -353,50 +392,76 @@ class SensingPlan:
         gram_inv_diag = np.diag(np.linalg.inv(self.a_sub.T @ self.a_sub))
         return np.maximum(self.table.cfg.noise_variance * gram_inv_diag, _DETECT_FLOOR)
 
+    @functools.cached_property
+    def threshold(self):
+        cfg = self.table.cfg
+        noise = (self.band_noise if self.direct
+                 else max(cfg.noise_variance, _DETECT_FLOOR))
+        return _energy_threshold(noise, cfg.energy_fa_rate, cfg.bins_per_band)
 
-def fbmp_recover(z, plan: SensingPlan, gamma: int, prior_activity=0.5):
+    @functools.cached_property
+    def gram_floor(self) -> np.ndarray:
+        return _GRAM_FLOOR * np.einsum("ij,ij->i", self.lsq, self.lsq)
+
+    @functools.cached_property
+    def mixing(self) -> np.ndarray:
+        k, n = self.table.matrix.shape
+        mixing = np.zeros((k, n + k))
+        mixing[:, list(self.bands)] = self.a_sub
+        mixing[:, n:] = np.eye(k)
+        return mixing
+
+
+def fbmp_recover(s_yy, plan: SensingPlan, gamma: int, prior_activity=0.5):
     """Exact maximum-a-posteriori search over busy-band supports.
 
-    Scores every support of at most gamma <= min(m, K // 2) of the plan's
-    bands at once; prior_activity is the per-band prior probability of
-    being busy (a scalar or one entry per selected band). The score is
-    the log posterior up to a support-independent constant,
-    -n_bins * log det Phi_S - trace(Phi_S^-1 S_zz) + log prior(S). Phi^-1
-    is real symmetric and S_zz Hermitian, so the traces are one (C, K*K)
-    product of the plan's table rows with Re(S_zz), and the log priors
-    one (C, m) indicator product with the prior log-odds. np.argmax keeps
-    the first maximum in (size, lexicographic) order over selection
-    positions. The cached inverses can move scores in the last bits
-    against factorising each Phi_S, so only supports that close could
-    rank differently. Returns the binary support estimate, the
-    posterior-mean spectra of the best support (its table row's operator
-    G_S times the samples' real view, one real product) and the relative
-    residual of the fit.
+    s_yy is the slot's K x K sample Gram (sample_gram). Scores every
+    support of at most gamma <= min(m, K // 2) of the plan's bands at
+    once; prior_activity is the per-band prior probability of being busy
+    (a scalar or one entry per selected band). The score is the log
+    posterior up to a support-independent constant,
+    -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S). Phi^-1
+    and S_yy are symmetric, so the traces are one (C, K*K) product of the
+    plan's table rows with S_yy, and the log priors one (C, m) indicator
+    product with the prior log-odds. np.argmax keeps the first maximum in
+    (size, lexicographic) order over selection positions. The cached
+    inverses can move scores in the last bits against factorising each
+    Phi_S, so only supports that close could rank differently. Returns
+    the binary support estimate, the band energies of the best support's
+    posterior mean G_S Y, diag(G_S S_yy G_S^T) (zero off the support),
+    and the relative residual ||Y - A_S G_S Y|| / ||Y|| of the fit:
+    the square root of tr(F S_yy F^T) / tr(S_yy) with F = I - A_S G_S,
+    the residual clamped at 0, and 0 when S_yy is zero.
     """
-    samples = np.asarray(z)
+    s_yy = np.asarray(s_yy)
     table = plan.table
     m = len(plan.bands)
-    n_bins = samples.shape[1]
     if not 0 <= gamma <= plan.gamma:
         raise ValueError("gamma must lie in [0, min(set size, K // 2)]")
     indicator, ends, _ = _position_supports(m, plan.gamma)
     count = ends[gamma]
     rows = plan.rows[:count]
     base_prior, prior_gain = _prior_log_odds(prior_activity, m)
-    szz = (samples @ samples.conj().T).real.ravel()
+    flat = s_yy.ravel()
     log_prior = base_prior + indicator[:count] @ prior_gain
-    scores = -n_bins * table.logdet[rows] - table.inv[rows] @ szz + log_prior
+    scores = (-table.cfg.bins_per_band * table.logdet[rows]
+              - table.inv[rows] @ flat + log_prior)
     best = int(np.argmax(scores))
+    row = rows[best]
     support = indicator[best].astype(np.int8)
     # The row's operator lists the support's bands in ascending order.
     active = sorted(np.flatnonzero(support).tolist(), key=plan.bands.__getitem__)
-    y = _real_view(samples)
-    x = np.zeros((m, y.shape[1]))
+    energies = np.zeros(m)
+    y_sq = s_yy.trace()
+    residual = y_sq
     if active:
-        k = len(y)
-        x[active] = table.gain[rows[best], :len(active) * k].reshape(-1, k) @ y
-    ratio = _residual_ratio(y, plan.a_sub @ x)
-    return support, x.view(np.complex128), ratio
+        k = len(s_yy)
+        gain = table.gain[row, :len(active) * k].reshape(-1, k)
+        energies[active] = ((gain @ s_yy) * gain).sum(axis=1)
+        fit = np.eye(k) - plan.a_sub[:, active] @ gain
+        residual = ((fit @ s_yy) * fit).sum()
+    ratio = math.sqrt(max(residual, 0.0) / y_sq) if y_sq else 0.0
+    return support, energies, ratio
 
 
 @functools.lru_cache(maxsize=64)
@@ -416,12 +481,13 @@ def _chi2_quantile(prob: float, dof: int) -> float:
 def detection_quantile(energy_fa_rate: float, n_bins: int) -> float:
     """The energy detector's chi-square quantile for bands of n_bins bins.
 
-    energy_detect scales this by noise_variance / 2 to get its threshold;
-    ExperimentConfig.validate() calls it with the same arguments, so a
-    signal run loads SciPy and fills the cache during set-up. Both get
-    their energy_fa_rate checks here: it must lie in (0, 1), and it is
-    rejected when 1 - energy_fa_rate rounds to 1 (energy_fa_rate = 1e-17),
-    which makes the quantile, and with it the threshold, infinite.
+    energy_detect scales this by noise_variance / 2 to get its threshold,
+    as a SensingPlan does once for its threshold; ExperimentConfig.validate()
+    calls it with the same arguments, so a signal run loads SciPy and fills
+    the cache during set-up. All get their energy_fa_rate checks here: it
+    must lie in (0, 1), and it is rejected when 1 - energy_fa_rate rounds
+    to 1 (energy_fa_rate = 1e-17), which makes the quantile, and with it
+    the threshold, infinite.
     """
     if not 0.0 < energy_fa_rate < 1.0:
         raise ValueError("energy_fa_rate must lie in (0, 1)")
@@ -434,13 +500,12 @@ def detection_quantile(energy_fa_rate: float, n_bins: int) -> float:
     return quantile
 
 
-def _detect_bands(x: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:
-    """energy_detect on the (bands, 2 * bins) real view x of the spectra:
-    a band's energy is its row's sum of squares."""
-    energies = np.einsum("ij,ij->i", x, x)
-    threshold = 0.5 * np.asarray(noise_variance, dtype=float) \
-        * detection_quantile(energy_fa_rate, x.shape[1] // 2)
-    return (energies > threshold).astype(np.int8)
+def _energy_threshold(noise_variance, energy_fa_rate: float, n_bins: int):
+    """The energy of a band of n_bins bins that noise alone exceeds with
+    probability energy_fa_rate (per band when noise_variance is a
+    vector)."""
+    return 0.5 * np.asarray(noise_variance, dtype=float) \
+        * detection_quantile(energy_fa_rate, n_bins)
 
 
 def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:
@@ -459,44 +524,45 @@ def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) ->
     spectra = np.asarray(spectra)
     if spectra.ndim != 2:
         raise ValueError("spectra must be a bands x bins matrix")
-    return _detect_bands(_real_view(spectra), noise_variance, energy_fa_rate)
+    x = _real_view(spectra)
+    energies = np.einsum("ij,ij->i", x, x)
+    threshold = _energy_threshold(noise_variance, energy_fa_rate, spectra.shape[1])
+    return (energies > threshold).astype(np.int8)
 
 
-def signal_sense(z, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
-    """Full signal-mode sensing: recover, detect, and flag failure.
+def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
+    """Full signal-mode sensing of one slot from its K x K sample Gram
+    (sample_gram): recover band energies, detect, and flag failure.
 
     Set sizes up to the branch count K (the plan's row count) are solved
-    exactly, with the plan's least-squares operator, and always succeed;
-    larger sets go through the exact support search with prior_activity
-    as the busy prior, and fail when the detected busy count exceeds the
-    recoverable limit or the relative residual exceeds the config's
-    residual_threshold.
+    exactly, with the plan's least-squares operator L (band energies
+    diag(L S_yy L^T), each compared with the larger of its threshold and
+    tr(S_yy) times its gram_floor); they always succeed, and no residual
+    is computed (residual_ratio is None). Larger sets go through the exact support
+    search with prior_activity as the busy prior, and fail when the
+    detected busy count exceeds the recoverable limit or the relative
+    residual, less the expected noise energy, exceeds the config's
+    residual_threshold. Both paths threshold the energies at the plan's
+    cached threshold.
     """
-    samples = np.asarray(z)
-    y = _real_view(samples)
-    a_sub, cfg = plan.a_sub, plan.table.cfg
-    k, m = a_sub.shape
+    s_yy = np.asarray(s_yy)
+    if plan.direct:
+        lsq = plan.lsq
+        energies = ((lsq @ s_yy) * lsq).sum(axis=1)
+        threshold = np.maximum(plan.threshold, s_yy.trace() * plan.gram_floor)
+        return SenseResult((energies > threshold).astype(np.int8), 0)
+    k, m = plan.a_sub.shape
     limit = gamma_threshold(m, k)
-    if m <= k:
-        x = plan.lsq @ y
-        statuses = _detect_bands(x, plan.band_noise, cfg.energy_fa_rate)
-        ratio = _residual_ratio(y, a_sub @ x)
-        xi = 0
-    else:
-        _, x_hat, ratio = fbmp_recover(samples, plan, limit, prior_activity)
-        statuses = _detect_bands(x_hat.view(np.float64),
-                                 max(cfg.noise_variance, _DETECT_FLOOR),
-                                 cfg.energy_fa_rate)
-        # The raw residual of a correct fit still contains the measurement
-        # noise, so the failure statistic discounts the expected noise
-        # energy (plus a four-sigma guard band) before thresholding; with
-        # zero noise it reduces to the raw residual ratio. z_energy is the
-        # ||Y||^2 of the residual ratio's denominator.
-        z_energy = _sq_norm(y)
-        n_terms = samples.size
-        noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
-        excess = max(0.0, ratio ** 2 * z_energy - noise_guard)
-        excess_ratio = np.sqrt(excess / z_energy) if z_energy > 0.0 else 0.0
-        xi = 1 if (int(statuses.sum()) > limit
-                   or excess_ratio > cfg.residual_threshold) else 0
+    _, energies, ratio = fbmp_recover(s_yy, plan, limit, prior_activity)
+    statuses = (energies > plan.threshold).astype(np.int8)
+    # The raw residual of a correct fit still contains the measurement
+    # noise, so the failure statistic discounts the table's noise guard
+    # (the expected noise energy plus a four-sigma guard band) before
+    # thresholding; with zero noise it reduces to the raw residual ratio.
+    # z_energy is the ||Y||^2 of the residual ratio's denominator.
+    z_energy = s_yy.trace()
+    excess = max(0.0, ratio ** 2 * z_energy - plan.table.noise_guard)
+    excess_ratio = np.sqrt(excess / z_energy) if z_energy > 0.0 else 0.0
+    xi = 1 if (int(statuses.sum()) > limit
+               or excess_ratio > plan.table.cfg.residual_threshold) else 0
     return SenseResult(statuses=statuses, xi=xi, residual_ratio=ratio)

@@ -98,4 +98,11 @@ def complex_noise(real: np.ndarray, imag: np.ndarray,
                   noise_power: float) -> np.ndarray:
     """Circular complex AWGN of the given per-bin power from standard
     normal real and imaginary parts, elementwise and of any shape."""
-    return (real + 1j * imag) * np.sqrt(noise_power / 2.0)
+    return (real + 1j * imag) * noise_scale(noise_power)
+
+
+def noise_scale(noise_power: float) -> float:
+    """The factor that turns standard normal draws into the real or the
+    imaginary part of circular complex noise of the given per-bin power;
+    complex_noise and SignalEnvironment's block Grams both scale by it."""
+    return np.sqrt(noise_power / 2.0)

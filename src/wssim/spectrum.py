@@ -172,4 +172,11 @@ def unit_power_rows(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     would one slot at a time."""
     raw = real + 1j * imag
     mean_power = np.mean(np.abs(raw) ** 2, axis=1)
-    return raw * np.sqrt(1.0 / mean_power)[:, None]
+    return raw * unit_power_scale(mean_power)[:, None]
+
+
+def unit_power_scale(mean_power: np.ndarray) -> np.ndarray:
+    """The factor that brings rows of the given mean per-bin power to
+    power 1; unit_power_rows and SignalEnvironment's block Grams both
+    scale by it."""
+    return np.sqrt(1.0 / mean_power)

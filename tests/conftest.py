@@ -1,6 +1,7 @@
 """Shared independent oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
 from wssim.recovery import (_DETECT_FLOOR, _MODEL_FLOOR, RecoveryConfig,
                             SenseResult, _prior_log_odds, _real_view,
-                            _residual_ratio, _sq_norm, _support_covariances,
-                            direct_solve, energy_detect, gamma_threshold,
-                            oracle_sense)
+                            _support_covariances, direct_solve, energy_detect,
+                            gamma_threshold, oracle_sense)
 from wssim.sensing import measure, noise_power_for_snr, select_submatrix
 from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (BandStatistics, stationary_vacancy,
@@ -227,6 +227,42 @@ def conditional_mean(samples, a_sub, active, sig_n):
     return x_hat
 
 
+def sq_norm(x):
+    """Sum of squares of a real array."""
+    flat = x.reshape(-1)
+    return float(flat @ flat)
+
+
+def residual_ratio(y, fitted):
+    """||y - fitted|| / ||y|| of real views, 0 when y is zero.
+
+    The sample-domain residual ratio; wssim.recovery reads it from the
+    samples' Gram instead.
+    """
+    y_sq = sq_norm(y)
+    return math.sqrt(sq_norm(y - fitted) / y_sq) if y_sq else 0.0
+
+
+def table_posterior_mean(plan, support, samples):
+    """The posterior-mean spectra of a support found through plan: its
+    SupportTable row's operator G_S applied to the samples' real view, the
+    support's bands in ascending band order (the row's order); zero off
+    the support.
+
+    fbmp_recover returns only the band energies of this estimate, which it
+    reads from the samples' Gram.
+    """
+    table = plan.table
+    y = _real_view(samples)
+    k = len(y)
+    active = sorted(np.flatnonzero(support).tolist(), key=plan.bands.__getitem__)
+    x = np.zeros((len(plan.bands), y.shape[1]))
+    if active:
+        row = table.rows(np.array([sorted(plan.bands[j] for j in active)]))[0]
+        x[active] = table.gain[row, :len(active) * k].reshape(-1, k) @ y
+    return x.view(np.complex128)
+
+
 def reference_map_recover(samples, a_sub, cfg, gamma, prior_activity=0.5,
                           bands=None):
     """exhaustive_map_support's support, its posterior-mean spectra and the
@@ -249,7 +285,7 @@ def reference_map_recover(samples, a_sub, cfg, gamma, prior_activity=0.5,
         a_s = a_sub[:, active]
         gain = np.linalg.solve(sig_n * np.eye(len(active)) + a_s.T @ a_s, a_s.T)
         x[active] = gain @ y
-    return support, x.view(np.complex128), _residual_ratio(y, a_sub @ x)
+    return support, x.view(np.complex128), residual_ratio(y, a_sub @ x)
 
 
 class ReferenceOracleEnvironment:
@@ -269,10 +305,11 @@ class ReferenceOracleEnvironment:
 def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
     """Signal-mode sensing computing everything from a_sub on every call.
 
-    Reference for wssim.recovery.signal_sense with a reused SensingPlan:
-    the detector noise comes from a fresh Gram inverse and the support
-    search from reference_map_recover, which scores every support with
-    its own solve.
+    Reference for wssim.recovery.signal_sense with a reused SensingPlan,
+    in the sample domain: the spectra are recovered from the samples, the
+    detector noise comes from a fresh Gram inverse and the support search
+    from reference_map_recover, which scores every support with its own
+    solve. As in signal_sense, the direct path reports no residual ratio.
     """
     a_sub = np.asarray(a_sub, dtype=float)
     k, m = a_sub.shape
@@ -287,14 +324,14 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
         gram_inv_diag = np.diag(np.linalg.inv(a_sub.T @ a_sub))
         per_band_noise = np.maximum(cfg.noise_variance * gram_inv_diag, _DETECT_FLOOR)
         statuses = energy_detect(x_hat, per_band_noise, cfg.energy_fa_rate)
-        ratio = _residual_ratio(y, a_sub @ _real_view(x_hat))
+        ratio = None
         xi = 0
     else:
         _, x_hat, ratio = reference_map_recover(samples, a_sub, cfg, limit,
                                                 prior_activity)
         statuses = energy_detect(x_hat, max(cfg.noise_variance, _DETECT_FLOOR),
                                  cfg.energy_fa_rate)
-        z_energy = _sq_norm(y)
+        z_energy = sq_norm(y)
         n_terms = samples.size
         noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
         excess = max(0.0, ratio ** 2 * z_energy - noise_guard)

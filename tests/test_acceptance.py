@@ -18,7 +18,7 @@ from wssim.learning import (BeliefState, OracleEnvironment, PolicyConfig,
                             run_policy)
 from wssim.recovery import (RecoveryConfig, SensingPlan, SupportTable,
                             direct_solve, gamma_threshold, oracle_sense,
-                            signal_sense)
+                            sample_gram, signal_sense)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics, init_occupancy,
@@ -216,7 +216,7 @@ def test_criterion_8_signal_chain_fidelity():
         batch = measure(a_sub, grid, 20.0, slot_rng)
         plan = SensingPlan(SupportTable(a_sub, RecoveryConfig(noise_variance=noise_var)),
                            range(6))
-        signal = signal_sense(batch, plan, prior_activity=1.0 - p0)
+        signal = signal_sense(sample_gram(batch), plan, prior_activity=1.0 - p0)
         oracle = oracle_sense(statuses, 4)
         agree += int(signal.xi == oracle.xi)
     fraction = agree / trials

@@ -1,5 +1,4 @@
 import hashlib
-import struct
 import warnings
 from pathlib import Path
 
@@ -14,8 +13,8 @@ from wssim.experiments import (SignalEnvironment, compute_regret,
 from wssim.learning import BeliefState, OracleEnvironment, run_policy
 from wssim.recovery import (RecoveryConfig, SenseResult, SupportTable,
                             _chi2_quantile)
-from wssim.sensing import draw_sensing_matrix
-from wssim.spectrum import simulate_occupancy
+from wssim.sensing import complex_noise, draw_sensing_matrix, noise_power_for_snr
+from wssim.spectrum import simulate_occupancy, synthesize_band_spectra
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 INTEGER_FIELDS = ["replications", "horizon", "bins_per_band", "n_bands",
@@ -153,8 +152,10 @@ def environments(config, trajectory, matrix, seed=3):
 
 
 def assert_same_sense(env, ref, selected, slot, prior_vacancy, first_slot=0):
-    """Sense one slot with both environments and compare the results bit
-    for bit. env draws a block of slots ahead when it senses the block's
+    """Sense one slot with both environments and compare the results:
+    statuses and xi bit for bit, the search path's residual ratio (read
+    from the slot's Gram by env, from its samples by ref) to rtol=1e-9,
+    atol=1e-7. env draws a block of slots ahead when it senses the block's
     first slot, so the generators are compared after the last slot of each
     block, counted from first_slot, and of the trajectory."""
     got = env.sense(selected, slot, prior_vacancy)
@@ -162,8 +163,11 @@ def assert_same_sense(env, ref, selected, slot, prior_vacancy, first_slot=0):
     assert got.statuses.dtype == want.statuses.dtype == np.int8
     assert got.statuses.tobytes() == want.statuses.tobytes()
     assert got.xi == want.xi
-    assert struct.pack("<d", got.residual_ratio) == \
-        struct.pack("<d", want.residual_ratio)
+    if len(selected) <= env.config.k_branches:
+        assert got.residual_ratio is want.residual_ratio is None
+    else:
+        assert abs(got.residual_ratio - want.residual_ratio) <= \
+            1e-7 + 1e-9 * want.residual_ratio
     if ((slot + 1 - first_slot) % env.block_slots == 0
             or slot + 1 == len(env.trajectory)):
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
@@ -328,6 +332,107 @@ class TestSignalEnvironmentMatchesReference:
             signal_environment(config, trajectory[0], matrix, 0)
 
 
+def per_slot_grams(config, trajectory, rng):
+    """Each slot's Gram of its band spectra and noise, drawn slot by slot
+    with synthesize_band_spectra and complex_noise as measure draws it:
+    the (N + K, 2 * bins) real view of the spectra stacked over the noise
+    (no noise rows when noiseless) times its transpose."""
+    k, bins = config.k_branches, config.bins_per_band
+    noise_power = noise_power_for_snr(config.snr_db)
+    for statuses in trajectory:
+        rows = synthesize_band_spectra(statuses, bins, rng)
+        if noise_power > 0.0:
+            noise = complex_noise(rng.standard_normal((k, bins)),
+                                  rng.standard_normal((k, bins)), noise_power)
+            rows = np.concatenate([rows, noise])
+        y = rows.view(np.float64)
+        yield y @ y.T
+
+
+class TestBlockGram:
+    """A SignalEnvironment's block Grams against per-slot draws."""
+
+    @staticmethod
+    def assert_grams_match(config, trajectory, matrix, first_slot=0):
+        env = signal_environment(config, trajectory, matrix, 3)
+        ref_rng = np.random.default_rng(3)
+        refs = per_slot_grams(config, trajectory[first_slot:], ref_rng)
+        blocks = 0
+        for slot, want in zip(range(first_slot, len(trajectory)), refs):
+            env.sense((0, 2, 5), slot)
+            got = env._grams[slot - env._block_start]
+            assert got.shape == want.shape
+            # Relative to the Gram's largest entry too: an off-diagonal
+            # entry near 0 carries the rounding of the larger terms summed
+            # into it.
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+            # Vacant bands' rows and columns are exactly zero.
+            vacant = np.flatnonzero(trajectory[slot] == 0)
+            assert not got[vacant].any() and not got[:, vacant].any()
+            if slot + 1 == env._block_end:
+                blocks += 1
+                assert env.rng.bit_generator.state == ref_rng.bit_generator.state
+        return env, blocks
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
+    @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+    def test_full_and_partial_blocks(self, n, k, snr_db):
+        config, trajectory, matrix = signal_setup(n, k, snr_db, 1)
+        horizon = 2 * signal_environment(config, trajectory, matrix, 0).block_slots + 3
+        config, trajectory, matrix = signal_setup(n, k, snr_db, horizon, seed=2)
+        env, blocks = self.assert_grams_match(config, trajectory, matrix)
+        assert blocks == 3
+        rows = n + (0 if snr_db is None else k)
+        assert env._grams.shape == (3, rows, rows)
+
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+    def test_all_vacant_and_all_busy_rows(self, n, k, snr_db):
+        # Runs of all-vacant and all-busy slots inside and across blocks,
+        # starting mid-trajectory.
+        config, trajectory, matrix = signal_setup(n, k, snr_db, 80, seed=3)
+        trajectory = trajectory.copy()
+        trajectory[10:30] = 0
+        trajectory[40:55] = 1
+        trajectory[60::3] = 0
+        self.assert_grams_match(config, trajectory, matrix, first_slot=5)
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0])
+    @pytest.mark.parametrize("sets", [[(0, 2, 5), (1, 3, 4, 6, 7)],
+                                      [tuple(range(8))]])
+    def test_all_vacant_slots_raise_no_warning(self, snr_db, sets):
+        # An all-vacant slot's Gram has zero band diagonals; the unit-power
+        # scaling must not divide by them, on either recovery path.
+        config, _, matrix = signal_setup(8, 4, snr_db, 30)
+        trajectory = np.zeros((30, 8), dtype=np.int8)
+        trajectory[::7, 3] = 1
+        env = signal_environment(config, trajectory, matrix, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for slot in range(30):
+                result = env.sense(sets[slot % len(sets)], slot,
+                                   np.full(8, 0.5))
+                if snr_db is None and not trajectory[slot].any():
+                    assert not result.statuses.any() and result.xi == 0
+
+
+@pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+def test_noiseless_direct_path_reads_truth(n, k):
+    # Without noise the direct path inverts the mixing exactly, so every
+    # band reads as the trajectory says, also through ill-conditioned
+    # sub-matrices, where the Gram-domain energy of an absent band is
+    # rounding far above the detector's absolute threshold.
+    for seed in range(6):
+        config, trajectory, matrix = signal_setup(n, k, None, 200, seed=seed)
+        env = signal_environment(config, trajectory, matrix, seed)
+        draws = np.random.default_rng(seed)
+        for slot in range(200):
+            selected = np.sort(draws.choice(n, size=k, replace=False))
+            result = env.sense(selected, slot)
+            assert result.statuses.tolist() == trajectory[slot, selected].tolist()
+
+
 class RecordingEnvironment(SignalEnvironment):
     """A SignalEnvironment keeping every slot's SenseResult.
 
@@ -401,9 +506,10 @@ def test_both_backends_return_sense_result():
         assert xi in (0, 1) and len(statuses) == 3
     assert oracle.statuses == trajectory[3, [0, 2, 5]].tolist()
     assert oracle.residual_ratio is None
-    # The signal backend's statuses stay an int8 array.
+    # The signal backend's statuses stay an int8 array. A set of at most K
+    # bands takes the direct path, which computes no residual.
     assert signal.statuses.dtype == np.int8
-    assert signal.residual_ratio is not None
+    assert signal.residual_ratio is None
 
 
 class TestPinnedOracleOutput:

@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from wssim.recovery import (RecoveryConfig, SensingPlan, SupportTable,  # noqa: E402
-                            oracle_sense, signal_sense)
+                            oracle_sense, sample_gram, signal_sense)
 from wssim.sensing import measure  # noqa: E402
 from wssim.sizing import optimize_size  # noqa: E402
 from wssim.spectrum import synthesize_band_spectra  # noqa: E402
@@ -37,8 +37,9 @@ def test_noiseless_direct_path_returns_truth(slot):
     a_sub = rng.standard_normal((k, truth.size))
     grid = synthesize_band_spectra(truth, bins, rng)
     samples = measure(a_sub, grid, None, rng)
-    plan = SensingPlan(SupportTable(a_sub, RecoveryConfig()), range(truth.size))
-    result = signal_sense(samples, plan)
+    plan = SensingPlan(SupportTable(a_sub, RecoveryConfig(bins_per_band=bins)),
+                       range(truth.size))
+    result = signal_sense(sample_gram(samples), plan)
     assert result.statuses.tolist() == truth.tolist()
     assert result.xi == oracle_sense(truth, k).xi == 0
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,16 @@ import pytest
 from conftest import (all_supports, conditional_mean, exhaustive_map_support,
                       reference_greedy_support, reference_map_recover,
                       reference_signal_sense, reference_support_score,
-                      score_terms, solve_support_scores)
+                      score_terms, solve_support_scores, table_posterior_mean)
 import wssim
 from wssim import recovery
 from wssim.recovery import (RecoveryConfig, SenseResult, SensingPlan,
-                            SupportTable, direct_solve, energy_detect,
-                            fbmp_recover, gamma_threshold, oracle_sense,
-                            signal_sense, support_count)
-from wssim.recovery import (_chi2_quantile, _prior_log_odds,
-                            _support_covariances)
+                            SupportTable, detection_quantile, direct_solve,
+                            energy_detect, fbmp_recover, gamma_threshold,
+                            oracle_sense, sample_gram, signal_sense,
+                            support_count)
+from wssim.recovery import (_DETECT_FLOOR, _chi2_quantile, _prior_log_odds,
+                            _real_view, _support_covariances)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import synthesize_band_spectra
 
@@ -41,7 +43,7 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     spectra = synthesize_band_spectra(statuses, n_bins, rng)
     samples = measure(a_sub, spectra, snr_db, rng)
     cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
-                         energy_fa_rate=fa_rate)
+                         energy_fa_rate=fa_rate, bins_per_band=n_bins)
     search = {"gamma": gamma_threshold(m, k), "prior_activity": prior}
     plan = SensingPlan(SupportTable(a_sub, cfg), range(m))
     return statuses, spectra, plan, samples, search
@@ -136,20 +138,20 @@ class TestDirectSolve:
         samples = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
         with pytest.raises(np.linalg.LinAlgError):
             direct_solve(samples, matrix)
-        plan = SensingPlan(SupportTable(matrix, RecoveryConfig(noise_variance=0.01)),
-                           range(3))
+        plan = SensingPlan(SupportTable(matrix, RecoveryConfig(
+            noise_variance=0.01, bins_per_band=8)), range(3))
         with pytest.raises(np.linalg.LinAlgError):
-            signal_sense(samples, plan)
+            signal_sense(sample_gram(samples), plan)
 
 
 class TestFbmpRecover:
     def test_zero_measurement_empty_support(self, rng):
-        plan = SensingPlan(SupportTable(rng.standard_normal((4, 6)),
-                                        RecoveryConfig(noise_variance=0.0)), range(6))
-        support, x_hat, ratio = fbmp_recover(np.zeros((4, 16), dtype=complex),
-                                             plan, 2)
+        plan = SensingPlan(SupportTable(rng.standard_normal((4, 6)), RecoveryConfig(
+            noise_variance=0.0, bins_per_band=16)), range(6))
+        support, energies, ratio = fbmp_recover(
+            sample_gram(np.zeros((4, 16), dtype=complex)), plan, 2)
         assert not support.any()
-        assert not x_hat.any()
+        assert not energies.any()
         assert ratio == 0.0
 
     def test_support_recovery_rate_at_20db(self):
@@ -158,7 +160,7 @@ class TestFbmpRecover:
         for seed in range(trials):
             busy_count = seed % 3  # cycle busy counts 0, 1, 2
             statuses, _, plan, samples, search = make_instance(seed, busy_count=busy_count)
-            support, _, _ = fbmp_recover(samples, plan, **search)
+            support, _, _ = fbmp_recover(sample_gram(samples), plan, **search)
             hits += int(np.array_equal(support, statuses))
         assert hits / trials >= 0.95
 
@@ -167,7 +169,7 @@ class TestFbmpRecover:
         trials = 200
         for seed in range(trials):
             _, _, plan, samples, search = make_instance(seed, busy_count=3)
-            _, _, ratio = fbmp_recover(samples, plan, **search)
+            _, _, ratio = fbmp_recover(sample_gram(samples), plan, **search)
             over += int(ratio > 0.1)
         assert over / trials > 0.5
 
@@ -208,7 +210,7 @@ class TestFbmpRecover:
                 seed, m=m, busy_count=busy_count, snr_db=None)
             exhaustive = exhaustive_map_support(samples, plan.a_sub, plan.table.cfg,
                                                 **search)
-            found, _, _ = fbmp_recover(samples, plan, **search)
+            found, _, _ = fbmp_recover(sample_gram(samples), plan, **search)
             greedy = reference_greedy_support(samples, plan.a_sub, plan.table.cfg,
                                               **search)
             assert np.array_equal(exhaustive, statuses)
@@ -224,14 +226,15 @@ class TestFbmpRecover:
         rng = np.random.default_rng(k * m)
         for trial in range(60):
             table = SupportTable(rng.standard_normal((k, m + 3)), RecoveryConfig(
-                noise_variance=noise_power_for_snr((20.0, 10.0, 5.0)[trial % 3])))
+                noise_variance=noise_power_for_snr((20.0, 10.0, 5.0)[trial % 3]),
+                bins_per_band=16))
             plan = SensingPlan(table, rng.permutation(m + 3)[:m])
             statuses = np.zeros(m, dtype=np.int8)
             statuses[rng.choice(m, size=trial % (gamma + 2), replace=False)] = 1
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                               (20.0, 10.0, 5.0)[trial % 3], rng)
             prior = rng.uniform(0.05, 0.95, m)
-            support, _, _ = fbmp_recover(samples, plan, gamma, prior)
+            support, _, _ = fbmp_recover(sample_gram(samples), plan, gamma, prior)
             want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma, prior)
             assert support.tobytes() == want.tobytes()
 
@@ -244,7 +247,8 @@ class TestFbmpRecover:
         rng = np.random.default_rng(m)
         matrix = rng.standard_normal((k, m))
         matrix[:, 2] = matrix[:, 5]
-        table = SupportTable(matrix, RecoveryConfig(noise_variance=0.01))
+        table = SupportTable(matrix, RecoveryConfig(noise_variance=0.01,
+                                                     bins_per_band=16))
         bands = [5] + [b for b in rng.permutation(m).tolist() if b != 5]
         plan = SensingPlan(table, bands)
         first, second = 0, bands.index(2)
@@ -253,7 +257,7 @@ class TestFbmpRecover:
             statuses[first] = 1
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                               20.0, rng)
-            support, _, _ = fbmp_recover(samples, plan, gamma)
+            support, _, _ = fbmp_recover(sample_gram(samples), plan, gamma)
             want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma)
             assert support.tobytes() == want.tobytes()
             assert support[first] == 1 and support[second] == 0
@@ -261,11 +265,11 @@ class TestFbmpRecover:
     def test_rejects_gamma_beyond_table(self, rng):
         plan = SensingPlan(SupportTable(rng.standard_normal((4, 8)), RecoveryConfig()),
                            range(6))
-        samples = np.zeros((4, 8), dtype=complex)
-        fbmp_recover(samples, plan, 2)
+        s_yy = np.zeros((4, 4))
+        fbmp_recover(s_yy, plan, 2)
         for gamma in (-1, 3):
             with pytest.raises(ValueError, match="gamma"):
-                fbmp_recover(samples, plan, gamma)
+                fbmp_recover(s_yy, plan, gamma)
 
     @pytest.mark.parametrize("k, m, gamma", [(4, 7, 2), (8, 16, 4)])
     def test_stacked_scores_equal_one_at_a_time(self, k, m, gamma):
@@ -291,20 +295,48 @@ class TestFbmpRecover:
 
     def test_identical_to_one_support_at_a_time_search(self):
         # 500 seeded draws across set sizes, noise levels and busy counts,
-        # some beyond the recoverable limit: support, spectra and residual
-        # must be exactly those of the solve-based exhaustive reference.
+        # some beyond the recoverable limit: the support and the table
+        # row's spectra must be exactly those of the solve-based exhaustive
+        # reference, and the Gram-domain energies and residual ratio close
+        # to its sample-domain ones.
         shapes = [(4, 6), (4, 7), (8, 13), (8, 16)]
         for seed in range(500):
             k, m = shapes[seed % 4]
             _, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 2),
                 snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
-            support, x_hat, ratio = fbmp_recover(samples, plan, **search)
+            support, energies, ratio = fbmp_recover(sample_gram(samples), plan,
+                                                    **search)
             ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, **search)
             np.testing.assert_array_equal(support, ref_support)
+            x_hat = table_posterior_mean(plan, support, samples)
             np.testing.assert_array_equal(x_hat, ref_x_hat)
-            assert ratio == ref_ratio
+            assert_energies_close(energies, ref_x_hat)
+            assert_ratio_close(ratio, ref_ratio)
+
+
+class TestSampleGram:
+    def test_gram_of_the_real_view(self, rng):
+        samples = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        s_yy = sample_gram(samples)
+        y = _real_view(samples)
+        assert s_yy.shape == (4, 4) and s_yy.dtype == np.float64
+        assert s_yy.flags.c_contiguous
+        np.testing.assert_allclose(s_yy, y @ y.T, rtol=1e-12)
+
+    def test_energies_are_those_of_the_posterior_mean(self):
+        # The search's Gram-domain band energies against the row sums of
+        # squares of the table row's spectra, at 20 dB and without noise.
+        for seed in range(40):
+            k, m = [(4, 7), (8, 12)][seed % 2]
+            _, _, plan, samples, search = make_instance(
+                seed, m=m, k=k, busy_count=seed % (k // 2 + 1),
+                snr_db=(20.0, None)[seed // 2 % 2], n_bins=16)
+            support, energies, _ = fbmp_recover(sample_gram(samples), plan, **search)
+            x_hat = table_posterior_mean(plan, support, samples)
+            assert_energies_close(energies, x_hat)
+            assert not energies[support == 0].any()
 
 
 class TestEnergyDetect:
@@ -393,13 +425,14 @@ class TestSignalSense:
             busy_count = seed % 5
             statuses, _, plan, samples, search = make_instance(
                 seed, m=4, busy_count=busy_count, snr_db=None)
-            result = signal_sense(samples, plan, search["prior_activity"])
+            result = signal_sense(sample_gram(samples), plan,
+                                  search["prior_activity"])
             assert result.xi == 0
             np.testing.assert_array_equal(result.statuses, statuses)
 
     def test_overloaded_noiseless_fails(self):
         _, _, plan, samples, search = make_instance(123, busy_count=3, snr_db=None)
-        result = signal_sense(samples, plan, search["prior_activity"])
+        result = signal_sense(sample_gram(samples), plan, search["prior_activity"])
         assert result.xi == 1
 
     def test_small_noisy_set_statuses(self):
@@ -408,16 +441,34 @@ class TestSignalSense:
         for seed in range(20):
             statuses, _, plan, samples, search = make_instance(
                 seed, m=3, busy_count=seed % 4, snr_db=20.0, fa_rate=1e-4)
-            result = signal_sense(samples, plan, search["prior_activity"])
+            result = signal_sense(sample_gram(samples), plan,
+                                  search["prior_activity"])
             assert result.xi == 0
             np.testing.assert_array_equal(result.statuses, statuses)
 
     def test_reports_residual_ratio(self):
+        # On the search path (6 bands, 4 branches) only.
         _, _, plan, samples, search = make_instance(7, busy_count=1)
-        result = signal_sense(samples, plan, search["prior_activity"])
+        result = signal_sense(sample_gram(samples), plan, search["prior_activity"])
         assert isinstance(result, SenseResult)
         assert result.residual_ratio is not None
         assert result.residual_ratio >= 0.0
+        _, _, plan, samples, search = make_instance(7, m=4, busy_count=1)
+        result = signal_sense(sample_gram(samples), plan, search["prior_activity"])
+        assert result.residual_ratio is None
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_zero_gram_reads_vacant_without_warnings(self, m):
+        # Both paths, with and without noise: a slot whose samples are all
+        # zero reads every band vacant, succeeds, and divides by nothing.
+        for snr_db in (None, 20.0):
+            _, _, plan, _, search = make_instance(0, m=m, snr_db=snr_db)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = signal_sense(np.zeros((4, 4)), plan, search["prior_activity"])
+            assert result.statuses.tolist() == [0] * m
+            assert result.xi == 0
+            assert result.residual_ratio == (None if m <= 4 else 0.0)
 
 
 def plan_draws(seed, k, m, count):
@@ -431,7 +482,7 @@ def plan_draws(seed, k, m, count):
     gamma = gamma_threshold(m, k)
     for snr_db in (None, 20.0, 10.0):
         plan = SensingPlan(SupportTable(a_sub, RecoveryConfig(
-            noise_variance=noise_power_for_snr(snr_db))), range(m))
+            noise_variance=noise_power_for_snr(snr_db), bins_per_band=16)), range(m))
         for i in range(count):
             statuses = np.zeros(m, dtype=np.int8)
             busy_count = min(i % (gamma + 2), m)
@@ -451,6 +502,24 @@ PLAN_SHAPES = [(4, 7), (4, 6), (8, 12), (8, 16)]
 # Largest relative difference seen: 1.3e-5 noiseless, 9e-13 noisy.
 SCORE_RTOL = 1e-4
 NOISY_SCORE_RTOL = 1e-10
+
+# Gram-domain residual ratios against sample-domain ones. A fit exact up to
+# rounding leaves a residual that is the difference of terms of size
+# ||Y||^2, so its Gram-domain ratio is about sqrt(eps) rather than 0.
+RATIO_RTOL, RATIO_ATOL = 1e-9, 1e-7
+
+
+def assert_ratio_close(got, want):
+    assert abs(got - want) <= RATIO_ATOL + RATIO_RTOL * abs(want)
+
+
+def assert_energies_close(energies, spectra):
+    """Gram-domain band energies against the row sums of squares of the
+    spectra, relative to the largest of them."""
+    x = _real_view(spectra)
+    want = np.einsum("ij,ij->i", x, x)
+    np.testing.assert_allclose(energies, want, rtol=1e-9,
+                               atol=1e-12 * max(1.0, want.max()))
 
 
 def assert_scores_close(got, want, rtol=SCORE_RTOL):
@@ -494,12 +563,15 @@ class TestSensingPlan:
         # 252 draws per shape, through three plans (one per noise level).
         gamma = gamma_threshold(m, k)
         for plan, samples, prior in plan_draws(k + m, k, m, 84):
-            support, x_hat, ratio = fbmp_recover(samples, plan, gamma, prior)
+            support, energies, ratio = fbmp_recover(sample_gram(samples), plan,
+                                                    gamma, prior)
             ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, gamma, prior)
             assert support.tobytes() == ref_support.tobytes()
+            x_hat = table_posterior_mean(plan, support, samples)
             assert x_hat.tobytes() == ref_x_hat.tobytes()
-            assert ratio == ref_ratio
+            assert_energies_close(energies, ref_x_hat)
+            assert_ratio_close(ratio, ref_ratio)
 
     @pytest.mark.parametrize("k, m", [(4, 2), (4, 4), (8, 5), (8, 8)]
                              + PLAN_SHAPES)
@@ -507,12 +579,15 @@ class TestSensingPlan:
         # Both paths: m <= k solves directly with the plan's detector
         # noise, m > k searches.
         for plan, samples, prior in plan_draws(7 * m + k, k, m, 12):
-            got = signal_sense(samples, plan, prior)
+            got = signal_sense(sample_gram(samples), plan, prior)
             want = reference_signal_sense(samples, plan.a_sub, plan.table.cfg, k,
                                           prior)
             assert got.statuses.tobytes() == want.statuses.tobytes()
             assert got.xi == want.xi
-            assert got.residual_ratio == want.residual_ratio
+            if m <= k:
+                assert got.residual_ratio is want.residual_ratio is None
+            else:
+                assert_ratio_close(got.residual_ratio, want.residual_ratio)
 
     def test_band_noise_is_floored_post_inversion_noise(self, rng):
         a_sub = rng.standard_normal((4, 3))
@@ -522,6 +597,30 @@ class TestSensingPlan:
         assert noisy.band_noise.tolist() == (0.01 * gram_inv_diag).tolist()
         noiseless = SensingPlan(SupportTable(a_sub, RecoveryConfig()), range(3))
         assert noiseless.band_noise.tolist() == [1e-12] * 3
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0])
+    def test_threshold_is_the_detectors(self, rng, snr_db):
+        # The expression energy_detect thresholds with: per band from
+        # band_noise on the direct path, the floored noise variance on the
+        # search path, for bands of the config's bins_per_band bins.
+        cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
+                             energy_fa_rate=0.01, bins_per_band=24)
+        table = SupportTable(rng.standard_normal((4, 8)), cfg)
+        quantile = detection_quantile(0.01, 24)
+        direct, search = SensingPlan(table, (6, 1, 3)), SensingPlan(table, range(6))
+        assert direct.direct and not search.direct
+        assert direct.threshold.tobytes() == \
+            (0.5 * np.asarray(direct.band_noise) * quantile).tobytes()
+        floored = max(cfg.noise_variance, _DETECT_FLOOR)
+        assert search.threshold == 0.5 * np.asarray(floored) * quantile
+
+    def test_mixing_scatters_the_sub_matrix(self, rng):
+        table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
+        plan = SensingPlan(table, (6, 1, 3))
+        want = np.zeros((4, 12))
+        want[:, [6, 1, 3]] = plan.a_sub
+        want[:, 8:] = np.eye(4)
+        assert plan.mixing.tobytes() == want.tobytes()
 
 
 class TestSupportTable:
@@ -616,7 +715,7 @@ class TestSupportTable:
 
     def test_plans_of_different_sets_share_rows(self, rng):
         matrix = rng.standard_normal((4, 8))
-        cfg = RecoveryConfig(noise_variance=0.01)
+        cfg = RecoveryConfig(noise_variance=0.01, bins_per_band=16)
         table = SupportTable(matrix, cfg)
         sets = [(0, 1, 2, 3, 4, 5), (7, 3, 5, 4, 6)]
         plans = [SensingPlan(table, bands) for bands in sets]
@@ -638,12 +737,13 @@ class TestSupportTable:
             z = measure(plan.a_sub, synthesize_band_spectra(
                 np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng), 20.0, rng)
             for gamma in (1, 2):
-                support, x_hat, ratio = fbmp_recover(z, plan, gamma)
+                support, _, ratio = fbmp_recover(sample_gram(z), plan, gamma)
                 want = reference_map_recover(z, plan.a_sub, cfg, gamma,
                                              bands=plan.bands)
                 assert support.tobytes() == want[0].tobytes()
+                x_hat = table_posterior_mean(plan, support, z)
                 assert x_hat.tobytes() == want[1].tobytes()
-                assert ratio == want[2]
+                assert_ratio_close(ratio, want[2])
 
 
 class TestPosteriorMean:
@@ -679,9 +779,10 @@ class TestPosteriorMean:
             statuses, spectra, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 1), snr_db=None,
                 n_bins=16)
-            support, x_hat, _ = fbmp_recover(samples, plan, **search)
+            support, _, _ = fbmp_recover(sample_gram(samples), plan, **search)
             if support.tolist() != statuses.tolist():
                 continue
+            x_hat = table_posterior_mean(plan, support, samples)
             found += 1
             assert np.linalg.norm(x_hat - spectra) <= 1e-6 * np.linalg.norm(spectra)
         assert found >= 36
@@ -691,7 +792,7 @@ class TestPosteriorMean:
         # another order the spectra are that row's, within rounding of the
         # selection-order solve.
         table = SupportTable(rng.standard_normal((4, 8)),
-                             RecoveryConfig(noise_variance=0.01))
+                             RecoveryConfig(noise_variance=0.01, bins_per_band=16))
         plan = SensingPlan(table, (7, 3, 5, 4, 6))
         cfg = table.cfg
         for _ in range(10):
@@ -699,11 +800,12 @@ class TestPosteriorMean:
             statuses[rng.choice(5, size=2, replace=False)] = 1
             z = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                         20.0, rng)
-            support, x_hat, ratio = fbmp_recover(z, plan, 2)
+            support, _, ratio = fbmp_recover(sample_gram(z), plan, 2)
             want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
             assert support.tobytes() == want[0].tobytes()
+            x_hat = table_posterior_mean(plan, support, z)
             assert x_hat.tobytes() == want[1].tobytes()
-            assert ratio == want[2]
+            assert_ratio_close(ratio, want[2])
             in_selection_order = reference_map_recover(z, plan.a_sub, cfg, 2)
             np.testing.assert_allclose(x_hat, in_selection_order[1], rtol=1e-9)
 
@@ -743,6 +845,11 @@ class TestRecoveryConfig:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_bins_per_band_below_one(self, value):
+        with pytest.raises(ValueError, match="bins_per_band"):
+            RecoveryConfig(bins_per_band=value)
 
     def test_frozen(self):
         cfg = RecoveryConfig()
