@@ -32,24 +32,25 @@ energies and residuals are products with cached operators, not per-slot
 solves (see recovery).
 
 A slot's random draws depend only on its trajectory row, bins_per_band,
-K and the SNR, not on the selected bands. So a SignalEnvironment draws
-the spectra and noise of a block of consecutive slots in one generator
-call when it senses the block's first slot, at most _BLOCK_DRAWS values
-(at least one slot; the last block ends at the trajectory's end). The
-values and their order are those of calling synthesize_band_spectra and
-measure slot by slot, so the generator is in the same state after each
-block and at the horizon's end. Each sense() call must therefore name
-the slot after the previous call's (the first call may name any slot),
-as run_policy does; any other slot raises a ValueError naming the
-expected one.
+K and the SNR, not on the selected bands. So a SignalEnvironment draws a
+block of consecutive slots when it senses the block's first slot: as
+many slots as keep the block's Grams within _BLOCK_GRAM_VALUES values,
+(N + K)^2 a slot (at least one slot; the last block ends at the
+trajectory's end). Each sense() call must therefore name the slot after
+the previous call's (the first call may name any slot), as run_policy
+does; any other slot raises a ValueError naming the expected one.
 
-No complex spectra or samples are formed. Recovery reads a slot only
-through its sample Gram S_yy (see recovery), so the environment keeps each
-slot's Gram of its band spectra and noise (_draw_block), and a slot's
-S_yy is two small products with the plan's mixing matrix. It equals the
-Gram of the per-slot samples up to rounding, not bit for bit, so a status
-or xi can differ from the per-slot chain only where an energy or a
-residual meets its threshold to the last bits.
+No spectra or samples are formed. Recovery reads a slot only through its
+sample Gram S_yy (see recovery), so the environment draws each slot's
+Gram of its band spectra and noise directly, from its Bartlett factor
+(_draw_block): two generator calls per block, one standard_normal call
+for every factor's below-diagonal values and one chisquare call for
+their diagonals, in the order _draw_block's docstring gives. That order
+defines the signal-mode random stream. The Gram is equal in law to that
+of the spectra and noise synthesize_band_spectra and measure would draw
+slot by slot, so every statistic recovery reads has its law, but the
+values differ. A slot's S_yy is two small products with the plan's
+mixing matrix.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ from .spectrum import (BandStatistics, check_bins_per_band, check_trajectory,
 
 # Sensing plans kept per SignalEnvironment: every subset of 8 bands.
 _MAX_PLANS = 256
-# Random values a SignalEnvironment draws at most per block of slots. A
-# slot draws at most 2 * bins_per_band * (n_bands + k_branches) of them.
-_BLOCK_DRAWS = 1 << 15
+# Gram values a SignalEnvironment keeps at most per block of slots, at
+# (n_bands + k_branches)^2 a slot.
+_BLOCK_GRAM_VALUES = 1 << 15
 
 
 @dataclass
@@ -104,9 +105,9 @@ class SignalEnvironment:
         self.support_table = table
         self._plans: dict[tuple[int, ...], SensingPlan] = {}
         self._noise_power = noise_power_for_snr(config.snr_db)
-        most_draws = (2 * check_bins_per_band(config.bins_per_band)
-                      * (self.trajectory.shape[1] + config.k_branches))
-        self.block_slots = max(1, _BLOCK_DRAWS // most_draws)
+        check_bins_per_band(config.bins_per_band)
+        gram_values = (self.trajectory.shape[1] + config.k_branches) ** 2
+        self.block_slots = max(1, _BLOCK_GRAM_VALUES // gram_values)
         self._next_slot: int | None = None
         self._block_start = self._block_end = 0
         self._grams = None
@@ -122,53 +123,66 @@ class SignalEnvironment:
         return plan
 
     def _draw_block(self, start: int) -> None:
-        """Draw the spectra and noise of the block_slots slots from start
-        (fewer at the trajectory's end) in one generator call, and keep
-        each slot's Gram of them.
+        """Draw the Grams of the block_slots slots from start (fewer at the
+        trajectory's end) from their Bartlett factors, in two generator
+        calls.
 
-        The values come in the order per-slot synthesize_band_spectra and
-        measure draw them, bins_per_band to a row: per slot, the real parts
-        of every busy band in band order, then their imaginary parts, then
-        (unless the run is noiseless) K rows of the noise's real parts and
-        K of its imaginary parts. They are laid out as one (slots, N + K,
-        2 * bins) array, a row per band (zero when vacant) and per noise
-        branch (none when noiseless), real draws then imaginary ones, and
-        one batched product gives each slot's raw Gram H. Scaling a busy
-        band's row and column by unit_power_scale(H_jj / bins) and the
-        noise rows' by noise_scale(noise power), the formulas of
-        synthesize_band_spectra and measure, makes it the Gram of the
-        slot's unit-power spectra and noise; sense() forms the slot's S_yy
-        from it as plan.mixing @ Gram @ plan.mixing^T (the mixing's first N
-        columns when noiseless).
+        A slot's rows are its busy bands in band order, then (unless the
+        run is noiseless) its K noise branches: r rows. In the per-slot
+        chain (synthesize_band_spectra and measure) each row is nu =
+        2 * bins standard normal values, so their raw Gram H is
+        Wishart_r(nu, I). Here H = L L^T, with L the r x min(r, nu) factor
+        whose row i holds sqrt(chi2(nu - i)) on its diagonal when i < nu
+        and N(0, 1) values in every column before it (so all of them from
+        row nu on): Bartlett's decomposition, the law of the LQ factor of
+        r x nu standard normals, which gives H the same law (Odell and
+        Feiveson, JASA 1966).
+
+        The random stream: one standard_normal call fills every
+        below-diagonal value of the block, slot by slot, row by row,
+        column by column; then one chisquare call fills every diagonal, in
+        the same slot and row order.
+
+        Each factor row sits at its band's index (zero when the band is
+        vacant) or at N plus its noise branch. A busy band's row is scaled
+        by unit_power_scale(H_jj / bins), H_jj its sum of squares, and a
+        noise row by noise_scale(noise power), the formulas of
+        synthesize_band_spectra and measure; a vacant row's scale is 0 and
+        nothing is divided by it. One batched product of the scaled
+        factors then gives the (slots, N + K', N + K') Grams (K' = 0 when
+        noiseless), each equal in law to the Gram of the slot's unit-power
+        spectra and noise. sense() forms the slot's S_yy from it as
+        plan.mixing @ Gram @ plan.mixing^T (the mixing's first N columns
+        when noiseless).
         """
         n, k = self.trajectory.shape[1], self.config.k_branches
         bins = self.config.bins_per_band
         self._grams = None   # free the last block first
         busy_mask = self.trajectory[start:start + self.block_slots] != 0
-        busy = np.count_nonzero(busy_mask, axis=1)
-        noise_rows = k if self._noise_power > 0.0 else 0
-        rows_per_slot = 2 * busy + 2 * noise_rows
-        offsets = np.cumsum(rows_per_slot) - rows_per_slot
-        draws = self.rng.standard_normal((int(rows_per_slot.sum()), bins))
-        stack = np.zeros((busy.size, n + noise_rows, 2, bins))
-        # A busy band's real row: its slot's offset plus its rank among the
-        # slot's busy bands; its imaginary row is the slot's busy count on.
+        slots = len(busy_mask)
+        rows = n + (k if self._noise_power > 0.0 else 0)
+        # Each row's index among its slot's rows, -1 for a vacant band.
+        active = np.ones((slots, rows), dtype=bool)
+        active[:, :n] = busy_mask
+        index = np.cumsum(active, axis=1) - 1
+        index[~active] = -1
+        column = np.arange(min(rows, 2 * bins))
+        lower = column < np.minimum(index, 2 * bins)[:, :, None]
+        factor = np.zeros((slots, rows, column.size))
+        factor[lower] = self.rng.standard_normal(np.count_nonzero(lower))
+        slot_of, row = np.nonzero((index >= 0) & (index < 2 * bins))
+        diagonal = index[slot_of, row]
+        factor[slot_of, row, diagonal] = np.sqrt(self.rng.chisquare(2 * bins - diagonal))
+        # Scaling a factor row scales its Gram row and column.
+        scale = np.zeros((slots, rows))
         slot_of, band = np.nonzero(busy_mask)
-        rank = np.arange(slot_of.size) - (np.cumsum(busy) - busy)[slot_of]
-        real = offsets[slot_of] + rank
-        stack[slot_of, band] = draws[np.stack([real, real + busy[slot_of]], axis=1)]
-        if noise_rows:
-            real = (offsets + 2 * busy)[:, None] + np.arange(k)
-            stack[:, n:] = draws[np.stack([real, real + k], axis=2)]
-        flat = stack.reshape(busy.size, n + noise_rows, 2 * bins)
-        grams = flat @ flat.transpose(0, 2, 1)
-        scale = np.zeros((busy.size, n + noise_rows))
-        scale[slot_of, band] = unit_power_scale(grams[slot_of, band, band] / bins)
+        busy_rows = factor[slot_of, band]
+        scale[slot_of, band] = unit_power_scale(
+            np.einsum("ij,ij->i", busy_rows, busy_rows) / bins)
         scale[:, n:] = noise_scale(self._noise_power)
-        grams *= scale[:, :, None]
-        grams *= scale[:, None, :]
-        self._grams = grams
-        self._block_start, self._block_end = start, start + busy.size
+        factor *= scale[:, :, None]
+        self._grams = factor @ factor.transpose(0, 2, 1)
+        self._block_start, self._block_end = start, start + slots
 
     def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
         if self._next_slot is not None and slot != self._next_slot:

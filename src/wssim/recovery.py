@@ -321,17 +321,16 @@ def _position_supports(m: int, gamma: int):
     """Every support of at most gamma of m selection positions.
 
     Supports come in (size, lexicographic) order. Returns their (C, m)
-    0/1 indicator, ends, where ends[s] counts the supports of size at
-    most s (so a smaller gamma's supports are a prefix), and per size s
-    the (C_s, s) array of the supports' positions.
+    0/1 indicator and ends, where ends[s] counts the supports of size at
+    most s (so a smaller gamma's supports are a prefix).
     """
     by_size = [_combinations(m, size) for size in range(gamma + 1)]
     ends = np.cumsum([len(positions) for positions in by_size])
     indicator = np.concatenate([(positions[:, :, None] == np.arange(m)).any(axis=1)
                                 for positions in by_size]).astype(float)
-    for array in (indicator, ends, *by_size):
+    for array in (indicator, ends):
         array.flags.writeable = False   # shared by every caller of the cache
-    return indicator, ends, by_size
+    return indicator, ends
 
 
 class SensingPlan:
@@ -349,7 +348,11 @@ class SensingPlan:
 
     - rows (search path, m > K): the table row of every support of at
       most gamma = min(m, table.max_size) selection positions, in the
-      order of _position_supports(m, gamma).
+      order of _position_supports(m, gamma). Each is read from the
+      support's indicator with its columns in ascending band order, not
+      by sorting the support's bands: with b_j the j-th band in that
+      order, a support of size s sits at offset[s] plus the sum of
+      C(b_j, c_j) over its bands, c_j counting its bands up to b_j.
     - lsq (direct path): a_sub's m x K least-squares operator
       (_least_squares_operator, which direct_solve also builds).
     - band_noise (direct path): the energy detector's per-band noise
@@ -378,10 +381,12 @@ class SensingPlan:
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        _, _, by_size = _position_supports(len(self.bands), self.gamma)
-        band_index = np.array(self.bands, dtype=np.intp)
-        return np.concatenate([self.table.rows(np.sort(band_index[positions], axis=1))
-                               for positions in by_size])
+        indicator, _ = _position_supports(len(self.bands), self.gamma)
+        order = np.argsort(self.bands)
+        chosen = indicator[:, order].astype(np.intp)
+        nth = np.cumsum(chosen, axis=1)
+        binom = self.table._binom[np.sort(self.bands), nth]
+        return self.table.offset[nth[:, -1]] + (chosen * binom).sum(axis=1)
 
     @functools.cached_property
     def lsq(self) -> np.ndarray:
@@ -438,7 +443,7 @@ def fbmp_recover(s_yy, plan: SensingPlan, gamma: int, prior_activity=0.5):
     m = len(plan.bands)
     if not 0 <= gamma <= plan.gamma:
         raise ValueError("gamma must lie in [0, min(set size, K // 2)]")
-    indicator, ends, _ = _position_supports(m, plan.gamma)
+    indicator, ends = _position_supports(m, plan.gamma)
     count = ends[gamma]
     rows = plan.rows[:count]
     base_prior, prior_gain = _prior_log_odds(prior_activity, m)

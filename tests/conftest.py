@@ -6,16 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from wssim import experiments
 from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
 from wssim.recovery import (_DETECT_FLOOR, _MODEL_FLOOR, RecoveryConfig,
                             SenseResult, _prior_log_odds, _real_view,
                             _support_covariances, direct_solve, energy_detect,
                             gamma_threshold, oracle_sense)
-from wssim.sensing import measure, noise_power_for_snr, select_submatrix
+from wssim.sensing import noise_power_for_snr, noise_scale, select_submatrix
 from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (BandStatistics, stationary_vacancy,
-                            synthesize_band_spectra)
+                            unit_power_scale)
 
 
 # Sizing references: wssim.sizing.optimize_size grows the same
@@ -342,12 +343,19 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
 
 
 class ReferenceSignalEnvironment:
-    """The signal chain rebuilding every per-set value on every slot.
+    """The signal chain in the sample domain, rebuilding every per-set value
+    on every slot.
 
     Reference for wssim.experiments.SignalEnvironment, which keeps one
-    sensing plan per selected set: here each slot selects and checks the
-    sub-matrix, builds a RecoveryConfig and senses through
-    reference_signal_sense.
+    sensing plan per selected set and reads each slot through the Gram its
+    block draw makes. Here each block makes the same two generator calls
+    (block_slots from experiments._BLOCK_GRAM_VALUES as the environment
+    reads it when built), and a plain loop builds every slot's Bartlett
+    factor from them, row by row, scales its rows and pads them with zeros
+    to 2 * bins columns: explicit complex spectra and noise rows whose Gram
+    is the factor's. Each slot then mixes the selected bands' rows through
+    the sub-matrix, adds the noise rows, builds a RecoveryConfig and senses
+    the samples through reference_signal_sense.
     """
 
     def __init__(self, trajectory, matrix, config, rng):
@@ -355,14 +363,53 @@ class ReferenceSignalEnvironment:
         self.matrix = matrix
         self.config = config
         self.rng = rng
+        rows = self.trajectory.shape[1] + config.k_branches
+        self.block_slots = max(1, experiments._BLOCK_GRAM_VALUES // rows ** 2)
+        self._block = {}
+
+    def _draw_block(self, start):
+        """Each slot's (spectra grid, noise rows or None) for the block from
+        start, keyed by slot."""
+        cfg = self.config
+        bins = cfg.bins_per_band
+        nu = 2 * bins
+        noise_power = noise_power_for_snr(cfg.snr_db)
+        noise_rows = cfg.k_branches if noise_power > 0.0 else 0
+        statuses = self.trajectory[start:start + self.block_slots]
+        counts = [int(row.sum()) + noise_rows for row in statuses]
+        below = self.rng.standard_normal(
+            sum(min(i, nu) for r in counts for i in range(r))).tolist()
+        diagonal = self.rng.chisquare(
+            [nu - i for r in counts for i in range(min(r, nu))]).tolist()
+        below.reverse()
+        diagonal.reverse()
+        self._block = {}
+        for slot, (row_statuses, r) in enumerate(zip(statuses, counts), start):
+            factor = np.zeros((r, nu))
+            for i in range(r):
+                for c in range(min(i, nu)):
+                    factor[i, c] = below.pop()
+                if i < nu:
+                    factor[i, i] = math.sqrt(diagonal.pop())
+            busy = r - noise_rows
+            for i in range(busy):
+                factor[i] *= unit_power_scale(sq_norm(factor[i]) / bins)
+            factor[busy:] *= noise_scale(noise_power)
+            rows = factor.view(np.complex128)
+            grid = np.zeros((len(row_statuses), bins), dtype=np.complex128)
+            grid[np.flatnonzero(row_statuses)] = rows[:busy]
+            self._block[slot] = grid, rows[busy:] if noise_rows else None
 
     def sense(self, selected, slot, prior_vacancy=None):
         cfg = self.config
         selected = np.asarray(selected)
-        grid = synthesize_band_spectra(self.trajectory[slot], cfg.bins_per_band,
-                                       self.rng)
+        if slot not in self._block:
+            self._draw_block(slot)
+        grid, noise = self._block[slot]
         a_sub = select_submatrix(self.matrix, selected)
-        samples = measure(a_sub, grid[selected], cfg.snr_db, self.rng)
+        samples = a_sub @ grid[selected]
+        if noise is not None:
+            samples = samples + noise
         if prior_vacancy is None:
             prior_activity = 0.5
         else:

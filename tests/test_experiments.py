@@ -200,7 +200,9 @@ class TestSignalEnvironmentMatchesReference:
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
     @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
     def test_slot_by_slot(self, n, k, snr_db):
-        horizon = 90
+        # Blocks are 227 slots at 8/4 and 56 at 16/8: one whole block and
+        # part of the next.
+        horizon = 240 if n == 8 else 90
         config, trajectory, matrix = signal_setup(n, k, snr_db, horizon)
         env, ref = environments(config, trajectory, matrix)
         # Two sets of every size on both paths (so plans of equal size
@@ -283,15 +285,24 @@ class TestSignalEnvironmentMatchesReference:
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
     @pytest.mark.parametrize("snr_db", [None, 10.0])
-    def test_one_slot_blocks(self, snr_db):
-        # So many bins per band that one slot fills the draw budget: every
-        # block is a single slot.
-        bins = experiments._BLOCK_DRAWS // (8 + 4)
-        config, trajectory, matrix = signal_setup(8, 4, snr_db, 12,
-                                                  bins_per_band=bins)
+    def test_one_slot_blocks(self, monkeypatch, snr_db):
+        # A budget of one slot's Gram values: every block is a single slot.
+        monkeypatch.setattr(experiments, "_BLOCK_GRAM_VALUES", (8 + 4) ** 2)
+        config, trajectory, matrix = signal_setup(8, 4, snr_db, 12)
         env, ref = environments(config, trajectory, matrix)
-        assert env.block_slots == 1
+        assert env.block_slots == ref.block_slots == 1
         sense_every_slot(env, ref, 8, 4, range(12))
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0])
+    @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+    def test_one_bin_per_band(self, n, k, snr_db):
+        # With 2 * bins = 2 values a row, a slot of more than 2 rows has a
+        # trapezoidal factor: its rows from index 2 on are all normals.
+        config, trajectory, matrix = signal_setup(n, k, snr_db, 60, seed=5,
+                                                  bins_per_band=1)
+        env, ref = environments(config, trajectory, matrix)
+        sense_every_slot(env, ref, n, k, range(60))
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
     @pytest.mark.parametrize("slots, expected", [((0, 1, 1), 2), ((4, 5, 7), 6),
                                                  ((3, 2), 4)])
@@ -304,7 +315,7 @@ class TestSignalEnvironmentMatchesReference:
             env.sense((0, 2, 5), slots[-1])
 
     def test_rejects_zero_bins_per_band(self):
-        # Checked when the block length is worked out, before any draw.
+        # Checked when the environment is built, before any draw.
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 10, bins_per_band=0)
         with pytest.raises(ValueError, match="bins_per_band"):
             signal_environment(config, trajectory, matrix, 0)
@@ -349,30 +360,97 @@ def per_slot_grams(config, trajectory, rng):
         yield y @ y.T
 
 
+def block_grams(config, trajectory, rng):
+    """Every slot's Gram as a SignalEnvironment draws it, block by block."""
+    table = SupportTable(draw_sensing_matrix(config.k_branches, config.n_bands, rng),
+                         config.recovery_config())
+    env = SignalEnvironment(trajectory, table, config, rng)
+    for start in range(0, len(trajectory), env.block_slots):
+        env._draw_block(start)
+        yield from env._grams
+
+
+def assert_gram_law(grams, trajectory, config):
+    """Check (slots, N + K', N + K') Grams against the exact law of the
+    Gram of unit-power band spectra and noise: vacant bands' rows and
+    columns are exactly zero and busy diagonals exactly bins; every other
+    entry's sample mean and variance, over the slots where both its rows
+    are present, lie within 5 standard errors of the exact values (the
+    variance's standard error from the sample fourth moment)."""
+    n, bins = trajectory.shape[1], config.bins_per_band
+    noise_power = noise_power_for_snr(config.snr_db)
+    rows = grams.shape[1]
+    assert rows == n + (config.k_branches if noise_power > 0.0 else 0)
+    present = np.ones((len(grams), rows), dtype=bool)
+    present[:, :n] = trajectory != 0
+    assert not grams[~present].any()
+    assert not grams.transpose(0, 2, 1)[~present].any()
+    diagonal = np.diagonal(grams, axis1=1, axis2=2)
+    np.testing.assert_allclose(diagonal[:, :n][present[:, :n]], bins, rtol=1e-12)
+    for i in range(rows):
+        for j in range(i, rows):
+            if i == j < n:
+                continue
+            if i == j:
+                mean, var = noise_power * bins, noise_power ** 2 * bins
+            elif i >= n:
+                mean, var = 0.0, bins * noise_power ** 2 / 2
+            elif j >= n:
+                mean, var = 0.0, bins * noise_power / 2
+            else:
+                mean, var = 0.0, bins / 2
+            values = grams[present[:, i] & present[:, j], i, j]
+            count = len(values)
+            assert count >= 2000, (i, j)
+            centred = values - values.mean()
+            sample_var = centred @ centred / count
+            fourth = (centred ** 4).mean()
+            assert abs(values.mean() - mean) <= 5 * np.sqrt(var / count), (i, j)
+            assert abs(sample_var - var) <= \
+                5 * np.sqrt((fourth - sample_var ** 2) / count), (i, j)
+
+
 class TestBlockGram:
-    """A SignalEnvironment's block Grams against per-slot draws."""
+    """A SignalEnvironment's block Grams: their layout, and their law
+    against the exact moments and the Grams of per-slot draws."""
+
+    @pytest.mark.parametrize("bins", [64, 1])
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
+    @pytest.mark.parametrize("draw", [block_grams, per_slot_grams],
+                             ids=["block", "per_slot"])
+    def test_law_of_every_entry(self, draw, n, k, snr_db, bins):
+        # At one bin per band a slot of more than 2 rows has a trapezoidal
+        # Bartlett factor.
+        config = ExperimentConfig(n_bands=n, k_branches=k, rs_mode="signal",
+                                  snr_db=snr_db, bins_per_band=bins)
+        rng = np.random.default_rng([n, bins, snr_db is None])
+        trajectory = (rng.random((20_000, n)) < 0.6).astype(np.int8)
+        trajectory[::50] = 0
+        trajectory[1::50] = 1
+        grams = np.array(list(draw(config, trajectory, rng)))
+        assert_gram_law(grams, trajectory, config)
 
     @staticmethod
-    def assert_grams_match(config, trajectory, matrix, first_slot=0):
+    def assert_layout(config, trajectory, matrix, first_slot=0):
+        """Sense every slot from first_slot; each slot's block Gram has its
+        vacant bands' rows and columns exactly zero, busy diagonals of
+        exactly bins and positive noise diagonals. Returns the environment
+        and the number of blocks it drew."""
         env = signal_environment(config, trajectory, matrix, 3)
-        ref_rng = np.random.default_rng(3)
-        refs = per_slot_grams(config, trajectory[first_slot:], ref_rng)
+        n, bins = trajectory.shape[1], config.bins_per_band
         blocks = 0
-        for slot, want in zip(range(first_slot, len(trajectory)), refs):
+        for slot in range(first_slot, len(trajectory)):
             env.sense((0, 2, 5), slot)
-            got = env._grams[slot - env._block_start]
-            assert got.shape == want.shape
-            # Relative to the Gram's largest entry too: an off-diagonal
-            # entry near 0 carries the rounding of the larger terms summed
-            # into it.
-            np.testing.assert_allclose(got, want, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max())
-            # Vacant bands' rows and columns are exactly zero.
+            gram = env._grams[slot - env._block_start]
             vacant = np.flatnonzero(trajectory[slot] == 0)
-            assert not got[vacant].any() and not got[:, vacant].any()
+            assert not gram[vacant].any() and not gram[:, vacant].any()
+            diagonal = np.diag(gram)
+            busy = np.flatnonzero(trajectory[slot])
+            np.testing.assert_allclose(diagonal[busy], bins, rtol=1e-12)
+            assert (diagonal[n:] > 0).all()
             if slot + 1 == env._block_end:
                 blocks += 1
-                assert env.rng.bit_generator.state == ref_rng.bit_generator.state
         return env, blocks
 
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
@@ -381,7 +459,7 @@ class TestBlockGram:
         config, trajectory, matrix = signal_setup(n, k, snr_db, 1)
         horizon = 2 * signal_environment(config, trajectory, matrix, 0).block_slots + 3
         config, trajectory, matrix = signal_setup(n, k, snr_db, horizon, seed=2)
-        env, blocks = self.assert_grams_match(config, trajectory, matrix)
+        env, blocks = self.assert_layout(config, trajectory, matrix)
         assert blocks == 3
         rows = n + (0 if snr_db is None else k)
         assert env._grams.shape == (3, rows, rows)
@@ -396,7 +474,7 @@ class TestBlockGram:
         trajectory[10:30] = 0
         trajectory[40:55] = 1
         trajectory[60::3] = 0
-        self.assert_grams_match(config, trajectory, matrix, first_slot=5)
+        self.assert_layout(config, trajectory, matrix, first_slot=5)
 
     @pytest.mark.parametrize("snr_db", [None, 20.0])
     @pytest.mark.parametrize("sets", [[(0, 2, 5), (1, 3, 4, 6, 7)],

@@ -713,6 +713,22 @@ class TestSupportTable:
         with pytest.raises(ValueError, match="distinct"):
             SensingPlan(table, (1, 1))
 
+    @pytest.mark.parametrize("k, n", [(4, 8), (8, 16)])
+    def test_plan_rows_of_unsorted_sets(self, k, n):
+        # A plan ranks its supports from the indicator in band order; the
+        # rows are those of each support's bands sorted one support at a
+        # time, for sets of every size in random order.
+        rng = np.random.default_rng(n)
+        table = SupportTable(rng.standard_normal((k, n)), RecoveryConfig())
+        for m in range(1, n + 1):
+            for _ in range(3):
+                bands = rng.permutation(n)[:m]
+                plan = SensingPlan(table, bands)
+                want = [table.rows(np.sort(bands[all_supports(m, size)], axis=1))
+                        for size in range(plan.gamma + 1)]
+                assert plan.rows.dtype == np.intp
+                assert plan.rows.tolist() == np.concatenate(want).tolist()
+
     def test_plans_of_different_sets_share_rows(self, rng):
         matrix = rng.standard_normal((4, 8))
         cfg = RecoveryConfig(noise_variance=0.01, bins_per_band=16)
