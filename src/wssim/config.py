@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .learning import POLICY_MODES, PolicyConfig
-from .recovery import RecoveryConfig, detection_quantile, support_count
+from .recovery import RecoveryConfig, support_count
 from .sensing import noise_power_for_snr
 from .spectrum import CASE_STATIONARY, BandStatistics
 
@@ -41,7 +41,6 @@ class ExperimentConfig:
     delta: float = 0.1
     lambda_mixing: float = 0.5
     bins_per_band: int = 64
-    energy_fa_rate: float = 0.05
     residual_threshold: float = 0.1
 
     def policy_config(self, mode: str) -> PolicyConfig:
@@ -54,7 +53,6 @@ class ExperimentConfig:
     def recovery_config(self) -> RecoveryConfig:
         """The signal-mode recovery settings of this experiment."""
         return RecoveryConfig(noise_variance=noise_power_for_snr(self.snr_db),
-                              energy_fa_rate=self.energy_fa_rate,
                               residual_threshold=self.residual_threshold,
                               bins_per_band=self.bins_per_band)
 
@@ -64,15 +62,10 @@ class ExperimentConfig:
         Integer fields must hold Python or numpy integers, so NaN and
         non-integral values fail, and float checks are written so that NaN
         fails them. The recovery fields, snr_db and bins_per_band among
-        them, are checked by building recovery_config(), in either mode. In
-        signal mode this also evaluates the energy detector's quantile, as
-        each sensing plan's threshold will: it rejects an energy_fa_rate so
-        small that 1 - energy_fa_rate rounds to 1 and the threshold is
-        infinite, and it imports scipy.special here, in set-up, rather than
-        on the run's first detection. Signal mode also rejects an n_bands
-        and k_branches whose support table would exceed
-        recovery._MAX_SUPPORTS rows (support_count). Oracle mode has no
-        detector or table and never imports SciPy.
+        them, are checked by building recovery_config(), in either mode.
+        Signal mode also rejects an n_bands and k_branches whose support
+        table would exceed recovery._MAX_SUPPORTS rows (support_count).
+        Neither mode imports SciPy.
         """
         for name in sorted(_INT_KEYS):
             value = getattr(self, name)
@@ -94,7 +87,6 @@ class ExperimentConfig:
             raise ValueError("lambda_mixing must lie in (0, 1]")
         self.recovery_config()
         if self.rs_mode == "signal":
-            detection_quantile(self.energy_fa_rate, self.bins_per_band)
             support_count(self.n_bands, self.k_branches)
         if (self.p01 is None) != (self.p10 is None):
             raise ValueError("p01 and p10 must be given together")
@@ -129,7 +121,7 @@ class ExperimentConfig:
 _INT_KEYS = {"n_bands", "k_branches", "horizon", "replications", "seed",
              "bins_per_band"}
 _FLOAT_KEYS = {"exploration_coefficient", "mu", "delta", "lambda_mixing",
-               "energy_fa_rate", "residual_threshold"}
+               "residual_threshold"}
 _ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 

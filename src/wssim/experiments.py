@@ -21,14 +21,15 @@ sensed, and at most _MAX_PLANS of them (the oldest goes first), which
 bounds memory whatever the horizon. Signal power is the unit: busy bands
 carry mean power 1 per bin and the noise power per bin is
 10^(-snr_db/10). Each slot hands signal_sense the plan, the slot's sample
-Gram and, on the search path only, the selected bands' busy priors,
-nothing else; the search scores every support of at most gamma of the
-set's bands and keeps the first maximum in (size, lexicographic) order.
-Plans return the same values whatever the environment held before, so
-the output depends on the config alone. It matches a search that
-factorises every support's covariance except where two supports' scores
-tie to the last bits, which the table's cached inverses can change; band
-energies and residuals are products with cached operators, not per-slot
+Gram and the selected bands' busy priors (one minus the policy's vacancy
+beliefs), nothing else. On either path the statuses are the first
+maximum a posteriori support in (size, lexicographic) order: of all 2^m
+supports of a set of m <= K bands, of those of at most gamma bands
+otherwise. Plans return the same values whatever the environment held
+before, so the output depends on the config alone. It matches scoring
+that factorises every support's covariance except where two supports'
+scores tie to the last bits, which the cached inverses can change; the
+search's residuals are products with cached operators, not per-slot
 solves (see recovery).
 
 A slot's random draws depend only on its trajectory row, bins_per_band,
@@ -195,10 +196,10 @@ class SignalEnvironment:
         gram = self._grams[slot - self._block_start]
         mixing = plan.mixing[:, :len(gram)]
         s_yy = mixing @ gram @ mixing.T
-        if prior_vacancy is None or plan.direct:
+        if prior_vacancy is None:
             prior_activity = 0.5
         else:
-            prior_activity = 1.0 - np.asarray(prior_vacancy)[np.asarray(selected)]
+            prior_activity = [1.0 - prior_vacancy[band] for band in selected]
         return signal_sense(s_yy, plan, prior_activity)
 
 

@@ -304,7 +304,7 @@ def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
 
     def sense_and_record(selected, phase):
         nonlocal t
-        statuses, xi, _ = sense(selected, t, belief.omega)
+        statuses, xi = sense(selected, t, belief.omega)
         if type(statuses) is not list:
             statuses = statuses.tolist()
         outcome = SlotOutcome(selected, statuses, xi,

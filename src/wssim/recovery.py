@@ -1,34 +1,29 @@
 """Reconstruction and sensing of the selected bands.
 
 Two modes are provided. Oracle sensing applies the busy-count feasibility
-rule directly to ground-truth statuses. Signal sensing recovers the band
-energies of a slot (least squares when the system is square or
-overdetermined, exact Bayesian MAP support search otherwise), runs an
-energy detector on them and, on the search path, declares reconstruction
-failure from the detected busy count and the relative fit residual. Both
-return a SenseResult.
+rule directly to ground-truth statuses. Signal sensing finds the maximum a
+posteriori busy support of a slot's selected bands and reports it as the
+statuses; on the search path it also declares reconstruction failure from
+the relative fit residual. Both return a SenseResult.
 
 Signal power is the unit: a busy band's mean per-bin power is 1, and the
 per-bin noise power of an SNR is 10^(-SNR/10) (sensing.noise_power_for_snr).
-The model floors _MODEL_FLOOR (the search's noise variance) and
-_DETECT_FLOOR (the detector's noise level) are therefore absolute.
+The model floor _MODEL_FLOOR (the score's noise variance) is therefore
+absolute.
 
 Signal recovery reads a slot only through its sample Gram
 S_yy = Re(Z Z^H), the K x K Gram of the real view Y (K x 2 * bins) of the
 slot's complex samples Z: the support scores take trace(Phi_S^-1 S_yy),
-an estimate x = G Y has band energies diag(G S_yy G^T), the residual
-||Y - A_S x||^2 is tr(F S_yy F^T) with F = I - A_S G, and ||Y||^2 is
-tr(S_yy). So signal_sense and fbmp_recover take S_yy, never samples.
-Callers holding samples form it with sample_gram; a SignalEnvironment
-builds it from its random draws (see experiments). The bin count is
-RecoveryConfig.bins_per_band. Gram-domain values differ from
-sample-domain ones in the last bits, and where the true value is 0 they
-are rounding of about eps times the Gram's size rather than eps^2. So the
-residual ratio of an exact fit is about sqrt(eps) (1e-8), not 0; near the
-residual threshold the two agree to about eps / ratio. And the direct
-path's energy of a band absent from the samples is such rounding, which
-without noise exceeds the detector's absolute threshold, so it is also
-compared with a floor relative to tr(S_yy) (_GRAM_FLOOR).
+the residual ||Y - A_S x||^2 of an estimate x = G Y is tr(F S_yy F^T) with
+F = I - A_S G, and ||Y||^2 is tr(S_yy). So signal_sense and fbmp_recover
+take S_yy, never samples. Callers holding samples form it with
+sample_gram; a SignalEnvironment builds it from its random draws (see
+experiments). The bin count is RecoveryConfig.bins_per_band. Gram-domain
+values differ from sample-domain ones in the last bits, and where the true
+value is 0 they are rounding of about eps times the Gram's size rather
+than eps^2. So the residual ratio of an exact fit is about sqrt(eps)
+(1e-8), not 0; near the residual threshold the two agree to about
+eps / ratio.
 
 A SensingPlan is the one way set-level inputs reach signal_sense and
 fbmp_recover. It is a view of a SupportTable: the table holds the K x N
@@ -38,28 +33,28 @@ the slot's Gram or priors. Besides the plan, those calls take only the
 slot's S_yy and busy priors (and fbmp_recover its search depth), so a
 caller sensing the same set again passes the same plan back in.
 
-The search is exact: it scores every support of at most gamma of the
-set's bands and keeps the first maximum a posteriori one in (size,
-lexicographic) order over selection positions. A SupportTable holds
-Phi_S^-1, log det Phi_S and the posterior-mean operator
-G_S = (A_S^T A_S + sig_n I)^-1 A_S^T of every support of at most K // 2
-of the N bands, indexed by colex rank and built eagerly, once per
-replication, for every policy; support_count caps it at _MAX_SUPPORTS
-rows. Scores are products with the cached inverses, not solves, so they
-can differ from per-slot factorisation in the last bits, and only
+Both paths score supports alike: the log posterior
+-bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S), with
+Phi_S = sig_n I + A_S A_S^T and the selected bands' busy priors, and keep
+the first maximum in (size, lexicographic) order over selection
+positions. A SupportTable holds Phi_S^-1, log det Phi_S and the
+posterior-mean operator G_S = (A_S^T A_S + sig_n I)^-1 A_S^T of every
+support of at most K // 2 of the N bands, indexed by colex rank and built
+eagerly, once per replication, for every policy; support_count caps it at
+_MAX_SUPPORTS rows. Scores are products with cached inverses, not solves,
+so they can differ from per-slot factorisation in the last bits, and only
 supports whose scores are that close could rank differently.
 
-No slot factorises anything. The direct path's band energies are
-diag(L S_yy L^T), with L the plan's cached least-squares operator (the
-pseudo-inverse direct_solve also builds), and the search's are
-diag(G_S S_yy G_S^T) for the chosen support. Each plan caches its detector
-threshold. The direct path always succeeds and computes no residual.
+- Direct path (m <= K): every one of the 2^m supports of the set. Those of
+  at most K // 2 bands are table rows; the plan builds the larger ones
+  when first used. The support is the statuses, and the slot always
+  succeeds.
+- Search path (m > K): fbmp_recover scores every support of at most
+  gamma = K // 2 bands. The support is the statuses, and the slot fails
+  when the residual of the support's posterior-mean fit, less the
+  expected noise energy, is too large.
 
-SciPy is imported only by the energy detector's chi-square quantile, on
-its first evaluation, so oracle runs never load it. A signal-mode
-ExperimentConfig.validate() evaluates that quantile, which keeps the
-import (about 0.3 s) in set-up and out of the slot loop; a plan reads it
-from the cache when it first computes its threshold.
+No slot factorises anything, and no signal run imports SciPy.
 """
 
 from __future__ import annotations
@@ -75,16 +70,9 @@ import numpy as np
 from .sensing import select_submatrix
 from .spectrum import check_bins_per_band
 
-# Absolute noise-variance floors keeping the Gaussian model and the energy
-# threshold well defined when the configured noise power is exactly zero.
+# Absolute noise-variance floor keeping the Gaussian model well defined
+# when the configured noise power is exactly zero.
 _MODEL_FLOOR = 1e-10
-_DETECT_FLOOR = 1e-12
-# The direct path's energy l_j S_yy l_j^T of a band absent from the samples
-# is rounding of about eps * tr(S_yy) * ||l_j||^2 (at most 0.36 times that
-# in noiseless 8/4 and 16/8 runs; busy bands at least 1e9 times it), so
-# energies up to _GRAM_FLOOR times that read vacant. The floor binds only
-# when the noise power is below about 1e-12 of the signal power.
-_GRAM_FLOOR = 1e-12
 
 
 class SenseResult(NamedTuple):
@@ -92,26 +80,22 @@ class SenseResult(NamedTuple):
 
     statuses: Sequence[int]   # 0/1 per selected band, selection order
     xi: int                   # 1 when reconstruction failed
-    residual_ratio: float | None = None   # signal mode only
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Knobs of the signal-mode recovery chain, checked once when built
-    (NaN fails every check, and none imports SciPy). noise_variance is per
-    bin, in units of the signal power; bins_per_band is the bin count of
-    the samples whose Gram signal_sense reads."""
+    (NaN fails every check). noise_variance is per bin, in units of the
+    signal power; bins_per_band is the bin count of the samples whose Gram
+    signal_sense reads."""
 
     noise_variance: float = 0.0
-    energy_fa_rate: float = 0.05
     residual_threshold: float = 0.1
     bins_per_band: int = 64
 
     def __post_init__(self):
         if not 0.0 <= self.noise_variance < math.inf:
             raise ValueError("noise_variance must be finite and nonnegative")
-        if not 0.0 < self.energy_fa_rate < 1.0:
-            raise ValueError("energy_fa_rate must lie in (0, 1)")
         if not self.residual_threshold > 0.0:
             raise ValueError("residual_threshold must be positive")
         check_bins_per_band(self.bins_per_band)
@@ -173,8 +157,8 @@ def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
     """Per-bin least-squares recovery for set sizes up to the branch count.
 
     Builds a_sub's least-squares operator and applies it to the samples'
-    real view with one real product. signal_sense reads the same operator,
-    cached per plan, but applies it to the slot's Gram.
+    real view with one real product. Sensing does not use it: the direct
+    path scores supports instead (signal_sense).
     """
     a_sub = np.asarray(a_sub, dtype=float)
     k, m = a_sub.shape
@@ -183,19 +167,19 @@ def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
     return (_least_squares_operator(a_sub) @ _real_view(z)).view(np.complex128)
 
 
-def _prior_log_odds(prior_activity, m: int):
-    """sum(log(1 - q)) and per-band log(q / (1 - q)) of the busy priors q.
+def _prior_log_odds(prior_activity, m: int) -> np.ndarray:
+    """Per-band log(q / (1 - q)) of the busy priors q.
 
-    q is prior_activity broadcast to m bands and clipped to [1e-9, 1 - 1e-9]
-    by two ufuncs writing one fresh array: the bits of np.broadcast_to and
+    A support's log prior is sum(log(1 - q)), the same for every support,
+    plus its bands' log-odds, so the odds alone rank supports. q is
+    prior_activity broadcast to m bands and clipped to [1e-9, 1 - 1e-9] by
+    two ufuncs writing one fresh array: the bits of np.broadcast_to and
     np.clip, without their Python-level wrappers.
     """
     q = np.empty(m)
-    np.maximum(np.asarray(prior_activity, dtype=float), 1e-9, out=q)
+    np.maximum(prior_activity, 1e-9, out=q)
     np.minimum(q, 1.0 - 1e-9, out=q)
-    log_q = np.log(q)
-    log_1q = np.log1p(-q)
-    return np.add.reduce(log_1q), log_q - log_1q
+    return np.log(q) - np.log1p(-q)
 
 
 def _support_covariances(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
@@ -265,7 +249,7 @@ class SupportTable:
     bands.
 
     matrix is the K x N sensing matrix and cfg the recovery config; sig_n
-    is the search's model noise variance, cfg.noise_variance floored at
+    is the score's model noise variance, cfg.noise_variance floored at
     _MODEL_FLOOR. Phi_S = sig_n * I + A_S A_S^T and the posterior-mean
     operator G_S = (A_S^T A_S + sig_n * I)^-1 A_S^T depend on S's bands
     alone, so all plans over one table share its rows. The table is built
@@ -277,10 +261,11 @@ class SupportTable:
     (rows in ascending band order), then zeros. Each row is a function of
     its support alone (stacked LAPACK calls treat every matrix as a single
     call would). Support S of size s with bands c_0 < c_1 < ... sits at
-    row offset[s] + sum_i C(c_i, i + 1), its colex rank after the smaller
-    sizes' rows. noise_guard is the expected noise energy of a fit's
-    residual plus a four-sigma guard band, (n + 4 sqrt(n)) * noise_variance
-    for the n = K * bins_per_band complex samples of a slot.
+    row sum_{j < s} C(N, j) + sum_i C(c_i, i + 1), its colex rank after the
+    smaller sizes' rows. noise_guard is the expected noise energy of a
+    fit's residual plus a four-sigma guard band,
+    (n + 4 sqrt(n)) * noise_variance for the n = K * bins_per_band complex
+    samples of a slot.
     """
 
     def __init__(self, matrix: np.ndarray, cfg: RecoveryConfig):
@@ -292,16 +277,18 @@ class SupportTable:
         self.cfg = cfg
         self.sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
         self.max_size = min(k // 2, n)
-        sizes = range(self.max_size + 1)
-        self.offset = np.cumsum([0] + [math.comb(n, size) for size in sizes])
-        self._binom = np.array([[math.comb(c, i) for i in sizes] for c in range(n)],
-                               dtype=np.intp)
+        # _rank_terms[c, i] = C(c, i + 1) + C(N, i): the i-th smallest band
+        # c of a support adds its colex term and the row count of size i.
+        # Band N pads a support and adds nothing.
+        self._rank_terms = np.array(
+            [[math.comb(c, i + 1) + math.comb(n, i) for i in range(self.max_size)]
+             for c in range(n)] + [[0] * self.max_size], dtype=np.intp)
         n_terms = k * cfg.bins_per_band
         self.noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
         self.inv = np.empty((support_count(n, k), k * k))
         self.logdet = np.empty(len(self.inv))
         self.gain = np.zeros((len(self.inv), self.max_size * k))
-        for size in sizes:
+        for size in range(self.max_size + 1):
             supports = _combinations(n, size)
             rows = self.rows(supports)
             phi, self.logdet[rows] = _support_covariances(matrix, supports, self.sig_n)
@@ -311,9 +298,10 @@ class SupportTable:
                     matrix, supports, self.sig_n).reshape(len(rows), size * k)
 
     def rows(self, supports: np.ndarray) -> np.ndarray:
-        """Rows of a (C, s) array of supports, each row's bands ascending."""
-        size = supports.shape[1]
-        return self.offset[size] + self._binom[supports, np.arange(1, size + 1)].sum(axis=1)
+        """Rows of a (C, w) array of supports of at most w <= max_size
+        bands, each row's bands ascending, then padded with N: one gather
+        and a sum."""
+        return self._rank_terms[supports, np.arange(supports.shape[1])].sum(axis=1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -321,23 +309,41 @@ def _position_supports(m: int, gamma: int):
     """Every support of at most gamma of m selection positions.
 
     Supports come in (size, lexicographic) order. Returns their (C, m)
-    0/1 indicator and ends, where ends[s] counts the supports of size at
-    most s (so a smaller gamma's supports are a prefix).
+    0/1 indicator, their (C, gamma) position lists (ascending, padded with
+    m) and ends, where ends[s] counts the supports of size at most s (so a
+    smaller gamma's supports are a prefix).
     """
     by_size = [_combinations(m, size) for size in range(gamma + 1)]
     ends = np.cumsum([len(positions) for positions in by_size])
     indicator = np.concatenate([(positions[:, :, None] == np.arange(m)).any(axis=1)
                                 for positions in by_size]).astype(float)
-    for array in (indicator, ends):
+    lists = np.concatenate([np.pad(positions, ((0, 0), (0, gamma - positions.shape[1])),
+                                   constant_values=m) for positions in by_size])
+    for array in (indicator, lists, ends):
         array.flags.writeable = False   # shared by every caller of the cache
-    return indicator, ends
+    return indicator, lists, ends
+
+
+def _first_map(s_yy, inv, weighted_logdet, indicator, prior_activity) -> int:
+    """Index of the first maximum of the supports' log posteriors.
+
+    The score of the support in row i of indicator (C, m) is
+    weighted_logdet[i] - inv[i] . vec(S_yy) + its log prior, up to a
+    constant, with inv the (C, K*K) flattened Phi_S^-1 and weighted_logdet
+    -bins * log det Phi_S. Phi^-1 and S_yy are symmetric, so the traces
+    are one product. The log priors are one indicator product with the
+    prior log-odds of prior_activity, the per-band busy probability (a
+    scalar or one entry per band). argmax keeps the first maximum.
+    """
+    log_prior = indicator @ _prior_log_odds(prior_activity, indicator.shape[1])
+    return int((weighted_logdet - inv @ s_yy.ravel() + log_prior).argmax())
 
 
 class SensingPlan:
     """Everything signal sensing of one band set takes besides the slot.
 
-    A plan is a view of table, the SupportTable the search scores from:
-    the recovery config and the sensing matrix are the table's, and a
+    A plan is a view of table, the SupportTable the scores come from: the
+    recovery config and the sensing matrix are the table's, and a
     replication's plans all share its one table. bands are the set's
     bands in selection order. a_sub is the set's K x m sensing sub-matrix,
     select_submatrix(table.matrix, bands); column j is column bands[j] of
@@ -346,25 +352,18 @@ class SensingPlan:
 
     What follows is built on first use and read on every later slot:
 
-    - rows (search path, m > K): the table row of every support of at
-      most gamma = min(m, table.max_size) selection positions, in the
-      order of _position_supports(m, gamma). Each is read from the
-      support's indicator with its columns in ascending band order, not
-      by sorting the support's bands: with b_j the j-th band in that
-      order, a support of size s sits at offset[s] plus the sum of
-      C(b_j, c_j) over its bands, c_j counting its bands up to b_j.
-    - lsq (direct path): a_sub's m x K least-squares operator
-      (_least_squares_operator, which direct_solve also builds).
-    - band_noise (direct path): the energy detector's per-band noise
-      max(noise_variance * diag((A_S^T A_S)^-1), _DETECT_FLOOR). Least
-      squares colours the noise, so each band is thresholded at its
-      post-inversion noise level.
-    - threshold: the detector's energy threshold, per band on the direct
-      path (from band_noise) and one level on the search path (the
-      floored noise variance), for bands of bins_per_band bins.
-    - gram_floor (direct path): _GRAM_FLOOR * ||l_j||^2 per band, for the
-      rows l_j of lsq; times tr(S_yy), the energy below which a band's
-      Gram-domain energy is rounding.
+    - rows: the table row of every support of at most
+      gamma = min(m, table.max_size) selection positions, in the order of
+      _position_supports(m, gamma). Each support's bands are sorted (the
+      position lists' padding maps to band N), then ranked with one
+      table.rows call.
+    - weighted_logdet: -bins * log det Phi_S of those rows.
+    - operators (direct path): the (2^m, K*K) flattened Phi_S^-1 and the
+      -bins * log det Phi_S of every support of the set, in the order of
+      _position_supports(m, m). Supports of at most gamma bands copy their
+      table rows; each larger size takes one _support_covariances call
+      and one stacked inverse over its supports' ascending bands, so each
+      row is a function of its support alone, as in the table.
     - mixing: the K x (N + K) front end of the set, a_sub in the columns
       of the selected bands, zeros in the other bands' columns, then the
       K x K identity for the noise branches. Samples are mixing times the
@@ -379,34 +378,35 @@ class SensingPlan:
         self.gamma = min(len(self.bands), table.max_size)
         self.direct = len(self.bands) <= len(self.a_sub)
 
+    def _sorted_supports(self, gamma: int) -> np.ndarray:
+        """The bands of every support of at most gamma selection positions,
+        in _position_supports order, ascending and padded with N."""
+        _, lists, _ = _position_supports(len(self.bands), gamma)
+        supports = np.append(self.bands, self.table.matrix.shape[1])[lists]
+        supports.sort(axis=1)
+        return supports
+
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        indicator, _ = _position_supports(len(self.bands), self.gamma)
-        order = np.argsort(self.bands)
-        chosen = indicator[:, order].astype(np.intp)
-        nth = np.cumsum(chosen, axis=1)
-        binom = self.table._binom[np.sort(self.bands), nth]
-        return self.table.offset[nth[:, -1]] + (chosen * binom).sum(axis=1)
+        return self.table.rows(self._sorted_supports(self.gamma))
 
     @functools.cached_property
-    def lsq(self) -> np.ndarray:
-        return _least_squares_operator(self.a_sub)
+    def weighted_logdet(self) -> np.ndarray:
+        return -self.table.cfg.bins_per_band * self.table.logdet[self.rows]
 
     @functools.cached_property
-    def band_noise(self) -> np.ndarray:
-        gram_inv_diag = np.diag(np.linalg.inv(self.a_sub.T @ self.a_sub))
-        return np.maximum(self.table.cfg.noise_variance * gram_inv_diag, _DETECT_FLOOR)
-
-    @functools.cached_property
-    def threshold(self):
-        cfg = self.table.cfg
-        noise = (self.band_noise if self.direct
-                 else max(cfg.noise_variance, _DETECT_FLOOR))
-        return _energy_threshold(noise, cfg.energy_fa_rate, cfg.bins_per_band)
-
-    @functools.cached_property
-    def gram_floor(self) -> np.ndarray:
-        return _GRAM_FLOOR * np.einsum("ij,ij->i", self.lsq, self.lsq)
+    def operators(self) -> tuple[np.ndarray, np.ndarray]:
+        table = self.table
+        m = len(self.bands)
+        _, _, ends = _position_supports(m, m)
+        supports = self._sorted_supports(m)
+        inv, weighted_logdet = [table.inv[self.rows]], [self.weighted_logdet]
+        for size in range(self.gamma + 1, m + 1):
+            phi, logdet = _support_covariances(
+                table.matrix, supports[ends[size - 1]:ends[size], :size], table.sig_n)
+            inv.append(np.linalg.inv(phi).reshape(len(phi), -1))
+            weighted_logdet.append(-table.cfg.bins_per_band * logdet)
+        return np.concatenate(inv), np.concatenate(weighted_logdet)
 
     @functools.cached_property
     def mixing(self) -> np.ndarray:
@@ -421,145 +421,56 @@ def fbmp_recover(s_yy, plan: SensingPlan, gamma: int, prior_activity=0.5):
     """Exact maximum-a-posteriori search over busy-band supports.
 
     s_yy is the slot's K x K sample Gram (sample_gram). Scores every
-    support of at most gamma <= min(m, K // 2) of the plan's bands at
-    once; prior_activity is the per-band prior probability of being busy
-    (a scalar or one entry per selected band). The score is the log
-    posterior up to a support-independent constant,
-    -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S). Phi^-1
-    and S_yy are symmetric, so the traces are one (C, K*K) product of the
-    plan's table rows with S_yy, and the log priors one (C, m) indicator
-    product with the prior log-odds. np.argmax keeps the first maximum in
-    (size, lexicographic) order over selection positions. The cached
-    inverses can move scores in the last bits against factorising each
-    Phi_S, so only supports that close could rank differently. Returns
-    the binary support estimate, the band energies of the best support's
-    posterior mean G_S Y, diag(G_S S_yy G_S^T) (zero off the support),
-    and the relative residual ||Y - A_S G_S Y|| / ||Y|| of the fit:
-    the square root of tr(F S_yy F^T) / tr(S_yy) with F = I - A_S G_S,
-    the residual clamped at 0, and 0 when S_yy is zero.
+    support of at most gamma <= min(m, K // 2) of the plan's bands at once
+    from the plan's table rows (_first_map); prior_activity is the
+    per-band prior probability of being busy (a scalar or one entry per
+    selected band). The cached inverses can move scores in the last bits
+    against factorising each Phi_S, so only supports that close could rank
+    differently. Returns the binary support estimate and the relative
+    residual ||Y - A_S G_S Y|| / ||Y|| of its posterior-mean fit: the
+    square root of tr(F S_yy F^T) / tr(S_yy) with F = I - A_S G_S, the
+    residual clamped at 0, and 0 when S_yy is zero.
     """
     s_yy = np.asarray(s_yy)
     table = plan.table
-    m = len(plan.bands)
     if not 0 <= gamma <= plan.gamma:
         raise ValueError("gamma must lie in [0, min(set size, K // 2)]")
-    indicator, ends = _position_supports(m, plan.gamma)
+    indicator, _, ends = _position_supports(len(plan.bands), plan.gamma)
     count = ends[gamma]
     rows = plan.rows[:count]
-    base_prior, prior_gain = _prior_log_odds(prior_activity, m)
-    flat = s_yy.ravel()
-    log_prior = base_prior + indicator[:count] @ prior_gain
-    scores = (-table.cfg.bins_per_band * table.logdet[rows]
-              - table.inv[rows] @ flat + log_prior)
-    best = int(np.argmax(scores))
-    row = rows[best]
+    best = _first_map(s_yy, table.inv[rows], plan.weighted_logdet[:count],
+                      indicator[:count], prior_activity)
     support = indicator[best].astype(np.int8)
     # The row's operator lists the support's bands in ascending order.
     active = sorted(np.flatnonzero(support).tolist(), key=plan.bands.__getitem__)
-    energies = np.zeros(m)
     y_sq = s_yy.trace()
     residual = y_sq
     if active:
         k = len(s_yy)
-        gain = table.gain[row, :len(active) * k].reshape(-1, k)
-        energies[active] = ((gain @ s_yy) * gain).sum(axis=1)
+        gain = table.gain[rows[best], :len(active) * k].reshape(-1, k)
         fit = np.eye(k) - plan.a_sub[:, active] @ gain
         residual = ((fit @ s_yy) * fit).sum()
     ratio = math.sqrt(max(residual, 0.0) / y_sq) if y_sq else 0.0
-    return support, energies, ratio
-
-
-@functools.lru_cache(maxsize=64)
-def _chi2_quantile(prob: float, dof: int) -> float:
-    """The prob quantile of a chi-square law with dof degrees of freedom.
-
-    A chi-square variable is twice a Gamma(dof / 2) variable, so this is
-    the expression scipy.stats.chi2.ppf evaluates, without importing
-    scipy.stats. scipy.special is imported here rather than with the
-    module, so only runs that detect energy pay for it; behind the cache,
-    the import statement runs once per distinct (prob, dof).
-    """
-    from scipy.special import gammaincinv
-    return 2.0 * gammaincinv(dof / 2.0, prob)
-
-
-def detection_quantile(energy_fa_rate: float, n_bins: int) -> float:
-    """The energy detector's chi-square quantile for bands of n_bins bins.
-
-    energy_detect scales this by noise_variance / 2 to get its threshold,
-    as a SensingPlan does once for its threshold; ExperimentConfig.validate()
-    calls it with the same arguments, so a signal run loads SciPy and fills
-    the cache during set-up. All get their energy_fa_rate checks here: it
-    must lie in (0, 1), and it is rejected when 1 - energy_fa_rate rounds
-    to 1 (energy_fa_rate = 1e-17), which makes the quantile, and with it
-    the threshold, infinite.
-    """
-    if not 0.0 < energy_fa_rate < 1.0:
-        raise ValueError("energy_fa_rate must lie in (0, 1)")
-    quantile = _chi2_quantile(1.0 - energy_fa_rate, 2 * n_bins)
-    if not math.isfinite(quantile):
-        raise ValueError(
-            f"energy_fa_rate = {energy_fa_rate!r} is too small: "
-            "1 - energy_fa_rate rounds to 1, so the detection threshold "
-            "is not finite")
-    return quantile
-
-
-def _energy_threshold(noise_variance, energy_fa_rate: float, n_bins: int):
-    """The energy of a band of n_bins bins that noise alone exceeds with
-    probability energy_fa_rate (per band when noise_variance is a
-    vector)."""
-    return 0.5 * np.asarray(noise_variance, dtype=float) \
-        * detection_quantile(energy_fa_rate, n_bins)
-
-
-def energy_detect(spectra: np.ndarray, noise_variance, energy_fa_rate: float) -> np.ndarray:
-    """Declare bands busy whose energy exceeds the noise-only quantile.
-
-    Under noise alone a band's energy is (noise_variance / 2) times a
-    chi-square variable with 2 * bins degrees of freedom; the threshold is
-    its (1 - energy_fa_rate) quantile, per band when noise_variance is a
-    vector. The quantile is computed once per (1 - energy_fa_rate,
-    2 * bins) and cached, so repeated calls return the same threshold bits
-    without re-running the inverse distribution function. The first
-    computation imports scipy.special; in a run, the config's validate()
-    has already made it. detection_quantile rejects an energy_fa_rate
-    outside (0, 1) or too small for a finite threshold.
-    """
-    spectra = np.asarray(spectra)
-    if spectra.ndim != 2:
-        raise ValueError("spectra must be a bands x bins matrix")
-    x = _real_view(spectra)
-    energies = np.einsum("ij,ij->i", x, x)
-    threshold = _energy_threshold(noise_variance, energy_fa_rate, spectra.shape[1])
-    return (energies > threshold).astype(np.int8)
+    return support, ratio
 
 
 def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     """Full signal-mode sensing of one slot from its K x K sample Gram
-    (sample_gram): recover band energies, detect, and flag failure.
+    (sample_gram): the statuses are the MAP support of the selected bands
+    under the busy priors prior_activity (a scalar or one entry per band).
 
-    Set sizes up to the branch count K (the plan's row count) are solved
-    exactly, with the plan's least-squares operator L (band energies
-    diag(L S_yy L^T), each compared with the larger of its threshold and
-    tr(S_yy) times its gram_floor); they always succeed, and no residual
-    is computed (residual_ratio is None). Larger sets go through the exact support
-    search with prior_activity as the busy prior, and fail when the
-    detected busy count exceeds the recoverable limit or the relative
-    residual, less the expected noise energy, exceeds the config's
-    residual_threshold. Both paths threshold the energies at the plan's
-    cached threshold.
+    Set sizes up to the branch count K (the plan's row count) score all
+    2^m supports from the plan's operators and always succeed. Larger sets
+    go through fbmp_recover, and fail when its relative residual, less the
+    expected noise energy, exceeds the config's residual_threshold.
     """
     s_yy = np.asarray(s_yy)
     if plan.direct:
-        lsq = plan.lsq
-        energies = ((lsq @ s_yy) * lsq).sum(axis=1)
-        threshold = np.maximum(plan.threshold, s_yy.trace() * plan.gram_floor)
-        return SenseResult((energies > threshold).astype(np.int8), 0)
+        indicator, _, _ = _position_supports(len(plan.bands), len(plan.bands))
+        best = _first_map(s_yy, *plan.operators, indicator, prior_activity)
+        return SenseResult(indicator[best].astype(np.int8), 0)
     k, m = plan.a_sub.shape
-    limit = gamma_threshold(m, k)
-    _, energies, ratio = fbmp_recover(s_yy, plan, limit, prior_activity)
-    statuses = (energies > plan.threshold).astype(np.int8)
+    support, ratio = fbmp_recover(s_yy, plan, gamma_threshold(m, k), prior_activity)
     # The raw residual of a correct fit still contains the measurement
     # noise, so the failure statistic discounts the table's noise guard
     # (the expected noise energy plus a four-sigma guard band) before
@@ -568,6 +479,4 @@ def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     z_energy = s_yy.trace()
     excess = max(0.0, ratio ** 2 * z_energy - plan.table.noise_guard)
     excess_ratio = np.sqrt(excess / z_energy) if z_energy > 0.0 else 0.0
-    xi = 1 if (int(statuses.sum()) > limit
-               or excess_ratio > plan.table.cfg.residual_threshold) else 0
-    return SenseResult(statuses=statuses, xi=xi, residual_ratio=ratio)
+    return SenseResult(support, int(excess_ratio > plan.table.cfg.residual_threshold))

@@ -45,7 +45,8 @@ def select_submatrix(matrix: np.ndarray, selected: Sequence[int]) -> np.ndarray:
     idx = np.asarray(selected, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("selected must be a nonempty index vector")
-    if np.unique(idx).size != idx.size:
+    # A set, not np.unique, whose first call imports numpy.ma (about 15 ms).
+    if len(set(idx.tolist())) != idx.size:
         raise ValueError("selected band indices must be distinct")
     if np.any((idx < 0) | (idx >= matrix.shape[1])):
         raise ValueError("selected band index out of range")

@@ -9,9 +9,8 @@ import pytest
 from wssim import experiments
 from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
-from wssim.recovery import (_DETECT_FLOOR, _MODEL_FLOOR, RecoveryConfig,
-                            SenseResult, _prior_log_odds, _real_view,
-                            _support_covariances, direct_solve, energy_detect,
+from wssim.recovery import (_MODEL_FLOOR, RecoveryConfig, SenseResult,
+                            _prior_log_odds, _real_view, _support_covariances,
                             gamma_threshold, oracle_sense)
 from wssim.sensing import noise_power_for_snr, noise_scale, select_submatrix
 from wssim.sizing import exploration_threshold, optimize_size
@@ -139,11 +138,15 @@ def reference_support_score(szz, n_bins, a_sub, active, sig_n, base_prior,
 
 
 def score_terms(samples, cfg, m, prior_activity=0.5):
-    """(szz, n_bins, sig_n, base_prior, prior_gain) as fbmp_recover derives them."""
+    """(szz, n_bins, sig_n, base_prior, prior_gain) as fbmp_recover derives
+    them, and base_prior = sum(log(1 - q)) of the clipped busy priors q,
+    the log prior of the empty support, which fbmp_recover leaves out of
+    every score."""
     sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
-    base_prior, prior_gain = _prior_log_odds(prior_activity, m)
-    return (samples @ samples.conj().T, samples.shape[1], sig_n, base_prior,
-            prior_gain)
+    q = np.clip(np.broadcast_to(np.asarray(prior_activity, dtype=float), (m,)),
+                1e-9, 1.0 - 1e-9)
+    return (samples @ samples.conj().T, samples.shape[1], sig_n,
+            np.log1p(-q).sum(), _prior_log_odds(prior_activity, m))
 
 
 def all_supports(m, size):
@@ -250,8 +253,8 @@ def table_posterior_mean(plan, support, samples):
     support's bands in ascending band order (the row's order); zero off
     the support.
 
-    fbmp_recover returns only the band energies of this estimate, which it
-    reads from the samples' Gram.
+    fbmp_recover reads only the residual of this estimate, from the
+    samples' Gram.
     """
     table = plan.table
     y = _real_view(samples)
@@ -307,39 +310,28 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
     """Signal-mode sensing computing everything from a_sub on every call.
 
     Reference for wssim.recovery.signal_sense with a reused SensingPlan,
-    in the sample domain: the spectra are recovered from the samples, the
-    detector noise comes from a fresh Gram inverse and the support search
-    from reference_map_recover, which scores every support with its own
-    solve. As in signal_sense, the direct path reports no residual ratio.
+    in the sample domain: the statuses are exhaustive_map_support's
+    support, which scores every support with its own solve; of all 2^m
+    supports when m <= K (the slot then always succeeds), of at most the
+    recoverable limit otherwise. On the search path the slot fails when
+    reference_map_recover's residual, less the expected noise energy,
+    exceeds the residual threshold.
     """
     a_sub = np.asarray(a_sub, dtype=float)
     k, m = a_sub.shape
     if k != k_branches:
         raise ValueError("a_sub row count must equal k_branches")
-    limit = gamma_threshold(m, k_branches)
-    y = _real_view(samples)
     if m <= k_branches:
-        x_hat = direct_solve(samples, a_sub)
-        # Least squares colours the noise; threshold each band at its
-        # post-inversion noise level.
-        gram_inv_diag = np.diag(np.linalg.inv(a_sub.T @ a_sub))
-        per_band_noise = np.maximum(cfg.noise_variance * gram_inv_diag, _DETECT_FLOOR)
-        statuses = energy_detect(x_hat, per_band_noise, cfg.energy_fa_rate)
-        ratio = None
-        xi = 0
-    else:
-        _, x_hat, ratio = reference_map_recover(samples, a_sub, cfg, limit,
-                                                prior_activity)
-        statuses = energy_detect(x_hat, max(cfg.noise_variance, _DETECT_FLOOR),
-                                 cfg.energy_fa_rate)
-        z_energy = sq_norm(y)
-        n_terms = samples.size
-        noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
-        excess = max(0.0, ratio ** 2 * z_energy - noise_guard)
-        excess_ratio = np.sqrt(excess / z_energy) if z_energy > 0.0 else 0.0
-        xi = 1 if (int(statuses.sum()) > limit
-                   or excess_ratio > cfg.residual_threshold) else 0
-    return SenseResult(statuses=statuses, xi=xi, residual_ratio=ratio)
+        return SenseResult(exhaustive_map_support(samples, a_sub, cfg, m,
+                                                  prior_activity), 0)
+    statuses, _, ratio = reference_map_recover(
+        samples, a_sub, cfg, gamma_threshold(m, k_branches), prior_activity)
+    z_energy = sq_norm(_real_view(samples))
+    n_terms = samples.size
+    noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
+    excess = max(0.0, ratio ** 2 * z_energy - noise_guard)
+    excess_ratio = np.sqrt(excess / z_energy) if z_energy > 0.0 else 0.0
+    return SenseResult(statuses, int(excess_ratio > cfg.residual_threshold))
 
 
 class ReferenceSignalEnvironment:
@@ -415,7 +407,6 @@ class ReferenceSignalEnvironment:
         else:
             prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
         recovery_cfg = RecoveryConfig(noise_variance=noise_power_for_snr(cfg.snr_db),
-                                      energy_fa_rate=cfg.energy_fa_rate,
                                       residual_threshold=cfg.residual_threshold)
         return reference_signal_sense(samples, a_sub, recovery_cfg,
                                       cfg.k_branches, prior_activity)

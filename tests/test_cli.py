@@ -59,6 +59,8 @@ class TestValidate:
         assert "snr_db" in capsys.readouterr().err
 
     def test_infinite_detection_threshold_exits_with_usage_error(self, workdir, capsys):
+        # The key that once asked the energy detector for an infinite
+        # threshold is now unknown: the manifest is still refused.
         tmp_path, _ = workdir
         bad = tmp_path / "fa.cfg"
         bad.write_text(TINY + "rs_mode = signal\nenergy_fa_rate = 1e-17\n",
@@ -79,6 +81,12 @@ class TestValidate:
         _, cfg = workdir
         assert main(["validate", str(cfg), "--set", "search_breadth=5"]) == 2
         assert "unknown configuration key: search_breadth" in capsys.readouterr().err
+
+    def test_energy_fa_rate_override_is_unknown(self, workdir, capsys):
+        _, cfg = workdir
+        assert main(["validate", str(cfg), "--set", "rs_mode=signal",
+                     "--set", "energy_fa_rate=0.05"]) == 2
+        assert "unknown configuration key: energy_fa_rate" in capsys.readouterr().err
 
     def test_unparsable_override_names_key(self, workdir, capsys):
         _, cfg = workdir

@@ -29,9 +29,9 @@ def noiseless_direct_slots(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(noiseless_direct_slots())
 def test_noiseless_direct_path_returns_truth(slot):
-    # With no noise and at most K bands the least-squares path inverts the
-    # mixing exactly: the detected statuses are the truth, and neither the
-    # signal chain nor the oracle rule flags a failure.
+    # With no noise and at most K bands the direct path's MAP support is
+    # the truth, and neither the signal chain nor the oracle rule flags a
+    # failure.
     k, truth, bins, seed = slot
     rng = np.random.default_rng(seed)
     a_sub = rng.standard_normal((k, truth.size))

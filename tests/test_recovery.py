@@ -17,18 +17,16 @@ from conftest import (all_supports, conditional_mean, exhaustive_map_support,
 import wssim
 from wssim import recovery
 from wssim.recovery import (RecoveryConfig, SenseResult, SensingPlan,
-                            SupportTable, detection_quantile, direct_solve,
-                            energy_detect, fbmp_recover, gamma_threshold,
-                            oracle_sense, sample_gram, signal_sense,
-                            support_count)
-from wssim.recovery import (_DETECT_FLOOR, _chi2_quantile, _prior_log_odds,
-                            _real_view, _support_covariances)
+                            SupportTable, direct_solve, fbmp_recover,
+                            gamma_threshold, oracle_sense, sample_gram,
+                            signal_sense, support_count)
+from wssim.recovery import _prior_log_odds, _real_view, _support_covariances
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import synthesize_band_spectra
 
 
 def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
-                  prior=0.5, fa_rate=0.05):
+                  prior=0.5):
     """One sensing slot: random mixing matrix, occupancy, measurement.
 
     Returns the true statuses, the spectra, the sub-matrix's SensingPlan,
@@ -43,7 +41,7 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     spectra = synthesize_band_spectra(statuses, n_bins, rng)
     samples = measure(a_sub, spectra, snr_db, rng)
     cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
-                         energy_fa_rate=fa_rate, bins_per_band=n_bins)
+                         bins_per_band=n_bins)
     search = {"gamma": gamma_threshold(m, k), "prior_activity": prior}
     plan = SensingPlan(SupportTable(a_sub, cfg), range(m))
     return statuses, spectra, plan, samples, search
@@ -131,27 +129,22 @@ class TestDirectSolve:
             direct_solve(np.zeros((4, 8), dtype=complex), rng.standard_normal((4, 5)))
 
     def test_equal_columns_raise_linalg_error(self, rng):
-        # lstsq's rank rule: a direct-path plan over two equal columns has
-        # no least-squares operator, from direct_solve or a plan.
+        # lstsq's rank rule: two equal columns have no least-squares
+        # operator.
         matrix = rng.standard_normal((4, 3))
         matrix[:, 2] = matrix[:, 0]
         samples = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
         with pytest.raises(np.linalg.LinAlgError):
             direct_solve(samples, matrix)
-        plan = SensingPlan(SupportTable(matrix, RecoveryConfig(
-            noise_variance=0.01, bins_per_band=8)), range(3))
-        with pytest.raises(np.linalg.LinAlgError):
-            signal_sense(sample_gram(samples), plan)
 
 
 class TestFbmpRecover:
     def test_zero_measurement_empty_support(self, rng):
         plan = SensingPlan(SupportTable(rng.standard_normal((4, 6)), RecoveryConfig(
             noise_variance=0.0, bins_per_band=16)), range(6))
-        support, energies, ratio = fbmp_recover(
+        support, ratio = fbmp_recover(
             sample_gram(np.zeros((4, 16), dtype=complex)), plan, 2)
         assert not support.any()
-        assert not energies.any()
         assert ratio == 0.0
 
     def test_support_recovery_rate_at_20db(self):
@@ -160,7 +153,7 @@ class TestFbmpRecover:
         for seed in range(trials):
             busy_count = seed % 3  # cycle busy counts 0, 1, 2
             statuses, _, plan, samples, search = make_instance(seed, busy_count=busy_count)
-            support, _, _ = fbmp_recover(sample_gram(samples), plan, **search)
+            support, _ = fbmp_recover(sample_gram(samples), plan, **search)
             hits += int(np.array_equal(support, statuses))
         assert hits / trials >= 0.95
 
@@ -169,7 +162,7 @@ class TestFbmpRecover:
         trials = 200
         for seed in range(trials):
             _, _, plan, samples, search = make_instance(seed, busy_count=3)
-            _, _, ratio = fbmp_recover(sample_gram(samples), plan, **search)
+            _, ratio = fbmp_recover(sample_gram(samples), plan, **search)
             over += int(ratio > 0.1)
         assert over / trials > 0.5
 
@@ -210,7 +203,7 @@ class TestFbmpRecover:
                 seed, m=m, busy_count=busy_count, snr_db=None)
             exhaustive = exhaustive_map_support(samples, plan.a_sub, plan.table.cfg,
                                                 **search)
-            found, _, _ = fbmp_recover(sample_gram(samples), plan, **search)
+            found, _ = fbmp_recover(sample_gram(samples), plan, **search)
             greedy = reference_greedy_support(samples, plan.a_sub, plan.table.cfg,
                                               **search)
             assert np.array_equal(exhaustive, statuses)
@@ -234,7 +227,7 @@ class TestFbmpRecover:
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                               (20.0, 10.0, 5.0)[trial % 3], rng)
             prior = rng.uniform(0.05, 0.95, m)
-            support, _, _ = fbmp_recover(sample_gram(samples), plan, gamma, prior)
+            support, _ = fbmp_recover(sample_gram(samples), plan, gamma, prior)
             want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma, prior)
             assert support.tobytes() == want.tobytes()
 
@@ -257,7 +250,7 @@ class TestFbmpRecover:
             statuses[first] = 1
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                               20.0, rng)
-            support, _, _ = fbmp_recover(sample_gram(samples), plan, gamma)
+            support, _ = fbmp_recover(sample_gram(samples), plan, gamma)
             want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma)
             assert support.tobytes() == want.tobytes()
             assert support[first] == 1 and support[second] == 0
@@ -297,22 +290,20 @@ class TestFbmpRecover:
         # 500 seeded draws across set sizes, noise levels and busy counts,
         # some beyond the recoverable limit: the support and the table
         # row's spectra must be exactly those of the solve-based exhaustive
-        # reference, and the Gram-domain energies and residual ratio close
-        # to its sample-domain ones.
+        # reference, and the Gram-domain residual ratio close to its
+        # sample-domain one.
         shapes = [(4, 6), (4, 7), (8, 13), (8, 16)]
         for seed in range(500):
             k, m = shapes[seed % 4]
             _, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 2),
                 snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
-            support, energies, ratio = fbmp_recover(sample_gram(samples), plan,
-                                                    **search)
+            support, ratio = fbmp_recover(sample_gram(samples), plan, **search)
             ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, **search)
             np.testing.assert_array_equal(support, ref_support)
             x_hat = table_posterior_mean(plan, support, samples)
             np.testing.assert_array_equal(x_hat, ref_x_hat)
-            assert_energies_close(energies, ref_x_hat)
             assert_ratio_close(ratio, ref_ratio)
 
 
@@ -326,68 +317,91 @@ class TestSampleGram:
         np.testing.assert_allclose(s_yy, y @ y.T, rtol=1e-12)
 
     def test_energies_are_those_of_the_posterior_mean(self):
-        # The search's Gram-domain band energies against the row sums of
-        # squares of the table row's spectra, at 20 dB and without noise.
+        # The bands of the support the search chooses are exactly those to
+        # which the table row's posterior mean gives energy, at 20 dB and
+        # without noise.
         for seed in range(40):
             k, m = [(4, 7), (8, 12)][seed % 2]
             _, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 1),
                 snr_db=(20.0, None)[seed // 2 % 2], n_bins=16)
-            support, energies, _ = fbmp_recover(sample_gram(samples), plan, **search)
+            support, _ = fbmp_recover(sample_gram(samples), plan, **search)
             x_hat = table_posterior_mean(plan, support, samples)
-            assert_energies_close(energies, x_hat)
+            energies = (np.abs(x_hat) ** 2).sum(axis=1)
             assert not energies[support == 0].any()
+            assert np.all(energies[support == 1] > 0.0)
+
+
+def scipy_modules_after(lines):
+    """The SciPy modules loaded after running lines of code in a fresh
+    interpreter that imports wssim from this checkout."""
+    code = "\n".join(["import sys, wssim", "from wssim.cli import main"] + lines + [
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"])
+    src = str(Path(wssim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    return out.stdout.strip().splitlines()[-1]
 
 
 class TestEnergyDetect:
+    """Which selected bands carry energy: signal_sense reads it from the
+    MAP support on both paths, with no energy detector and no SciPy."""
+
     def test_zero_spectra_all_vacant(self):
-        statuses = energy_detect(np.zeros((5, 16), dtype=complex), 0.01, 0.05)
-        assert not statuses.any()
+        # Five vacant bands measured without noise, through a direct plan
+        # (4 x 4) and a search plan (4 x 5).
+        for m in (4, 5):
+            _, _, plan, samples, search = make_instance(5, m=m, busy_count=0,
+                                                        snr_db=None, n_bins=16)
+            result = signal_sense(sample_gram(samples), plan, search["prior_activity"])
+            assert result.statuses.tolist() == [0] * m
+            assert result.xi == 0
 
     def test_noiseless_busy_band_detected(self, rng):
+        plan = SensingPlan(SupportTable(rng.standard_normal((4, 1)), RecoveryConfig()),
+                           range(1))
         spectra = synthesize_band_spectra(np.ones(1, dtype=np.int8), 64, rng)
-        statuses = energy_detect(spectra, 0.01, 0.05)
-        assert statuses[0] == 1
+        result = signal_sense(sample_gram(plan.a_sub @ spectra), plan)
+        assert result.statuses.tolist() == [1]
 
     def test_false_alarm_rate_calibrated(self, rng):
+        # Vacant bands alone at 20 dB, on the direct path: no target rate
+        # is set any more, so the MAP support's false-alarm rate is held to
+        # the 0.01 that the detection test against truth also bounds.
+        m, trials, flagged = 4, 2000, 0
         noise_var = noise_power_for_snr(20.0)
-        trials = 10_000
-        noise = (rng.standard_normal((trials, 64))
-                 + 1j * rng.standard_normal((trials, 64))) * np.sqrt(noise_var / 2)
-        statuses = energy_detect(noise, noise_var, 0.05)
-        assert statuses.mean() == pytest.approx(0.05, abs=0.01)
+        cfg = RecoveryConfig(noise_variance=noise_var, bins_per_band=64)
+        for i in range(trials):
+            if i % 100 == 0:
+                a_sub = rng.standard_normal((4, m))
+                plan = SensingPlan(SupportTable(a_sub, cfg), range(m))
+            samples = measure(a_sub, np.zeros((m, 64), dtype=complex), 20.0, rng)
+            flagged += int(signal_sense(sample_gram(samples), plan).statuses.sum())
+        assert flagged / (m * trials) <= 0.01
 
     def test_per_band_noise_vector(self, rng):
-        spectra = np.zeros((2, 32), dtype=complex)
-        spectra[1] = 10.0
-        statuses = energy_detect(spectra, np.array([1e-4, 1e-4]), 0.05)
-        np.testing.assert_array_equal(statuses, [0, 1])
-
-    def test_rejects_bad_fa_rate(self):
-        with pytest.raises(ValueError):
-            energy_detect(np.zeros((1, 4), dtype=complex), 0.01, 0.0)
-
-    def test_rejects_fa_rate_with_infinite_threshold(self):
-        # 1 - 1e-17 == 1.0: the threshold would be infinite and these two
-        # clearly busy bands would read vacant.
-        with pytest.raises(ValueError, match="energy_fa_rate"):
-            energy_detect(np.full((2, 64), 10 + 0j), 1.0, 1e-17)
-        assert energy_detect(np.full((2, 64), 10 + 0j), 1.0, 1e-16).tolist() == [1, 1]
-
-    def test_quantile_equals_scipy_stats(self):
-        from scipy.stats import chi2
-        fa_rates = np.concatenate([np.geomspace(1e-9, 0.5, 40),
-                                   np.linspace(0.5, 0.999, 20)])
-        for fa_rate in fa_rates.tolist():
-            for bins in (1, 2, 3, 7, 16, 63, 64, 65, 256, 1024):
-                prob, dof = 1.0 - fa_rate, 2 * bins
-                assert _chi2_quantile(prob, dof) == chi2.ppf(prob, df=dof)
+        # Columns of very different norms leave the two bands with
+        # post-inversion noise 10^4 apart; either band, busy, reads busy
+        # and the other vacant.
+        noise_var = noise_power_for_snr(40.0)
+        for scale in ([10.0, 0.1], [0.1, 10.0]):
+            a_sub = rng.standard_normal((4, 2)) * scale
+            plan = SensingPlan(SupportTable(a_sub, RecoveryConfig(
+                noise_variance=noise_var, bins_per_band=32)), range(2))
+            for busy in (0, 1):
+                spectra = np.zeros((2, 32), dtype=complex)
+                spectra[busy] = 10.0
+                samples = measure(a_sub, spectra, 40.0, rng)
+                result = signal_sense(sample_gram(samples), plan)
+                assert result.statuses.tolist() == [int(j == busy) for j in range(2)]
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about a second to import; wssim needs only
-        # scipy.special.
+        # No scipy module at all, scipy.stats included.
         code = ("import sys, wssim; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         src = str(Path(wssim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
@@ -396,27 +410,29 @@ class TestEnergyDetect:
         assert out.stdout.strip() == "[]"
 
     def test_oracle_mode_leaves_scipy_unloaded(self):
-        # Only the signal-mode energy detector needs SciPy, so an oracle
-        # run, the CLI's validate and theorem1 never import it.
+        # An oracle run, the CLI's validate and theorem1.
         cfg = Path(__file__).resolve().parents[1] / "configs" / "case1.cfg"
-        code = "\n".join([
-            "import sys, wssim",
-            "from wssim.cli import main",
+        assert scipy_modules_after([
             f"cfg = wssim.load_config({str(cfg)!r})",
             "cfg.replications, cfg.horizon = 1, 200",
             "cfg.validate()",
             "wssim.run_experiment(cfg)",
             f"assert main(['validate', {str(cfg)!r}]) == 0",
             "assert main(['theorem1', '--N', '8', '--K', '4', "
-            "'--mu', '0.05', '--delta', '0.1']) == 0",
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))"])
-        src = str(Path(wssim.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env)
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+            "'--mu', '0.05', '--delta', '0.1']) == 0"]) == "[]"
+
+    def test_signal_mode_leaves_scipy_unloaded(self):
+        # A signal-mode validate() and a 200-slot signal run, on both
+        # recovery paths, and the CLI's signal-mode validate.
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "case1.cfg"
+        assert scipy_modules_after([
+            f"cfg = wssim.load_config({str(cfg)!r})",
+            "cfg.rs_mode, cfg.snr_db = 'signal', 20.0",
+            "cfg.replications, cfg.horizon = 1, 200",
+            "cfg.validate()",
+            "wssim.run_experiment(cfg)",
+            f"assert main(['validate', {str(cfg)!r}, '--set', 'rs_mode=signal']) == 0"]) \
+            == "[]"
 
 
 class TestSignalSense:
@@ -436,26 +452,51 @@ class TestSignalSense:
         assert result.xi == 1
 
     def test_small_noisy_set_statuses(self):
-        # A tight false-alarm target makes detection exact at 20 dB, where
-        # busy-band energy sits far above any plausible threshold.
+        # At 20 dB the MAP support of a small set is the truth.
         for seed in range(20):
             statuses, _, plan, samples, search = make_instance(
-                seed, m=3, busy_count=seed % 4, snr_db=20.0, fa_rate=1e-4)
+                seed, m=3, busy_count=seed % 4, snr_db=20.0)
             result = signal_sense(sample_gram(samples), plan,
                                   search["prior_activity"])
             assert result.xi == 0
             np.testing.assert_array_equal(result.statuses, statuses)
 
+    def test_direct_path_tie_goes_to_first_selection_position(self, rng):
+        # Bands 0 and 2 have the same column, so every support with one of
+        # them scores exactly as the same support with the other: the
+        # busy band reads at the first of the two positions, whichever of
+        # them is busy.
+        matrix = rng.standard_normal((4, 3))
+        matrix[:, 2] = matrix[:, 0]
+        plan = SensingPlan(SupportTable(matrix, RecoveryConfig(
+            noise_variance=0.01, bins_per_band=16)), range(3))
+        for busy in (0, 2):
+            statuses = np.zeros(3, dtype=np.int8)
+            statuses[busy] = 1
+            samples = measure(matrix, synthesize_band_spectra(statuses, 16, rng),
+                              20.0, rng)
+            result = signal_sense(sample_gram(samples), plan)
+            assert result.statuses.tolist() == [1, 0, 0]
+            assert result.xi == 0
+
     def test_reports_residual_ratio(self):
-        # On the search path (6 bands, 4 branches) only.
+        # On the search path (6 bands, 4 branches) fbmp_recover reports
+        # the residual ratio, and xi is its test after the table's noise
+        # guard is taken off; the direct path (4 bands) runs no search.
         _, _, plan, samples, search = make_instance(7, busy_count=1)
-        result = signal_sense(sample_gram(samples), plan, search["prior_activity"])
+        s_yy = sample_gram(samples)
+        _, ratio = fbmp_recover(s_yy, plan, **search)
+        assert ratio >= 0.0
+        excess = max(0.0, ratio ** 2 * s_yy.trace() - plan.table.noise_guard)
+        result = signal_sense(s_yy, plan, search["prior_activity"])
         assert isinstance(result, SenseResult)
-        assert result.residual_ratio is not None
-        assert result.residual_ratio >= 0.0
+        assert result.xi == int(np.sqrt(excess / s_yy.trace())
+                                > plan.table.cfg.residual_threshold)
         _, _, plan, samples, search = make_instance(7, m=4, busy_count=1)
-        result = signal_sense(sample_gram(samples), plan, search["prior_activity"])
-        assert result.residual_ratio is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recovery, "fbmp_recover", None)
+            result = signal_sense(sample_gram(samples), plan, search["prior_activity"])
+        assert result.xi == 0
 
     @pytest.mark.parametrize("m", [3, 6])
     def test_zero_gram_reads_vacant_without_warnings(self, m):
@@ -468,7 +509,6 @@ class TestSignalSense:
                 result = signal_sense(np.zeros((4, 4)), plan, search["prior_activity"])
             assert result.statuses.tolist() == [0] * m
             assert result.xi == 0
-            assert result.residual_ratio == (None if m <= 4 else 0.0)
 
 
 def plan_draws(seed, k, m, count):
@@ -513,15 +553,6 @@ def assert_ratio_close(got, want):
     assert abs(got - want) <= RATIO_ATOL + RATIO_RTOL * abs(want)
 
 
-def assert_energies_close(energies, spectra):
-    """Gram-domain band energies against the row sums of squares of the
-    spectra, relative to the largest of them."""
-    x = _real_view(spectra)
-    want = np.einsum("ij,ij->i", x, x)
-    np.testing.assert_allclose(energies, want, rtol=1e-9,
-                               atol=1e-12 * max(1.0, want.max()))
-
-
 def assert_scores_close(got, want, rtol=SCORE_RTOL):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -563,56 +594,56 @@ class TestSensingPlan:
         # 252 draws per shape, through three plans (one per noise level).
         gamma = gamma_threshold(m, k)
         for plan, samples, prior in plan_draws(k + m, k, m, 84):
-            support, energies, ratio = fbmp_recover(sample_gram(samples), plan,
-                                                    gamma, prior)
+            support, ratio = fbmp_recover(sample_gram(samples), plan, gamma, prior)
             ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, gamma, prior)
             assert support.tobytes() == ref_support.tobytes()
             x_hat = table_posterior_mean(plan, support, samples)
             assert x_hat.tobytes() == ref_x_hat.tobytes()
-            assert_energies_close(energies, ref_x_hat)
             assert_ratio_close(ratio, ref_ratio)
 
     @pytest.mark.parametrize("k, m", [(4, 2), (4, 4), (8, 5), (8, 8)]
                              + PLAN_SHAPES)
     def test_reused_plan_sensing_identical_to_reference(self, k, m):
-        # Both paths: m <= k solves directly with the plan's detector
-        # noise, m > k searches.
+        # Both paths: m <= k scores every support from the plan's
+        # operators, m > k searches.
         for plan, samples, prior in plan_draws(7 * m + k, k, m, 12):
             got = signal_sense(sample_gram(samples), plan, prior)
             want = reference_signal_sense(samples, plan.a_sub, plan.table.cfg, k,
                                           prior)
+            assert got.statuses.dtype == want.statuses.dtype == np.int8
             assert got.statuses.tobytes() == want.statuses.tobytes()
             assert got.xi == want.xi
-            if m <= k:
-                assert got.residual_ratio is want.residual_ratio is None
-            else:
-                assert_ratio_close(got.residual_ratio, want.residual_ratio)
 
-    def test_band_noise_is_floored_post_inversion_noise(self, rng):
-        a_sub = rng.standard_normal((4, 3))
-        noisy = SensingPlan(SupportTable(a_sub, RecoveryConfig(noise_variance=0.01)),
-                            range(3))
-        gram_inv_diag = np.diag(np.linalg.inv(noisy.a_sub.T @ noisy.a_sub))
-        assert noisy.band_noise.tolist() == (0.01 * gram_inv_diag).tolist()
-        noiseless = SensingPlan(SupportTable(a_sub, RecoveryConfig()), range(3))
-        assert noiseless.band_noise.tolist() == [1e-12] * 3
-
-    @pytest.mark.parametrize("snr_db", [None, 20.0])
-    def test_threshold_is_the_detectors(self, rng, snr_db):
-        # The expression energy_detect thresholds with: per band from
-        # band_noise on the direct path, the floored noise variance on the
-        # search path, for bands of the config's bins_per_band bins.
-        cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
-                             energy_fa_rate=0.01, bins_per_band=24)
-        table = SupportTable(rng.standard_normal((4, 8)), cfg)
-        quantile = detection_quantile(0.01, 24)
-        direct, search = SensingPlan(table, (6, 1, 3)), SensingPlan(table, range(6))
-        assert direct.direct and not search.direct
-        assert direct.threshold.tobytes() == \
-            (0.5 * np.asarray(direct.band_noise) * quantile).tobytes()
-        floored = max(cfg.noise_variance, _DETECT_FLOOR)
-        assert search.threshold == 0.5 * np.asarray(floored) * quantile
+    @pytest.mark.parametrize("k, n", [(4, 8), (8, 16), (1, 3)])
+    def test_direct_operators_are_table_rows_and_own_inverses(self, k, n):
+        # Every support of a direct set in (size, lexicographic) order over
+        # selection positions: those of at most K // 2 bands carry their
+        # table rows' bits, larger ones the bits of their own covariance's
+        # inverse over their ascending bands, and every log-determinant is
+        # weighted by -bins.
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((k, n))
+        table = SupportTable(matrix, RecoveryConfig(noise_variance=0.01,
+                                                    bins_per_band=16))
+        for m in range(1, k + 1):
+            plan = SensingPlan(table, rng.permutation(n)[:m])
+            assert plan.direct
+            inv, weighted_logdet = plan.operators
+            assert inv.shape == (2 ** m, k * k)
+            supports = [np.sort(np.array(plan.bands)[list(positions)])
+                        for size in range(m + 1)
+                        for positions in itertools.combinations(range(m), size)]
+            for i, bands in enumerate(supports):
+                if len(bands) <= table.max_size:
+                    row = table.rows(bands[None, :])[0]
+                    want_inv, want_logdet = table.inv[row], table.logdet[row]
+                else:
+                    phi, logdet = _support_covariances(matrix, bands[None, :],
+                                                       table.sig_n)
+                    want_inv, want_logdet = np.linalg.inv(phi).ravel(), logdet[0]
+                assert inv[i].tobytes() == want_inv.tobytes()
+                assert weighted_logdet[i] == -16 * want_logdet
 
     def test_mixing_scatters_the_sub_matrix(self, rng):
         table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
@@ -660,7 +691,7 @@ class TestSupportTable:
                 rows = table.rows(supports)
                 for support, row in zip(supports.tolist(), rows.tolist()):
                     rank = sum(math.comb(c, i + 1) for i, c in enumerate(support))
-                    assert row == table.offset[size] + rank
+                    assert row == sum(math.comb(n, s) for s in range(size)) + rank
                     phi, logdet = _support_covariances(
                         matrix, np.array([support], dtype=np.intp).reshape(1, size),
                         table.sig_n)
@@ -753,7 +784,7 @@ class TestSupportTable:
             z = measure(plan.a_sub, synthesize_band_spectra(
                 np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng), 20.0, rng)
             for gamma in (1, 2):
-                support, _, ratio = fbmp_recover(sample_gram(z), plan, gamma)
+                support, ratio = fbmp_recover(sample_gram(z), plan, gamma)
                 want = reference_map_recover(z, plan.a_sub, cfg, gamma,
                                              bands=plan.bands)
                 assert support.tobytes() == want[0].tobytes()
@@ -795,7 +826,7 @@ class TestPosteriorMean:
             statuses, spectra, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 1), snr_db=None,
                 n_bins=16)
-            support, _, _ = fbmp_recover(sample_gram(samples), plan, **search)
+            support, _ = fbmp_recover(sample_gram(samples), plan, **search)
             if support.tolist() != statuses.tolist():
                 continue
             x_hat = table_posterior_mean(plan, support, samples)
@@ -816,7 +847,7 @@ class TestPosteriorMean:
             statuses[rng.choice(5, size=2, replace=False)] = 1
             z = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                         20.0, rng)
-            support, _, ratio = fbmp_recover(sample_gram(z), plan, 2)
+            support, ratio = fbmp_recover(sample_gram(z), plan, 2)
             want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
             assert support.tobytes() == want[0].tobytes()
             x_hat = table_posterior_mean(plan, support, z)
@@ -829,8 +860,7 @@ class TestPosteriorMean:
 class TestRecoveryConfig:
     @pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
     def test_rejects_bad_noise_variance(self, value):
-        # A NaN noise variance made every detection threshold NaN, so
-        # signal_sense on a 4 x 6 plan read every band vacant with xi = 0.
+        # A NaN noise variance must not reach the support scores.
         with pytest.raises(ValueError, match="noise_variance"):
             RecoveryConfig(noise_variance=value)
 
@@ -839,21 +869,20 @@ class TestRecoveryConfig:
         with pytest.raises(ValueError, match="residual_threshold"):
             RecoveryConfig(residual_threshold=value)
 
-    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.1, float("nan")])
-    def test_rejects_fa_rate_outside_unit_interval(self, value):
-        with pytest.raises(ValueError, match="energy_fa_rate"):
-            RecoveryConfig(energy_fa_rate=value)
-
     def test_fa_rate_check_leaves_scipy_unloaded(self):
-        # The range check is SciPy-free; only detection imports SciPy.
+        # The field checks import no SciPy, nor does the refusal of the
+        # energy_fa_rate field that the energy detector once took.
         code = "\n".join([
             "import sys",
             "from wssim.recovery import RecoveryConfig",
-            "RecoveryConfig(energy_fa_rate=0.05)",
-            "try:",
-            "    RecoveryConfig(energy_fa_rate=2.0)",
-            "except ValueError:",
-            "    pass",
+            "RecoveryConfig(noise_variance=0.01, residual_threshold=0.2)",
+            "for kwargs in ({'energy_fa_rate': 0.05}, {'noise_variance': -1.0}):",
+            "    try:",
+            "        RecoveryConfig(**kwargs)",
+            "    except (TypeError, ValueError):",
+            "        pass",
+            "    else:",
+            "        raise AssertionError(kwargs)",
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
         src = str(Path(wssim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -877,9 +906,7 @@ def broadcast_clip_log_odds(prior_activity, m):
     """The np.broadcast_to and np.clip form that _prior_log_odds replaced."""
     q = np.broadcast_to(np.asarray(prior_activity, dtype=float), (m,))
     q = np.clip(q, 1e-9, 1.0 - 1e-9)
-    log_q = np.log(q)
-    log_1q = np.log1p(-q)
-    return log_1q.sum(), log_q - log_1q
+    return np.log(q) - np.log1p(-q)
 
 
 class TestPriorLogOdds:
@@ -892,10 +919,8 @@ class TestPriorLogOdds:
 
     @staticmethod
     def assert_same_bits(prior, m):
-        base, gain = _prior_log_odds(prior, m)
-        want_base, want_gain = broadcast_clip_log_odds(prior, m)
-        assert base == want_base
-        assert np.float64(base).tobytes() == np.float64(want_base).tobytes()
+        gain = _prior_log_odds(prior, m)
+        want_gain = broadcast_clip_log_odds(prior, m)
         assert gain.shape == (m,) and gain.dtype == np.float64
         assert gain.tobytes() == want_gain.tobytes()
 
