@@ -13,24 +13,25 @@ return a recovery.SenseResult per slot.
 In signal mode run_replication builds one recovery.SupportTable of the
 replication's sensing matrix, with the RecoveryConfig that
 ExperimentConfig.recovery_config() builds, and hands it to every policy's
-SignalEnvironment. The table is eager (Phi_S^-1, log det Phi_S and the
-posterior-mean operator of every support of at most K // 2 bands, from
-the start) and never grows or clears. Each environment keeps one recovery.SensingPlan per distinct
-selected set, a view of the table built the first time the set is
-sensed, and at most _MAX_PLANS of them (the oldest goes first), which
-bounds memory whatever the horizon. Signal power is the unit: busy bands
-carry mean power 1 per bin and the noise power per bin is
-10^(-snr_db/10). Each slot hands signal_sense the plan, the slot's sample
-Gram and the selected bands' busy priors (one minus the policy's vacancy
-beliefs), nothing else. On either path the statuses are the first
-maximum a posteriori support in (size, lexicographic) order: of all 2^m
-supports of a set of m <= K bands, of those of at most gamma bands
+SignalEnvironment. The table is eager (Phi_S^-1, log det Phi_S and the fit
+operator Q_S = F_S^T F_S of every support of at most K // 2 bands, from
+the start) and its rows never change. It also caches one
+recovery.SensingPlan per distinct selected set, a view of the table built
+the first time any policy of the replication senses the set, and at most
+recovery._MAX_PLANS of them (the oldest goes first), which bounds memory
+whatever the horizon; policies sensing the same set share its plan. Signal
+power is the unit: busy bands carry mean power 1 per bin and the noise
+power per bin is 10^(-snr_db/10). Each slot hands signal_sense the plan,
+the slot's sample Gram and the selected bands' busy priors (one minus the
+policy's vacancy beliefs), nothing else. On either path the statuses are
+the first maximum a posteriori support in (size, lexicographic) order: of
+all 2^m supports of a set of m <= K bands, of those of at most gamma bands
 otherwise. Plans return the same values whatever the environment held
-before, so the output depends on the config alone. It matches scoring
-that factorises every support's covariance except where two supports'
-scores tie to the last bits, which the cached inverses can change; the
-search's residuals are products with cached operators, not per-slot
-solves (see recovery).
+before, so the output depends on the config alone. It matches scoring that
+factorises every support's covariance except where two supports' scores
+tie to the last bits, which the cached inverses can change; the search's
+residuals are products with the cached fit operators, not per-slot solves
+(see recovery).
 
 A slot's random draws depend only on its trajectory row, bins_per_band,
 K and the SNR, not on the selected bands. So a SignalEnvironment draws a
@@ -64,13 +65,11 @@ import numpy as np
 
 from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, run_policy
-from .recovery import SenseResult, SensingPlan, SupportTable, signal_sense
+from .recovery import SenseResult, SupportTable, signal_sense
 from .sensing import draw_sensing_matrix, noise_power_for_snr, noise_scale
 from .spectrum import (BandStatistics, check_bins_per_band, check_trajectory,
                        simulate_occupancy, unit_power_scale)
 
-# Sensing plans kept per SignalEnvironment: every subset of 8 bands.
-_MAX_PLANS = 256
 # Gram values a SignalEnvironment keeps at most per block of slots, at
 # (n_bands + k_branches)^2 a slot.
 _BLOCK_GRAM_VALUES = 1 << 15
@@ -92,7 +91,8 @@ class SignalEnvironment:
 
     The trajectory is checked by spectrum.check_trajectory. table is the
     replication's SupportTable, over its whole sensing matrix, with the
-    config's recovery settings; every policy's environment shares it.
+    config's recovery settings; every policy's environment shares it and
+    the sensing plans it caches.
     Slots are sensed in order: each sense() call names the slot after the
     previous call's (the first may name any slot), and any other slot
     raises a ValueError.
@@ -104,7 +104,6 @@ class SignalEnvironment:
         self.config = config
         self.rng = rng
         self.support_table = table
-        self._plans: dict[tuple[int, ...], SensingPlan] = {}
         self._noise_power = noise_power_for_snr(config.snr_db)
         check_bins_per_band(config.bins_per_band)
         gram_values = (self.trajectory.shape[1] + config.k_branches) ** 2
@@ -112,16 +111,6 @@ class SignalEnvironment:
         self._next_slot: int | None = None
         self._block_start = self._block_end = 0
         self._grams = None
-
-    def _plan(self, selected) -> SensingPlan:
-        """The sensing plan of a band set, built on its first use."""
-        key = tuple(selected)
-        plan = self._plans.get(key)
-        if plan is None:
-            if len(self._plans) >= _MAX_PLANS:
-                del self._plans[next(iter(self._plans))]
-            plan = self._plans[key] = SensingPlan(self.support_table, key)
-        return plan
 
     def _draw_block(self, start: int) -> None:
         """Draw the Grams of the block_slots slots from start (fewer at the
@@ -189,7 +178,7 @@ class SignalEnvironment:
         if self._next_slot is not None and slot != self._next_slot:
             raise ValueError(f"slots are sensed in order: expected slot "
                              f"{self._next_slot}, got {slot}")
-        plan = self._plan(selected)
+        plan = self.support_table.plan(selected)
         if self._next_slot is None or slot == self._block_end:
             self._draw_block(slot)
         self._next_slot = slot + 1

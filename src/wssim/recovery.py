@@ -14,16 +14,16 @@ absolute.
 Signal recovery reads a slot only through its sample Gram
 S_yy = Re(Z Z^H), the K x K Gram of the real view Y (K x 2 * bins) of the
 slot's complex samples Z: the support scores take trace(Phi_S^-1 S_yy),
-the residual ||Y - A_S x||^2 of an estimate x = G Y is tr(F S_yy F^T) with
-F = I - A_S G, and ||Y||^2 is tr(S_yy). So signal_sense and fbmp_recover
-take S_yy, never samples. Callers holding samples form it with
-sample_gram; a SignalEnvironment builds it from its random draws (see
-experiments). The bin count is RecoveryConfig.bins_per_band. Gram-domain
-values differ from sample-domain ones in the last bits, and where the true
-value is 0 they are rounding of about eps times the Gram's size rather
-than eps^2. So the residual ratio of an exact fit is about sqrt(eps)
-(1e-8), not 0; near the residual threshold the two agree to about
-eps / ratio.
+the residual ||Y - A_S x||^2 of an estimate x = G Y is
+tr(F S_yy F^T) = tr(F^T F S_yy) with F = I - A_S G, and ||Y||^2 is
+tr(S_yy). So signal_sense and fbmp_recover take S_yy, never samples.
+Callers holding samples form it with sample_gram; a SignalEnvironment
+builds it from its random draws (see experiments). The bin count is
+RecoveryConfig.bins_per_band. Gram-domain values differ from
+sample-domain ones in the last bits, and where the true value is 0 they
+are rounding of about eps times the Gram's size rather than eps^2. So the
+residual ratio of an exact fit is about sqrt(eps) (1e-8), not 0; near the
+residual threshold the two agree to about eps / ratio.
 
 A SensingPlan is the one way set-level inputs reach signal_sense and
 fbmp_recover. It is a view of a SupportTable: the table holds the K x N
@@ -37,13 +37,17 @@ Both paths score supports alike: the log posterior
 -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S), with
 Phi_S = sig_n I + A_S A_S^T and the selected bands' busy priors, and keep
 the first maximum in (size, lexicographic) order over selection
-positions. A SupportTable holds Phi_S^-1, log det Phi_S and the
-posterior-mean operator G_S = (A_S^T A_S + sig_n I)^-1 A_S^T of every
+positions. A SupportTable holds Phi_S^-1, log det Phi_S and the fit
+operator Q_S = F_S^T F_S, with F_S = I - A_S G_S and G_S =
+(A_S^T A_S + sig_n I)^-1 A_S^T the posterior-mean operator, of every
 support of at most K // 2 of the N bands, indexed by colex rank and built
 eagerly, once per replication, for every policy; support_count caps it at
-_MAX_SUPPORTS rows. Scores are products with cached inverses, not solves,
-so they can differ from per-slot factorisation in the last bits, and only
-supports whose scores are that close could rank differently.
+_MAX_SUPPORTS rows. It also keeps the replication's SensingPlans, at most
+_MAX_PLANS of them, so every policy senses a set through one plan. Scores
+and residuals are products with cached operators, not solves, so they can
+differ from per-slot factorisation in the last bits, and only supports
+whose scores (or residuals at the threshold) are that close could read
+differently.
 
 - Direct path (m <= K): every one of the 2^m supports of the set. Those of
   at most K // 2 bands are table rows; the plan builds the larger ones
@@ -51,8 +55,8 @@ supports whose scores are that close could rank differently.
   succeeds.
 - Search path (m > K): fbmp_recover scores every support of at most
   gamma = K // 2 bands. The support is the statuses, and the slot fails
-  when the residual of the support's posterior-mean fit, less the
-  expected noise energy, is too large.
+  when the residual of the support's posterior-mean fit, Q_S . vec(S_yy),
+  less the expected noise energy, is too large.
 
 No slot factorises anything, and no signal run imports SciPy.
 """
@@ -205,9 +209,10 @@ def _support_covariances(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
 def _posterior_gains(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
     """Posterior-mean operators G_S = (A_S^T A_S + sig_n * I)^-1 A_S^T.
 
-    supports is a (C, s) index array of C supports of equal size s >= 1.
-    Returns the (C, s, k) stack, from one batched Gram product and one
-    stacked solve; G_S @ Y is the posterior mean of S's spectra. It equals
+    supports is a (C, s) index array of C supports of equal size s (s = 0
+    is the empty support). Returns the (C, s, k) stack, from one batched
+    Gram product and one stacked solve; G_S @ Y is the posterior mean of
+    S's spectra. It equals
     A_S^T Phi_S^-1 Y, but the s x s Gram matrix stays well conditioned
     when Phi_S (condition number about 1 / sig_n without noise) does not.
     """
@@ -216,8 +221,13 @@ def _posterior_gains(a_sub: np.ndarray, supports: np.ndarray, sig_n: float):
     return np.linalg.solve(sig_n * np.eye(supports.shape[1]) + a_t @ a_s, a_t)
 
 
+# Sensing plans a SupportTable keeps for all the policies it serves. A
+# direct plan at 8 branches holds 2^8 inverses (128 KiB), so this bounds
+# the cache near 16 MiB; a case1 replication of 10,000 slots senses about
+# 70 sets.
+_MAX_PLANS = 128
 # Rows a SupportTable may hold: every support of at most 4 of 16 bands
-# (2,517 rows, about 1.3 MiB at 8 branches) fits; 32 bands at 8 branches
+# (2,517 rows, about 2.6 MiB at 8 branches) fits; 32 bands at 8 branches
 # (41,449 rows) do not.
 _MAX_SUPPORTS = 4096
 
@@ -245,25 +255,27 @@ def _combinations(m: int, size: int) -> np.ndarray:
 
 
 class SupportTable:
-    """Phi_S^-1, log det Phi_S and G_S of every busy set S of at most K // 2
-    bands.
+    """Phi_S^-1, log det Phi_S and the fit operator Q_S of every busy set S
+    of at most K // 2 bands, and the sensing plans over them.
 
     matrix is the K x N sensing matrix and cfg the recovery config; sig_n
     is the score's model noise variance, cfg.noise_variance floored at
-    _MODEL_FLOOR. Phi_S = sig_n * I + A_S A_S^T and the posterior-mean
-    operator G_S = (A_S^T A_S + sig_n * I)^-1 A_S^T depend on S's bands
-    alone, so all plans over one table share its rows. The table is built
-    here, eagerly, size by size, with one _support_covariances call, one
-    stacked inverse and one _posterior_gains call each, into one
-    preallocated (rows, K*K) array of inverses, one (rows,) array of
-    log-determinants and one (rows, (K // 2) * K) array of operators; it
-    never grows or clears. A size-s row of gain holds G_S's s x K values
-    (rows in ascending band order), then zeros. Each row is a function of
-    its support alone (stacked LAPACK calls treat every matrix as a single
-    call would). Support S of size s with bands c_0 < c_1 < ... sits at
-    row sum_{j < s} C(N, j) + sum_i C(c_i, i + 1), its colex rank after the
-    smaller sizes' rows. noise_guard is the expected noise energy of a
-    fit's residual plus a four-sigma guard band,
+    _MODEL_FLOOR. Phi_S = sig_n * I + A_S A_S^T and Q_S = F_S^T F_S, with
+    F_S = I - A_S G_S and the posterior-mean operator
+    G_S = (A_S^T A_S + sig_n * I)^-1 A_S^T (_posterior_gains, A_S's
+    columns in ascending band order), depend on S's bands alone, so all
+    plans over one table share its rows. A slot's fit residual
+    tr(F_S S_yy F_S^T) is Q_S . vec(S_yy), and the empty support's Q_S is
+    the identity. The table is built here, eagerly, size by size, with one
+    _support_covariances call, one stacked inverse and one
+    _posterior_gains call each, into one preallocated (rows, K*K) array of
+    inverses, one (rows,) array of log-determinants and one (rows, K*K)
+    array of fit operators; it never grows or clears. Each row is a
+    function of its support alone (stacked LAPACK calls treat every matrix
+    as a single call would). Support S of size s with bands c_0 < c_1 < ...
+    sits at row sum_{j < s} C(N, j) + sum_i C(c_i, i + 1), its colex rank
+    after the smaller sizes' rows. noise_guard is the expected noise
+    energy of a fit's residual plus a four-sigma guard band,
     (n + 4 sqrt(n)) * noise_variance for the n = K * bins_per_band complex
     samples of a slot.
     """
@@ -287,15 +299,17 @@ class SupportTable:
         self.noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
         self.inv = np.empty((support_count(n, k), k * k))
         self.logdet = np.empty(len(self.inv))
-        self.gain = np.zeros((len(self.inv), self.max_size * k))
+        self.fit = np.empty_like(self.inv)
+        self._plans: dict[tuple, SensingPlan] = {}
         for size in range(self.max_size + 1):
             supports = _combinations(n, size)
             rows = self.rows(supports)
             phi, self.logdet[rows] = _support_covariances(matrix, supports, self.sig_n)
             self.inv[rows] = np.linalg.inv(phi).reshape(len(rows), k * k)
-            if size:
-                self.gain[rows, :size * k] = _posterior_gains(
-                    matrix, supports, self.sig_n).reshape(len(rows), size * k)
+            del phi   # before the fit operators' temporaries
+            a_s = matrix[:, supports].transpose(1, 0, 2)
+            fit = np.eye(k) - a_s @ _posterior_gains(matrix, supports, self.sig_n)
+            self.fit[rows] = (fit.transpose(0, 2, 1) @ fit).reshape(len(rows), k * k)
 
     def rows(self, supports: np.ndarray) -> np.ndarray:
         """Rows of a (C, w) array of supports of at most w <= max_size
@@ -303,14 +317,28 @@ class SupportTable:
         and a sum."""
         return self._rank_terms[supports, np.arange(supports.shape[1])].sum(axis=1)
 
+    def plan(self, bands) -> SensingPlan:
+        """The SensingPlan of a band set in selection order, built on its
+        first use. Plans are functions of their bands alone, so every
+        caller of the table shares them; the table keeps at most
+        _MAX_PLANS (the oldest goes first), whatever the horizon."""
+        key = tuple(bands)
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) >= _MAX_PLANS:
+                del self._plans[next(iter(self._plans))]
+            plan = self._plans[key] = SensingPlan(self, key)
+        return plan
+
 
 @functools.lru_cache(maxsize=64)
 def _position_supports(m: int, gamma: int):
     """Every support of at most gamma of m selection positions.
 
     Supports come in (size, lexicographic) order. Returns their (C, m)
-    0/1 indicator, their (C, gamma) position lists (ascending, padded with
-    m) and ends, where ends[s] counts the supports of size at most s (so a
+    0/1 indicator (float64, for score products), the same as int8 status
+    rows, their (C, gamma) position lists (ascending, padded with m) and
+    ends, where ends[s] counts the supports of size at most s (so a
     smaller gamma's supports are a prefix).
     """
     by_size = [_combinations(m, size) for size in range(gamma + 1)]
@@ -319,9 +347,10 @@ def _position_supports(m: int, gamma: int):
                                 for positions in by_size]).astype(float)
     lists = np.concatenate([np.pad(positions, ((0, 0), (0, gamma - positions.shape[1])),
                                    constant_values=m) for positions in by_size])
-    for array in (indicator, lists, ends):
+    statuses = indicator.astype(np.int8)
+    for array in (indicator, statuses, lists, ends):
         array.flags.writeable = False   # shared by every caller of the cache
-    return indicator, lists, ends
+    return indicator, statuses, lists, ends
 
 
 def _first_map(s_yy, inv, weighted_logdet, indicator, prior_activity) -> int:
@@ -381,7 +410,7 @@ class SensingPlan:
     def _sorted_supports(self, gamma: int) -> np.ndarray:
         """The bands of every support of at most gamma selection positions,
         in _position_supports order, ascending and padded with N."""
-        _, lists, _ = _position_supports(len(self.bands), gamma)
+        _, _, lists, _ = _position_supports(len(self.bands), gamma)
         supports = np.append(self.bands, self.table.matrix.shape[1])[lists]
         supports.sort(axis=1)
         return supports
@@ -398,7 +427,7 @@ class SensingPlan:
     def operators(self) -> tuple[np.ndarray, np.ndarray]:
         table = self.table
         m = len(self.bands)
-        _, _, ends = _position_supports(m, m)
+        _, _, _, ends = _position_supports(m, m)
         supports = self._sorted_supports(m)
         inv, weighted_logdet = [table.inv[self.rows]], [self.weighted_logdet]
         for size in range(self.gamma + 1, m + 1):
@@ -426,32 +455,25 @@ def fbmp_recover(s_yy, plan: SensingPlan, gamma: int, prior_activity=0.5):
     per-band prior probability of being busy (a scalar or one entry per
     selected band). The cached inverses can move scores in the last bits
     against factorising each Phi_S, so only supports that close could rank
-    differently. Returns the binary support estimate and the relative
-    residual ||Y - A_S G_S Y|| / ||Y|| of its posterior-mean fit: the
-    square root of tr(F S_yy F^T) / tr(S_yy) with F = I - A_S G_S, the
-    residual clamped at 0, and 0 when S_yy is zero.
+    differently. Returns the binary support estimate (a read-only int8
+    row) and the relative residual ||Y - A_S G_S Y|| / ||Y|| of its
+    posterior-mean fit: the square root of Q_S . vec(S_yy) / tr(S_yy),
+    with Q_S the support's table row of fit operators, the residual
+    clamped at 0, and 0 when S_yy is zero.
     """
     s_yy = np.asarray(s_yy)
     table = plan.table
     if not 0 <= gamma <= plan.gamma:
         raise ValueError("gamma must lie in [0, min(set size, K // 2)]")
-    indicator, _, ends = _position_supports(len(plan.bands), plan.gamma)
+    indicator, statuses, _, ends = _position_supports(len(plan.bands), plan.gamma)
     count = ends[gamma]
     rows = plan.rows[:count]
     best = _first_map(s_yy, table.inv[rows], plan.weighted_logdet[:count],
                       indicator[:count], prior_activity)
-    support = indicator[best].astype(np.int8)
-    # The row's operator lists the support's bands in ascending order.
-    active = sorted(np.flatnonzero(support).tolist(), key=plan.bands.__getitem__)
+    residual = table.fit[rows[best]] @ s_yy.ravel()
     y_sq = s_yy.trace()
-    residual = y_sq
-    if active:
-        k = len(s_yy)
-        gain = table.gain[rows[best], :len(active) * k].reshape(-1, k)
-        fit = np.eye(k) - plan.a_sub[:, active] @ gain
-        residual = ((fit @ s_yy) * fit).sum()
     ratio = math.sqrt(max(residual, 0.0) / y_sq) if y_sq else 0.0
-    return support, ratio
+    return statuses[best], ratio
 
 
 def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
@@ -466,9 +488,9 @@ def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     """
     s_yy = np.asarray(s_yy)
     if plan.direct:
-        indicator, _, _ = _position_supports(len(plan.bands), len(plan.bands))
+        indicator, statuses, _, _ = _position_supports(len(plan.bands), len(plan.bands))
         best = _first_map(s_yy, *plan.operators, indicator, prior_activity)
-        return SenseResult(indicator[best].astype(np.int8), 0)
+        return SenseResult(statuses[best], 0)
     k, m = plan.a_sub.shape
     support, ratio = fbmp_recover(s_yy, plan, gamma_threshold(m, k), prior_activity)
     # The raw residual of a correct fit still contains the measurement

@@ -10,8 +10,8 @@ from wssim import experiments
 from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
 from wssim.recovery import (_MODEL_FLOOR, RecoveryConfig, SenseResult,
-                            _prior_log_odds, _real_view, _support_covariances,
-                            gamma_threshold, oracle_sense)
+                            _posterior_gains, _prior_log_odds, _real_view,
+                            _support_covariances, gamma_threshold, oracle_sense)
 from wssim.sensing import noise_power_for_snr, noise_scale, select_submatrix
 from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (BandStatistics, stationary_vacancy,
@@ -248,22 +248,22 @@ def residual_ratio(y, fitted):
 
 
 def table_posterior_mean(plan, support, samples):
-    """The posterior-mean spectra of a support found through plan: its
-    SupportTable row's operator G_S applied to the samples' real view, the
-    support's bands in ascending band order (the row's order); zero off
+    """The posterior-mean spectra of a support found through plan: the
+    operator G_S that a SupportTable builds its fit operator Q_S from
+    (recovery._posterior_gains over the support's bands in ascending
+    order, the table's order), applied to the samples' real view; zero off
     the support.
 
     fbmp_recover reads only the residual of this estimate, from the
-    samples' Gram.
+    samples' Gram and the table's Q_S.
     """
     table = plan.table
     y = _real_view(samples)
-    k = len(y)
     active = sorted(np.flatnonzero(support).tolist(), key=plan.bands.__getitem__)
     x = np.zeros((len(plan.bands), y.shape[1]))
     if active:
-        row = table.rows(np.array([sorted(plan.bands[j] for j in active)]))[0]
-        x[active] = table.gain[row, :len(active) * k].reshape(-1, k) @ y
+        bands = np.array([[plan.bands[j] for j in active]], dtype=np.intp)
+        x[active] = _posterior_gains(table.matrix, bands, table.sig_n)[0] @ y
     return x.view(np.complex128)
 
 

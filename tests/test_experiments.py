@@ -192,9 +192,14 @@ class TestSignalEnvironmentMatchesReference:
         assert 1 < env.block_slots < horizon
 
     def test_plan_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_MAX_PLANS", 3)
+        # The cap is per table: two environments sharing one table keep at
+        # most _MAX_PLANS plans between them, and evictions change nothing.
+        monkeypatch.setattr(recovery, "_MAX_PLANS", 3)
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 60)
         env, ref = environments(config, trajectory, matrix)
+        table = env.support_table
+        other = SignalEnvironment(trajectory, table, config,
+                                  np.random.default_rng(8))
         draws = np.random.default_rng(5)
         pool = [np.sort(draws.choice(8, size=size, replace=False))
                 for size in (3, 4, 4, 5, 6, 7)]
@@ -202,7 +207,8 @@ class TestSignalEnvironmentMatchesReference:
             selected = pool[draws.integers(len(pool))]
             assert_same_sense(env, ref, selected, slot,
                               draws.random(8).tolist())
-            assert len(env._plans) <= 3
+            other.sense(pool[draws.integers(len(pool))], slot)
+            assert len(table._plans) <= 3
 
     @pytest.mark.parametrize("mode", ["IMP", "LDM", "OLDM"])
     @pytest.mark.parametrize("n, k, snr_db", [(8, 4, 20.0), (16, 8, 10.0)])
@@ -495,8 +501,9 @@ def test_noiseless_direct_path_reads_truth(n, k):
 class RecordingEnvironment(SignalEnvironment):
     """A SignalEnvironment keeping every slot's SenseResult.
 
-    With fresh_table, each slot senses through a new support table and
-    new plans, so no row or plan outlives the slot that built it.
+    With fresh_table, each slot senses through a new support table and so
+    through a new plan from the new table's cache, so no row or plan
+    outlives the slot that built it.
     """
 
     def __init__(self, *args, fresh_table=False):
@@ -508,8 +515,9 @@ class RecordingEnvironment(SignalEnvironment):
         if self.fresh_table:
             self.support_table = SupportTable(self.support_table.matrix,
                                               self.config.recovery_config())
-            self._plans.clear()
         result = super().sense(selected, slot, prior_vacancy)
+        if self.fresh_table:
+            assert list(self.support_table._plans) == [tuple(selected)]
         self.results.append(result)
         return result
 
@@ -553,6 +561,37 @@ class TestSupportTableHistory:
         # IMP's sets exceed the branch count, so every slot searched.
         assert len(shared[0]) == len(shared[1]) == 300
         assert fresh == shared
+
+
+def test_policies_of_a_replication_share_plans(monkeypatch):
+    # Every policy's environment senses through the replication's one
+    # table and its plan cache: LDM and OLDM sense sets in common through
+    # the same SensingPlan objects, and no band set gets a second plan.
+    config = load_config(CONFIGS / "case1.cfg")
+    config.rs_mode, config.snr_db = "signal", 20.0
+    config.replications, config.horizon = 1, 400
+    plans = []   # per policy: {bands: plans sensed through}
+    sense, init = experiments.signal_sense, SignalEnvironment.__init__
+
+    def recording_init(env, *args):
+        init(env, *args)
+        plans.append({})
+
+    def recording_sense(s_yy, plan, prior_activity):
+        plans[-1].setdefault(plan.bands, []).append(plan)
+        return sense(s_yy, plan, prior_activity)
+
+    monkeypatch.setattr(SignalEnvironment, "__init__", recording_init)
+    monkeypatch.setattr(experiments, "signal_sense", recording_sense)
+    run_replication(config, 0)
+    assert len(plans) == len(config.policies)
+    first = {}
+    for policy_plans in plans:
+        for bands, used in policy_plans.items():
+            first.setdefault(bands, used[0])
+            assert all(plan is first[bands] for plan in used)
+    ldm, oldm = (plans[config.policies.index(p)] for p in ("LDM", "OLDM"))
+    assert len(ldm.keys() & oldm.keys()) >= 3
 
 
 def test_both_backends_return_sense_result():

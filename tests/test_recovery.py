@@ -13,14 +13,16 @@ import pytest
 from conftest import (all_supports, conditional_mean, exhaustive_map_support,
                       reference_greedy_support, reference_map_recover,
                       reference_signal_sense, reference_support_score,
-                      score_terms, solve_support_scores, table_posterior_mean)
+                      residual_ratio, score_terms, solve_support_scores,
+                      table_posterior_mean)
 import wssim
 from wssim import recovery
 from wssim.recovery import (RecoveryConfig, SenseResult, SensingPlan,
                             SupportTable, direct_solve, fbmp_recover,
                             gamma_threshold, oracle_sense, sample_gram,
                             signal_sense, support_count)
-from wssim.recovery import _prior_log_odds, _real_view, _support_covariances
+from wssim.recovery import (_posterior_gains, _prior_log_odds, _real_view,
+                            _support_covariances)
 from wssim.sensing import measure, noise_power_for_snr
 from wssim.spectrum import synthesize_band_spectra
 
@@ -702,21 +704,22 @@ class TestSupportTable:
 
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
     @pytest.mark.parametrize("k, n", [(4, 8), (8, 16)])
-    def test_gain_rows_equal_own_solve(self, k, n, snr_db):
-        # Each row's posterior-mean operator has the bits of its support's
-        # own s x s solve, zero-padded to K // 2 rows of K.
+    def test_fit_rows_equal_own_solve(self, k, n, snr_db):
+        # Each row's fit operator has the bits of F_S^T F_S, F_S = I - A_S G_S
+        # with G_S from its support's own s x s solve, flattened; the empty
+        # support's is the identity.
         matrix = np.random.default_rng(k * n).standard_normal((k, n))
         table = SupportTable(matrix, RecoveryConfig(
             noise_variance=noise_power_for_snr(snr_db)))
-        assert table.gain.shape == (support_count(n, k), (k // 2) * k)
-        assert not table.gain[0].any()
+        assert table.fit.shape == (support_count(n, k), k * k)
+        assert table.fit[0].tobytes() == np.eye(k).tobytes()
         for size in range(1, table.max_size + 1):
             supports = all_supports(n, size)
             for support, row in zip(supports.tolist(), table.rows(supports).tolist()):
                 a_s = matrix[:, support]
-                want = np.linalg.solve(table.sig_n * np.eye(size) + a_s.T @ a_s, a_s.T)
-                assert table.gain[row, :size * k].tobytes() == want.tobytes()
-                assert not table.gain[row, size * k:].any()
+                gain = np.linalg.solve(table.sig_n * np.eye(size) + a_s.T @ a_s, a_s.T)
+                fit = np.eye(k) - a_s @ gain
+                assert table.fit[row].tobytes() == (fit.T @ fit).tobytes()
 
     @pytest.mark.parametrize("n, k, rows", [(8, 4, 37), (16, 4, 137),
                                             (16, 8, 2517), (90, 4, 4096)])
@@ -793,9 +796,57 @@ class TestSupportTable:
                 assert_ratio_close(ratio, want[2])
 
 
+class TestFitResidual:
+    """fbmp_recover's residual ratio, Q_S . vec(S_yy) from the table's fit
+    operator and the slot's Gram, against the sample-domain ratio of the
+    same support's posterior-mean fit (conftest.residual_ratio)."""
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0, 0.0])
+    @pytest.mark.parametrize("k, m", [(4, 7), (8, 12)])
+    def test_ratio_matches_sample_domain(self, k, m, snr_db):
+        # Busy counts from 0 to beyond gamma, priors varying per slot.
+        gamma = gamma_threshold(m, k)
+        for seed in range(12):
+            _, _, plan, samples, search = make_instance(
+                seed, m=m, k=k, busy_count=seed % (gamma + 2), snr_db=snr_db,
+                n_bins=16, prior=np.random.default_rng(seed).uniform(0.05, 0.95, m))
+            support, ratio = fbmp_recover(sample_gram(samples), plan, **search)
+            x_hat = _real_view(table_posterior_mean(plan, support, samples))
+            assert_ratio_close(ratio, residual_ratio(_real_view(samples),
+                                                     plan.a_sub @ x_hat))
+
+    @pytest.mark.parametrize("k, m", [(4, 7), (8, 16)])
+    def test_noiseless_exact_fit_ratio_is_rounding(self, k, m):
+        # Without noise a found support fits the samples exactly, so its
+        # ratio is rounding (about sqrt(eps) in the Gram domain); the bound,
+        # set before measuring: below 1e-6.
+        found = 0
+        for seed in range(20):
+            statuses, _, plan, samples, search = make_instance(
+                seed, m=m, k=k, busy_count=1 + seed % (k // 2), snr_db=None,
+                n_bins=16)
+            support, ratio = fbmp_recover(sample_gram(samples), plan, **search)
+            if support.tolist() == statuses.tolist():
+                found += 1
+                assert ratio < 1e-6
+        assert found >= 18
+
+    def test_statuses_are_cached_read_only_rows(self):
+        # Both paths return a row of one cached int8 array, which no caller
+        # can write to.
+        for m in (4, 6):
+            _, _, plan, samples, search = make_instance(3, m=m, busy_count=1)
+            s_yy = sample_gram(samples)
+            first = signal_sense(s_yy, plan, search["prior_activity"]).statuses
+            again = signal_sense(s_yy, plan, search["prior_activity"]).statuses
+            assert first.dtype == np.int8 and not first.flags.writeable
+            assert np.shares_memory(first, again)
+
+
 class TestPosteriorMean:
-    """The table's s x s operators G_S against the K x K form
-    A_S^T Phi_S^-1 Y (conftest.conditional_mean)."""
+    """The s x s operators G_S that the table's fit operators are built
+    from (_posterior_gains) against the K x K form A_S^T Phi_S^-1 Y
+    (conftest.conditional_mean)."""
 
     @pytest.mark.parametrize("snr_db", [20.0, 10.0])
     @pytest.mark.parametrize("k, m", [(4, 7), (8, 16)])
@@ -808,9 +859,8 @@ class TestPosteriorMean:
             y = samples.view(np.float64)
             for size in range(1, table.max_size + 1):
                 supports = all_supports(m, size)
-                for support, row in zip(supports.tolist(),
-                                        table.rows(supports).tolist()):
-                    gain = table.gain[row, :size * k].reshape(size, k)
+                gains = _posterior_gains(table.matrix, supports, table.sig_n)
+                for support, gain in zip(supports.tolist(), gains):
                     got = (gain @ y).view(np.complex128)
                     want = conditional_mean(samples, plan.a_sub, tuple(support),
                                             table.sig_n)[support]
