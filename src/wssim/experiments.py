@@ -13,7 +13,8 @@ return a recovery.SenseResult per slot.
 In signal mode run_replication builds one recovery.SupportTable of the
 replication's sensing matrix, with the RecoveryConfig that
 ExperimentConfig.recovery_config() builds, and hands it to every policy's
-SignalEnvironment. The table is eager (Phi_S^-1, log det Phi_S and the fit
+SignalEnvironment, which takes K, the bin count and the noise power from
+the table alone. The table is eager (Phi_S^-1, log det Phi_S and the fit
 operator Q_S = F_S^T F_S of every support of at most K // 2 bands, from
 the start) and its rows never change. It also caches one
 recovery.SensingPlan per distinct selected set, a view of the table built
@@ -39,8 +40,9 @@ block of consecutive slots when it senses the block's first slot: as
 many slots as keep the block's Grams within _BLOCK_GRAM_VALUES values,
 (N + K)^2 a slot (at least one slot; the last block ends at the
 trajectory's end). Each sense() call must therefore name the slot after
-the previous call's (the first call may name any slot), as run_policy
-does; any other slot raises a ValueError naming the expected one.
+the previous call's (the first call may name any slot of the trajectory),
+as run_policy does; any other slot raises a ValueError naming the
+expected one, and a slot outside the trajectory one naming its length.
 
 No spectra or samples are formed. Recovery reads a slot only through its
 sample Gram S_yy (see recovery), so the environment draws each slot's
@@ -49,7 +51,8 @@ Gram of its band spectra and noise directly, from its Bartlett factor
 for every factor's below-diagonal values and one chisquare call for
 their diagonals, in the order _draw_block's docstring gives. That order
 defines the signal-mode random stream. The Gram is equal in law to that
-of the spectra and noise synthesize_band_spectra and measure would draw
+of the unit-power spectra and noise that the sample-domain reference
+chain in tests/conftest.py (synthesize_band_spectra, then measure) draws
 slot by slot, so every statistic recovery reads has its law, but the
 values differ. A slot's S_yy is two small products with the plan's
 mixing matrix.
@@ -66,9 +69,8 @@ import numpy as np
 from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, run_policy
 from .recovery import SenseResult, SupportTable, signal_sense
-from .sensing import draw_sensing_matrix, noise_power_for_snr, noise_scale
-from .spectrum import (BandStatistics, check_bins_per_band, check_trajectory,
-                       simulate_occupancy, unit_power_scale)
+from .sensing import draw_sensing_matrix
+from .spectrum import BandStatistics, check_trajectory, simulate_occupancy
 
 # Gram values a SignalEnvironment keeps at most per block of slots, at
 # (n_bands + k_branches)^2 a slot.
@@ -90,23 +92,26 @@ class SignalEnvironment:
     """Sensing backend running the full measurement and recovery chain.
 
     The trajectory is checked by spectrum.check_trajectory. table is the
-    replication's SupportTable, over its whole sensing matrix, with the
-    config's recovery settings; every policy's environment shares it and
-    the sensing plans it caches.
+    replication's SupportTable, over its whole sensing matrix; every
+    policy's environment shares it and the sensing plans it caches. The
+    environment's settings are the table's: K is the matrix's row count,
+    and the bin count and the per-bin noise power are table.cfg's
+    bins_per_band and noise_variance. The matrix has one column per band
+    of the trajectory.
     Slots are sensed in order: each sense() call names the slot after the
-    previous call's (the first may name any slot), and any other slot
-    raises a ValueError.
+    previous call's (the first may name any slot of the trajectory), and
+    any other slot raises a ValueError.
     """
 
     def __init__(self, trajectory: np.ndarray, table: SupportTable,
-                 config: ExperimentConfig, rng: np.random.Generator):
+                 rng: np.random.Generator):
         self.trajectory = check_trajectory(trajectory)
-        self.config = config
+        if table.matrix.shape[1] != self.trajectory.shape[1]:
+            raise ValueError(f"the support table senses {table.matrix.shape[1]} "
+                             f"bands, the trajectory has {self.trajectory.shape[1]}")
         self.rng = rng
         self.support_table = table
-        self._noise_power = noise_power_for_snr(config.snr_db)
-        check_bins_per_band(config.bins_per_band)
-        gram_values = (self.trajectory.shape[1] + config.k_branches) ** 2
+        gram_values = (self.trajectory.shape[1] + table.matrix.shape[0]) ** 2
         self.block_slots = max(1, _BLOCK_GRAM_VALUES // gram_values)
         self._next_slot: int | None = None
         self._block_start = self._block_end = 0
@@ -115,11 +120,12 @@ class SignalEnvironment:
     def _draw_block(self, start: int) -> None:
         """Draw the Grams of the block_slots slots from start (fewer at the
         trajectory's end) from their Bartlett factors, in two generator
-        calls.
+        calls. A start outside the trajectory raises a ValueError before
+        anything is drawn.
 
         A slot's rows are its busy bands in band order, then (unless the
         run is noiseless) its K noise branches: r rows. In the per-slot
-        chain (synthesize_band_spectra and measure) each row is nu =
+        sample chain (the reference in tests/conftest.py) each row is nu =
         2 * bins standard normal values, so their raw Gram H is
         Wishart_r(nu, I). Here H = L L^T, with L the r x min(r, nu) factor
         whose row i holds sqrt(chi2(nu - i)) on its diagonal when i < nu
@@ -135,22 +141,26 @@ class SignalEnvironment:
 
         Each factor row sits at its band's index (zero when the band is
         vacant) or at N plus its noise branch. A busy band's row is scaled
-        by unit_power_scale(H_jj / bins), H_jj its sum of squares, and a
-        noise row by noise_scale(noise power), the formulas of
-        synthesize_band_spectra and measure; a vacant row's scale is 0 and
-        nothing is divided by it. One batched product of the scaled
-        factors then gives the (slots, N + K', N + K') Grams (K' = 0 when
-        noiseless), each equal in law to the Gram of the slot's unit-power
-        spectra and noise. sense() forms the slot's S_yy from it as
+        by sqrt(1 / (H_jj / bins)), H_jj its sum of squares, to unit mean
+        power per bin, and a noise row by sqrt(noise power / 2), the
+        formulas, in the same operand order, of the reference chain; a
+        vacant row's scale is 0 and nothing is divided by it. One batched
+        product of the scaled factors then gives the (slots, N + K', N + K')
+        Grams (K' = 0 when noiseless), each equal in law to the Gram of the
+        slot's unit-power spectra and noise. sense() forms the slot's S_yy from it as
         plan.mixing @ Gram @ plan.mixing^T (the mixing's first N columns
         when noiseless).
         """
-        n, k = self.trajectory.shape[1], self.config.k_branches
-        bins = self.config.bins_per_band
+        if not 0 <= start < len(self.trajectory):
+            raise ValueError(f"slot {start} is outside the trajectory's "
+                             f"{len(self.trajectory)} slots")
+        table = self.support_table
+        n, k = self.trajectory.shape[1], table.matrix.shape[0]
+        bins, noise_power = table.cfg.bins_per_band, table.cfg.noise_variance
         self._grams = None   # free the last block first
         busy_mask = self.trajectory[start:start + self.block_slots] != 0
         slots = len(busy_mask)
-        rows = n + (k if self._noise_power > 0.0 else 0)
+        rows = n + (k if noise_power > 0.0 else 0)
         # Each row's index among its slot's rows, -1 for a vacant band.
         active = np.ones((slots, rows), dtype=bool)
         active[:, :n] = busy_mask
@@ -167,9 +177,9 @@ class SignalEnvironment:
         scale = np.zeros((slots, rows))
         slot_of, band = np.nonzero(busy_mask)
         busy_rows = factor[slot_of, band]
-        scale[slot_of, band] = unit_power_scale(
-            np.einsum("ij,ij->i", busy_rows, busy_rows) / bins)
-        scale[:, n:] = noise_scale(self._noise_power)
+        scale[slot_of, band] = np.sqrt(
+            1.0 / (np.einsum("ij,ij->i", busy_rows, busy_rows) / bins))
+        scale[:, n:] = np.sqrt(noise_power / 2.0)
         factor *= scale[:, :, None]
         self._grams = factor @ factor.transpose(0, 2, 1)
         self._block_start, self._block_end = start, start + slots
@@ -220,7 +230,7 @@ def run_replication(config: ExperimentConfig, rep_index: int,
     for i, policy in enumerate(config.policies):
         policy_rng = np.random.default_rng(streams[2 + 2 * i])
         if signal:
-            env = SignalEnvironment(trajectory, table, config,
+            env = SignalEnvironment(trajectory, table,
                                     np.random.default_rng(streams[3 + 2 * i]))
         outcomes = run_policy(config.policy_config(policy), env, policy_rng,
                               true_stats=stats)

@@ -111,7 +111,6 @@ class BeliefState:
     p01_hat: np.ndarray
     p10_hat: np.ndarray
     obs_count: np.ndarray    # transition observations per band
-    slot_index: int = 0
 
     @classmethod
     def fresh(cls, n_bands: int) -> "BeliefState":
@@ -119,8 +118,7 @@ class BeliefState:
                    counts=np.ones((n_bands, 2, 2), dtype=np.int64),
                    p01_hat=np.full(n_bands, 0.5),
                    p10_hat=np.full(n_bands, 0.5),
-                   obs_count=np.zeros(n_bands, dtype=np.int64),
-                   slot_index=0)
+                   obs_count=np.zeros(n_bands, dtype=np.int64))
 
     @property
     def n_bands(self) -> int:
@@ -160,16 +158,21 @@ class OracleEnvironment:
 
     The trajectory, checked by spectrum.check_trajectory, is held as one
     list of ints per slot. sense returns recovery.oracle_sense of the
-    selected bands' statuses, a fresh list. The environment keeps no
-    per-run state, so one instance serves every policy that senses the
-    same trajectory.
+    selected bands' statuses, a fresh list, and a slot outside the
+    trajectory raises a ValueError. The environment keeps no per-run
+    state, so one instance serves every policy that senses the same
+    trajectory.
     """
 
     def __init__(self, trajectory: np.ndarray, k_branches: int):
         self.rows = check_trajectory(trajectory).tolist()
+        self.slots = len(self.rows)
         self.k_branches = k_branches
 
     def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
+        if not 0 <= slot < self.slots:
+            raise ValueError(f"slot {slot} is outside the trajectory's "
+                             f"{self.slots} slots")
         row = self.rows[slot]
         return oracle_sense([row[band] for band in selected], self.k_branches)
 
@@ -234,7 +237,6 @@ def propagate_belief(belief: BeliefState, outcome: SlotOutcome) -> list[float]:
         for band, busy in zip(outcome.selected, outcome.statuses):
             new_omega[band] = p10[band] if busy == 1 else 1.0 - p01[band]
     belief.omega = new_omega
-    belief.slot_index += 1
     return new_omega
 
 

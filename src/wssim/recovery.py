@@ -16,14 +16,15 @@ S_yy = Re(Z Z^H), the K x K Gram of the real view Y (K x 2 * bins) of the
 slot's complex samples Z: the support scores take trace(Phi_S^-1 S_yy),
 the residual ||Y - A_S x||^2 of an estimate x = G Y is
 tr(F S_yy F^T) = tr(F^T F S_yy) with F = I - A_S G, and ||Y||^2 is
-tr(S_yy). So signal_sense and fbmp_recover take S_yy, never samples.
-Callers holding samples form it with sample_gram; a SignalEnvironment
-builds it from its random draws (see experiments). The bin count is
-RecoveryConfig.bins_per_band. Gram-domain values differ from
-sample-domain ones in the last bits, and where the true value is 0 they
-are rounding of about eps times the Gram's size rather than eps^2. So the
-residual ratio of an exact fit is about sqrt(eps) (1e-8), not 0; near the
-residual threshold the two agree to about eps / ratio.
+tr(S_yy). So signal_sense and fbmp_recover take S_yy, never samples; a
+SignalEnvironment draws it from its Bartlett factor (see experiments), and
+the package forms no samples at all. The bin count is
+RecoveryConfig.bins_per_band. The tests keep a sample-domain reference
+chain in tests/conftest.py. Gram-domain values differ from sample-domain
+ones in the last bits, and where the true value is 0 they are rounding of
+about eps times the Gram's size rather than eps^2. So the residual ratio
+of an exact fit is about sqrt(eps) (1e-8), not 0; near the residual
+threshold the two agree to about eps / ratio.
 
 A SensingPlan is the one way set-level inputs reach signal_sense and
 fbmp_recover. It is a view of a SupportTable: the table holds the K x N
@@ -126,49 +127,6 @@ def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
         busy = sum(true_statuses)
     xi = 0 if busy <= gamma_threshold(len(true_statuses), k_branches) else 1
     return SenseResult(true_statuses, xi)
-
-
-def sample_gram(z) -> np.ndarray:
-    """S_yy = Re(Z Z^H) of (K, bins) complex samples Z: the K x K Gram of
-    their real view, which is all signal_sense and fbmp_recover read of a
-    slot."""
-    samples = np.asarray(z)
-    return np.ascontiguousarray((samples @ samples.conj().T).real)
-
-
-def _real_view(spectra) -> np.ndarray:
-    """A (rows, bins) complex array as (rows, 2 * bins) float64, each
-    value's real part next to its imaginary part; no copy when spectra is
-    already C-contiguous complex128."""
-    return np.ascontiguousarray(spectra, dtype=np.complex128).view(np.float64)
-
-
-def _least_squares_operator(a_sub: np.ndarray) -> np.ndarray:
-    """The m x K least-squares operator (pseudo-inverse) of a K x m
-    sub-matrix with m <= K, from its SVD.
-
-    np.linalg.lstsq's rank rule: singular values at most
-    eps * max(K, m) * s_max count as zero, and any such one raises a
-    LinAlgError, as a rank below m did.
-    """
-    u, sv, vt = np.linalg.svd(a_sub, full_matrices=False)
-    if not sv[-1] > np.finfo(float).eps * max(a_sub.shape) * sv[0]:
-        raise np.linalg.LinAlgError("sensing sub-matrix is numerically singular")
-    return (vt.T / sv) @ u.T
-
-
-def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
-    """Per-bin least-squares recovery for set sizes up to the branch count.
-
-    Builds a_sub's least-squares operator and applies it to the samples'
-    real view with one real product. Sensing does not use it: the direct
-    path scores supports instead (signal_sense).
-    """
-    a_sub = np.asarray(a_sub, dtype=float)
-    k, m = a_sub.shape
-    if m > k:
-        raise ValueError("direct solve requires at most k_branches selected bands")
-    return (_least_squares_operator(a_sub) @ _real_view(z)).view(np.complex128)
 
 
 def _prior_log_odds(prior_activity, m: int) -> np.ndarray:
@@ -449,7 +407,7 @@ class SensingPlan:
 def fbmp_recover(s_yy, plan: SensingPlan, gamma: int, prior_activity=0.5):
     """Exact maximum-a-posteriori search over busy-band supports.
 
-    s_yy is the slot's K x K sample Gram (sample_gram). Scores every
+    s_yy is the slot's K x K sample Gram Re(Z Z^H). Scores every
     support of at most gamma <= min(m, K // 2) of the plan's bands at once
     from the plan's table rows (_first_map); prior_activity is the
     per-band prior probability of being busy (a scalar or one entry per
@@ -478,7 +436,7 @@ def fbmp_recover(s_yy, plan: SensingPlan, gamma: int, prior_activity=0.5):
 
 def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     """Full signal-mode sensing of one slot from its K x K sample Gram
-    (sample_gram): the statuses are the MAP support of the selected bands
+    Re(Z Z^H): the statuses are the MAP support of the selected bands
     under the busy priors prior_activity (a scalar or one entry per band).
 
     Set sizes up to the branch count K (the plan's row count) score all

@@ -2,8 +2,11 @@
 
 A bank of K mixing branches observes the selected bands through a fixed
 K x N coefficient matrix; per frequency bin the measurement is the mixed
-band content plus optional additive white Gaussian noise. Signal power is
-the unit, so the per-bin noise power at an SNR of s dB is 10^(-s/10).
+band content plus optional circular complex white Gaussian noise. Signal
+power is the unit, so the per-bin noise power at an SNR of s dB is
+10^(-s/10). This module draws the matrix, selects its columns and maps an
+SNR to a noise power; the measurement itself is never formed, since
+recovery reads only its Gram (see experiments).
 """
 
 from __future__ import annotations
@@ -67,43 +70,3 @@ def noise_power_for_snr(snr_db: float | None) -> float:
         return 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db = {snr_db!r} overflows the noise power") from None
-
-
-def measure(a_sub: np.ndarray, band_rows: np.ndarray, snr_db: float | None,
-            rng: np.random.Generator) -> np.ndarray:
-    """Mix the selected band spectra through the branch coefficients.
-
-    Returns the (k_branches, bins) sub-Nyquist samples of one slot, one
-    column per frequency bin. Per bin f the measurement is
-    a_sub @ band_rows[:, f] plus complex AWGN whose per-bin power makes the
-    busy-band SNR equal snr_db at unit signal power. Passing snr_db=None
-    (or +inf) produces a noiseless measurement.
-    """
-    a_sub = np.asarray(a_sub, dtype=float)
-    band_rows = np.asarray(band_rows)
-    if a_sub.ndim != 2 or band_rows.ndim != 2:
-        raise ValueError("a_sub and band_rows must be two-dimensional")
-    if a_sub.shape[1] != band_rows.shape[0]:
-        raise ValueError("a_sub column count must equal the number of selected bands")
-    samples = a_sub @ band_rows
-    noise_power = noise_power_for_snr(snr_db)
-    if noise_power > 0.0:
-        k, bins = samples.shape
-        samples = samples + complex_noise(rng.standard_normal((k, bins)),
-                                          rng.standard_normal((k, bins)),
-                                          noise_power)
-    return samples
-
-
-def complex_noise(real: np.ndarray, imag: np.ndarray,
-                  noise_power: float) -> np.ndarray:
-    """Circular complex AWGN of the given per-bin power from standard
-    normal real and imaginary parts, elementwise and of any shape."""
-    return (real + 1j * imag) * noise_scale(noise_power)
-
-
-def noise_scale(noise_power: float) -> float:
-    """The factor that turns standard normal draws into the real or the
-    imaginary part of circular complex noise of the given per-bin power;
-    complex_noise and SignalEnvironment's block Grams both scale by it."""
-    return np.sqrt(noise_power / 2.0)

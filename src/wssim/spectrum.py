@@ -3,10 +3,13 @@
 Each frequency band is an independent two-state Markov chain (0 = vacant,
 1 = busy). A slot's statuses are an int8 vector and a trajectory is a
 (slots, bands) int8 array, checked once by check_trajectory where it
-enters a sensing backend. Busy bands carry a flat complex-Gaussian
-spectrum on a (bands, bins) grid; vacant bands' rows are identically zero.
-Signal power is the unit: every busy row has mean power 1 per bin, and
-the SNR sets the noise power relative to it (sensing.noise_power_for_snr).
+enters a sensing backend. A busy band carries a flat circular
+complex-Gaussian spectrum of bins_per_band bins, and a vacant band
+carries nothing. Signal power is the unit: every busy band's spectrum has
+mean power 1 per bin, and the SNR sets the noise power relative to it
+(sensing.noise_power_for_snr). No spectrum is ever formed: a signal run
+draws each slot's Gram of the spectra and noise directly
+(experiments.SignalEnvironment).
 """
 
 from __future__ import annotations
@@ -144,39 +147,3 @@ def simulate_occupancy(stats: BandStatistics, horizon: int,
     spread ^= parity
     out[:] = spread.T
     return out
-
-
-def synthesize_band_spectra(statuses: np.ndarray, bins_per_band: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Fill busy bands with flat-spectrum circular complex Gaussian content.
-
-    Returns one slot's (bands, bins) complex grid. statuses is a 0/1
-    vector used as is: a caller passing trajectory rows checks them once,
-    with check_trajectory, not per slot. Each busy row is rescaled so its
-    mean per-bin power is exactly 1; vacant rows stay zero,
-    so the support of the grid equals the busy set.
-    """
-    grid = np.zeros((len(statuses), check_bins_per_band(bins_per_band)),
-                    dtype=np.complex128)
-    busy = np.flatnonzero(statuses)
-    if busy.size:
-        grid[busy] = unit_power_rows(rng.standard_normal((busy.size, bins_per_band)),
-                                     rng.standard_normal((busy.size, bins_per_band)))
-    return grid
-
-
-def unit_power_rows(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """The (rows, bins) complex rows real + 1j * imag, each rescaled so its
-    mean per-bin power is exactly 1. Each row's result depends only on its
-    own values, so rows drawn for many slots at once come out as they
-    would one slot at a time."""
-    raw = real + 1j * imag
-    mean_power = np.mean(np.abs(raw) ** 2, axis=1)
-    return raw * unit_power_scale(mean_power)[:, None]
-
-
-def unit_power_scale(mean_power: np.ndarray) -> np.ndarray:
-    """The factor that brings rows of the given mean per-bin power to
-    power 1; unit_power_rows and SignalEnvironment's block Grams both
-    scale by it."""
-    return np.sqrt(1.0 / mean_power)

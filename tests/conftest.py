@@ -10,12 +10,12 @@ from wssim import experiments
 from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
                             SlotOutcome, epsilon, explore_schedule)
 from wssim.recovery import (_MODEL_FLOOR, RecoveryConfig, SenseResult,
-                            _posterior_gains, _prior_log_odds, _real_view,
+                            _posterior_gains, _prior_log_odds,
                             _support_covariances, gamma_threshold, oracle_sense)
-from wssim.sensing import noise_power_for_snr, noise_scale, select_submatrix
+from wssim.sensing import noise_power_for_snr, select_submatrix
 from wssim.sizing import exploration_threshold, optimize_size
-from wssim.spectrum import (BandStatistics, stationary_vacancy,
-                            unit_power_scale)
+from wssim.spectrum import (BandStatistics, check_bins_per_band,
+                            stationary_vacancy)
 
 
 # Sizing references: wssim.sizing.optimize_size grows the same
@@ -97,6 +97,132 @@ def brute_force_best_set(vacancy_probs, k_branches):
             if value > best_value:
                 best_set, best_value = subset, value
     return best_set, best_value
+
+
+# The sample-domain signal chain: band spectra, mixed samples and noise,
+# their Gram and a least-squares solve, slot by slot. wssim forms none of
+# these; its SignalEnvironment draws each slot's Gram of the spectra and
+# noise from its Bartlett factor, and recovery reads only that Gram. This
+# chain is the reference that the block-Gram law tests, the recovery tests
+# and criterion 8 compare against.
+def synthesize_band_spectra(statuses: np.ndarray, bins_per_band: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Fill busy bands with flat-spectrum circular complex Gaussian content.
+
+    Returns one slot's (bands, bins) complex grid. statuses is a 0/1
+    vector used as is: a caller passing trajectory rows checks them once,
+    with check_trajectory, not per slot. Each busy row is rescaled so its
+    mean per-bin power is exactly 1; vacant rows stay zero,
+    so the support of the grid equals the busy set.
+    """
+    grid = np.zeros((len(statuses), check_bins_per_band(bins_per_band)),
+                    dtype=np.complex128)
+    busy = np.flatnonzero(statuses)
+    if busy.size:
+        grid[busy] = unit_power_rows(rng.standard_normal((busy.size, bins_per_band)),
+                                     rng.standard_normal((busy.size, bins_per_band)))
+    return grid
+
+
+def unit_power_rows(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """The (rows, bins) complex rows real + 1j * imag, each rescaled so its
+    mean per-bin power is exactly 1. Each row's result depends only on its
+    own values, so rows drawn for many slots at once come out as they
+    would one slot at a time."""
+    raw = real + 1j * imag
+    mean_power = np.mean(np.abs(raw) ** 2, axis=1)
+    return raw * unit_power_scale(mean_power)[:, None]
+
+
+def unit_power_scale(mean_power: np.ndarray) -> np.ndarray:
+    """The factor that brings rows of the given mean per-bin power to
+    power 1; unit_power_rows scales by it, and SignalEnvironment's block
+    Grams by the same formula."""
+    return np.sqrt(1.0 / mean_power)
+
+
+def measure(a_sub: np.ndarray, band_rows: np.ndarray, snr_db: float | None,
+            rng: np.random.Generator) -> np.ndarray:
+    """Mix the selected band spectra through the branch coefficients.
+
+    Returns the (k_branches, bins) sub-Nyquist samples of one slot, one
+    column per frequency bin. Per bin f the measurement is
+    a_sub @ band_rows[:, f] plus complex AWGN whose per-bin power makes the
+    busy-band SNR equal snr_db at unit signal power. Passing snr_db=None
+    (or +inf) produces a noiseless measurement.
+    """
+    a_sub = np.asarray(a_sub, dtype=float)
+    band_rows = np.asarray(band_rows)
+    if a_sub.ndim != 2 or band_rows.ndim != 2:
+        raise ValueError("a_sub and band_rows must be two-dimensional")
+    if a_sub.shape[1] != band_rows.shape[0]:
+        raise ValueError("a_sub column count must equal the number of selected bands")
+    samples = a_sub @ band_rows
+    noise_power = noise_power_for_snr(snr_db)
+    if noise_power > 0.0:
+        k, bins = samples.shape
+        samples = samples + complex_noise(rng.standard_normal((k, bins)),
+                                          rng.standard_normal((k, bins)),
+                                          noise_power)
+    return samples
+
+
+def complex_noise(real: np.ndarray, imag: np.ndarray,
+                  noise_power: float) -> np.ndarray:
+    """Circular complex AWGN of the given per-bin power from standard
+    normal real and imaginary parts, elementwise and of any shape."""
+    return (real + 1j * imag) * noise_scale(noise_power)
+
+
+def noise_scale(noise_power: float) -> float:
+    """The factor that turns standard normal draws into the real or the
+    imaginary part of circular complex noise of the given per-bin power;
+    complex_noise scales by it, and SignalEnvironment's block Grams by the
+    same formula."""
+    return np.sqrt(noise_power / 2.0)
+
+
+def sample_gram(z) -> np.ndarray:
+    """S_yy = Re(Z Z^H) of (K, bins) complex samples Z: the K x K Gram of
+    their real view, which is all signal_sense and fbmp_recover read of a
+    slot."""
+    samples = np.asarray(z)
+    return np.ascontiguousarray((samples @ samples.conj().T).real)
+
+
+def real_view(spectra) -> np.ndarray:
+    """A (rows, bins) complex array as (rows, 2 * bins) float64, each
+    value's real part next to its imaginary part; no copy when spectra is
+    already C-contiguous complex128."""
+    return np.ascontiguousarray(spectra, dtype=np.complex128).view(np.float64)
+
+
+def _least_squares_operator(a_sub: np.ndarray) -> np.ndarray:
+    """The m x K least-squares operator (pseudo-inverse) of a K x m
+    sub-matrix with m <= K, from its SVD.
+
+    np.linalg.lstsq's rank rule: singular values at most
+    eps * max(K, m) * s_max count as zero, and any such one raises a
+    LinAlgError, as a rank below m did.
+    """
+    u, sv, vt = np.linalg.svd(a_sub, full_matrices=False)
+    if not sv[-1] > np.finfo(float).eps * max(a_sub.shape) * sv[0]:
+        raise np.linalg.LinAlgError("sensing sub-matrix is numerically singular")
+    return (vt.T / sv) @ u.T
+
+
+def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
+    """Per-bin least-squares recovery for set sizes up to the branch count.
+
+    Builds a_sub's least-squares operator and applies it to the samples'
+    real view with one real product. Sensing does not use it: the direct
+    path scores supports instead (signal_sense).
+    """
+    a_sub = np.asarray(a_sub, dtype=float)
+    k, m = a_sub.shape
+    if m > k:
+        raise ValueError("direct solve requires at most k_branches selected bands")
+    return (_least_squares_operator(a_sub) @ real_view(z)).view(np.complex128)
 
 
 def solve_support_scores(szz, n_bins, a_sub, supports, sig_n, base_prior,
@@ -258,7 +384,7 @@ def table_posterior_mean(plan, support, samples):
     samples' Gram and the table's Q_S.
     """
     table = plan.table
-    y = _real_view(samples)
+    y = real_view(samples)
     active = sorted(np.flatnonzero(support).tolist(), key=plan.bands.__getitem__)
     x = np.zeros((len(plan.bands), y.shape[1]))
     if active:
@@ -283,7 +409,7 @@ def reference_map_recover(samples, a_sub, cfg, gamma, prior_activity=0.5,
     if bands is not None:
         active.sort(key=lambda j: bands[j])
     sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
-    y = _real_view(samples)
+    y = real_view(samples)
     x = np.zeros((a_sub.shape[1], y.shape[1]))
     if active:
         a_s = a_sub[:, active]
@@ -326,7 +452,7 @@ def reference_signal_sense(samples, a_sub, cfg, k_branches, prior_activity=0.5):
                                                   prior_activity), 0)
     statuses, _, ratio = reference_map_recover(
         samples, a_sub, cfg, gamma_threshold(m, k_branches), prior_activity)
-    z_energy = sq_norm(_real_view(samples))
+    z_energy = sq_norm(real_view(samples))
     n_terms = samples.size
     noise_guard = (n_terms + 4.0 * np.sqrt(n_terms)) * cfg.noise_variance
     excess = max(0.0, ratio ** 2 * z_energy - noise_guard)
@@ -490,7 +616,6 @@ def reference_propagate_belief(belief: BeliefState,
         busy = outcome.statuses == 1
         new_omega[sel] = np.where(busy, p10[sel], 1.0 - p01[sel])
     belief.omega = new_omega
-    belief.slot_index += 1
     return new_omega
 
 

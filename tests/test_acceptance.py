@@ -17,15 +17,15 @@ from wssim.experiments import run_experiment
 from wssim.learning import (BeliefState, OracleEnvironment, PolicyConfig,
                             run_policy)
 from wssim.recovery import (RecoveryConfig, SensingPlan, SupportTable,
-                            direct_solve, gamma_threshold, oracle_sense,
-                            sample_gram, signal_sense)
-from wssim.sensing import measure, noise_power_for_snr
+                            gamma_threshold, oracle_sense, signal_sense)
+from wssim.sensing import noise_power_for_snr
 from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics, init_occupancy,
-                            simulate_occupancy, synthesize_band_spectra)
+                            simulate_occupancy)
 
-from conftest import (brute_force_busy_pmf, brute_force_best_set, mu_correct,
-                      poisson_binomial_pmf)
+from conftest import (brute_force_busy_pmf, brute_force_best_set, direct_solve,
+                      measure, mu_correct, poisson_binomial_pmf, sample_gram,
+                      synthesize_band_spectra)
 
 # Shared configuration of the paper-scale regret experiments (criteria 4-6).
 # The exploration coefficient and estimation-gap target are free parameters;

@@ -5,15 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ReferenceSignalEnvironment
+from conftest import (ReferenceSignalEnvironment, complex_noise,
+                      synthesize_band_spectra)
 from wssim import experiments, recovery
 from wssim.config import ExperimentConfig, dump_config, load_config
 from wssim.experiments import (SignalEnvironment, compute_regret,
                                emit_results, run_experiment, run_replication)
 from wssim.learning import BeliefState, OracleEnvironment, run_policy
 from wssim.recovery import RecoveryConfig, SenseResult, SupportTable
-from wssim.sensing import complex_noise, draw_sensing_matrix, noise_power_for_snr
-from wssim.spectrum import simulate_occupancy, synthesize_band_spectra
+from wssim.sensing import draw_sensing_matrix, noise_power_for_snr
+from wssim.spectrum import simulate_occupancy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 INTEGER_FIELDS = ["replications", "horizon", "bins_per_band", "n_bands",
@@ -128,7 +129,7 @@ def signal_setup(n, k, snr_db, horizon, seed=1, bins_per_band=32):
 def signal_environment(config, trajectory, matrix, seed):
     """A SignalEnvironment over its own support table of matrix."""
     return SignalEnvironment(trajectory, SupportTable(matrix, config.recovery_config()),
-                             config, np.random.default_rng(seed))
+                             np.random.default_rng(seed))
 
 
 def environments(config, trajectory, matrix, seed=3):
@@ -198,8 +199,7 @@ class TestSignalEnvironmentMatchesReference:
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 60)
         env, ref = environments(config, trajectory, matrix)
         table = env.support_table
-        other = SignalEnvironment(trajectory, table, config,
-                                  np.random.default_rng(8))
+        other = SignalEnvironment(trajectory, table, np.random.default_rng(8))
         draws = np.random.default_rng(5)
         pool = [np.sort(draws.choice(8, size=size, replace=False))
                 for size in (3, 4, 4, 5, 6, 7)]
@@ -302,7 +302,7 @@ class TestSignalEnvironmentMatchesReference:
             env.sense((0, 2, 5), slots[-1])
 
     def test_rejects_zero_bins_per_band(self):
-        # Checked when the environment is built, before any draw.
+        # Checked when the environment's table is built, before any draw.
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 10, bins_per_band=0)
         with pytest.raises(ValueError, match="bins_per_band"):
             signal_environment(config, trajectory, matrix, 0)
@@ -329,6 +329,13 @@ class TestSignalEnvironmentMatchesReference:
         with pytest.raises(ValueError, match="slots x bands"):
             signal_environment(config, trajectory[0], matrix, 0)
 
+    def test_rejects_table_of_another_band_count(self):
+        # Bands past the trajectory's would read another row of the Gram.
+        config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
+        wider = np.hstack([matrix, matrix])
+        with pytest.raises(ValueError, match="senses 16 bands, the trajectory has 8"):
+            signal_environment(config, trajectory, wider, 0)
+
 
 def per_slot_grams(config, trajectory, rng):
     """Each slot's Gram of its band spectra and noise, drawn slot by slot
@@ -351,7 +358,7 @@ def block_grams(config, trajectory, rng):
     """Every slot's Gram as a SignalEnvironment draws it, block by block."""
     table = SupportTable(draw_sensing_matrix(config.k_branches, config.n_bands, rng),
                          config.recovery_config())
-    env = SignalEnvironment(trajectory, table, config, rng)
+    env = SignalEnvironment(trajectory, table, rng)
     for start in range(0, len(trajectory), env.block_slots):
         env._draw_block(start)
         yield from env._grams
@@ -514,7 +521,7 @@ class RecordingEnvironment(SignalEnvironment):
     def sense(self, selected, slot, prior_vacancy=None):
         if self.fresh_table:
             self.support_table = SupportTable(self.support_table.matrix,
-                                              self.config.recovery_config())
+                                              self.support_table.cfg)
         result = super().sense(selected, slot, prior_vacancy)
         if self.fresh_table:
             assert list(self.support_table._plans) == [tuple(selected)]
@@ -543,13 +550,12 @@ class TestSupportTableHistory:
         # replication: IMP runs second, after LDM has used the table.
         table = SupportTable(matrix, config.recovery_config())
         run_policy(config.policy_config("LDM"),
-                   SignalEnvironment(trajectory, table, config, np.random.default_rng(5)),
+                   SignalEnvironment(trajectory, table, np.random.default_rng(5)),
                    np.random.default_rng(6), true_stats=stats)
 
         def run(fresh_table=False):
             supports.clear()
-            env = RecordingEnvironment(trajectory, table, config,
-                                       np.random.default_rng(3),
+            env = RecordingEnvironment(trajectory, table, np.random.default_rng(3),
                                        fresh_table=fresh_table)
             run_policy(config.policy_config("IMP"), env,
                        np.random.default_rng(13), true_stats=stats)
@@ -605,6 +611,32 @@ def test_both_backends_return_sense_result():
     assert oracle.statuses == trajectory[3, [0, 2, 5]].tolist()
     # The signal backend's statuses stay an int8 array.
     assert signal.statuses.dtype == np.int8
+
+
+@pytest.mark.parametrize("slot", [-1, 10])
+def test_both_backends_reject_slots_outside_the_trajectory(slot):
+    # A negative slot must not wrap round to the trajectory's end.
+    config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
+    message = f"slot {slot} is outside the trajectory's 10 slots"
+    with pytest.raises(ValueError, match=message):
+        OracleEnvironment(trajectory, 4).sense((0, 2, 5), slot)
+    # A rejected first call draws nothing, and the next slot is sensed as
+    # by an environment that never saw it.
+    env = signal_environment(config, trajectory, matrix, 0)
+    state = env.rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        env.sense((0, 2, 5), slot)
+    assert env.rng.bit_generator.state == state
+    want = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 0)
+    got = env.sense((0, 2, 5), 0)
+    assert got.statuses.tobytes() == want.statuses.tobytes() and got.xi == want.xi
+    # Past the last slot, the next call in order is rejected too.
+    for t in range(1, 10):
+        env.sense((0, 2, 5), t)
+    state = env.rng.bit_generator.state
+    with pytest.raises(ValueError, match="slot 10 is outside the trajectory's 10 slots"):
+        env.sense((0, 2, 5), 10)
+    assert env.rng.bit_generator.state == state
 
 
 class TestDetectionAgainstTruth:

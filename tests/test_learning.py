@@ -168,13 +168,6 @@ class TestPropagateBelief:
         omega = propagate_belief(belief, outcome)
         np.testing.assert_allclose(omega, 0.5)
 
-    def test_slot_index_advances(self):
-        belief = BeliefState.fresh(1)
-        outcome = SlotOutcome(selected=(0,), statuses=[0],
-                              xi=0, throughput=1, phase="exploit")
-        propagate_belief(belief, outcome)
-        assert belief.slot_index == 1
-
 
 class TestExploitSelect:
     def test_top_k(self):
@@ -386,7 +379,6 @@ def assert_same_run(cfg, stats, make_env, make_reference_env, seed, belief=None)
         assert isinstance(got, np.ndarray)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
-    assert belief.slot_index == ref_belief.slot_index
     return outcomes
 
 
@@ -472,8 +464,7 @@ class TestMatchesNumpyReference:
                              config.recovery_config())
 
         def make_env():
-            return SignalEnvironment(trajectory, table, config,
-                                     np.random.default_rng(3))
+            return SignalEnvironment(trajectory, table, np.random.default_rng(3))
 
         cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=config.horizon,
                            mode=mode)

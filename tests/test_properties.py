@@ -7,12 +7,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from wssim.recovery import (RecoveryConfig, SensingPlan, SupportTable,  # noqa: E402
-                            oracle_sense, sample_gram, signal_sense)
-from wssim.sensing import measure  # noqa: E402
+                            oracle_sense, signal_sense)
 from wssim.sizing import optimize_size  # noqa: E402
-from wssim.spectrum import synthesize_band_spectra  # noqa: E402
 
-from conftest import poisson_binomial_pmf, success_probability  # noqa: E402
+from conftest import (measure, poisson_binomial_pmf, sample_gram,  # noqa: E402
+                      success_probability, synthesize_band_spectra)
 
 
 @st.composite

@@ -10,21 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (all_supports, conditional_mean, exhaustive_map_support,
+from conftest import (all_supports, conditional_mean, direct_solve,
+                      exhaustive_map_support, measure, real_view,
                       reference_greedy_support, reference_map_recover,
                       reference_signal_sense, reference_support_score,
-                      residual_ratio, score_terms, solve_support_scores,
+                      residual_ratio, sample_gram, score_terms,
+                      solve_support_scores, synthesize_band_spectra,
                       table_posterior_mean)
 import wssim
 from wssim import recovery
 from wssim.recovery import (RecoveryConfig, SenseResult, SensingPlan,
-                            SupportTable, direct_solve, fbmp_recover,
-                            gamma_threshold, oracle_sense, sample_gram,
-                            signal_sense, support_count)
-from wssim.recovery import (_posterior_gains, _prior_log_odds, _real_view,
+                            SupportTable, fbmp_recover, gamma_threshold,
+                            oracle_sense, signal_sense, support_count)
+from wssim.recovery import (_posterior_gains, _prior_log_odds,
                             _support_covariances)
-from wssim.sensing import measure, noise_power_for_snr
-from wssim.spectrum import synthesize_band_spectra
+from wssim.sensing import noise_power_for_snr
 
 
 def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
@@ -313,7 +313,7 @@ class TestSampleGram:
     def test_gram_of_the_real_view(self, rng):
         samples = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
         s_yy = sample_gram(samples)
-        y = _real_view(samples)
+        y = real_view(samples)
         assert s_yy.shape == (4, 4) and s_yy.dtype == np.float64
         assert s_yy.flags.c_contiguous
         np.testing.assert_allclose(s_yy, y @ y.T, rtol=1e-12)
@@ -811,8 +811,8 @@ class TestFitResidual:
                 seed, m=m, k=k, busy_count=seed % (gamma + 2), snr_db=snr_db,
                 n_bins=16, prior=np.random.default_rng(seed).uniform(0.05, 0.95, m))
             support, ratio = fbmp_recover(sample_gram(samples), plan, **search)
-            x_hat = _real_view(table_posterior_mean(plan, support, samples))
-            assert_ratio_close(ratio, residual_ratio(_real_view(samples),
+            x_hat = real_view(table_posterior_mean(plan, support, samples))
+            assert_ratio_close(ratio, residual_ratio(real_view(samples),
                                                      plan.a_sub @ x_hat))
 
     @pytest.mark.parametrize("k, m", [(4, 7), (8, 16)])

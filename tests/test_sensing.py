@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from wssim.sensing import (draw_sensing_matrix, measure, noise_power_for_snr,
+from conftest import measure, synthesize_band_spectra
+from wssim.sensing import (draw_sensing_matrix, noise_power_for_snr,
                            select_submatrix)
-from wssim.spectrum import synthesize_band_spectra
 
 
 def dense_product(a, x):

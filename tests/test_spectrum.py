@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import step_occupancy
+from conftest import step_occupancy, synthesize_band_spectra
 from wssim.spectrum import (CASE_STATIONARY, BandStatistics, init_occupancy,
-                            simulate_occupancy, stationary_vacancy,
-                            synthesize_band_spectra)
+                            simulate_occupancy, stationary_vacancy)
 
 
 def uniform_stats(n, p01, p10):
