@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .learning import POLICY_MODES, PolicyConfig
 from .recovery import RecoveryConfig, support_count
 from .sensing import noise_power_for_snr
 from .spectrum import CASE_STATIONARY, BandStatistics
 
 RS_MODES = ("oracle", "signal")
+POLICY_MODES = ("LDM", "OLDM", "IMP")
 
 
 @dataclass
@@ -43,13 +43,6 @@ class ExperimentConfig:
     bins_per_band: int = 64
     residual_threshold: float = 0.1
 
-    def policy_config(self, mode: str) -> PolicyConfig:
-        """The run-time parameters of one policy of this experiment."""
-        return PolicyConfig(n_bands=self.n_bands, k_branches=self.k_branches,
-                            horizon=self.horizon,
-                            exploration_coefficient=self.exploration_coefficient,
-                            mu=self.mu, delta=self.delta, mode=mode)
-
     def recovery_config(self) -> RecoveryConfig:
         """The signal-mode recovery settings of this experiment."""
         return RecoveryConfig(noise_variance=noise_power_for_snr(self.snr_db),
@@ -59,20 +52,39 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Reject invalid fields with a message naming the field.
 
-        Integer fields must hold Python or numpy integers, so NaN and
-        non-integral values fail, and float checks are written so that NaN
-        fails them. The recovery fields, snr_db and bins_per_band among
-        them, are checked by building recovery_config(), in either mode.
-        Signal mode also rejects an n_bands and k_branches whose support
-        table would exceed recovery._MAX_SUPPORTS rows (support_count).
-        Neither mode imports SciPy.
+        This is the one place the settings are checked; learning.run_policy
+        calls it before reading the policy settings. Integer fields must
+        hold Python or numpy integers, so NaN and non-integral values fail
+        (and seed must be nonnegative, as SeedSequence requires), and float
+        checks are written so that NaN fails them. The recovery fields,
+        snr_db and bins_per_band among them, are checked by building
+        recovery_config(), in either mode. Signal mode also rejects an
+        n_bands and k_branches whose support table would exceed
+        recovery._MAX_SUPPORTS rows (support_count). Neither mode imports
+        SciPy.
         """
         for name in sorted(_INT_KEYS):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer (got {value!r})")
+        if self.n_bands < 1:
+            raise ValueError("n_bands must be at least 1")
+        if not 1 <= self.k_branches <= self.n_bands:
+            raise ValueError(
+                f"k_branches must satisfy 1 <= k_branches <= n_bands "
+                f"(got {self.k_branches} with n_bands={self.n_bands})")
+        if self.horizon < 0:
+            raise ValueError("horizon must be nonnegative")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not self.exploration_coefficient > 0.0:
+            raise ValueError("exploration_coefficient must be positive")
+        if not 0.0 < self.mu < 1.0:
+            raise ValueError("mu must lie in (0, 1)")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
         if self.rs_mode not in RS_MODES:
             raise ValueError(f"rs_mode must be one of {RS_MODES}")
         if not self.policies:
@@ -82,7 +94,6 @@ class ExperimentConfig:
         for policy in self.policies:
             if policy not in POLICY_MODES:
                 raise ValueError(f"policies entries must be among {POLICY_MODES}")
-            self.policy_config(policy).validate()
         if not 0.0 < self.lambda_mixing <= 1.0:
             raise ValueError("lambda_mixing must lie in (0, 1]")
         self.recovery_config()

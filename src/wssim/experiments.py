@@ -84,7 +84,6 @@ class MetricSeries:
     policies: tuple[str, ...]
     mean_throughput: dict[str, np.ndarray]   # per-slot mean over replications
     mean_regret: dict[str, np.ndarray]       # cumulative gap to IMP (empty without IMP)
-    rep_totals: dict[str, np.ndarray]        # total throughput per replication
     config: ExperimentConfig
 
 
@@ -232,8 +231,7 @@ def run_replication(config: ExperimentConfig, rep_index: int,
         if signal:
             env = SignalEnvironment(trajectory, table,
                                     np.random.default_rng(streams[3 + 2 * i]))
-        outcomes = run_policy(config.policy_config(policy), env, policy_rng,
-                              true_stats=stats)
+        outcomes = run_policy(config, policy, env, policy_rng, true_stats=stats)
         series[policy] = np.fromiter((o.throughput for o in outcomes),
                                      dtype=float, count=config.horizon)
     return series
@@ -259,7 +257,6 @@ def run_experiment(config: ExperimentConfig) -> MetricSeries:
         for policy, values in series.items():
             stacked[policy][r] = values
     mean_throughput = {p: stacked[p].mean(axis=0) for p in config.policies}
-    rep_totals = {p: stacked[p].sum(axis=1) for p in config.policies}
     mean_regret = {}
     if "IMP" in config.policies:
         imp = mean_throughput["IMP"]
@@ -268,7 +265,6 @@ def run_experiment(config: ExperimentConfig) -> MetricSeries:
     return MetricSeries(policies=config.policies,
                         mean_throughput=mean_throughput,
                         mean_regret=mean_regret,
-                        rep_totals=rep_totals,
                         config=config)
 
 

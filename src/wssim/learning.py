@@ -1,9 +1,12 @@
 """Online band-selection policies.
 
 Time is organised in blocks of 2 * ceil(N / K) slots. A block either
-explores (every band group is sensed for two consecutive slots, yielding
-one transition observation per band) or exploits (the currently most
-promising bands are sensed each slot). Three policies share the loop:
+explores (a fixed schedule senses every band group for two consecutive
+slots, yielding one transition observation per band) or exploits (the
+currently most promising bands are sensed each slot). Both phases take
+one slot step and learn only from same-set pairs of consecutive slots.
+run_policy reads its settings from a config.ExperimentConfig, which
+checks them. Three policies share the loop:
 
 * LDM  - learns transition statistics, always senses K bands.
 * OLDM - like LDM, but once every band has enough observations the set
@@ -48,45 +51,13 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
+from .config import POLICY_MODES, ExperimentConfig
 from .recovery import SenseResult, oracle_sense
 from .sizing import exploration_threshold, optimize_size
 from .spectrum import BandStatistics, check_trajectory, stationary_vacancy
 
-POLICY_MODES = ("LDM", "OLDM", "IMP")
-
 EXPLORE = "explore"
 EXPLOIT = "exploit"
-
-
-@dataclass
-class PolicyConfig:
-    """Run-time parameters of one policy run."""
-
-    n_bands: int
-    k_branches: int
-    horizon: int
-    exploration_coefficient: float = 10.0
-    mu: float = 0.5
-    delta: float = 0.1
-    mode: str = "OLDM"
-
-    def validate(self):
-        if self.n_bands < 1:
-            raise ValueError("n_bands must be at least 1")
-        if not 1 <= self.k_branches <= self.n_bands:
-            raise ValueError(
-                f"k_branches must satisfy 1 <= k_branches <= n_bands "
-                f"(got {self.k_branches} with n_bands={self.n_bands})")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-        if not self.exploration_coefficient > 0.0:
-            raise ValueError("exploration_coefficient must be positive")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.mode not in POLICY_MODES:
-            raise ValueError(f"mode must be one of {POLICY_MODES}")
 
 
 # Fields of the per-band learner state and their numpy dtypes.
@@ -254,24 +225,34 @@ def exploit_select(belief: BeliefState, set_size: int,
     return tuple(top)
 
 
-def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
+def run_policy(config: ExperimentConfig, mode: str, env: Environment,
+               rng: np.random.Generator,
                true_stats: BandStatistics | None = None,
                belief: BeliefState | None = None) -> list[SlotOutcome]:
-    """Run one policy over the configured horizon.
+    """Run one policy, mode (one of POLICY_MODES), over the horizon.
 
-    The environment supplies per-slot sensing of whichever band set the
+    The settings (n_bands, k_branches, horizon, exploration_coefficient,
+    mu and delta) are the config's, checked by config.validate(). The
+    environment supplies per-slot sensing of whichever band set the
     policy requests, given as a tuple of band indices. IMP needs
     true_stats for its exact beliefs and fixed optimal set size; LDM and
     OLDM learn from scratch. A caller-supplied belief is updated in place,
     which also exposes the final learner state as numpy arrays.
+
+    Each block draws one policy coin (IMP never explores). An exploration
+    block senses a fixed schedule, every group's bands twice in a row; an
+    exploitation block senses exploit_select's set each slot. Both phases
+    then take the same slot step: sense, record, credit the pair with the
+    previous slot, propagate_belief.
     """
-    cfg.validate()
-    n, k = cfg.n_bands, cfg.k_branches
+    if mode not in POLICY_MODES:
+        raise ValueError(f"mode must be one of {POLICY_MODES} (got {mode!r})")
+    config.validate()
+    n, k, horizon = config.n_bands, config.k_branches, config.horizon
     n_groups = -(-n // k)
     block_len = 2 * n_groups
-    n_blocks = -(-cfg.horizon // block_len) if cfg.horizon else 0
-    is_imp = cfg.mode == "IMP"
-    is_oldm = cfg.mode == "OLDM"
+    is_imp = mode == "IMP"
+    is_oldm = mode == "OLDM"
 
     if belief is None:
         belief = BeliefState.fresh(n)
@@ -288,54 +269,33 @@ def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
         fixed_size = optimize_size(belief.omega, k).size
     else:
         fixed_size = k
-    unlock_obs = (exploration_threshold(n, k, cfg.mu, cfg.delta).observations
+    unlock_obs = (exploration_threshold(n, k, config.mu, config.delta).observations
                   if is_oldm else None)
 
-    group_sets = [tuple(explore_schedule(g, n, k).tolist())
-                  for g in range(n_groups)]
+    explore_sets = [sel for g in range(n_groups)
+                    for sel in (tuple(explore_schedule(g, n, k).tolist()),) * 2]
     outcomes: list[SlotOutcome] = []
     record = outcomes.append
     sense = env.sense
-    t = 0
-    # Last exploitation outcome, kept across consecutive exploitation blocks
-    # and cleared by exploration so no pair straddles a phase change.
+    t = b = 0
+    # The previous slot's outcome. Exploration blocks clear it when they
+    # start and end, so no pair straddles a phase change, while
+    # consecutive exploitation blocks still pair.
     prev: SlotOutcome | None = None
     # OLDM's set size, computed from the estimates and kept until
     # update_counts, the only step that changes them, runs again.
     oldm_size: int | None = None
 
-    def sense_and_record(selected, phase):
-        nonlocal t
-        statuses, xi = sense(selected, t, belief.omega)
-        if type(statuses) is not list:
-            statuses = statuses.tolist()
-        outcome = SlotOutcome(selected, statuses, xi,
-                              0 if xi else len(selected) - sum(statuses), phase)
-        record(outcome)
-        t += 1
-        return outcome
-
     belief._to_lists()
     try:
-        for b in range(1, n_blocks + 1):
-            if t >= cfg.horizon:
-                break
-            explore = (not is_imp) and rng.random() < epsilon(b, cfg.exploration_coefficient)
+        while t < horizon:
+            b += 1
+            explore = (not is_imp) and rng.random() < epsilon(b, config.exploration_coefficient)
             if explore:
+                phase = EXPLORE
                 prev = None
-                for sel in group_sets:
-                    if t >= cfg.horizon:
-                        break
-                    first = sense_and_record(sel, EXPLORE)
-                    propagate_belief(belief, first)
-                    if t >= cfg.horizon:
-                        break
-                    second = sense_and_record(sel, EXPLORE)
-                    if first.xi == 0 and second.xi == 0:
-                        update_counts(belief, sel, first.statuses, second.statuses)
-                        oldm_size = None
-                    propagate_belief(belief, second)
             else:
+                phase = EXPLOIT
                 if is_imp:
                     set_size = fixed_size
                 elif is_oldm and min(belief.obs_count) >= unlock_obs:
@@ -344,23 +304,28 @@ def run_policy(cfg: PolicyConfig, env: Environment, rng: np.random.Generator,
                     set_size = oldm_size
                 else:
                     set_size = k
-                for _ in range(block_len):
-                    if t >= cfg.horizon:
-                        break
-                    sel = exploit_select(belief, set_size, k)
-                    outcome = sense_and_record(sel, EXPLOIT)
-                    # Transition evidence is credited only from same-set pairs
-                    # of sets no larger than the branch count: success is then
-                    # unconditional, whereas for larger sets conditioning on a
-                    # successful reconstruction censors high busy counts and
-                    # biases the vacancy estimates upward.
-                    if (not is_imp and prev is not None
-                            and len(sel) <= k and prev.selected == sel
-                            and prev.xi == 0 and outcome.xi == 0):
-                        update_counts(belief, sel, prev.statuses, outcome.statuses)
-                        oldm_size = None
-                    propagate_belief(belief, outcome)
-                    prev = outcome
+            for i in range(min(block_len, horizon - t)):
+                sel = explore_sets[i] if explore else exploit_select(belief, set_size, k)
+                statuses, xi = sense(sel, t, belief.omega)
+                if type(statuses) is not list:
+                    statuses = statuses.tolist()
+                outcome = SlotOutcome(sel, statuses, xi,
+                                      0 if xi else len(sel) - sum(statuses), phase)
+                record(outcome)
+                t += 1
+                # Transition evidence is credited only from same-set pairs
+                # of sets no larger than the branch count (every group set
+                # is): success is then unconditional, whereas for larger
+                # sets conditioning on a successful reconstruction censors
+                # high busy counts and biases the vacancy estimates upward.
+                if (not is_imp and prev is not None and prev.selected == sel
+                        and len(sel) <= k and prev.xi == 0 and xi == 0):
+                    update_counts(belief, sel, prev.statuses, statuses)
+                    oldm_size = None
+                propagate_belief(belief, outcome)
+                prev = outcome
+            if explore:
+                prev = None
     finally:
         belief._to_arrays()
     return outcomes

@@ -31,8 +31,8 @@ fbmp_recover. It is a view of a SupportTable: the table holds the K x N
 sensing matrix and the RecoveryConfig, and the plan adds the selected
 bands, their K x m sub-matrix and what follows from those alone, not from
 the slot's Gram or priors. Besides the plan, those calls take only the
-slot's S_yy and busy priors (and fbmp_recover its search depth), so a
-caller sensing the same set again passes the same plan back in.
+slot's S_yy and busy priors, so a caller sensing the same set again
+passes the same plan back in; fbmp_recover searches at the plan's depth.
 
 Both paths score supports alike: the log posterior
 -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S), with
@@ -404,12 +404,12 @@ class SensingPlan:
         return mixing
 
 
-def fbmp_recover(s_yy, plan: SensingPlan, gamma: int, prior_activity=0.5):
+def fbmp_recover(s_yy, plan: SensingPlan, prior_activity=0.5):
     """Exact maximum-a-posteriori search over busy-band supports.
 
     s_yy is the slot's K x K sample Gram Re(Z Z^H). Scores every
-    support of at most gamma <= min(m, K // 2) of the plan's bands at once
-    from the plan's table rows (_first_map); prior_activity is the
+    support of at most plan.gamma = min(m, K // 2) of the plan's bands at
+    once from the plan's table rows (_first_map); prior_activity is the
     per-band prior probability of being busy (a scalar or one entry per
     selected band). The cached inverses can move scores in the last bits
     against factorising each Phi_S, so only supports that close could rank
@@ -421,13 +421,10 @@ def fbmp_recover(s_yy, plan: SensingPlan, gamma: int, prior_activity=0.5):
     """
     s_yy = np.asarray(s_yy)
     table = plan.table
-    if not 0 <= gamma <= plan.gamma:
-        raise ValueError("gamma must lie in [0, min(set size, K // 2)]")
-    indicator, statuses, _, ends = _position_supports(len(plan.bands), plan.gamma)
-    count = ends[gamma]
-    rows = plan.rows[:count]
-    best = _first_map(s_yy, table.inv[rows], plan.weighted_logdet[:count],
-                      indicator[:count], prior_activity)
+    indicator, statuses, _, _ = _position_supports(len(plan.bands), plan.gamma)
+    rows = plan.rows
+    best = _first_map(s_yy, table.inv[rows], plan.weighted_logdet, indicator,
+                      prior_activity)
     residual = table.fit[rows[best]] @ s_yy.ravel()
     y_sq = s_yy.trace()
     ratio = math.sqrt(max(residual, 0.0) / y_sq) if y_sq else 0.0
@@ -449,8 +446,7 @@ def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
         indicator, statuses, _, _ = _position_supports(len(plan.bands), len(plan.bands))
         best = _first_map(s_yy, *plan.operators, indicator, prior_activity)
         return SenseResult(statuses[best], 0)
-    k, m = plan.a_sub.shape
-    support, ratio = fbmp_recover(s_yy, plan, gamma_threshold(m, k), prior_activity)
+    support, ratio = fbmp_recover(s_yy, plan, prior_activity)
     # The raw residual of a correct fit still contains the measurement
     # noise, so the failure statistic discounts the table's noise guard
     # (the expected noise energy plus a four-sigma guard band) before

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from wssim import experiments
-from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, PolicyConfig,
-                            SlotOutcome, epsilon, explore_schedule)
+from wssim.config import ExperimentConfig
+from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, SlotOutcome,
+                            epsilon, explore_schedule)
 from wssim.recovery import (_MODEL_FLOOR, RecoveryConfig, SenseResult,
                             _posterior_gains, _prior_log_odds,
                             _support_covariances, gamma_threshold, oracle_sense)
@@ -631,14 +632,15 @@ def reference_exploit_select(belief: BeliefState, set_size: int,
     return top
 
 
-def reference_run_policy(cfg: PolicyConfig, env, rng: np.random.Generator,
+def reference_run_policy(cfg: ExperimentConfig, mode: str, env,
+                         rng: np.random.Generator,
                          true_stats: BandStatistics | None = None,
                          belief: BeliefState | None = None) -> list[SlotOutcome]:
-    """Run one policy over the configured horizon, on numpy state.
+    """Run one policy, mode, over the configured horizon, on numpy state.
 
     Reference for wssim.learning.run_policy, which must match it bit for
-    bit: the same loop with the belief held in length-N numpy arrays and
-    the per-slot kernels above.
+    bit: one loop body per phase, with the belief held in length-N numpy
+    arrays and the per-slot kernels above.
 
     The environment supplies per-slot sensing of whichever band set the
     policy requests. IMP needs true_stats for its exact beliefs and fixed
@@ -650,7 +652,7 @@ def reference_run_policy(cfg: PolicyConfig, env, rng: np.random.Generator,
     n_groups = -(-n // k)
     block_len = 2 * n_groups
     n_blocks = -(-cfg.horizon // block_len) if cfg.horizon else 0
-    is_imp = cfg.mode == "IMP"
+    is_imp = mode == "IMP"
 
     if belief is None:
         belief = BeliefState.fresh(n)
@@ -668,7 +670,7 @@ def reference_run_policy(cfg: PolicyConfig, env, rng: np.random.Generator,
     else:
         fixed_size = k
     unlock_obs = (exploration_threshold(n, k, cfg.mu, cfg.delta).observations
-                  if cfg.mode == "OLDM" else None)
+                  if mode == "OLDM" else None)
 
     group_sets = [explore_schedule(g, n, k) for g in range(n_groups)]
     outcomes: list[SlotOutcome] = []
@@ -709,7 +711,7 @@ def reference_run_policy(cfg: PolicyConfig, env, rng: np.random.Generator,
         else:
             if is_imp:
                 set_size = fixed_size
-            elif cfg.mode == "OLDM" and int(belief.obs_count.min()) >= unlock_obs:
+            elif mode == "OLDM" and int(belief.obs_count.min()) >= unlock_obs:
                 set_size = optimize_size(belief.vacancy_estimates(), k).size
             else:
                 set_size = k

@@ -14,8 +14,7 @@ import pytest
 from wssim.cli import RESULTS_ENV_VAR, main
 from wssim.config import ExperimentConfig
 from wssim.experiments import run_experiment
-from wssim.learning import (BeliefState, OracleEnvironment, PolicyConfig,
-                            run_policy)
+from wssim.learning import BeliefState, OracleEnvironment, run_policy
 from wssim.recovery import (RecoveryConfig, SensingPlan, SupportTable,
                             gamma_threshold, oracle_sense, signal_sense)
 from wssim.sensing import noise_power_for_snr
@@ -167,8 +166,8 @@ def test_criterion_7_exploration_threshold_guarantee():
     p0 = np.array(CASE_STATIONARY["case1"])
     stats = BandStatistics.from_stationary(p0, mixing=mixing)
     budget = exploration_threshold(8, 4, mu, delta)
-    policy_cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=budget.slots,
-                              exploration_coefficient=1e12, mode="LDM")
+    policy_cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=budget.slots,
+                                  exploration_coefficient=1e12)
     start = time.perf_counter()
     hits = 0
     root = np.random.SeedSequence(1007).spawn(reps)
@@ -177,7 +176,7 @@ def test_criterion_7_exploration_threshold_guarantee():
         trajectory = simulate_occupancy(stats, budget.slots,
                                         np.random.default_rng(streams[0]))
         belief = BeliefState.fresh(8)
-        run_policy(policy_cfg, OracleEnvironment(trajectory, 4),
+        run_policy(policy_cfg, "LDM", OracleEnvironment(trajectory, 4),
                    np.random.default_rng(streams[1]), belief=belief)
         assert int(belief.obs_count.min()) == budget.observations
         hits += int(mu_correct(belief.vacancy_estimates(), p0, mu))

@@ -7,9 +7,9 @@ from wssim import learning
 from wssim.config import ExperimentConfig
 from wssim.experiments import SignalEnvironment
 from wssim.learning import (EXPLOIT, BeliefState, OracleEnvironment,
-                            PolicyConfig, SlotOutcome, epsilon,
-                            exploit_select, explore_schedule,
-                            propagate_belief, run_policy, update_counts)
+                            SlotOutcome, epsilon, exploit_select,
+                            explore_schedule, propagate_belief, run_policy,
+                            update_counts)
 from wssim.recovery import SupportTable
 from wssim.sensing import draw_sensing_matrix
 from wssim.sizing import exploration_threshold, optimize_size
@@ -27,10 +27,10 @@ def oracle_run(mode, horizon, seed=0, stats=None, n=8, k=4, **cfg_kwargs):
     rng = np.random.default_rng(seed)
     trajectory = simulate_occupancy(stats, horizon, rng)
     env = OracleEnvironment(trajectory, k)
-    cfg = PolicyConfig(n_bands=n, k_branches=k, horizon=horizon, mode=mode,
-                       **cfg_kwargs)
+    cfg = ExperimentConfig(n_bands=n, k_branches=k, horizon=horizon,
+                           **cfg_kwargs)
     belief = BeliefState.fresh(n)
-    outcomes = run_policy(cfg, env, rng, true_stats=stats, belief=belief)
+    outcomes = run_policy(cfg, mode, env, rng, true_stats=stats, belief=belief)
     return outcomes, belief, trajectory
 
 
@@ -219,10 +219,17 @@ class TestRunPolicy:
     def test_imp_requires_true_stats(self):
         stats = case1_stats()
         trajectory = simulate_occupancy(stats, 8, np.random.default_rng(0))
-        cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=8, mode="IMP")
+        cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=8)
         with pytest.raises(ValueError):
-            run_policy(cfg, OracleEnvironment(trajectory, 4),
+            run_policy(cfg, "IMP", OracleEnvironment(trajectory, 4),
                        np.random.default_rng(0))
+
+    def test_rejects_unknown_mode(self):
+        trajectory = simulate_occupancy(case1_stats(), 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mode") as raised:
+            run_policy(ExperimentConfig(horizon=8), "XYZ",
+                       OracleEnvironment(trajectory, 4), np.random.default_rng(0))
+        assert "'XYZ'" in str(raised.value)
 
     def test_throughput_counts_vacant_bands_on_success(self):
         outcomes, _, trajectory = oracle_run("OLDM", 2000, seed=3)
@@ -249,8 +256,8 @@ class TestRunPolicy:
         rng = np.random.default_rng(11)
         trajectory = simulate_occupancy(stats, 1500, rng)
         env = OracleEnvironment(trajectory, 4)
-        cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=1500, mode="OLDM",
-                           mu=0.4, exploration_coefficient=30.0)
+        cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=1500,
+                               mu=0.4, exploration_coefficient=30.0)
         belief = BeliefState.fresh(8)
         seen = []
 
@@ -259,7 +266,7 @@ class TestRunPolicy:
                 seen.append(prior_vacancy.copy())
                 return env.sense(selected, slot, prior_vacancy)
 
-        run_policy(cfg, Spy(), rng, true_stats=stats, belief=belief)
+        run_policy(cfg, "OLDM", Spy(), rng, true_stats=stats, belief=belief)
         priors = np.array(seen)
         assert np.all(priors >= 0.0) and np.all(priors <= 1.0)
 
@@ -271,10 +278,10 @@ class TestRunPolicy:
         stats = case1_stats()
         rng = np.random.default_rng(13)
         trajectory = simulate_occupancy(stats, 4000, rng)
-        cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=4000, mode="OLDM",
-                           mu=0.9, delta=0.9, exploration_coefficient=2.0)
+        cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=4000,
+                               mu=0.9, delta=0.9, exploration_coefficient=2.0)
         belief = BeliefState.fresh(8)
-        outcomes = run_policy(cfg, OracleEnvironment(trajectory, 4), rng,
+        outcomes = run_policy(cfg, "OLDM", OracleEnvironment(trajectory, 4), rng,
                               true_stats=stats, belief=belief)
         expected = np.zeros(8, dtype=int)
         oversized_pairs = 0
@@ -356,14 +363,15 @@ class TestImpThroughputLevel:
         assert realized <= 7.0
 
 
-def assert_same_run(cfg, stats, make_env, make_reference_env, seed, belief=None):
+def assert_same_run(cfg, mode, stats, make_env, make_reference_env, seed,
+                    belief=None):
     """run_policy and the numpy reference loop give identical runs."""
     if belief is None:
         belief = BeliefState.fresh(cfg.n_bands)
     ref_belief = BeliefState.fresh(cfg.n_bands)
-    outcomes = run_policy(cfg, make_env(), np.random.default_rng(seed),
+    outcomes = run_policy(cfg, mode, make_env(), np.random.default_rng(seed),
                           true_stats=stats, belief=belief)
-    expected = reference_run_policy(cfg, make_reference_env(),
+    expected = reference_run_policy(cfg, mode, make_reference_env(),
                                     np.random.default_rng(seed),
                                     true_stats=stats, belief=ref_belief)
     assert len(outcomes) == len(expected) == cfg.horizon
@@ -389,25 +397,53 @@ class TestMatchesNumpyReference:
     @pytest.mark.parametrize("mode", ["IMP", "LDM", "OLDM"])
     def test_oracle_runs_identical(self, mode, case):
         for n, k in ((8, 4), (7, 3), (16, 8), (5, 5)):
-            stats = ExperimentConfig(n_bands=n, k_branches=k,
-                                     case=case).band_statistics()
-            cfg = PolicyConfig(n_bands=n, k_branches=k, horizon=1500,
-                               mode=mode)
+            cfg = ExperimentConfig(n_bands=n, k_branches=k, horizon=1500,
+                                   case=case)
+            stats = cfg.band_statistics()
             for seed in (1, 2, 3):
                 trajectory = simulate_occupancy(stats, cfg.horizon,
                                                 np.random.default_rng(seed))
-                assert_same_run(cfg, stats,
+                assert_same_run(cfg, mode, stats,
                                 lambda: OracleEnvironment(trajectory, k),
                                 lambda: ReferenceOracleEnvironment(trajectory, k),
                                 seed + 100)
 
+    @pytest.mark.parametrize("coefficient", [1e9, 1.0], ids=["explore", "mixed"])
+    @pytest.mark.parametrize("mode", ["LDM", "OLDM"])
+    @pytest.mark.parametrize("n, k", [(8, 4), (7, 3)])
+    def test_horizons_ending_inside_a_block(self, n, k, mode, coefficient):
+        # Every horizon up to two blocks and a slot, so runs end between
+        # the two slots of an exploration pair, between pairs and inside an
+        # exploitation block. A coefficient of 1e9 makes every block
+        # explore; at 1.0 the first block explores and later ones mix.
+        block_len = 2 * -(-n // k)
+        block_phases = set()
+        for horizon in range(1, 2 * block_len + 2):
+            cfg = ExperimentConfig(n_bands=n, k_branches=k, horizon=horizon,
+                                   exploration_coefficient=coefficient)
+            stats = cfg.band_statistics()
+            for seed in range(1, 7):
+                trajectory = simulate_occupancy(stats, horizon,
+                                                np.random.default_rng(seed))
+                outcomes = assert_same_run(
+                    cfg, mode, stats, lambda: OracleEnvironment(trajectory, k),
+                    lambda: ReferenceOracleEnvironment(trajectory, k), seed + 100)
+                block_phases.add(tuple(o.phase for o in outcomes[::block_len]))
+        blocks = {phase for phases in block_phases for phase in phases}
+        if coefficient > 1.0:
+            assert blocks == {"explore"}
+        else:
+            # An exploration block follows an exploitation block in some run.
+            assert any("exploit" in phases[:-1] and phases[-1] == "explore"
+                       for phases in block_phases)
+
     def test_oldm_after_unlock_identical(self):
         stats = case1_stats()
-        cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=6000, mode="OLDM",
-                           exploration_coefficient=50.0, mu=0.4)
+        cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=6000,
+                               exploration_coefficient=50.0, mu=0.4)
         trajectory = simulate_occupancy(stats, cfg.horizon,
                                         np.random.default_rng(7))
-        outcomes = assert_same_run(cfg, stats,
+        outcomes = assert_same_run(cfg, "OLDM", stats,
                                    lambda: OracleEnvironment(trajectory, 4),
                                    lambda: ReferenceOracleEnvironment(trajectory, 4),
                                    8)
@@ -422,9 +458,9 @@ class TestMatchesNumpyReference:
         # the block must have that size, and the whole run must match the
         # reference loop, which re-sizes every block.
         n, k, seed = 8, 4, 7
-        stats = ExperimentConfig(case=case).band_statistics()
-        cfg = PolicyConfig(n_bands=n, k_branches=k, horizon=6000, mode="OLDM",
-                           exploration_coefficient=50.0, mu=0.4)
+        cfg = ExperimentConfig(case=case, n_bands=n, k_branches=k, horizon=6000,
+                               exploration_coefficient=50.0, mu=0.4)
+        stats = cfg.band_statistics()
         block_len = 2 * -(-n // k)
         unlock = exploration_threshold(n, k, cfg.mu, cfg.delta).observations
         trajectory = simulate_occupancy(stats, cfg.horizon,
@@ -444,7 +480,7 @@ class TestMatchesNumpyReference:
         monkeypatch.setattr(learning, "optimize_size",
                             lambda *args: calls.append(args) or sized(*args))
         outcomes = assert_same_run(
-            cfg, stats, Spy, lambda: ReferenceOracleEnvironment(trajectory, k),
+            cfg, "OLDM", stats, Spy, lambda: ReferenceOracleEnvironment(trajectory, k),
             seed + 1, belief=belief)
         blocks = [t for t in fresh if outcomes[t].phase == EXPLOIT]
         for t in blocks:
@@ -466,6 +502,4 @@ class TestMatchesNumpyReference:
         def make_env():
             return SignalEnvironment(trajectory, table, np.random.default_rng(3))
 
-        cfg = PolicyConfig(n_bands=8, k_branches=4, horizon=config.horizon,
-                           mode=mode)
-        assert_same_run(cfg, stats, make_env, make_env, 4)
+        assert_same_run(config, mode, stats, make_env, make_env, 4)

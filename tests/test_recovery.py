@@ -32,8 +32,7 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     """One sensing slot: random mixing matrix, occupancy, measurement.
 
     Returns the true statuses, the spectra, the sub-matrix's SensingPlan,
-    the samples and the search's keyword arguments (gamma, the recoverable
-    limit, and prior_activity).
+    the samples and the search's keyword arguments (prior_activity).
     """
     rng = np.random.default_rng(seed)
     a_sub = rng.standard_normal((k, m))
@@ -44,7 +43,7 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     samples = measure(a_sub, spectra, snr_db, rng)
     cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
                          bins_per_band=n_bins)
-    search = {"gamma": gamma_threshold(m, k), "prior_activity": prior}
+    search = {"prior_activity": prior}
     plan = SensingPlan(SupportTable(a_sub, cfg), range(m))
     return statuses, spectra, plan, samples, search
 
@@ -145,7 +144,7 @@ class TestFbmpRecover:
         plan = SensingPlan(SupportTable(rng.standard_normal((4, 6)), RecoveryConfig(
             noise_variance=0.0, bins_per_band=16)), range(6))
         support, ratio = fbmp_recover(
-            sample_gram(np.zeros((4, 16), dtype=complex)), plan, 2)
+            sample_gram(np.zeros((4, 16), dtype=complex)), plan)
         assert not support.any()
         assert ratio == 0.0
 
@@ -178,7 +177,7 @@ class TestFbmpRecover:
             szz, n_bins, sig_n, base_prior, gain = score_terms(
                 samples, plan.table.cfg, 7, search["prior_activity"])
             busy = tuple(np.flatnonzero(statuses))
-            for size in range(search["gamma"]):
+            for size in range(plan.gamma):
                 pairs = []
                 for active in map(tuple, all_supports(7, size)):
                     missing = [b for b in busy if b not in active]
@@ -204,10 +203,10 @@ class TestFbmpRecover:
             statuses, _, plan, samples, search = make_instance(
                 seed, m=m, busy_count=busy_count, snr_db=None)
             exhaustive = exhaustive_map_support(samples, plan.a_sub, plan.table.cfg,
-                                                **search)
+                                                plan.gamma, **search)
             found, _ = fbmp_recover(sample_gram(samples), plan, **search)
             greedy = reference_greedy_support(samples, plan.a_sub, plan.table.cfg,
-                                              **search)
+                                              plan.gamma, **search)
             assert np.array_equal(exhaustive, statuses)
             assert np.array_equal(found, exhaustive)
             agree += int(np.array_equal(greedy, exhaustive))
@@ -229,7 +228,7 @@ class TestFbmpRecover:
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                               (20.0, 10.0, 5.0)[trial % 3], rng)
             prior = rng.uniform(0.05, 0.95, m)
-            support, _ = fbmp_recover(sample_gram(samples), plan, gamma, prior)
+            support, _ = fbmp_recover(sample_gram(samples), plan, prior)
             want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma, prior)
             assert support.tobytes() == want.tobytes()
 
@@ -252,19 +251,10 @@ class TestFbmpRecover:
             statuses[first] = 1
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                               20.0, rng)
-            support, _ = fbmp_recover(sample_gram(samples), plan, gamma)
+            support, _ = fbmp_recover(sample_gram(samples), plan)
             want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma)
             assert support.tobytes() == want.tobytes()
             assert support[first] == 1 and support[second] == 0
-
-    def test_rejects_gamma_beyond_table(self, rng):
-        plan = SensingPlan(SupportTable(rng.standard_normal((4, 8)), RecoveryConfig()),
-                           range(6))
-        s_yy = np.zeros((4, 4))
-        fbmp_recover(s_yy, plan, 2)
-        for gamma in (-1, 3):
-            with pytest.raises(ValueError, match="gamma"):
-                fbmp_recover(s_yy, plan, gamma)
 
     @pytest.mark.parametrize("k, m, gamma", [(4, 7, 2), (8, 16, 4)])
     def test_stacked_scores_equal_one_at_a_time(self, k, m, gamma):
@@ -302,7 +292,7 @@ class TestFbmpRecover:
                 snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
             support, ratio = fbmp_recover(sample_gram(samples), plan, **search)
             ref_support, ref_x_hat, ref_ratio = reference_map_recover(
-                samples, plan.a_sub, plan.table.cfg, **search)
+                samples, plan.a_sub, plan.table.cfg, plan.gamma, **search)
             np.testing.assert_array_equal(support, ref_support)
             x_hat = table_posterior_mean(plan, support, samples)
             np.testing.assert_array_equal(x_hat, ref_x_hat)
@@ -596,7 +586,7 @@ class TestSensingPlan:
         # 252 draws per shape, through three plans (one per noise level).
         gamma = gamma_threshold(m, k)
         for plan, samples, prior in plan_draws(k + m, k, m, 84):
-            support, ratio = fbmp_recover(sample_gram(samples), plan, gamma, prior)
+            support, ratio = fbmp_recover(sample_gram(samples), plan, prior)
             ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, gamma, prior)
             assert support.tobytes() == ref_support.tobytes()
@@ -786,14 +776,12 @@ class TestSupportTable:
         for plan in plans:
             z = measure(plan.a_sub, synthesize_band_spectra(
                 np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng), 20.0, rng)
-            for gamma in (1, 2):
-                support, ratio = fbmp_recover(sample_gram(z), plan, gamma)
-                want = reference_map_recover(z, plan.a_sub, cfg, gamma,
-                                             bands=plan.bands)
-                assert support.tobytes() == want[0].tobytes()
-                x_hat = table_posterior_mean(plan, support, z)
-                assert x_hat.tobytes() == want[1].tobytes()
-                assert_ratio_close(ratio, want[2])
+            support, ratio = fbmp_recover(sample_gram(z), plan)
+            want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
+            assert support.tobytes() == want[0].tobytes()
+            x_hat = table_posterior_mean(plan, support, z)
+            assert x_hat.tobytes() == want[1].tobytes()
+            assert_ratio_close(ratio, want[2])
 
 
 class TestFitResidual:
@@ -897,7 +885,7 @@ class TestPosteriorMean:
             statuses[rng.choice(5, size=2, replace=False)] = 1
             z = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                         20.0, rng)
-            support, ratio = fbmp_recover(sample_gram(z), plan, 2)
+            support, ratio = fbmp_recover(sample_gram(z), plan)
             want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
             assert support.tobytes() == want[0].tobytes()
             x_hat = table_posterior_mean(plan, support, z)
