@@ -295,6 +295,9 @@ def emit_results(series: MetricSeries, csv_path: str | Path) -> tuple[Path, Path
     for values in series_by_column:
         if not np.all(np.isfinite(values)):
             raise ValueError("refusing to emit non-finite metric values")
+    # Python floats, one list per column: repr gives numpy's bytes.
+    rows = zip(range(series.config.horizon),
+               *(np.asarray(col, float).tolist() for col in series_by_column))
     manifest = manifest_path_for(csv_path)
     tmp_csv, tmp_manifest = (path.with_name(f".{path.name}.{os.getpid()}.tmp")
                              for path in (csv_path, manifest))
@@ -302,10 +305,8 @@ def emit_results(series: MetricSeries, csv_path: str | Path) -> tuple[Path, Path
         try:
             with open(tmp_csv, "w", encoding="utf-8", newline="") as f:
                 f.write(",".join(columns) + "\n")
-                for slot in range(series.config.horizon):
-                    row = [str(slot)] + [repr(float(col[slot]))
-                                         for col in series_by_column]
-                    f.write(",".join(row) + "\n")
+                for slot, *row in rows:
+                    f.write(",".join([str(slot), *map(repr, row)]) + "\n")
         except OSError as exc:
             raise OSError(f"failed to write results to {csv_path}: {exc}") from exc
         dump_config(series.config.resolved(), tmp_manifest)

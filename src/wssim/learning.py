@@ -27,21 +27,22 @@ so the busy-count rule has one home; the signal backend
 int8 statuses the loop turns into a list. Each slot is recorded as a
 SlotOutcome named tuple, not a dataclass.
 
-While run_policy runs, the per-band learner state (beliefs, estimates,
-transition counts and observation counts) is held in plain Python lists,
-and the per-slot steps (propagate_belief, exploit_select, update_counts)
-work element by element. With few bands, a numpy call on a length-N vector
-costs more in call overhead than in arithmetic. The list-backed loop
-therefore pays off only while N is small. Measured with oracle sensing,
-K = N / 2 and 4,000 slots against the same loop on numpy arrays (which
-also re-sizes OLDM every block; best of 9 interleaved CPU times, two
-runs), OLDM runs 2.7-2.8x as fast at N = 8, 1.9-2.2x at N = 16 and
-1.0x at N = 64, but only 0.46x at N = 256; IMP, which senses larger
-sets, 1.7-2.1x, 1.5x, 0.7-0.8x and 0.3x. Every shipped config has
-N <= 16. Python float and int arithmetic is the same IEEE double
-arithmetic as numpy's elementwise operations, so every belief, estimate
-and selected set is bit-identical to the array form. A caller's BeliefState holds numpy arrays again once
-run_policy returns.
+While run_policy runs, the per-band learner state is held in plain Python
+lists, and one slot step inside run_policy selects, senses, credits and
+advances the beliefs element by element; update_counts, the only step
+that changes the estimates, is its one helper. Each band's p10 + p01 and
+1 - p01 are kept beside the estimates and recomputed only for the bands
+it credits, and a successful slot predicts only its unsensed bands (a
+failed slot, every band): on oracle case1.cfg the benchmark's median rate
+rose from 69,730 to 81,646 policy-slots/s (ten alternating runs, 2 CPUs).
+With few bands a numpy call costs more in overhead than in arithmetic;
+against the same loop on numpy arrays (K = N / 2, 4,000 oracle slots,
+before the step absorbed selection and prediction), OLDM ran 2.7-2.8x as
+fast at N = 8 and 0.46x at N = 256. Every shipped config has N <= 16.
+Python floats are IEEE doubles and each prediction keeps the operand
+order o + p10 - o * (p10 + p01), so every belief, estimate and selected
+set is bit-identical to the array form. A caller's BeliefState holds
+numpy arrays again once run_policy returns.
 """
 
 from __future__ import annotations
@@ -191,40 +192,6 @@ def update_counts(belief: BeliefState, selected, statuses_prev,
     return belief
 
 
-def propagate_belief(belief: BeliefState, outcome: SlotOutcome) -> list[float]:
-    """Advance the vacancy beliefs by one slot.
-
-    Bands sensed in a successful slot jump to the estimated transition
-    probability out of their observed state; every other band (and every
-    band of a failed slot) follows the one-step prediction
-    (1 - omega) * p10 + omega * p00. The beliefs are replaced by a new
-    list, never changed in place.
-    """
-    p01, p10 = belief.p01_hat, belief.p10_hat
-    # (1 - omega) * p10 + omega * (1 - p01), in the operand order that fixes
-    # every belief's bits.
-    new_omega = [o + b - o * (b + a) for o, a, b in zip(belief.omega, p01, p10)]
-    if outcome.xi == 0:
-        for band, busy in zip(outcome.selected, outcome.statuses):
-            new_omega[band] = p10[band] if busy == 1 else 1.0 - p01[band]
-    belief.omega = new_omega
-    return new_omega
-
-
-def exploit_select(belief: BeliefState, set_size: int,
-                   k_branches: int) -> tuple[int, ...]:
-    """The set_size bands with the largest vacancy belief, ties to the
-    lowest band index; returned in ascending band order."""
-    omega = belief.omega
-    n = len(omega)
-    if not k_branches <= set_size <= n:
-        raise ValueError("set_size must satisfy k_branches <= set_size <= n_bands")
-    # A reverse sort is stable, so equal beliefs keep ascending band order.
-    top = sorted(range(n), key=omega.__getitem__, reverse=True)[:set_size]
-    top.sort()
-    return tuple(top)
-
-
 def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                rng: np.random.Generator,
                true_stats: BandStatistics | None = None,
@@ -241,9 +208,9 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
 
     Each block draws one policy coin (IMP never explores). An exploration
     block senses a fixed schedule, every group's bands twice in a row; an
-    exploitation block senses exploit_select's set each slot. Both phases
-    then take the same slot step: sense, record, credit the pair with the
-    previous slot, propagate_belief.
+    exploitation block senses the set_size bands of largest belief each
+    slot. Both phases then take the same slot step: sense, record, credit
+    the pair, and advance the beliefs into a new list.
     """
     if mode not in POLICY_MODES:
         raise ValueError(f"mode must be one of {POLICY_MODES} (got {mode!r})")
@@ -272,8 +239,12 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     unlock_obs = (exploration_threshold(n, k, config.mu, config.delta).observations
                   if is_oldm else None)
 
-    explore_sets = [sel for g in range(n_groups)
-                    for sel in (tuple(explore_schedule(g, n, k).tolist()),) * 2]
+    # Each exploration slot's group and the bands it leaves unsensed.
+    groups = [explore_schedule(g, n, k).tolist() for g in range(n_groups)
+              for _ in range(2)]
+    explore_sets = [tuple(group) for group in groups]
+    explore_rest = [[band for band in range(n) if band not in group]
+                    for group in groups]
     outcomes: list[SlotOutcome] = []
     record = outcomes.append
     sense = env.sense
@@ -288,6 +259,11 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
 
     belief._to_lists()
     try:
+        omega, p01, p10 = belief.omega, belief.p01_hat, belief.p10_hat
+        # Per band p10 + p01 and 1 - p01 (the vacant jump), recomputed
+        # only for the bands update_counts credits.
+        p_sum = [q10 + q01 for q01, q10 in zip(p01, p10)]
+        stay = [1.0 - q01 for q01 in p01]
         while t < horizon:
             b += 1
             explore = (not is_imp) and rng.random() < epsilon(b, config.exploration_coefficient)
@@ -305,8 +281,16 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                 else:
                     set_size = k
             for i in range(min(block_len, horizon - t)):
-                sel = explore_sets[i] if explore else exploit_select(belief, set_size, k)
-                statuses, xi = sense(sel, t, belief.omega)
+                if explore:
+                    sel, rest = explore_sets[i], explore_rest[i]
+                else:
+                    # A stable reverse sort: ties go to the lower band.
+                    order = sorted(range(n), key=omega.__getitem__, reverse=True)
+                    rest = order[set_size:]
+                    del order[set_size:]
+                    order.sort()
+                    sel = tuple(order)
+                statuses, xi = sense(sel, t, omega)
                 if type(statuses) is not list:
                     statuses = statuses.tolist()
                 outcome = SlotOutcome(sel, statuses, xi,
@@ -322,7 +306,22 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                         and len(sel) <= k and prev.xi == 0 and xi == 0):
                     update_counts(belief, sel, prev.statuses, statuses)
                     oldm_size = None
-                propagate_belief(belief, outcome)
+                    for band in sel:
+                        p_sum[band] = p10[band] + p01[band]
+                        stay[band] = 1.0 - p01[band]
+                # A new list: the prediction (1 - o) * p10 + o * (1 - p01), in
+                # the operand order that fixes its bits, except that a
+                # successful slot's sensed bands jump out of their state.
+                if xi:
+                    omega = [o + q10 - o * s for o, q10, s in zip(omega, p10, p_sum)]
+                else:
+                    omega = omega[:]
+                    for band in rest:
+                        o = omega[band]
+                        omega[band] = o + p10[band] - o * p_sum[band]
+                    for band, busy in zip(sel, statuses):
+                        omega[band] = p10[band] if busy else stay[band]
+                belief.omega = omega
                 prev = outcome
             if explore:
                 prev = None

@@ -712,17 +712,27 @@ class TestPinnedOracleOutput:
     DIGESTS = {
         "case1": "717f1b7bda6ebe0085cbb2b404978bbf5e09ee3f4bc4d753506231d5ac6db5d6",
         "case2": "0dcb8c8367b8d29b04d4fa146c1e44f3d81fe95fbf7aaae96dd2520dcf8e693e",
+        # 16 bands, 4 branches: 12 bands go unsensed on each LDM slot.
+        "case1-n16-k4": "0202d313f368df100c2eeaaf1aa1b5562cb2763fd343e840681d9bd3d484275d",
+        # 7 bands, 3 branches: the last exploration group is short.
+        "case1-n7-k3": "5d925e0299f8b37bd3201fc40b2280760f4978325774d64346c72227d386be45",
     }
 
-    @pytest.mark.parametrize("case", ["case1", "case2"])
-    def test_csv_digest(self, case, tmp_path):
+    # (n_bands, k_branches) of the runs that change case1.cfg's shape.
+    SHAPES = {"case1-n16-k4": (16, 4), "case1-n7-k3": (7, 3)}
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_csv_digest(self, name, tmp_path):
+        case = name.split("-")[0]
         cfg = load_config(CONFIGS / f"{case}.cfg")
         assert cfg.rs_mode == "oracle"
         cfg.replications = 1
         cfg.horizon = 4000
-        csv_path, _ = emit_results(run_experiment(cfg), tmp_path / f"{case}.csv")
+        if name in self.SHAPES:
+            cfg.n_bands, cfg.k_branches = self.SHAPES[name]
+        csv_path, _ = emit_results(run_experiment(cfg), tmp_path / f"{name}.csv")
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
-            self.DIGESTS[case]
+            self.DIGESTS[name]
 
 
 class TestEmitResults:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (ReferenceOracleEnvironment, estimate_transition,
+                      reference_exploit_select, reference_propagate_belief,
                       reference_run_policy, success_probability)
 from wssim import learning
 from wssim.config import ExperimentConfig
 from wssim.experiments import SignalEnvironment
 from wssim.learning import (EXPLOIT, BeliefState, OracleEnvironment,
-                            SlotOutcome, epsilon, exploit_select,
-                            explore_schedule, propagate_belief, run_policy,
+                            SlotOutcome, epsilon, explore_schedule, run_policy,
                             update_counts)
 from wssim.recovery import SupportTable
 from wssim.sensing import draw_sensing_matrix
@@ -131,30 +131,33 @@ class TestUpdateCounts:
 
 
 class TestPropagateBelief:
+    """The numpy belief step of reference_run_policy, which run_policy matches."""
+
     def test_observed_vacant_jumps_to_stay_probability(self):
         belief = BeliefState.fresh(2)
         belief.p01_hat = np.array([0.2, 0.2])   # p00 = 0.8
         belief.p10_hat = np.array([0.4, 0.4])
-        outcome = SlotOutcome(selected=(0,), statuses=[0],
+        outcome = SlotOutcome(selected=np.array([0]), statuses=np.array([0]),
                               xi=0, throughput=1, phase="exploit")
-        omega = propagate_belief(belief, outcome)
+        omega = reference_propagate_belief(belief, outcome)
         assert omega[0] == pytest.approx(0.8)
 
     def test_observed_busy_jumps_to_leave_probability(self):
         belief = BeliefState.fresh(1)
         belief.p10_hat = np.array([0.3])
-        outcome = SlotOutcome(selected=(0,), statuses=[1],
+        outcome = SlotOutcome(selected=np.array([0]), statuses=np.array([1]),
                               xi=0, throughput=0, phase="exploit")
-        assert propagate_belief(belief, outcome)[0] == pytest.approx(0.3)
+        assert reference_propagate_belief(belief, outcome)[0] == pytest.approx(0.3)
 
     def test_unobserved_band_one_step_prediction(self):
         belief = BeliefState.fresh(2)
         belief.omega = np.array([0.0, 0.5])
         belief.p10_hat = np.array([0.3, 0.2])
         belief.p01_hat = np.array([0.5, 0.2])   # p00 = 0.5, 0.8
-        outcome = SlotOutcome(selected=(), statuses=[],
+        outcome = SlotOutcome(selected=np.array([], dtype=int),
+                              statuses=np.array([], dtype=int),
                               xi=0, throughput=0, phase="exploit")
-        omega = propagate_belief(belief, outcome)
+        omega = reference_propagate_belief(belief, outcome)
         assert omega[0] == pytest.approx(0.3)
         assert omega[1] == pytest.approx(0.5)
 
@@ -163,35 +166,37 @@ class TestPropagateBelief:
         belief.omega = np.array([0.5, 0.5])
         belief.p10_hat = np.array([0.2, 0.2])
         belief.p01_hat = np.array([0.2, 0.2])
-        outcome = SlotOutcome(selected=(0, 1), statuses=[1, 1],
+        outcome = SlotOutcome(selected=np.array([0, 1]), statuses=np.array([1, 1]),
                               xi=1, throughput=0, phase="exploit")
-        omega = propagate_belief(belief, outcome)
+        omega = reference_propagate_belief(belief, outcome)
         np.testing.assert_allclose(omega, 0.5)
 
 
 class TestExploitSelect:
+    """The numpy selection of reference_run_policy, which run_policy matches."""
+
     def test_top_k(self):
         belief = BeliefState.fresh(4)
         belief.omega = np.array([0.9, 0.1, 0.8, 0.7])
-        np.testing.assert_array_equal(exploit_select(belief, 3, 3), [0, 2, 3])
+        np.testing.assert_array_equal(reference_exploit_select(belief, 3, 3), [0, 2, 3])
 
     def test_ties_prefer_low_index(self):
         belief = BeliefState.fresh(5)
-        np.testing.assert_array_equal(exploit_select(belief, 3, 2), [0, 1, 2])
+        np.testing.assert_array_equal(reference_exploit_select(belief, 3, 2), [0, 1, 2])
 
     def test_scale_invariance(self, rng):
         belief = BeliefState.fresh(6)
         belief.omega = rng.random(6)
-        base = exploit_select(belief, 4, 2)
+        base = reference_exploit_select(belief, 4, 2)
         belief.omega = belief.omega * 0.37
-        np.testing.assert_array_equal(exploit_select(belief, 4, 2), base)
+        np.testing.assert_array_equal(reference_exploit_select(belief, 4, 2), base)
 
     def test_rejects_bad_sizes(self):
         belief = BeliefState.fresh(4)
         with pytest.raises(ValueError):
-            exploit_select(belief, 1, 2)
+            reference_exploit_select(belief, 1, 2)
         with pytest.raises(ValueError):
-            exploit_select(belief, 5, 2)
+            reference_exploit_select(belief, 5, 2)
 
 
 class TestRunPolicy:
@@ -269,6 +274,26 @@ class TestRunPolicy:
         run_policy(cfg, "OLDM", Spy(), rng, true_stats=stats, belief=belief)
         priors = np.array(seen)
         assert np.all(priors >= 0.0) and np.all(priors <= 1.0)
+
+    @pytest.mark.parametrize("mode", ["IMP", "LDM"])
+    def test_beliefs_handed_to_sense_never_change(self, mode):
+        # Each slot's beliefs are a new list, so a list passed to sense()
+        # keeps its values after the call, whatever later slots do.
+        stats = case1_stats()
+        rng = np.random.default_rng(17)
+        trajectory = simulate_occupancy(stats, 600, rng)
+        env = OracleEnvironment(trajectory, 4)
+        kept = []
+
+        class Spy:
+            def sense(self, selected, slot, prior_vacancy=None):
+                kept.append((prior_vacancy, list(prior_vacancy)))
+                return env.sense(selected, slot, prior_vacancy)
+
+        cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=600)
+        run_policy(cfg, mode, Spy(), rng, true_stats=stats)
+        assert len(kept) == 600
+        assert all(prior == copy for prior, copy in kept)
 
     def test_observation_accounting_matches_pairing_rule(self):
         # Recompute expected per-band observation counts from the outcome
@@ -396,7 +421,7 @@ class TestMatchesNumpyReference:
     @pytest.mark.parametrize("case", ["case1", "case2"])
     @pytest.mark.parametrize("mode", ["IMP", "LDM", "OLDM"])
     def test_oracle_runs_identical(self, mode, case):
-        for n, k in ((8, 4), (7, 3), (16, 8), (5, 5)):
+        for n, k in ((8, 4), (7, 3), (16, 8), (16, 4), (5, 5)):
             cfg = ExperimentConfig(n_bands=n, k_branches=k, horizon=1500,
                                    case=case)
             stats = cfg.band_statistics()
