@@ -64,11 +64,16 @@ def _cmd_sweep(args) -> int:
     if key not in ExperimentConfig.__dataclass_fields__:
         raise ValueError(f"unknown sweep parameter: {args.param}")
     stem = Path(args.config).stem
+    # Every value's config is checked before the first run, so a bad value
+    # fails the sweep without writing any results.
+    runs = []
     for raw in args.values.split(","):
         raw = raw.strip()
         cfg = _apply_overrides(ExperimentConfig(**vars(base)), [f"{key}={raw}"])
         cfg.validate()
-        _run_one(cfg, f"{stem}_{key}_{raw}")
+        runs.append((cfg, f"{stem}_{key}_{raw}"))
+    for cfg, out_name in runs:
+        _run_one(cfg, out_name)
     return 0
 
 

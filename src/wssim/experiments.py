@@ -232,8 +232,7 @@ def run_replication(config: ExperimentConfig, rep_index: int,
             env = SignalEnvironment(trajectory, table,
                                     np.random.default_rng(streams[3 + 2 * i]))
         outcomes = run_policy(config, policy, env, policy_rng, true_stats=stats)
-        series[policy] = np.fromiter((o.throughput for o in outcomes),
-                                     dtype=float, count=config.horizon)
+        series[policy] = np.array([o.throughput for o in outcomes], dtype=float)
     return series
 
 

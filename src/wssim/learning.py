@@ -30,11 +30,18 @@ SlotOutcome named tuple, not a dataclass.
 While run_policy runs, the per-band learner state is held in plain Python
 lists, and one slot step inside run_policy selects, senses, credits and
 advances the beliefs element by element; update_counts, the only step
-that changes the estimates, is its one helper. Each band's p10 + p01 and
-1 - p01 are kept beside the estimates and recomputed only for the bands
-it credits, and a successful slot predicts only its unsensed bands (a
-failed slot, every band): on oracle case1.cfg the benchmark's median rate
-rose from 69,730 to 81,646 policy-slots/s (ten alternating runs, 2 CPUs).
+that changes the estimates, is its one helper, and of a u -> v credit it
+recomputes only row u's estimate. Each band's p10 + p01 and 1 - p01 are
+kept beside the estimates and recomputed only when update_counts changes
+them, and a successful slot predicts only its unsensed bands (a failed
+slot, every band). Nothing whose result cannot change is redone: a
+learning policy's block coins come from one rng.random call (the numbers
+and final generator state of one call per block; IMP draws none), OLDM's
+unlock is latched because the counts only grow, and slot records are
+built by tuple.__new__, as SlotOutcome._make does. On oracle case1.cfg
+the benchmark's median rate rose from 69,730 to 81,646 policy-slots/s
+with the slot step and from 80,655 to 90,038 with these savings (ten
+alternating pairs each, 2 CPUs).
 With few bands a numpy call costs more in overhead than in arithmetic;
 against the same loop on numpy arrays (K = N / 2, 4,000 oracle slots,
 before the step absorbed selection and prediction), OLDM ran 2.7-2.8x as
@@ -166,29 +173,29 @@ def explore_schedule(group: int, n_bands: int, k_branches: int) -> np.ndarray:
                      min((group + 1) * k_branches, n_bands))
 
 
-def _off_diagonal(c) -> tuple[float, float]:
-    """(p01, p10) estimates from one band's 2x2 counts: C_uv / (C_uv + C_uu)."""
-    (c00, c01), (c10, c11) = c
-    return c01 / (c01 + c00), c10 / (c10 + c11)
-
-
 def update_counts(belief: BeliefState, selected, statuses_prev,
                   statuses_now) -> BeliefState:
     """Credit one observed transition per selected band and refresh that
-    band's transition estimates.
+    band's estimate out of the transition's start state.
 
     Both status sequences must come from successful senses of the same
-    band set in consecutive slots.
+    band set in consecutive slots. A u -> v transition changes only row u
+    of the band's counts, so only row u's estimate is recomputed, as
+    C_uv / (C_uv + C_uu): p01_hat when u = 0, p10_hat when u = 1. The
+    other estimate keeps its bits.
     """
     if not (len(selected) == len(statuses_prev) == len(statuses_now)):
         raise ValueError("selected and status vectors must have equal length")
     counts, obs_count = belief.counts, belief.obs_count
     p01_hat, p10_hat = belief.p01_hat, belief.p10_hat
     for band, u, v in zip(selected, statuses_prev, statuses_now):
-        c = counts[band]
-        c[u][v] += 1
+        row = counts[band][u]
+        row[v] += 1
         obs_count[band] += 1
-        p01_hat[band], p10_hat[band] = _off_diagonal(c)
+        if u:
+            p10_hat[band] = row[0] / (row[0] + row[1])
+        else:
+            p01_hat[band] = row[1] / (row[1] + row[0])
     return belief
 
 
@@ -206,7 +213,8 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     OLDM learn from scratch. A caller-supplied belief is updated in place,
     which also exposes the final learner state as numpy arrays.
 
-    Each block draws one policy coin (IMP never explores). An exploration
+    Each block has one policy coin, all drawn up front by one
+    rng.random call (IMP never explores and draws none). An exploration
     block senses a fixed schedule, every group's bands twice in a row; an
     exploitation block senses the set_size bands of largest belief each
     slot. Both phases then take the same slot step: sense, record, credit
@@ -245,36 +253,47 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     explore_sets = [tuple(group) for group in groups]
     explore_rest = [[band for band in range(n) if band not in group]
                     for group in groups]
+    bands = list(range(n))
+    # One coin per block from one call: the numbers and the final generator
+    # state of one rng.random() per block. IMP draws none.
+    n_blocks = -(-horizon // block_len)
+    coins = [] if is_imp else rng.random(n_blocks).tolist()
     outcomes: list[SlotOutcome] = []
     record = outcomes.append
+    # What SlotOutcome._make calls, without the keyword-taking __new__.
+    new_tuple = tuple.__new__
     sense = env.sense
-    t = b = 0
-    # The previous slot's outcome. Exploration blocks clear it when they
-    # start and end, so no pair straddles a phase change, while
-    # consecutive exploitation blocks still pair.
-    prev: SlotOutcome | None = None
-    # OLDM's set size, computed from the estimates and kept until
-    # update_counts, the only step that changes them, runs again.
+    t = 0
+    # A learning policy's previous slot's set and statuses, if that slot
+    # succeeded. Exploration blocks clear them when they start and end, so
+    # no pair straddles a phase change, while consecutive exploitation
+    # blocks still pair.
+    prev_sel = prev_statuses = None
+    # OLDM's set size, kept until update_counts, the only step that
+    # changes the estimates, runs again. The counts only grow, so the
+    # unlock, once reached, holds for the rest of the run.
     oldm_size: int | None = None
+    unlocked = False
 
     belief._to_lists()
     try:
         omega, p01, p10 = belief.omega, belief.p01_hat, belief.p10_hat
+        obs_count = belief.obs_count
         # Per band p10 + p01 and 1 - p01 (the vacant jump), recomputed
-        # only for the bands update_counts credits.
+        # only when update_counts changes them.
         p_sum = [q10 + q01 for q01, q10 in zip(p01, p10)]
         stay = [1.0 - q01 for q01 in p01]
-        while t < horizon:
-            b += 1
-            explore = (not is_imp) and rng.random() < epsilon(b, config.exploration_coefficient)
+        for b in range(1, n_blocks + 1):
+            explore = (not is_imp) and coins[b - 1] < epsilon(b, config.exploration_coefficient)
             if explore:
                 phase = EXPLORE
-                prev = None
+                prev_sel = None
             else:
                 phase = EXPLOIT
                 if is_imp:
                     set_size = fixed_size
-                elif is_oldm and min(belief.obs_count) >= unlock_obs:
+                elif is_oldm and (unlocked or min(obs_count) >= unlock_obs):
+                    unlocked = True
                     if oldm_size is None:
                         oldm_size = optimize_size(belief.vacancy_estimates(), k).size
                     set_size = oldm_size
@@ -285,7 +304,7 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                     sel, rest = explore_sets[i], explore_rest[i]
                 else:
                     # A stable reverse sort: ties go to the lower band.
-                    order = sorted(range(n), key=omega.__getitem__, reverse=True)
+                    order = sorted(bands, key=omega.__getitem__, reverse=True)
                     rest = order[set_size:]
                     del order[set_size:]
                     order.sort()
@@ -293,38 +312,42 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                 statuses, xi = sense(sel, t, omega)
                 if type(statuses) is not list:
                     statuses = statuses.tolist()
-                outcome = SlotOutcome(sel, statuses, xi,
-                                      0 if xi else len(sel) - sum(statuses), phase)
-                record(outcome)
+                record(new_tuple(SlotOutcome, (sel, statuses, xi,
+                                               0 if xi else len(sel) - sum(statuses),
+                                               phase)))
                 t += 1
-                # Transition evidence is credited only from same-set pairs
-                # of sets no larger than the branch count (every group set
-                # is): success is then unconditional, whereas for larger
-                # sets conditioning on a successful reconstruction censors
-                # high busy counts and biases the vacancy estimates upward.
-                if (not is_imp and prev is not None and prev.selected == sel
-                        and len(sel) <= k and prev.xi == 0 and xi == 0):
-                    update_counts(belief, sel, prev.statuses, statuses)
-                    oldm_size = None
-                    for band in sel:
-                        p_sum[band] = p10[band] + p01[band]
-                        stay[band] = 1.0 - p01[band]
                 # A new list: the prediction (1 - o) * p10 + o * (1 - p01), in
                 # the operand order that fixes its bits, except that a
                 # successful slot's sensed bands jump out of their state.
                 if xi:
+                    prev_sel = None
                     omega = [o + q10 - o * s for o, q10, s in zip(omega, p10, p_sum)]
                 else:
+                    # Transition evidence is credited only from same-set
+                    # pairs of sets no larger than the branch count (every
+                    # group set is): success is then unconditional, whereas
+                    # for larger sets conditioning on a successful
+                    # reconstruction censors high busy counts and biases the
+                    # vacancy estimates upward. A credit out of the busy
+                    # state changes p10 alone.
+                    if prev_sel == sel and len(sel) <= k:
+                        update_counts(belief, sel, prev_statuses, statuses)
+                        oldm_size = None
+                        for band, u in zip(sel, prev_statuses):
+                            p_sum[band] = p10[band] + p01[band]
+                            if not u:
+                                stay[band] = 1.0 - p01[band]
                     omega = omega[:]
                     for band in rest:
                         o = omega[band]
                         omega[band] = o + p10[band] - o * p_sum[band]
                     for band, busy in zip(sel, statuses):
                         omega[band] = p10[band] if busy else stay[band]
+                    if not is_imp:
+                        prev_sel, prev_statuses = sel, statuses
                 belief.omega = omega
-                prev = outcome
             if explore:
-                prev = None
+                prev_sel = None
     finally:
         belief._to_arrays()
     return outcomes

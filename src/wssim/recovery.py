@@ -126,7 +126,8 @@ def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
     else:
         busy = sum(true_statuses)
     xi = 0 if busy <= gamma_threshold(len(true_statuses), k_branches) else 1
-    return SenseResult(true_statuses, xi)
+    # SenseResult._make's constructor, one call per oracle slot.
+    return tuple.__new__(SenseResult, (true_statuses, xi))
 
 
 def _prior_log_odds(prior_activity, m: int) -> np.ndarray:

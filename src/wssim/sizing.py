@@ -80,8 +80,11 @@ def exploration_threshold(n_bands: int, k_branches: int, mu: float,
         raise ValueError("mu must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if n_bands < 1 or k_branches < 1:
-        raise ValueError("n_bands and k_branches must be at least 1")
+    if n_bands < 1:
+        raise ValueError("n_bands must be at least 1")
+    if not 1 <= k_branches <= n_bands:
+        raise ValueError(f"k_branches must satisfy 1 <= k_branches <= n_bands "
+                         f"(got {k_branches} with n_bands={n_bands})")
     observations = math.ceil(2.0 / mu ** 2 * math.log(2.0 * n_bands / delta))
     slots = 2 * math.ceil(n_bands / k_branches) * observations
     return ExplorationBudget(observations=observations, slots=slots)

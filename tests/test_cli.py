@@ -36,6 +36,12 @@ class TestTheorem1:
                      "--mu", "1.5", "--delta", "0.1"]) != 0
         assert "mu" in capsys.readouterr().err
 
+    def test_rejects_more_branches_than_bands(self, capsys):
+        assert main(["theorem1", "--N", "2", "--K", "4",
+                     "--mu", "0.2", "--delta", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert "k_branches" in captured.err and "Q=" not in captured.out
+
 
 class TestValidate:
     def test_good_config(self, workdir, capsys):
@@ -154,6 +160,15 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--param", "bogus",
                      "--values", "1"]) != 0
         assert "bogus" in capsys.readouterr().err
+
+    def test_bad_value_stops_the_sweep_before_any_run(self, workdir, capsys):
+        # K = 9 exceeds the 8 bands; the values before it must not run.
+        tmp_path, cfg = workdir
+        assert main(["sweep", str(cfg), "--param", "K",
+                     "--values", "3,4,9"]) == 2
+        assert "k_branches" in capsys.readouterr().err
+        results = tmp_path / "results"
+        assert not results.exists() or not any(results.iterdir())
 
 
 class TestUsageErrors:

@@ -390,15 +390,19 @@ class TestImpThroughputLevel:
 
 def assert_same_run(cfg, mode, stats, make_env, make_reference_env, seed,
                     belief=None):
-    """run_policy and the numpy reference loop give identical runs."""
+    """run_policy and the numpy reference loop give identical runs and
+    leave their policy generators in the same state."""
     if belief is None:
         belief = BeliefState.fresh(cfg.n_bands)
     ref_belief = BeliefState.fresh(cfg.n_bands)
-    outcomes = run_policy(cfg, mode, make_env(), np.random.default_rng(seed),
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcomes = run_policy(cfg, mode, make_env(), rng,
                           true_stats=stats, belief=belief)
-    expected = reference_run_policy(cfg, mode, make_reference_env(),
-                                    np.random.default_rng(seed),
+    expected = reference_run_policy(cfg, mode, make_reference_env(), ref_rng,
                                     true_stats=stats, belief=ref_belief)
+    # The reference draws one coin per block; run_policy draws them all at
+    # once. The next draw tells whether both consumed the same numbers.
+    assert rng.random() == ref_rng.random()
     assert len(outcomes) == len(expected) == cfg.horizon
     for got, want in zip(outcomes, expected):
         assert type(got.selected) is tuple and type(got.statuses) is list
@@ -441,6 +445,9 @@ class TestMatchesNumpyReference:
         # the two slots of an exploration pair, between pairs and inside an
         # exploitation block. A coefficient of 1e9 makes every block
         # explore; at 1.0 the first block explores and later ones mix.
+        # assert_same_run also checks, after each run, that the policy
+        # generator's next draw equals the per-block reference's, so a run
+        # ending inside a block has drawn that block's coin and no more.
         block_len = 2 * -(-n // k)
         block_phases = set()
         for horizon in range(1, 2 * block_len + 2):
@@ -461,6 +468,22 @@ class TestMatchesNumpyReference:
             # An exploration block follows an exploitation block in some run.
             assert any("exploit" in phases[:-1] and phases[-1] == "explore"
                        for phases in block_phases)
+
+    @pytest.mark.parametrize("n, k", [(8, 4), (7, 3)])
+    def test_imp_draws_no_coins(self, n, k):
+        # IMP never explores, so its generator leaves the run untouched,
+        # whether the horizon ends on a block boundary or inside a block.
+        block_len = 2 * -(-n // k)
+        for horizon in (1, block_len, 3 * block_len + 1):
+            cfg = ExperimentConfig(n_bands=n, k_branches=k, horizon=horizon)
+            stats = cfg.band_statistics()
+            trajectory = simulate_occupancy(stats, horizon,
+                                            np.random.default_rng(1))
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            run_policy(cfg, "IMP", OracleEnvironment(trajectory, k), rng,
+                       true_stats=stats)
+            assert rng.bit_generator.state == state
 
     def test_oldm_after_unlock_identical(self):
         stats = case1_stats()

@@ -1,4 +1,5 @@
-"""Property tests of recovery and sizing invariants, over hypothesis-drawn instances."""
+"""Property tests of recovery, sizing and learning invariants, over
+hypothesis-drawn instances."""
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from wssim.learning import BeliefState, update_counts  # noqa: E402
 from wssim.recovery import (RecoveryConfig, SensingPlan, SupportTable,  # noqa: E402
                             oracle_sense, signal_sense)
 from wssim.sizing import optimize_size  # noqa: E402
 
-from conftest import (measure, poisson_binomial_pmf, sample_gram,  # noqa: E402
+from conftest import (measure, poisson_binomial_pmf,  # noqa: E402
+                      reference_refresh_estimates, sample_gram,
                       success_probability, synthesize_band_spectra)
 
 
@@ -82,3 +85,41 @@ def test_success_probability_does_not_increase_as_bands_are_added(vacancy, k):
                for size in range(1, len(vacancy) + 1)]
     for before, after in zip(chances, chances[1:]):
         assert after <= before + 1e-12
+
+
+@st.composite
+def credited_transitions(draw):
+    """A band count and a run of update_counts calls, each crediting one
+    u -> v transition to each of some distinct bands."""
+    n = draw(st.integers(1, 8))
+    transition = st.tuples(st.integers(0, n - 1), st.integers(0, 1),
+                           st.integers(0, 1))
+    calls = draw(st.lists(st.lists(transition, min_size=1, max_size=n,
+                                   unique_by=lambda c: c[0]),
+                          min_size=1, max_size=40))
+    return n, calls
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(credited_transitions())
+def test_update_counts_refreshes_only_the_credited_row(case):
+    # update_counts recomputes only row u's estimate of a u -> v credit.
+    # After every call both estimates of every band must equal a full
+    # recomputation from the counts, bit for bit, and the estimate of the
+    # row that was not credited must keep its bits.
+    n, calls = case
+    belief = BeliefState.fresh(n)
+    for call in calls:
+        bands, prev, now = (list(values) for values in zip(*call))
+        before = {"p01_hat": belief.p01_hat.copy(),
+                  "p10_hat": belief.p10_hat.copy()}
+        update_counts(belief, tuple(bands), prev, now)
+        expected = BeliefState.fresh(n)
+        expected.counts = belief.counts.copy()
+        reference_refresh_estimates(expected, np.arange(n))
+        for name in ("p01_hat", "p10_hat"):
+            assert getattr(belief, name).tobytes() == getattr(expected, name).tobytes()
+        for band, u in zip(bands, prev):
+            other = "p01_hat" if u else "p10_hat"
+            assert getattr(belief, other)[band:band + 1].tobytes() == \
+                before[other][band:band + 1].tobytes()

@@ -180,6 +180,9 @@ class TestExplorationThreshold:
         for mu, delta in ((0.0, 0.1), (1.0, 0.1), (0.1, 0.0), (0.1, 1.0)):
             with pytest.raises(ValueError):
                 exploration_threshold(8, 4, mu, delta)
+        # More branches than bands is a shape validate() rejects too.
+        with pytest.raises(ValueError, match="k_branches"):
+            exploration_threshold(2, 4, 0.2, 0.1)
 
 
 class TestMuCorrect:
