@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, _parse_value, load_config
@@ -31,10 +32,6 @@ _SWEEP_ALIASES = {
 }
 
 
-def _results_dir() -> Path:
-    return Path(os.environ.get(RESULTS_ENV_VAR, "results"))
-
-
 def _apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
     for item in overrides:
         if "=" not in item:
@@ -44,16 +41,15 @@ def _apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentC
     return cfg
 
 
-def _run_one(cfg: ExperimentConfig, out_name: str) -> Path:
-    series = run_experiment(cfg)
-    csv_path, manifest = emit_results(series, _results_dir() / f"{out_name}.csv")
+def _run_one(cfg: ExperimentConfig, out_name: str) -> None:
+    series = run_experiment(cfg)   # validates cfg before any run
+    results = Path(os.environ.get(RESULTS_ENV_VAR, "results"))
+    csv_path, manifest = emit_results(series, results / f"{out_name}.csv")
     print(f"wrote {csv_path} and {manifest}")
-    return csv_path
 
 
 def _cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args.set)
-    cfg.validate()
     _run_one(cfg, Path(args.config).stem)
     return 0
 
@@ -61,15 +57,13 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     base = _apply_overrides(load_config(args.config), args.set)
     key = _SWEEP_ALIASES.get(args.param, args.param)
-    if key not in ExperimentConfig.__dataclass_fields__:
-        raise ValueError(f"unknown sweep parameter: {args.param}")
     stem = Path(args.config).stem
     # Every value's config is checked before the first run, so a bad value
     # fails the sweep without writing any results.
     runs = []
     for raw in args.values.split(","):
         raw = raw.strip()
-        cfg = _apply_overrides(ExperimentConfig(**vars(base)), [f"{key}={raw}"])
+        cfg = replace(base, **{key: _parse_value(key, raw)})
         cfg.validate()
         runs.append((cfg, f"{stem}_{key}_{raw}"))
     for cfg, out_name in runs:

@@ -10,13 +10,14 @@ present, so an emitted manifest reloads to the exact same experiment.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .recovery import RecoveryConfig, support_count
 from .sensing import noise_power_for_snr
+from .sizing import exploration_threshold
 from .spectrum import CASE_STATIONARY, BandStatistics
 
 RS_MODES = ("oracle", "signal")
@@ -56,7 +57,10 @@ class ExperimentConfig:
         calls it before reading the policy settings. Integer fields must
         hold Python or numpy integers, so NaN and non-integral values fail
         (and seed must be nonnegative, as SeedSequence requires), and float
-        checks are written so that NaN fails them. The recovery fields,
+        checks are written so that NaN fails them. The n_bands, k_branches
+        (1 <= k_branches <= n_bands), mu and delta checks are
+        sizing.exploration_threshold's, which theorem1 shares, so they are
+        made by computing the exploration budget. The recovery fields,
         snr_db and bins_per_band among them, are checked by building
         recovery_config(), in either mode. Signal mode also rejects an
         n_bands and k_branches whose support table would exceed
@@ -67,12 +71,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer (got {value!r})")
-        if self.n_bands < 1:
-            raise ValueError("n_bands must be at least 1")
-        if not 1 <= self.k_branches <= self.n_bands:
-            raise ValueError(
-                f"k_branches must satisfy 1 <= k_branches <= n_bands "
-                f"(got {self.k_branches} with n_bands={self.n_bands})")
+        exploration_threshold(self.n_bands, self.k_branches, self.mu, self.delta)
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if self.replications < 1:
@@ -81,10 +80,6 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if not self.exploration_coefficient > 0.0:
             raise ValueError("exploration_coefficient must be positive")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if self.rs_mode not in RS_MODES:
             raise ValueError(f"rs_mode must be one of {RS_MODES}")
         if not self.policies:
@@ -116,17 +111,14 @@ class ExperimentConfig:
             return BandStatistics(p01=np.asarray(self.p01),
                                   p10=np.asarray(self.p10))
         base = np.asarray(CASE_STATIONARY[self.case])
-        reps = -(-self.n_bands // base.size)
-        p0 = np.tile(base, reps)[:self.n_bands]
-        return BandStatistics.from_stationary(p0, mixing=self.lambda_mixing)
+        return BandStatistics.from_stationary(np.resize(base, self.n_bands),
+                                              mixing=self.lambda_mixing)
 
     def resolved(self) -> "ExperimentConfig":
         """Copy with the statistics pinned as explicit vectors."""
         stats = self.band_statistics()
-        out = ExperimentConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
-        out.p01 = tuple(float(x) for x in stats.p01)
-        out.p10 = tuple(float(x) for x in stats.p10)
-        return out
+        return replace(self, p01=tuple(float(x) for x in stats.p01),
+                       p10=tuple(float(x) for x in stats.p10))
 
 
 _INT_KEYS = {"n_bands", "k_branches", "horizon", "replications", "seed",

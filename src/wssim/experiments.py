@@ -12,50 +12,26 @@ return a recovery.SenseResult per slot.
 
 In signal mode run_replication builds one recovery.SupportTable of the
 replication's sensing matrix, with the RecoveryConfig that
-ExperimentConfig.recovery_config() builds, and hands it to every policy's
-SignalEnvironment, which takes K, the bin count and the noise power from
-the table alone. The table is eager (Phi_S^-1, log det Phi_S and the fit
-operator Q_S = F_S^T F_S of every support of at most K // 2 bands, from
-the start) and its rows never change. It also caches one
-recovery.SensingPlan per distinct selected set, a view of the table built
-the first time any policy of the replication senses the set, and at most
-recovery._MAX_PLANS of them (the oldest goes first), which bounds memory
-whatever the horizon; policies sensing the same set share its plan. Signal
-power is the unit: busy bands carry mean power 1 per bin and the noise
-power per bin is 10^(-snr_db/10). Each slot hands signal_sense the plan,
-the slot's sample Gram and the selected bands' busy priors (one minus the
-policy's vacancy beliefs), nothing else. On either path the statuses are
-the first maximum a posteriori support in (size, lexicographic) order: of
-all 2^m supports of a set of m <= K bands, of those of at most gamma bands
-otherwise. Plans return the same values whatever the environment held
-before, so the output depends on the config alone. It matches scoring that
-factorises every support's covariance except where two supports' scores
-tie to the last bits, which the cached inverses can change; the search's
-residuals are products with the cached fit operators, not per-slot solves
-(see recovery).
-
-A slot's random draws depend only on its trajectory row, bins_per_band,
-K and the SNR, not on the selected bands. So a SignalEnvironment draws a
-block of consecutive slots when it senses the block's first slot: as
-many slots as keep the block's Grams within _BLOCK_GRAM_VALUES values,
-(N + K)^2 a slot (at least one slot; the last block ends at the
-trajectory's end). Each sense() call must therefore name the slot after
-the previous call's (the first call may name any slot of the trajectory),
-as run_policy does; any other slot raises a ValueError naming the
-expected one, and a slot outside the trajectory one naming its length.
+ExperimentConfig.recovery_config() builds, and every policy's
+SignalEnvironment senses through it and the sensing plans it caches, so
+policies sensing the same set share its plan. Each slot hands
+signal_sense the plan, the slot's sample Gram and the selected bands'
+busy priors (one minus the policy's vacancy beliefs), nothing else.
+Plans return the same values whatever the environment held before, so
+the output depends on the config alone; recovery gives the scoring and
+where cached operators can move it in the last bits.
 
 No spectra or samples are formed. Recovery reads a slot only through its
-sample Gram S_yy (see recovery), so the environment draws each slot's
-Gram of its band spectra and noise directly, from its Bartlett factor
-(_draw_block): two generator calls per block, one standard_normal call
-for every factor's below-diagonal values and one chisquare call for
-their diagonals, in the order _draw_block's docstring gives. That order
-defines the signal-mode random stream. The Gram is equal in law to that
-of the unit-power spectra and noise that the sample-domain reference
-chain in tests/conftest.py (synthesize_band_spectra, then measure) draws
-slot by slot, so every statistic recovery reads has its law, but the
-values differ. A slot's S_yy is two small products with the plan's
-mixing matrix.
+sample Gram S_yy, so a SignalEnvironment draws the Grams directly, a
+block of consecutive slots at a time (_draw_block gives their law and
+the random stream), and a slot's S_yy is two small products with the
+plan's mixing matrix. Blocks work because a slot's random draws depend
+only on its trajectory row, bins_per_band, K and the SNR, not on the
+selected bands; they are also why sense() must name the slots in order.
+The Grams are equal in law to those of the unit-power spectra and noise
+that the sample-domain reference chain in tests/conftest.py
+(synthesize_band_spectra, then measure) draws slot by slot, so every
+statistic recovery reads has its law, but the values differ.
 """
 
 from __future__ import annotations
@@ -79,9 +55,10 @@ _BLOCK_GRAM_VALUES = 1 << 15
 
 @dataclass
 class MetricSeries:
-    """Aggregated per-slot metrics of one experiment."""
+    """Aggregated per-slot metrics of one experiment, with the experiment's
+    config resolved (ExperimentConfig.resolved) when it ran, which
+    emit_results writes as the manifest."""
 
-    policies: tuple[str, ...]
     mean_throughput: dict[str, np.ndarray]   # per-slot mean over replications
     mean_regret: dict[str, np.ndarray]       # cumulative gap to IMP (empty without IMP)
     config: ExperimentConfig
@@ -261,18 +238,13 @@ def run_experiment(config: ExperimentConfig) -> MetricSeries:
         imp = mean_throughput["IMP"]
         mean_regret = {p: compute_regret(mean_throughput[p], imp)
                        for p in config.policies}
-    return MetricSeries(policies=config.policies,
-                        mean_throughput=mean_throughput,
+    return MetricSeries(mean_throughput=mean_throughput,
                         mean_regret=mean_regret,
-                        config=config)
-
-
-def manifest_path_for(csv_path: str | Path) -> Path:
-    return Path(csv_path).with_suffix(".manifest.cfg")
+                        config=config.resolved())
 
 
 def emit_results(series: MetricSeries, csv_path: str | Path) -> tuple[Path, Path]:
-    """Write the per-slot CSV and the resolved-config manifest.
+    """Write the per-slot CSV and, as the manifest, series.config.
 
     The CSV carries one row per slot with the mean throughput and (when IMP
     was run) mean cumulative regret of every policy, at full float
@@ -285,7 +257,7 @@ def emit_results(series: MetricSeries, csv_path: str | Path) -> tuple[Path, Path
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     columns = ["slot"]
     series_by_column = []
-    for policy in series.policies:
+    for policy in series.config.policies:
         columns.append(f"{policy.lower()}_mean_throughput")
         series_by_column.append(series.mean_throughput[policy])
         if series.mean_regret:
@@ -297,7 +269,7 @@ def emit_results(series: MetricSeries, csv_path: str | Path) -> tuple[Path, Path
     # Python floats, one list per column: repr gives numpy's bytes.
     rows = zip(range(series.config.horizon),
                *(np.asarray(col, float).tolist() for col in series_by_column))
-    manifest = manifest_path_for(csv_path)
+    manifest = csv_path.with_suffix(".manifest.cfg")
     tmp_csv, tmp_manifest = (path.with_name(f".{path.name}.{os.getpid()}.tmp")
                              for path in (csv_path, manifest))
     try:
@@ -308,7 +280,7 @@ def emit_results(series: MetricSeries, csv_path: str | Path) -> tuple[Path, Path
                     f.write(",".join([str(slot), *map(repr, row)]) + "\n")
         except OSError as exc:
             raise OSError(f"failed to write results to {csv_path}: {exc}") from exc
-        dump_config(series.config.resolved(), tmp_manifest)
+        dump_config(series.config, tmp_manifest)
         os.replace(tmp_csv, csv_path)
         os.replace(tmp_manifest, manifest)
     finally:

@@ -13,43 +13,34 @@ checks them. Three policies share the loop:
          size is re-optimised from the estimated vacancy probabilities.
          The estimates change only in update_counts, so the size is
          recomputed at the first exploitation block after an update and
-         reused until the next one (84-100 instead of 1,505-1,778
-         optimize_size calls per 10,000-slot case1.cfg replication).
+         reused until the next one.
 * IMP  - ideal myopic baseline with the true statistics and the known
          optimal set size from the first slot.
 
 The policy loop hands Environment.sense the selected bands as a tuple of
 ints, the slot index and the current vacancy beliefs, and both backends
-return a recovery.SenseResult. The oracle backend (OracleEnvironment)
-returns recovery.oracle_sense of the selected statuses, a list of ints,
-so the busy-count rule has one home; the signal backend
-(experiments.SignalEnvironment) returns signal_sense's result, whose
-int8 statuses the loop turns into a list. Each slot is recorded as a
-SlotOutcome named tuple, not a dataclass.
+return a recovery.SenseResult: OracleEnvironment through
+recovery.oracle_sense, so the busy-count rule has one home, and
+experiments.SignalEnvironment through signal_sense, whose int8 statuses
+the loop turns into a list. Each slot is recorded as a SlotOutcome named
+tuple, not a dataclass.
 
 While run_policy runs, the per-band learner state is held in plain Python
 lists, and one slot step inside run_policy selects, senses, credits and
 advances the beliefs element by element; update_counts, the only step
-that changes the estimates, is its one helper, and of a u -> v credit it
-recomputes only row u's estimate. Each band's p10 + p01 and 1 - p01 are
-kept beside the estimates and recomputed only when update_counts changes
-them, and a successful slot predicts only its unsensed bands (a failed
-slot, every band). Nothing whose result cannot change is redone: a
-learning policy's block coins come from one rng.random call (the numbers
-and final generator state of one call per block; IMP draws none), OLDM's
-unlock is latched because the counts only grow, and slot records are
-built by tuple.__new__, as SlotOutcome._make does. On oracle case1.cfg
-the benchmark's median rate rose from 69,730 to 81,646 policy-slots/s
-with the slot step and from 80,655 to 90,038 with these savings (ten
-alternating pairs each, 2 CPUs).
+that changes the estimates, is its one helper. Each band's p10 + p01 and
+1 - p01 are kept beside the estimates and recomputed only when
+update_counts changes them, and a successful slot predicts only its
+unsensed bands (a failed slot, every band). Nothing whose result cannot
+change is redone: OLDM's unlock is latched because the counts only grow,
+and slot records are built by tuple.__new__, as SlotOutcome._make does.
 With few bands a numpy call costs more in overhead than in arithmetic;
 against the same loop on numpy arrays (K = N / 2, 4,000 oracle slots,
 before the step absorbed selection and prediction), OLDM ran 2.7-2.8x as
 fast at N = 8 and 0.46x at N = 256. Every shipped config has N <= 16.
 Python floats are IEEE doubles and each prediction keeps the operand
 order o + p10 - o * (p10 + p01), so every belief, estimate and selected
-set is bit-identical to the array form. A caller's BeliefState holds
-numpy arrays again once run_policy returns.
+set is bit-identical to the array form.
 """
 
 from __future__ import annotations

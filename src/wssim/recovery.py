@@ -18,48 +18,28 @@ the residual ||Y - A_S x||^2 of an estimate x = G Y is
 tr(F S_yy F^T) = tr(F^T F S_yy) with F = I - A_S G, and ||Y||^2 is
 tr(S_yy). So signal_sense and fbmp_recover take S_yy, never samples; a
 SignalEnvironment draws it from its Bartlett factor (see experiments), and
-the package forms no samples at all. The bin count is
-RecoveryConfig.bins_per_band. The tests keep a sample-domain reference
-chain in tests/conftest.py. Gram-domain values differ from sample-domain
-ones in the last bits, and where the true value is 0 they are rounding of
-about eps times the Gram's size rather than eps^2. So the residual ratio
-of an exact fit is about sqrt(eps) (1e-8), not 0; near the residual
-threshold the two agree to about eps / ratio.
+the package forms no samples at all. The tests keep a sample-domain
+reference chain in tests/conftest.py. Gram-domain values differ from
+sample-domain ones in the last bits, and where the true value is 0 they
+are rounding of about eps times the Gram's size rather than eps^2. So the
+residual ratio of an exact fit is about sqrt(eps) (1e-8), not 0; near the
+residual threshold the two agree to about eps / ratio.
 
-A SensingPlan is the one way set-level inputs reach signal_sense and
-fbmp_recover. It is a view of a SupportTable: the table holds the K x N
-sensing matrix and the RecoveryConfig, and the plan adds the selected
-bands, their K x m sub-matrix and what follows from those alone, not from
-the slot's Gram or priors. Besides the plan, those calls take only the
-slot's S_yy and busy priors, so a caller sensing the same set again
-passes the same plan back in; fbmp_recover searches at the plan's depth.
+A SensingPlan, a view of a SupportTable, is the one way set-level inputs
+reach signal_sense and fbmp_recover. Besides the plan, those calls take
+only the slot's S_yy and busy priors, so a caller sensing the same set
+again passes the same plan back in. A replication builds one table for
+every policy, so every policy senses a set through one plan.
 
 Both paths score supports alike: the log posterior
 -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S), with
 Phi_S = sig_n I + A_S A_S^T and the selected bands' busy priors, and keep
 the first maximum in (size, lexicographic) order over selection
-positions. A SupportTable holds Phi_S^-1, log det Phi_S and the fit
-operator Q_S = F_S^T F_S, with F_S = I - A_S G_S and G_S =
-(A_S^T A_S + sig_n I)^-1 A_S^T the posterior-mean operator, of every
-support of at most K // 2 of the N bands, indexed by colex rank and built
-eagerly, once per replication, for every policy; support_count caps it at
-_MAX_SUPPORTS rows. It also keeps the replication's SensingPlans, at most
-_MAX_PLANS of them, so every policy senses a set through one plan. Scores
-and residuals are products with cached operators, not solves, so they can
-differ from per-slot factorisation in the last bits, and only supports
-whose scores (or residuals at the threshold) are that close could read
-differently.
-
-- Direct path (m <= K): every one of the 2^m supports of the set. Those of
-  at most K // 2 bands are table rows; the plan builds the larger ones
-  when first used. The support is the statuses, and the slot always
-  succeeds.
-- Search path (m > K): fbmp_recover scores every support of at most
-  gamma = K // 2 bands. The support is the statuses, and the slot fails
-  when the residual of the support's posterior-mean fit, Q_S . vec(S_yy),
-  less the expected noise energy, is too large.
-
-No slot factorises anything, and no signal run imports SciPy.
+positions. Scores and residuals are products with the table's cached
+operators, not solves, so they can differ from per-slot factorisation in
+the last bits, and only supports whose scores (or residuals at the
+threshold) are that close could read differently. No slot factorises
+anything, and no signal run imports SciPy.
 """
 
 from __future__ import annotations

@@ -85,6 +85,10 @@ def exploration_threshold(n_bands: int, k_branches: int, mu: float,
     if not 1 <= k_branches <= n_bands:
         raise ValueError(f"k_branches must satisfy 1 <= k_branches <= n_bands "
                          f"(got {k_branches} with n_bands={n_bands})")
-    observations = math.ceil(2.0 / mu ** 2 * math.log(2.0 * n_bands / delta))
+    try:
+        observations = math.ceil(2.0 / mu ** 2 * math.log(2.0 * n_bands / delta))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"mu = {mu!r} and delta = {delta!r} need more observations "
+                         "than a float can count") from None
     slots = 2 * math.ceil(n_bands / k_branches) * observations
     return ExplorationBudget(observations=observations, slots=slots)

@@ -99,6 +99,18 @@ class TestValidate:
         assert main(["validate", str(cfg), "--set", "mu=high"]) == 2
         assert "cannot parse mu = 'high'" in capsys.readouterr().err
 
+    def test_override_without_equals_sign(self, workdir, capsys):
+        _, cfg = workdir
+        assert main(["validate", str(cfg), "--set", "seed"]) == 2
+        assert "--set expects key=value, got: seed" in capsys.readouterr().err
+
+    def test_config_line_without_equals_sign(self, workdir, capsys):
+        tmp_path, _ = workdir
+        bad = tmp_path / "bare.cfg"
+        bad.write_text(TINY + "seed 4\n", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert f"{bad}:8: expected 'key = value'" in capsys.readouterr().err
+
     def test_repeated_key_exits_with_usage_error(self, workdir, capsys):
         tmp_path, _ = workdir
         bad = tmp_path / "repeat.cfg"
@@ -156,10 +168,11 @@ class TestSweep:
         assert (tmp_path / "results" / "tiny_snr_db_20.csv").exists()
 
     def test_unknown_param(self, workdir, capsys):
-        _, cfg = workdir
+        tmp_path, cfg = workdir
         assert main(["sweep", str(cfg), "--param", "bogus",
-                     "--values", "1"]) != 0
-        assert "bogus" in capsys.readouterr().err
+                     "--values", "1"]) == 2
+        assert "unknown configuration key: bogus" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_bad_value_stops_the_sweep_before_any_run(self, workdir, capsys):
         # K = 9 exceeds the 8 bands; the values before it must not run.

@@ -797,6 +797,26 @@ class TestEmitResults:
         b, _ = emit_results(run_experiment(cfg), tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_manifest_is_the_config_that_ran(self, tmp_path):
+        # A change to the caller's config between the run and emit_results
+        # must not reach the manifest.
+        cfg = load_config(CONFIGS / "case1.cfg")
+        cfg.replications, cfg.horizon = 1, 200
+        series = run_experiment(cfg)
+        cfg.seed = 99
+        first_csv, manifest = emit_results(series, tmp_path / "a.csv")
+        rerun_csv, _ = emit_results(run_experiment(load_config(manifest)),
+                                    tmp_path / "b.csv")
+        assert rerun_csv.read_bytes() == first_csv.read_bytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_series_leaves_no_files(self, tmp_path, bad):
+        series = run_experiment(small_config(horizon=50))
+        series.mean_regret["LDM"][7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_results(series, tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFile:
     def test_load_round_trip(self, tmp_path):
@@ -851,10 +871,19 @@ class TestConfigFile:
     @pytest.mark.parametrize("field, value", [
         ("n_bands", 0), ("k_branches", 9), ("horizon", -1),
         ("exploration_coefficient", 0.0), ("mu", 1.5), ("delta", 0.0),
-        ("seed", -1), pytest.param("policies", ("IMP", "XYZ"), id="policies")])
+        ("seed", -1), pytest.param("policies", ("IMP", "XYZ"), id="policies"),
+        ("replications", 0), ("rs_mode", "x"),
+        pytest.param("policies", (), id="no-policies"),
+        pytest.param("policies", ("IMP", "LDM", "IMP"), id="repeated-policy"),
+        ("lambda_mixing", 0.0), pytest.param("p01", (0.1,) * 8, id="p01-alone"),
+        pytest.param("p01", {"p01": (0.1,) * 7, "p10": (0.2,) * 7}, id="short-vectors"),
+        pytest.param("p10", {"p01": (0.1,) * 8, "p10": (0.2,) * 9}, id="long-p10"),
+        ("case", "case9")])
     def test_validation_names_offending_field(self, field, value):
+        # A dict value sets several fields at once.
+        overrides = value if isinstance(value, dict) else {field: value}
         with pytest.raises(ValueError, match=field):
-            small_config(**{field: value}).validate()
+            small_config(**overrides).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("snr_db", float("nan")), ("snr_db", float("-inf")),

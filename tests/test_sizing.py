@@ -183,6 +183,10 @@ class TestExplorationThreshold:
         # More branches than bands is a shape validate() rejects too.
         with pytest.raises(ValueError, match="k_branches"):
             exploration_threshold(2, 4, 0.2, 0.1)
+        # 2 / mu^2 * ln(2 N / delta) divides by zero or overflows a float.
+        for mu, delta in ((1e-200, 0.1), (1e-160, 0.1), (0.1, 5e-324)):
+            with pytest.raises(ValueError, match=f"mu = {mu!r} and delta = {delta!r}"):
+                exploration_threshold(8, 4, mu, delta)
 
 
 class TestMuCorrect:
