@@ -53,19 +53,20 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Reject invalid fields with a message naming the field.
 
-        This is the one place the settings are checked; learning.run_policy
-        calls it before reading the policy settings. Integer fields must
-        hold Python or numpy integers, so NaN and non-integral values fail
-        (and seed must be nonnegative, as SeedSequence requires), and float
-        checks are written so that NaN fails them. The n_bands, k_branches
-        (1 <= k_branches <= n_bands), mu and delta checks are
-        sizing.exploration_threshold's, which theorem1 shares, so they are
-        made by computing the exploration budget. The recovery fields,
-        snr_db and bins_per_band among them, are checked by building
-        recovery_config(), in either mode. Signal mode also rejects an
-        n_bands and k_branches whose support table would exceed
-        recovery._MAX_SUPPORTS rows (support_count). Neither mode imports
-        SciPy.
+        This is the one place the settings are checked:
+        experiments.run_experiment calls it once, before any replication,
+        and neither run_replication nor learning.run_policy checks again.
+        Integer fields must hold Python or numpy integers, so NaN and
+        non-integral values fail (and seed must be nonnegative, as
+        SeedSequence requires), and float checks are written so that NaN
+        fails them. The n_bands, k_branches (1 <= k_branches <= n_bands),
+        mu and delta checks are sizing.exploration_threshold's, which
+        theorem1 shares, so they are made by computing the exploration
+        budget. The recovery fields, snr_db and bins_per_band among them,
+        are checked by building recovery_config(), in either mode. Signal
+        mode also rejects an n_bands and k_branches whose support table
+        would exceed recovery._MAX_SUPPORTS rows (support_count). Neither
+        mode imports SciPy.
         """
         for name in sorted(_INT_KEYS):
             value = getattr(self, name)

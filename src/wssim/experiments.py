@@ -46,7 +46,7 @@ from .config import ExperimentConfig, dump_config
 from .learning import OracleEnvironment, run_policy
 from .recovery import SenseResult, SupportTable, signal_sense
 from .sensing import draw_sensing_matrix
-from .spectrum import BandStatistics, check_trajectory, simulate_occupancy
+from .spectrum import check_trajectory, simulate_occupancy
 
 # Gram values a SignalEnvironment keeps at most per block of slots, at
 # (n_bands + k_branches)^2 a slot.
@@ -178,22 +178,20 @@ class SignalEnvironment:
         return signal_sense(s_yy, plan, prior_activity)
 
 
-def run_replication(config: ExperimentConfig, rep_index: int,
-                    stats: BandStatistics | None = None) -> dict[str, np.ndarray]:
-    """Per-slot throughput of every policy for one replication.
+def run_replication(config: ExperimentConfig, rep_index: int) -> dict[str, np.ndarray]:
+    """Per-slot throughput of every policy for one replication of a
+    validated config, whose band_statistics() drive the trajectory.
 
     Seeding depends only on (config.seed, rep_index), so replications can
-    run in any order and still merge identically.
+    run in any order and give the same series.
     """
     if not 0 <= rep_index < config.replications:
         raise ValueError("rep_index out of range")
-    if stats is None:
-        stats = config.band_statistics()
     # Child rep_index of SeedSequence(config.seed), without spawning the
     # other replications' children.
     rep_seed = np.random.SeedSequence(config.seed, spawn_key=(rep_index,))
     streams = rep_seed.spawn(2 + 2 * len(config.policies))
-    trajectory = simulate_occupancy(stats, config.horizon,
+    trajectory = simulate_occupancy(config.band_statistics(), config.horizon,
                                     np.random.default_rng(streams[0]))
     signal = config.rs_mode == "signal"
     if signal:
@@ -208,7 +206,7 @@ def run_replication(config: ExperimentConfig, rep_index: int,
         if signal:
             env = SignalEnvironment(trajectory, table,
                                     np.random.default_rng(streams[3 + 2 * i]))
-        outcomes = run_policy(config, policy, env, policy_rng, true_stats=stats)
+        outcomes = run_policy(config, policy, env, policy_rng)
         series[policy] = np.array([o.throughput for o in outcomes], dtype=float)
     return series
 
@@ -223,16 +221,17 @@ def compute_regret(policy_series: np.ndarray, imp_series: np.ndarray) -> np.ndar
 
 
 def run_experiment(config: ExperimentConfig) -> MetricSeries:
-    """Run all replications and aggregate per-slot means and regrets."""
+    """Validate the config once, run all replications and aggregate
+    per-slot means and regrets."""
     config.validate()
-    stats = config.band_statistics()
-    stacked = {p: np.empty((config.replications, config.horizon))
-               for p in config.policies}
+    totals = {p: np.zeros(config.horizon) for p in config.policies}
+    # A float sum's bits depend on its order, so replications are added in
+    # index order, as numpy's mean over their stack adds its rows; a
+    # parallel run must keep this order.
     for r in range(config.replications):
-        series = run_replication(config, r, stats=stats)
-        for policy, values in series.items():
-            stacked[policy][r] = values
-    mean_throughput = {p: stacked[p].mean(axis=0) for p in config.policies}
+        for policy, values in run_replication(config, r).items():
+            totals[policy] += values
+    mean_throughput = {p: totals[p] / config.replications for p in config.policies}
     mean_regret = {}
     if "IMP" in config.policies:
         imp = mean_throughput["IMP"]

@@ -5,8 +5,8 @@ explores (a fixed schedule senses every band group for two consecutive
 slots, yielding one transition observation per band) or exploits (the
 currently most promising bands are sensed each slot). Both phases take
 one slot step and learn only from same-set pairs of consecutive slots.
-run_policy reads its settings from a config.ExperimentConfig, which
-checks them. Three policies share the loop:
+run_policy reads its settings from a config.ExperimentConfig that its
+caller has checked with validate(). Three policies share the loop:
 
 * LDM  - learns transition statistics, always senses K bands.
 * OLDM - like LDM, but once every band has enough observations the set
@@ -14,8 +14,9 @@ checks them. Three policies share the loop:
          The estimates change only in update_counts, so the size is
          recomputed at the first exploitation block after an update and
          reused until the next one.
-* IMP  - ideal myopic baseline with the true statistics and the known
-         optimal set size from the first slot.
+* IMP  - ideal myopic baseline: OLDM with its estimates frozen at the
+         config's true statistics and unlocked from the first slot, so
+         it senses the optimal set size throughout and never explores.
 
 The policy loop hands Environment.sense the selected bands as a tuple of
 ints, the slot index and the current vacancy beliefs, and both backends
@@ -53,7 +54,7 @@ import numpy as np
 from .config import POLICY_MODES, ExperimentConfig
 from .recovery import SenseResult, oracle_sense
 from .sizing import exploration_threshold, optimize_size
-from .spectrum import BandStatistics, check_trajectory, stationary_vacancy
+from .spectrum import check_trajectory
 
 EXPLORE = "explore"
 EXPLOIT = "exploit"
@@ -192,17 +193,18 @@ def update_counts(belief: BeliefState, selected, statuses_prev,
 
 def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                rng: np.random.Generator,
-               true_stats: BandStatistics | None = None,
                belief: BeliefState | None = None) -> list[SlotOutcome]:
     """Run one policy, mode (one of POLICY_MODES), over the horizon.
 
     The settings (n_bands, k_branches, horizon, exploration_coefficient,
-    mu and delta) are the config's, checked by config.validate(). The
-    environment supplies per-slot sensing of whichever band set the
-    policy requests, given as a tuple of band indices. IMP needs
-    true_stats for its exact beliefs and fixed optimal set size; LDM and
-    OLDM learn from scratch. A caller-supplied belief is updated in place,
-    which also exposes the final learner state as numpy arrays.
+    mu and delta) are the config's, which the caller has checked with
+    config.validate(). The environment supplies per-slot sensing of
+    whichever band set the policy requests, given as a tuple of band
+    indices. LDM and OLDM learn from scratch. IMP's estimates are the
+    config's band_statistics(), frozen, and it is unlocked from slot 0, so
+    OLDM's sizing gives it the optimal set size once. A caller-supplied
+    belief is updated in place, which also exposes the final learner state
+    as numpy arrays.
 
     Each block has one policy coin, all drawn up front by one
     rng.random call (IMP never explores and draws none). An exploration
@@ -213,7 +215,6 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     """
     if mode not in POLICY_MODES:
         raise ValueError(f"mode must be one of {POLICY_MODES} (got {mode!r})")
-    config.validate()
     n, k, horizon = config.n_bands, config.k_branches, config.horizon
     n_groups = -(-n // k)
     block_len = 2 * n_groups
@@ -225,16 +226,9 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     elif belief.n_bands != n:
         raise ValueError("belief length must equal n_bands")
     if is_imp:
-        if true_stats is None:
-            raise ValueError("IMP requires true band statistics")
-        if true_stats.n_bands != n:
-            raise ValueError("true_stats length must equal n_bands")
-        belief.p01_hat = true_stats.p01.copy()
-        belief.p10_hat = true_stats.p10.copy()
-        belief.omega = stationary_vacancy(true_stats)
-        fixed_size = optimize_size(belief.omega, k).size
-    else:
-        fixed_size = k
+        stats = config.band_statistics()
+        belief.p01_hat, belief.p10_hat = stats.p01, stats.p10
+        belief.omega = belief.vacancy_estimates()
     unlock_obs = (exploration_threshold(n, k, config.mu, config.delta).observations
                   if is_oldm else None)
 
@@ -260,11 +254,12 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     # no pair straddles a phase change, while consecutive exploitation
     # blocks still pair.
     prev_sel = prev_statuses = None
-    # OLDM's set size, kept until update_counts, the only step that
-    # changes the estimates, runs again. The counts only grow, so the
-    # unlock, once reached, holds for the rest of the run.
-    oldm_size: int | None = None
-    unlocked = False
+    # An unlocked policy's set size, kept until update_counts, the only step
+    # that changes the estimates, runs again. The counts only grow, so
+    # OLDM's unlock, once reached, holds; IMP starts unlocked and never
+    # updates its estimates, so it sizes once.
+    adaptive_size: int | None = None
+    unlocked = is_imp
 
     belief._to_lists()
     try:
@@ -281,13 +276,11 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                 prev_sel = None
             else:
                 phase = EXPLOIT
-                if is_imp:
-                    set_size = fixed_size
-                elif is_oldm and (unlocked or min(obs_count) >= unlock_obs):
+                if unlocked or (is_oldm and min(obs_count) >= unlock_obs):
                     unlocked = True
-                    if oldm_size is None:
-                        oldm_size = optimize_size(belief.vacancy_estimates(), k).size
-                    set_size = oldm_size
+                    if adaptive_size is None:
+                        adaptive_size = optimize_size(belief.vacancy_estimates(), k).size
+                    set_size = adaptive_size
                 else:
                     set_size = k
             for i in range(min(block_len, horizon - t)):
@@ -323,7 +316,7 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                     # state changes p10 alone.
                     if prev_sel == sel and len(sel) <= k:
                         update_counts(belief, sel, prev_statuses, statuses)
-                        oldm_size = None
+                        adaptive_size = None
                         for band, u in zip(sel, prev_statuses):
                             p_sum[band] = p10[band] + p01[band]
                             if not u:

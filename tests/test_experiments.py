@@ -87,6 +87,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="k_branches"):
             run_experiment(small_config(k_branches=9))
 
+    def test_validates_once_per_experiment(self, monkeypatch):
+        # 3 replications x 3 policies, one check: neither run_replication
+        # nor run_policy validates again.
+        calls = []
+        validate = ExperimentConfig.validate
+        monkeypatch.setattr(ExperimentConfig, "validate",
+                            lambda self: calls.append(self) or validate(self))
+        run_experiment(small_config())
+        assert len(calls) == 1
+
     def test_rep_index_range_checked(self):
         with pytest.raises(ValueError):
             run_replication(small_config(), 3)
@@ -213,12 +223,11 @@ class TestSignalEnvironmentMatchesReference:
     @pytest.mark.parametrize("n, k, snr_db", [(8, 4, 20.0), (16, 8, 10.0)])
     def test_policy_runs_identical(self, mode, n, k, snr_db):
         config, trajectory, matrix = signal_setup(n, k, snr_db, 300, seed=11)
-        stats = config.band_statistics()
         runs = []
         for env in environments(config, trajectory, matrix):
             belief = BeliefState.fresh(n)
             outcomes = run_policy(config, mode, env, np.random.default_rng(13),
-                                  true_stats=stats, belief=belief)
+                                  belief=belief)
             runs.append((outcomes, belief, env.rng.bit_generator.state))
         (got, belief, state), (want, ref_belief, ref_state) = runs
         assert len(got) == len(want) == 300
@@ -534,7 +543,6 @@ class TestSupportTableHistory:
     @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
     def test_shared_and_fresh_tables_agree(self, n, k, monkeypatch):
         config, trajectory, matrix = signal_setup(n, k, 10.0, 300, seed=11)
-        stats = config.band_statistics()
         supports = []
         search = recovery.fbmp_recover
 
@@ -549,14 +557,13 @@ class TestSupportTableHistory:
         table = SupportTable(matrix, config.recovery_config())
         run_policy(config, "LDM",
                    SignalEnvironment(trajectory, table, np.random.default_rng(5)),
-                   np.random.default_rng(6), true_stats=stats)
+                   np.random.default_rng(6))
 
         def run(fresh_table=False):
             supports.clear()
             env = RecordingEnvironment(trajectory, table, np.random.default_rng(3),
                                        fresh_table=fresh_table)
-            run_policy(config, "IMP", env, np.random.default_rng(13),
-                       true_stats=stats)
+            run_policy(config, "IMP", env, np.random.default_rng(13))
             return list(supports), [(r.statuses.tolist(), r.xi)
                                     for r in env.results]
 
@@ -733,6 +740,17 @@ class TestPinnedOracleOutput:
         csv_path, _ = emit_results(run_experiment(cfg), tmp_path / f"{name}.csv")
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
             self.DIGESTS[name]
+
+
+def test_pinned_oracle_mean_over_replications(tmp_path):
+    # TestPinnedOracleOutput runs one replication; this pins the per-slot
+    # mean over five, whose bits depend on the order of the sum.
+    cfg = load_config(CONFIGS / "case2.cfg")
+    assert cfg.rs_mode == "oracle"
+    cfg.replications, cfg.horizon = 5, 1000
+    csv_path, _ = emit_results(run_experiment(cfg), tmp_path / "case2.csv")
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+        "853c5aaacdf203afe1668883ffab5fc515aa5d467c1267f3bb1266e2ba1364d4"
 
 
 class TestEmitResults:

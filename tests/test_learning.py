@@ -22,15 +22,14 @@ def case1_stats(mixing=0.5):
                                           mixing=mixing)
 
 
-def oracle_run(mode, horizon, seed=0, stats=None, n=8, k=4, **cfg_kwargs):
-    stats = stats or case1_stats()
-    rng = np.random.default_rng(seed)
-    trajectory = simulate_occupancy(stats, horizon, rng)
-    env = OracleEnvironment(trajectory, k)
+def oracle_run(mode, horizon, seed=0, n=8, k=4, **cfg_kwargs):
     cfg = ExperimentConfig(n_bands=n, k_branches=k, horizon=horizon,
                            **cfg_kwargs)
+    rng = np.random.default_rng(seed)
+    trajectory = simulate_occupancy(cfg.band_statistics(), horizon, rng)
+    env = OracleEnvironment(trajectory, k)
     belief = BeliefState.fresh(n)
-    outcomes = run_policy(cfg, mode, env, rng, true_stats=stats, belief=belief)
+    outcomes = run_policy(cfg, mode, env, rng, belief=belief)
     return outcomes, belief, trajectory
 
 
@@ -221,13 +220,28 @@ class TestRunPolicy:
         assert all(len(o.selected) == 7 for o in outcomes)
         assert all(o.phase == "exploit" for o in outcomes)
 
-    def test_imp_requires_true_stats(self):
-        stats = case1_stats()
-        trajectory = simulate_occupancy(stats, 8, np.random.default_rng(0))
-        cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=8)
-        with pytest.raises(ValueError):
-            run_policy(cfg, "IMP", OracleEnvironment(trajectory, 4),
-                       np.random.default_rng(0))
+    def test_imp_takes_the_configs_statistics(self):
+        # Explicit vectors that are not the case profile: case1's vacancies
+        # reversed, so the top bands sit at the low indices.
+        stats = BandStatistics.from_stationary(
+            np.array(CASE_STATIONARY["case1"][::-1]), mixing=0.5)
+        cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=40,
+                               p01=tuple(stats.p01.tolist()),
+                               p10=tuple(stats.p10.tolist()))
+        trajectory = simulate_occupancy(stats, 40, np.random.default_rng(0))
+        belief = BeliefState.fresh(8)
+        outcomes = run_policy(cfg, "IMP", OracleEnvironment(trajectory, 4),
+                              np.random.default_rng(0), belief=belief)
+        want = cfg.band_statistics()
+        assert belief.p01_hat.tobytes() == want.p01.tobytes()
+        assert belief.p10_hat.tobytes() == want.p10.tobytes()
+        vacancy = stationary_vacancy(want)
+        size = optimize_size(vacancy, 4).size
+        top = np.argsort(-vacancy, kind="stable")[:size]
+        assert outcomes[0].selected == tuple(sorted(top.tolist()))
+        # case1's own profile, which the config's case names, puts its top
+        # bands at the high indices instead.
+        assert outcomes[0].selected != tuple(range(8 - size, 8))
 
     def test_rejects_unknown_mode(self):
         trajectory = simulate_occupancy(case1_stats(), 8, np.random.default_rng(0))
@@ -271,7 +285,7 @@ class TestRunPolicy:
                 seen.append(prior_vacancy.copy())
                 return env.sense(selected, slot, prior_vacancy)
 
-        run_policy(cfg, "OLDM", Spy(), rng, true_stats=stats, belief=belief)
+        run_policy(cfg, "OLDM", Spy(), rng, belief=belief)
         priors = np.array(seen)
         assert np.all(priors >= 0.0) and np.all(priors <= 1.0)
 
@@ -291,7 +305,7 @@ class TestRunPolicy:
                 return env.sense(selected, slot, prior_vacancy)
 
         cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=600)
-        run_policy(cfg, mode, Spy(), rng, true_stats=stats)
+        run_policy(cfg, mode, Spy(), rng)
         assert len(kept) == 600
         assert all(prior == copy for prior, copy in kept)
 
@@ -307,7 +321,7 @@ class TestRunPolicy:
                                mu=0.9, delta=0.9, exploration_coefficient=2.0)
         belief = BeliefState.fresh(8)
         outcomes = run_policy(cfg, "OLDM", OracleEnvironment(trajectory, 4), rng,
-                              true_stats=stats, belief=belief)
+                              belief=belief)
         expected = np.zeros(8, dtype=int)
         oversized_pairs = 0
         for prev, cur in zip(outcomes, outcomes[1:]):
@@ -388,18 +402,19 @@ class TestImpThroughputLevel:
         assert realized <= 7.0
 
 
-def assert_same_run(cfg, mode, stats, make_env, make_reference_env, seed,
+def assert_same_run(cfg, mode, make_env, make_reference_env, seed,
                     belief=None):
     """run_policy and the numpy reference loop give identical runs and
-    leave their policy generators in the same state."""
+    leave their policy generators in the same state. The reference's IMP
+    takes the config's statistics as its true_stats."""
     if belief is None:
         belief = BeliefState.fresh(cfg.n_bands)
     ref_belief = BeliefState.fresh(cfg.n_bands)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    outcomes = run_policy(cfg, mode, make_env(), rng,
-                          true_stats=stats, belief=belief)
+    outcomes = run_policy(cfg, mode, make_env(), rng, belief=belief)
     expected = reference_run_policy(cfg, mode, make_reference_env(), ref_rng,
-                                    true_stats=stats, belief=ref_belief)
+                                    true_stats=cfg.band_statistics(),
+                                    belief=ref_belief)
     # The reference draws one coin per block; run_policy draws them all at
     # once. The next draw tells whether both consumed the same numbers.
     assert rng.random() == ref_rng.random()
@@ -432,7 +447,7 @@ class TestMatchesNumpyReference:
             for seed in (1, 2, 3):
                 trajectory = simulate_occupancy(stats, cfg.horizon,
                                                 np.random.default_rng(seed))
-                assert_same_run(cfg, mode, stats,
+                assert_same_run(cfg, mode,
                                 lambda: OracleEnvironment(trajectory, k),
                                 lambda: ReferenceOracleEnvironment(trajectory, k),
                                 seed + 100)
@@ -458,7 +473,7 @@ class TestMatchesNumpyReference:
                 trajectory = simulate_occupancy(stats, horizon,
                                                 np.random.default_rng(seed))
                 outcomes = assert_same_run(
-                    cfg, mode, stats, lambda: OracleEnvironment(trajectory, k),
+                    cfg, mode, lambda: OracleEnvironment(trajectory, k),
                     lambda: ReferenceOracleEnvironment(trajectory, k), seed + 100)
                 block_phases.add(tuple(o.phase for o in outcomes[::block_len]))
         blocks = {phase for phases in block_phases for phase in phases}
@@ -481,8 +496,7 @@ class TestMatchesNumpyReference:
                                             np.random.default_rng(1))
             rng = np.random.default_rng(5)
             state = rng.bit_generator.state
-            run_policy(cfg, "IMP", OracleEnvironment(trajectory, k), rng,
-                       true_stats=stats)
+            run_policy(cfg, "IMP", OracleEnvironment(trajectory, k), rng)
             assert rng.bit_generator.state == state
 
     def test_oldm_after_unlock_identical(self):
@@ -491,7 +505,7 @@ class TestMatchesNumpyReference:
                                exploration_coefficient=50.0, mu=0.4)
         trajectory = simulate_occupancy(stats, cfg.horizon,
                                         np.random.default_rng(7))
-        outcomes = assert_same_run(cfg, "OLDM", stats,
+        outcomes = assert_same_run(cfg, "OLDM",
                                    lambda: OracleEnvironment(trajectory, 4),
                                    lambda: ReferenceOracleEnvironment(trajectory, 4),
                                    8)
@@ -528,7 +542,7 @@ class TestMatchesNumpyReference:
         monkeypatch.setattr(learning, "optimize_size",
                             lambda *args: calls.append(args) or sized(*args))
         outcomes = assert_same_run(
-            cfg, "OLDM", stats, Spy, lambda: ReferenceOracleEnvironment(trajectory, k),
+            cfg, "OLDM", Spy, lambda: ReferenceOracleEnvironment(trajectory, k),
             seed + 1, belief=belief)
         blocks = [t for t in fresh if outcomes[t].phase == EXPLOIT]
         for t in blocks:
@@ -550,4 +564,4 @@ class TestMatchesNumpyReference:
         def make_env():
             return SignalEnvironment(trajectory, table, np.random.default_rng(3))
 
-        assert_same_run(config, mode, stats, make_env, make_env, 4)
+        assert_same_run(config, mode, make_env, make_env, 4)
