@@ -197,8 +197,10 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     """Run one policy, mode (one of POLICY_MODES), over the horizon.
 
     The settings (n_bands, k_branches, horizon, exploration_coefficient,
-    mu and delta) are the config's, which the caller has checked with
-    config.validate(). The environment supplies per-slot sensing of
+    mu and delta) are the config's. The branch count, mu and delta are
+    checked here, by the exploration budget every mode computes; the
+    caller validates the remaining fields with config.validate(), as
+    run_experiment does. The environment supplies per-slot sensing of
     whichever band set the policy requests, given as a tuple of band
     indices. LDM and OLDM learn from scratch. IMP's estimates are the
     config's band_statistics(), frozen, and it is unlocked from slot 0, so
@@ -216,6 +218,9 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     if mode not in POLICY_MODES:
         raise ValueError(f"mode must be one of {POLICY_MODES} (got {mode!r})")
     n, k, horizon = config.n_bands, config.k_branches, config.horizon
+    # OLDM's unlock budget; it also rejects a branch count outside
+    # [1, n_bands] before anything divides by it.
+    unlock_obs = exploration_threshold(n, k, config.mu, config.delta).observations
     n_groups = -(-n // k)
     block_len = 2 * n_groups
     is_imp = mode == "IMP"
@@ -229,8 +234,6 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
         stats = config.band_statistics()
         belief.p01_hat, belief.p10_hat = stats.p01, stats.p10
         belief.omega = belief.vacancy_estimates()
-    unlock_obs = (exploration_threshold(n, k, config.mu, config.delta).observations
-                  if is_oldm else None)
 
     # Each exploration slot's group and the bands it leaves unsensed.
     groups = [explore_schedule(g, n, k).tolist() for g in range(n_groups)

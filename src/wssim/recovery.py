@@ -25,18 +25,23 @@ are rounding of about eps times the Gram's size rather than eps^2. So the
 residual ratio of an exact fit is about sqrt(eps) (1e-8), not 0; near the
 residual threshold the two agree to about eps / ratio.
 
-A SensingPlan, a view of a SupportTable, is the one way set-level inputs
-reach signal_sense and fbmp_recover. Besides the plan, those calls take
-only the slot's S_yy and busy priors, so a caller sensing the same set
-again passes the same plan back in. A replication builds one table for
-every policy, so every policy senses a set through one plan.
+A SensingPlan, a view of a SupportTable built whole for its path when it
+is made, is the one way set-level inputs reach signal_sense and
+fbmp_recover. Besides the plan, those calls take only the slot's S_yy and
+busy priors, so a caller sensing the same set again passes the same plan
+back in. A replication builds one table for every policy, so every policy
+senses a set through one plan. A plan's gamma is gamma_threshold, the
+rule oracle sensing applies, so both modes recover a set of m bands with
+at most m busy when m <= K (the direct path) and at most K // 2 otherwise
+(the search).
 
 Both paths score supports alike: the log posterior
 -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S), with
 Phi_S = sig_n I + A_S A_S^T and the selected bands' busy priors, and keep
 the first maximum in (size, lexicographic) order over selection
-positions. Scores and residuals are products with the table's cached
-operators, not solves, so they can differ from per-slot factorisation in
+positions. Scores and residuals are products with cached operators (the
+table's, and a direct plan's inverses of its supports beyond the table),
+not solves, so they can differ from per-slot factorisation in
 the last bits, and only supports whose scores (or residuals at the
 threshold) are that close could read differently. No slot factorises
 anything, and no signal run imports SciPy.
@@ -87,7 +92,10 @@ class RecoveryConfig:
 
 
 def gamma_threshold(set_size: int, k_branches: int) -> int:
-    """Largest busy count still recoverable for a given selected-set size."""
+    """Largest busy count still recoverable for a given selected-set size:
+    the set size when it is at most K (the direct path), else K // 2 (the
+    search). oracle_sense applies it to the truth, and every SensingPlan
+    takes it as its gamma."""
     if set_size < 1 or k_branches < 1:
         raise ValueError("set_size and k_branches must be at least 1")
     return set_size if set_size <= k_branches else k_branches // 2
@@ -217,6 +225,10 @@ class SupportTable:
     energy of a fit's residual plus a four-sigma guard band,
     (n + 4 sqrt(n)) * noise_variance for the n = K * bins_per_band complex
     samples of a slot.
+
+    A search plan reads the rows of all its supports (at most K // 2
+    bands); a direct plan reads those of its supports of at most max_size
+    bands and builds the larger ones' inverses itself (SensingPlan).
     """
 
     def __init__(self, matrix: np.ndarray, cfg: RecoveryConfig):
@@ -274,22 +286,20 @@ class SupportTable:
 def _position_supports(m: int, gamma: int):
     """Every support of at most gamma of m selection positions.
 
-    Supports come in (size, lexicographic) order. Returns their (C, m)
-    0/1 indicator (float64, for score products), the same as int8 status
-    rows, their (C, gamma) position lists (ascending, padded with m) and
-    ends, where ends[s] counts the supports of size at most s (so a
-    smaller gamma's supports are a prefix).
+    Supports come in (size, lexicographic) order, so a smaller gamma's
+    supports are a prefix. Returns their (C, m) 0/1 indicator (float64,
+    for score products), the same as int8 status rows, and their
+    (C, gamma) position lists (ascending, padded with m).
     """
     by_size = [_combinations(m, size) for size in range(gamma + 1)]
-    ends = np.cumsum([len(positions) for positions in by_size])
     indicator = np.concatenate([(positions[:, :, None] == np.arange(m)).any(axis=1)
                                 for positions in by_size]).astype(float)
     lists = np.concatenate([np.pad(positions, ((0, 0), (0, gamma - positions.shape[1])),
                                    constant_values=m) for positions in by_size])
     statuses = indicator.astype(np.int8)
-    for array in (indicator, statuses, lists, ends):
+    for array in (indicator, statuses, lists):
         array.flags.writeable = False   # shared by every caller of the cache
-    return indicator, statuses, lists, ends
+    return indicator, statuses, lists
 
 
 def _first_map(s_yy, inv, weighted_logdet, indicator, prior_activity) -> int:
@@ -308,7 +318,8 @@ def _first_map(s_yy, inv, weighted_logdet, indicator, prior_activity) -> int:
 
 
 class SensingPlan:
-    """Everything signal sensing of one band set takes besides the slot.
+    """Everything signal sensing of one band set takes besides the slot,
+    built whole when the plan is made.
 
     A plan is a view of table, the SupportTable the scores come from: the
     recovery config and the sensing matrix are the table's, and a
@@ -316,22 +327,24 @@ class SensingPlan:
     bands in selection order. a_sub is the set's K x m sensing sub-matrix,
     select_submatrix(table.matrix, bands); column j is column bands[j] of
     the matrix, and K is its row count. direct is whether the set takes
-    the direct path (m <= K) rather than the search.
+    the direct path (m <= K) rather than the search, and gamma is
+    gamma_threshold(m, K), the busy count oracle sensing allows too: m on
+    the direct path, K // 2 on the search.
 
-    What follows is built on first use and read on every later slot:
-
-    - rows: the table row of every support of at most
-      gamma = min(m, table.max_size) selection positions, in the order of
-      _position_supports(m, gamma). Each support's bands are sorted (the
-      position lists' padding maps to band N), then ranked with one
-      table.rows call.
-    - weighted_logdet: -bins * log det Phi_S of those rows.
-    - operators (direct path): the (2^m, K*K) flattened Phi_S^-1 and the
-      -bins * log det Phi_S of every support of the set, in the order of
-      _position_supports(m, m). Supports of at most gamma bands copy their
-      table rows; each larger size takes one _support_covariances call
-      and one stacked inverse over its supports' ascending bands, so each
-      row is a function of its support alone, as in the table.
+    - indicator, statuses: _position_supports(m, gamma), every support of
+      at most gamma selection positions in (size, lexicographic) order.
+    - rows: the table row of each of those supports of at most
+      min(gamma, table.max_size) bands, a prefix of that order (all of it
+      on the search). Each support's bands are sorted, the position
+      lists' padding mapping to band N, and ranked by one table.rows call.
+    - weighted_logdet: -bins * log det Phi_S of every support that is
+      scored: the rows on the search, all 2^m supports on the direct path.
+    - inv (direct path only): the (2^m, K*K) flattened Phi_S^-1 of every
+      support. The table rows come first; the larger supports follow from
+      one _support_covariances call and one stacked inverse over their
+      ascending bands, padded with band N and read against the matrix
+      with a zero column appended, which adds nothing to A_S A_S^T. Each
+      row is thus a function of its support alone, as in the table.
     - mixing: the K x (N + K) front end of the set, a_sub in the columns
       of the selected bands, zeros in the other bands' columns, then the
       K x K identity for the noise branches. Samples are mixing times the
@@ -343,73 +356,53 @@ class SensingPlan:
         self.table = table
         self.bands = tuple(map(int, bands))
         self.a_sub = select_submatrix(table.matrix, self.bands)
-        self.gamma = min(len(self.bands), table.max_size)
-        self.direct = len(self.bands) <= len(self.a_sub)
-
-    def _sorted_supports(self, gamma: int) -> np.ndarray:
-        """The bands of every support of at most gamma selection positions,
-        in _position_supports order, ascending and padded with N."""
-        _, _, lists, _ = _position_supports(len(self.bands), gamma)
-        supports = np.append(self.bands, self.table.matrix.shape[1])[lists]
-        supports.sort(axis=1)
-        return supports
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        return self.table.rows(self._sorted_supports(self.gamma))
-
-    @functools.cached_property
-    def weighted_logdet(self) -> np.ndarray:
-        return -self.table.cfg.bins_per_band * self.table.logdet[self.rows]
-
-    @functools.cached_property
-    def operators(self) -> tuple[np.ndarray, np.ndarray]:
-        table = self.table
+        k, n = table.matrix.shape
         m = len(self.bands)
-        _, _, _, ends = _position_supports(m, m)
-        supports = self._sorted_supports(m)
-        inv, weighted_logdet = [table.inv[self.rows]], [self.weighted_logdet]
-        for size in range(self.gamma + 1, m + 1):
-            phi, logdet = _support_covariances(
-                table.matrix, supports[ends[size - 1]:ends[size], :size], table.sig_n)
-            inv.append(np.linalg.inv(phi).reshape(len(phi), -1))
-            weighted_logdet.append(-table.cfg.bins_per_band * logdet)
-        return np.concatenate(inv), np.concatenate(weighted_logdet)
-
-    @functools.cached_property
-    def mixing(self) -> np.ndarray:
-        k, n = self.table.matrix.shape
-        mixing = np.zeros((k, n + k))
-        mixing[:, list(self.bands)] = self.a_sub
-        mixing[:, n:] = np.eye(k)
-        return mixing
+        self.gamma = gamma_threshold(m, k)
+        self.direct = m <= k
+        self.mixing = np.zeros((k, n + k))
+        self.mixing[:, list(self.bands)] = self.a_sub
+        self.mixing[:, n:] = np.eye(k)
+        self.indicator, self.statuses, lists = _position_supports(m, self.gamma)
+        supports = np.append(self.bands, n)[lists]
+        supports.sort(axis=1)
+        size = min(self.gamma, table.max_size)
+        count = sum(math.comb(m, s) for s in range(size + 1))
+        self.rows = table.rows(supports[:count, :size])
+        bins = table.cfg.bins_per_band
+        self.weighted_logdet = -bins * table.logdet[self.rows]
+        if self.direct:
+            padded = np.zeros((k, n + 1))
+            padded[:, :n] = table.matrix
+            phi, logdet = _support_covariances(padded, supports[count:], table.sig_n)
+            self.inv = np.concatenate([table.inv[self.rows],
+                                       np.linalg.inv(phi).reshape(len(phi), k * k)])
+            self.weighted_logdet = np.concatenate([self.weighted_logdet, -bins * logdet])
 
 
 def fbmp_recover(s_yy, plan: SensingPlan, prior_activity=0.5):
     """Exact maximum-a-posteriori search over busy-band supports.
 
     s_yy is the slot's K x K sample Gram Re(Z Z^H). Scores every
-    support of at most plan.gamma = min(m, K // 2) of the plan's bands at
-    once from the plan's table rows (_first_map); prior_activity is the
-    per-band prior probability of being busy (a scalar or one entry per
-    selected band). The cached inverses can move scores in the last bits
-    against factorising each Phi_S, so only supports that close could rank
-    differently. Returns the binary support estimate (a read-only int8
-    row) and the relative residual ||Y - A_S G_S Y|| / ||Y|| of its
-    posterior-mean fit: the square root of Q_S . vec(S_yy) / tr(S_yy),
-    with Q_S the support's table row of fit operators, the residual
-    clamped at 0, and 0 when S_yy is zero.
+    support of at most plan.gamma = K // 2 of a search plan's bands at
+    once from their table rows, plan.rows (_first_map); prior_activity is the per-band prior probability of being busy (a
+    scalar or one entry per selected band). The cached inverses can move
+    scores in the last bits against factorising each Phi_S, so only
+    supports that close could rank differently. Returns the binary support
+    estimate (a read-only int8 row) and the relative residual
+    ||Y - A_S G_S Y|| / ||Y|| of its posterior-mean fit: the square root
+    of Q_S . vec(S_yy) / tr(S_yy), with Q_S the support's table row of fit
+    operators, the residual clamped at 0, and 0 when S_yy is zero.
     """
     s_yy = np.asarray(s_yy)
     table = plan.table
-    indicator, statuses, _, _ = _position_supports(len(plan.bands), plan.gamma)
     rows = plan.rows
-    best = _first_map(s_yy, table.inv[rows], plan.weighted_logdet, indicator,
+    best = _first_map(s_yy, table.inv[rows], plan.weighted_logdet, plan.indicator,
                       prior_activity)
     residual = table.fit[rows[best]] @ s_yy.ravel()
     y_sq = s_yy.trace()
     ratio = math.sqrt(max(residual, 0.0) / y_sq) if y_sq else 0.0
-    return statuses[best], ratio
+    return plan.statuses[best], ratio
 
 
 def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
@@ -417,16 +410,17 @@ def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
     Re(Z Z^H): the statuses are the MAP support of the selected bands
     under the busy priors prior_activity (a scalar or one entry per band).
 
-    Set sizes up to the branch count K (the plan's row count) score all
-    2^m supports from the plan's operators and always succeed. Larger sets
-    go through fbmp_recover, and fail when its relative residual, less the
-    expected noise energy, exceeds the config's residual_threshold.
+    Direct plans (set sizes up to the branch count K) score all 2^m
+    supports from the plan's inv and weighted_logdet and always succeed.
+    Search plans go through fbmp_recover, and fail when its relative
+    residual, less the expected noise energy, exceeds the config's
+    residual_threshold.
     """
     s_yy = np.asarray(s_yy)
     if plan.direct:
-        indicator, statuses, _, _ = _position_supports(len(plan.bands), len(plan.bands))
-        best = _first_map(s_yy, *plan.operators, indicator, prior_activity)
-        return SenseResult(statuses[best], 0)
+        best = _first_map(s_yy, plan.inv, plan.weighted_logdet, plan.indicator,
+                          prior_activity)
+        return SenseResult(plan.statuses[best], 0)
     support, ratio = fbmp_recover(s_yy, plan, prior_activity)
     # The raw residual of a correct fit still contains the measurement
     # noise, so the failure statistic discounts the table's noise guard

@@ -250,6 +250,17 @@ class TestRunPolicy:
                        OracleEnvironment(trajectory, 4), np.random.default_rng(0))
         assert "'XYZ'" in str(raised.value)
 
+    @pytest.mark.parametrize("mode", ["LDM", "IMP"])
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_rejects_branch_count_outside_bands(self, k, mode):
+        # An unvalidated config with K outside [1, N = 8]: the exploration
+        # budget every mode computes rejects it by name, before any slot
+        # runs or anything divides by K.
+        trajectory = simulate_occupancy(case1_stats(), 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="k_branches"):
+            run_policy(ExperimentConfig(k_branches=k, horizon=8), mode,
+                       OracleEnvironment(trajectory, 4), np.random.default_rng(0))
+
     def test_throughput_counts_vacant_bands_on_success(self):
         outcomes, _, trajectory = oracle_run("OLDM", 2000, seed=3)
         for t, outcome in enumerate(outcomes):

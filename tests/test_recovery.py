@@ -607,21 +607,23 @@ class TestSensingPlan:
             assert got.statuses.tobytes() == want.statuses.tobytes()
             assert got.xi == want.xi
 
-    @pytest.mark.parametrize("k, n", [(4, 8), (8, 16), (1, 3)])
-    def test_direct_operators_are_table_rows_and_own_inverses(self, k, n):
+    @pytest.mark.parametrize("k, n, noise_variance", [
+        pytest.param(k, n, noise, id=f"{k}-{n}" + ("" if noise else "-noiseless"))
+        for noise in (0.01, 0.0) for k, n in [(4, 8), (8, 16), (1, 3), (2, 5), (6, 10)]])
+    def test_direct_operators_are_table_rows_and_own_inverses(self, k, n, noise_variance):
         # Every support of a direct set in (size, lexicographic) order over
         # selection positions: those of at most K // 2 bands carry their
         # table rows' bits, larger ones the bits of their own covariance's
         # inverse over their ascending bands, and every log-determinant is
-        # weighted by -bins.
+        # weighted by -bins. Noiseless tables score at the 1e-10 floor.
         rng = np.random.default_rng(n)
         matrix = rng.standard_normal((k, n))
-        table = SupportTable(matrix, RecoveryConfig(noise_variance=0.01,
+        table = SupportTable(matrix, RecoveryConfig(noise_variance=noise_variance,
                                                     bins_per_band=16))
         for m in range(1, k + 1):
             plan = SensingPlan(table, rng.permutation(n)[:m])
             assert plan.direct
-            inv, weighted_logdet = plan.operators
+            inv, weighted_logdet = plan.inv, plan.weighted_logdet
             assert inv.shape == (2 ** m, k * k)
             supports = [np.sort(np.array(plan.bands)[list(positions)])
                         for size in range(m + 1)
@@ -636,6 +638,20 @@ class TestSensingPlan:
                     want_inv, want_logdet = np.linalg.inv(phi).ravel(), logdet[0]
                 assert inv[i].tobytes() == want_inv.tobytes()
                 assert weighted_logdet[i] == -16 * want_logdet
+
+    @pytest.mark.parametrize("k, n", [(4, 8), (8, 16), (1, 3)])
+    def test_gamma_is_the_oracle_rule(self, k, n):
+        # Every plan recovers at most gamma_threshold(m, K) busy bands, the
+        # count oracle sensing allows: m on the direct path, K // 2 on the
+        # search, whose plans hold no inverses of their own.
+        rng = np.random.default_rng(k + n)
+        table = SupportTable(rng.standard_normal((k, n)), RecoveryConfig())
+        for m in range(1, n + 1):
+            plan = SensingPlan(table, rng.permutation(n)[:m])
+            assert plan.gamma == gamma_threshold(m, k)
+            assert len(plan.statuses) == len(plan.weighted_logdet) == \
+                sum(math.comb(m, size) for size in range(plan.gamma + 1))
+            assert hasattr(plan, "inv") == plan.direct
 
     def test_mixing_scatters_the_sub_matrix(self, rng):
         table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
@@ -749,7 +765,7 @@ class TestSupportTable:
                 bands = rng.permutation(n)[:m]
                 plan = SensingPlan(table, bands)
                 want = [table.rows(np.sort(bands[all_supports(m, size)], axis=1))
-                        for size in range(plan.gamma + 1)]
+                        for size in range(min(plan.gamma, table.max_size) + 1)]
                 assert plan.rows.dtype == np.intp
                 assert plan.rows.tolist() == np.concatenate(want).tolist()
 
