@@ -59,11 +59,18 @@ def _cmd_sweep(args) -> int:
     key = _SWEEP_ALIASES.get(args.param, args.param)
     stem = Path(args.config).stem
     # Every value's config is checked before the first run, so a bad value
-    # fails the sweep without writing any results.
-    runs = []
+    # fails the sweep without writing any results. A value equal to an
+    # earlier one after parsing (04 after 4) would rerun that config and
+    # overwrite its output, so it fails too.
+    runs, seen = [], {}
     for raw in args.values.split(","):
         raw = raw.strip()
-        cfg = replace(base, **{key: _parse_value(key, raw)})
+        value = _parse_value(key, raw)
+        if value in seen:
+            raise ValueError(f"--values gives {key} = {value!r} twice "
+                             f"(as {seen[value]!r} and {raw!r})")
+        seen[value] = raw
+        cfg = replace(base, **{key: value})
         cfg.validate()
         runs.append((cfg, f"{stem}_{key}_{raw}"))
     for cfg, out_name in runs:

@@ -8,7 +8,10 @@ order. Oracle mode draws no sensing matrix, but the matrix's seed stream
 stays reserved, so every other stream and the output are unchanged; one
 OracleEnvironment serves all policies of a replication. Both sensing
 backends check the trajectory once, with spectrum.check_trajectory, and
-return a recovery.SenseResult per slot.
+return a recovery.SenseResult per slot. run_policy keeps no SenseResult:
+it returns a learning.SlotLog of each slot's xi, throughput and phase,
+and a replication's per-slot series of a policy is that log's throughput
+column as floats.
 
 In signal mode run_replication builds one recovery.SupportTable of the
 replication's sensing matrix, with the RecoveryConfig that
@@ -180,7 +183,8 @@ class SignalEnvironment:
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> dict[str, np.ndarray]:
     """Per-slot throughput of every policy for one replication of a
-    validated config, whose band_statistics() drive the trajectory.
+    validated config, whose band_statistics() drive the trajectory: each
+    policy's SlotLog throughput column as a float array.
 
     Seeding depends only on (config.seed, rep_index), so replications can
     run in any order and give the same series.
@@ -206,8 +210,8 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> dict[str, np.nd
         if signal:
             env = SignalEnvironment(trajectory, table,
                                     np.random.default_rng(streams[3 + 2 * i]))
-        outcomes = run_policy(config, policy, env, policy_rng)
-        series[policy] = np.array([o.throughput for o in outcomes], dtype=float)
+        log = run_policy(config, policy, env, policy_rng)
+        series[policy] = np.array(log.throughput, dtype=float)
     return series
 
 

@@ -23,8 +23,12 @@ ints, the slot index and the current vacancy beliefs, and both backends
 return a recovery.SenseResult: OracleEnvironment through
 recovery.oracle_sense, so the busy-count rule has one home, and
 experiments.SignalEnvironment through signal_sense, whose int8 statuses
-the loop turns into a list. Each slot is recorded as a SlotOutcome named
-tuple, not a dataclass.
+the loop turns into a list. A run is recorded as a SlotLog of three
+lists, each slot's xi, throughput and phase: ints and the two phase
+strings, none of which the cyclic garbage collector tracks. A slot's
+selected set and statuses are dropped after the next slot's credit, so a
+long run keeps no per-slot container for the collector to rescan; SlotLog
+builds its SlotOutcome items only when read.
 
 While run_policy runs, the per-band learner state is held in plain Python
 lists, and one slot step inside run_policy selects, senses, credits and
@@ -33,8 +37,7 @@ that changes the estimates, is its one helper. Each band's p10 + p01 and
 1 - p01 are kept beside the estimates and recomputed only when
 update_counts changes them, and a successful slot predicts only its
 unsensed bands (a failed slot, every band). Nothing whose result cannot
-change is redone: OLDM's unlock is latched because the counts only grow,
-and slot records are built by tuple.__new__, as SlotOutcome._make does.
+change is redone: OLDM's unlock is latched because the counts only grow.
 With few bands a numpy call costs more in overhead than in arithmetic;
 against the same loop on numpy arrays (K = N / 2, 4,000 oracle slots,
 before the step absorbed selection and prediction), OLDM ran 2.7-2.8x as
@@ -46,6 +49,7 @@ set is bit-identical to the array form.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
@@ -112,11 +116,34 @@ class BeliefState:
 class SlotOutcome(NamedTuple):
     """Record of one sensing slot."""
 
-    selected: tuple[int, ...]   # sensed bands, ascending
-    statuses: list[int]         # 0/1 per selected band, selection order
     xi: int                     # 1 when reconstruction failed
     throughput: int             # vacant bands reported, 0 on failure
     phase: str                  # EXPLORE or EXPLOIT
+
+
+class SlotLog(Sequence):
+    """The slots of one policy run as three equal-length columns.
+
+    len, integer and slice indexing and iteration read it as a sequence
+    of SlotOutcome, built on demand; a slice is a SlotLog of the sliced
+    columns.
+    """
+
+    __slots__ = ("xi", "throughput", "phase")
+
+    def __init__(self, xi: list[int], throughput: list[int], phase: list[str]):
+        self.xi, self.throughput, self.phase = xi, throughput, phase
+
+    def __len__(self) -> int:
+        return len(self.xi)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SlotLog(self.xi[index], self.throughput[index], self.phase[index])
+        return SlotOutcome(self.xi[index], self.throughput[index], self.phase[index])
+
+    def __iter__(self):
+        return map(SlotOutcome._make, zip(self.xi, self.throughput, self.phase))
 
 
 class Environment(Protocol):
@@ -193,7 +220,7 @@ def update_counts(belief: BeliefState, selected, statuses_prev,
 
 def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                rng: np.random.Generator,
-               belief: BeliefState | None = None) -> list[SlotOutcome]:
+               belief: BeliefState | None = None) -> SlotLog:
     """Run one policy, mode (one of POLICY_MODES), over the horizon.
 
     The settings (n_bands, k_branches, horizon, exploration_coefficient,
@@ -213,7 +240,9 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     block senses a fixed schedule, every group's bands twice in a row; an
     exploitation block senses the set_size bands of largest belief each
     slot. Both phases then take the same slot step: sense, record, credit
-    the pair, and advance the beliefs into a new list.
+    the pair, and advance the beliefs into a new list. A slot is recorded
+    by appending its xi, throughput and phase to the returned SlotLog's
+    columns; the selected bands and their statuses are not kept.
     """
     if mode not in POLICY_MODES:
         raise ValueError(f"mode must be one of {POLICY_MODES} (got {mode!r})")
@@ -246,10 +275,9 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     # state of one rng.random() per block. IMP draws none.
     n_blocks = -(-horizon // block_len)
     coins = [] if is_imp else rng.random(n_blocks).tolist()
-    outcomes: list[SlotOutcome] = []
-    record = outcomes.append
-    # What SlotOutcome._make calls, without the keyword-taking __new__.
-    new_tuple = tuple.__new__
+    log = SlotLog([], [], [])
+    record_xi, record_throughput = log.xi.append, log.throughput.append
+    record_phase = log.phase.append
     sense = env.sense
     t = 0
     # A learning policy's previous slot's set and statuses, if that slot
@@ -299,9 +327,9 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                 statuses, xi = sense(sel, t, omega)
                 if type(statuses) is not list:
                     statuses = statuses.tolist()
-                record(new_tuple(SlotOutcome, (sel, statuses, xi,
-                                               0 if xi else len(sel) - sum(statuses),
-                                               phase)))
+                record_xi(xi)
+                record_throughput(0 if xi else len(sel) - sum(statuses))
+                record_phase(phase)
                 t += 1
                 # A new list: the prediction (1 - o) * p10 + o * (1 - p01), in
                 # the operand order that fixes its bits, except that a
@@ -337,4 +365,4 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                 prev_sel = None
     finally:
         belief._to_arrays()
-    return outcomes
+    return log

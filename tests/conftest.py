@@ -2,14 +2,15 @@
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from wssim import experiments
 from wssim.config import ExperimentConfig
-from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, SlotOutcome,
-                            epsilon, explore_schedule)
+from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, epsilon,
+                            explore_schedule)
 from wssim.recovery import (_MODEL_FLOOR, RecoveryConfig, SenseResult,
                             _posterior_gains, _prior_log_odds,
                             _support_covariances, gamma_threshold, oracle_sense)
@@ -598,8 +599,38 @@ def reference_refresh_estimates(belief: BeliefState, bands: np.ndarray) -> None:
     belief.p10_hat[bands] = c[:, 1, 0] / (c[:, 1, 0] + c[:, 1, 1])
 
 
+class ReferenceSlot(NamedTuple):
+    """reference_run_policy's record of one sensing slot."""
+
+    selected: np.ndarray        # sensed bands, ascending
+    statuses: np.ndarray        # 0/1 per selected band, selection order
+    xi: int                     # 1 when reconstruction failed
+    throughput: int             # vacant bands reported, 0 on failure
+    phase: str                  # EXPLORE or EXPLOIT
+
+
+class RecordingEnvironment:
+    """A sensing backend that keeps, in call order, each sense call's
+    selected bands and the SenseResult the wrapped backend returned.
+
+    wssim.learning.run_policy records only each slot's xi, throughput and
+    phase; tests read the sensed sets and statuses from here.
+    """
+
+    def __init__(self, env):
+        self.env = env
+        self.selected = []
+        self.results = []
+
+    def sense(self, selected, slot, prior_vacancy=None):
+        result = self.env.sense(selected, slot, prior_vacancy)
+        self.selected.append(selected)
+        self.results.append(result)
+        return result
+
+
 def reference_propagate_belief(belief: BeliefState,
-                               outcome: SlotOutcome) -> np.ndarray:
+                               outcome: ReferenceSlot) -> np.ndarray:
     """Advance the vacancy beliefs by one slot.
 
     Bands sensed in a successful slot jump to the estimated transition
@@ -635,7 +666,7 @@ def reference_exploit_select(belief: BeliefState, set_size: int,
 def reference_run_policy(cfg: ExperimentConfig, mode: str, env,
                          rng: np.random.Generator,
                          true_stats: BandStatistics | None = None,
-                         belief: BeliefState | None = None) -> list[SlotOutcome]:
+                         belief: BeliefState | None = None) -> list[ReferenceSlot]:
     """Run one policy, mode, over the configured horizon, on numpy state.
 
     Reference for wssim.learning.run_policy, which must match it bit for
@@ -673,19 +704,19 @@ def reference_run_policy(cfg: ExperimentConfig, mode: str, env,
                   if mode == "OLDM" else None)
 
     group_sets = [explore_schedule(g, n, k) for g in range(n_groups)]
-    outcomes: list[SlotOutcome] = []
+    outcomes: list[ReferenceSlot] = []
     t = 0
     # Last exploitation outcome, kept across consecutive exploitation blocks
     # and cleared by exploration so no pair straddles a phase change.
-    prev: SlotOutcome | None = None
+    prev: ReferenceSlot | None = None
 
     def sense_and_record(selected, phase):
         nonlocal t
         result = env.sense(selected, t, belief.omega)
         vacant = selected.size - int(result.statuses.sum())
         throughput = vacant if result.xi == 0 else 0
-        outcome = SlotOutcome(selected=selected, statuses=result.statuses,
-                              xi=result.xi, throughput=throughput, phase=phase)
+        outcome = ReferenceSlot(selected=selected, statuses=result.statuses,
+                                xi=result.xi, throughput=throughput, phase=phase)
         outcomes.append(outcome)
         t += 1
         return outcome

@@ -183,6 +183,20 @@ class TestSweep:
         results = tmp_path / "results"
         assert not results.exists() or not any(results.iterdir())
 
+    def test_value_repeated_after_parsing_stops_the_sweep_before_any_run(
+            self, workdir, capsys):
+        # 04 parses to 4: running it would redo K = 4 and, for the plain
+        # repeat, overwrite tiny_k_branches_4.csv.
+        tmp_path, cfg = workdir
+        assert main(["sweep", str(cfg), "--param", "K",
+                     "--values", "4,4,04"]) == 2
+        assert "k_branches = 4 twice" in capsys.readouterr().err
+        assert main(["sweep", str(cfg), "--param", "K",
+                     "--values", "3, 4,04"]) == 2
+        assert "k_branches = 4 twice (as '4' and '04')" in capsys.readouterr().err
+        results = tmp_path / "results"
+        assert not results.exists() or not any(results.iterdir())
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_nonzero(self):

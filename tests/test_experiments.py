@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (ReferenceSignalEnvironment, complex_noise,
-                      synthesize_band_spectra)
+from conftest import (RecordingEnvironment, ReferenceSignalEnvironment,
+                      complex_noise, synthesize_band_spectra)
 from wssim import experiments, recovery
 from wssim.config import ExperimentConfig, dump_config, load_config
 from wssim.experiments import (SignalEnvironment, compute_regret,
@@ -226,14 +226,16 @@ class TestSignalEnvironmentMatchesReference:
         runs = []
         for env in environments(config, trajectory, matrix):
             belief = BeliefState.fresh(n)
-            outcomes = run_policy(config, mode, env, np.random.default_rng(13),
-                                  belief=belief)
-            runs.append((outcomes, belief, env.rng.bit_generator.state))
-        (got, belief, state), (want, ref_belief, ref_state) = runs
-        assert len(got) == len(want) == 300
-        for a, b in zip(got, want):
-            assert a.selected == b.selected
-            assert a.statuses == b.statuses
+            sensed = RecordingEnvironment(env)
+            log = run_policy(config, mode, sensed, np.random.default_rng(13),
+                             belief=belief)
+            runs.append((log, sensed, belief, env.rng.bit_generator.state))
+        (got, sensed, belief, state), (want, ref_sensed, ref_belief, ref_state) = runs
+        assert len(got) == len(want) == len(sensed.results) == \
+            len(ref_sensed.results) == 300
+        assert sensed.selected == ref_sensed.selected
+        for a, b, r, ref in zip(got, want, sensed.results, ref_sensed.results):
+            assert r.statuses.tolist() == ref.statuses.tolist()
             assert (a.xi, a.throughput) == (b.xi, b.throughput)
         for name in ("omega", "counts", "p01_hat", "p10_hat", "obs_count"):
             assert getattr(belief, name).tobytes() == \
@@ -241,7 +243,7 @@ class TestSignalEnvironmentMatchesReference:
         assert state == ref_state
         if mode == "IMP":
             # IMP's fixed sets exceed the branch count: the search path ran.
-            assert max(len(o.selected) for o in got) > k
+            assert max(len(selected) for selected in sensed.selected) > k
 
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
     @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
@@ -512,27 +514,16 @@ def test_noiseless_direct_path_reads_truth(n, k):
             assert result.statuses.tolist() == trajectory[slot, selected].tolist()
 
 
-class RecordingEnvironment(SignalEnvironment):
-    """A SignalEnvironment keeping every slot's SenseResult.
-
-    With fresh_table, each slot senses through a new support table and so
-    through a new plan from the new table's cache, so no row or plan
-    outlives the slot that built it.
-    """
-
-    def __init__(self, *args, fresh_table=False):
-        super().__init__(*args)
-        self.fresh_table = fresh_table
-        self.results = []
+class FreshTableEnvironment(SignalEnvironment):
+    """A SignalEnvironment sensing each slot through a new support table
+    and so through a new plan from the new table's cache, so no row or plan
+    outlives the slot that built it."""
 
     def sense(self, selected, slot, prior_vacancy=None):
-        if self.fresh_table:
-            self.support_table = SupportTable(self.support_table.matrix,
-                                              self.support_table.cfg)
+        self.support_table = SupportTable(self.support_table.matrix,
+                                          self.support_table.cfg)
         result = super().sense(selected, slot, prior_vacancy)
-        if self.fresh_table:
-            assert list(self.support_table._plans) == [tuple(selected)]
-        self.results.append(result)
+        assert list(self.support_table._plans) == [tuple(selected)]
         return result
 
 
@@ -561,8 +552,9 @@ class TestSupportTableHistory:
 
         def run(fresh_table=False):
             supports.clear()
-            env = RecordingEnvironment(trajectory, table, np.random.default_rng(3),
-                                       fresh_table=fresh_table)
+            backend = FreshTableEnvironment if fresh_table else SignalEnvironment
+            env = RecordingEnvironment(backend(trajectory, table,
+                                               np.random.default_rng(3)))
             run_policy(config, "IMP", env, np.random.default_rng(13))
             return list(supports), [(r.statuses.tolist(), r.xi)
                                     for r in env.results]

@@ -1,15 +1,19 @@
+import gc
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
-from conftest import (ReferenceOracleEnvironment, estimate_transition,
+from conftest import (RecordingEnvironment, ReferenceOracleEnvironment,
+                      ReferenceSlot, estimate_transition,
                       reference_exploit_select, reference_propagate_belief,
                       reference_run_policy, success_probability)
-from wssim import learning
+from wssim import experiments, learning
 from wssim.config import ExperimentConfig
-from wssim.experiments import SignalEnvironment
-from wssim.learning import (EXPLOIT, BeliefState, OracleEnvironment,
-                            SlotOutcome, epsilon, explore_schedule, run_policy,
-                            update_counts)
+from wssim.experiments import SignalEnvironment, run_replication
+from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, OracleEnvironment,
+                            SlotLog, SlotOutcome, epsilon, explore_schedule,
+                            run_policy, update_counts)
 from wssim.recovery import SupportTable
 from wssim.sensing import draw_sensing_matrix
 from wssim.sizing import exploration_threshold, optimize_size
@@ -23,14 +27,16 @@ def case1_stats(mixing=0.5):
 
 
 def oracle_run(mode, horizon, seed=0, n=8, k=4, **cfg_kwargs):
+    """An oracle run's SlotLog, final belief and trajectory, and the
+    RecordingEnvironment that kept its sensed sets and statuses."""
     cfg = ExperimentConfig(n_bands=n, k_branches=k, horizon=horizon,
                            **cfg_kwargs)
     rng = np.random.default_rng(seed)
     trajectory = simulate_occupancy(cfg.band_statistics(), horizon, rng)
-    env = OracleEnvironment(trajectory, k)
+    sensed = RecordingEnvironment(OracleEnvironment(trajectory, k))
     belief = BeliefState.fresh(n)
-    outcomes = run_policy(cfg, mode, env, rng, belief=belief)
-    return outcomes, belief, trajectory
+    log = run_policy(cfg, mode, sensed, rng, belief=belief)
+    return log, belief, trajectory, sensed
 
 
 class TestEpsilon:
@@ -136,16 +142,16 @@ class TestPropagateBelief:
         belief = BeliefState.fresh(2)
         belief.p01_hat = np.array([0.2, 0.2])   # p00 = 0.8
         belief.p10_hat = np.array([0.4, 0.4])
-        outcome = SlotOutcome(selected=np.array([0]), statuses=np.array([0]),
-                              xi=0, throughput=1, phase="exploit")
+        outcome = ReferenceSlot(selected=np.array([0]), statuses=np.array([0]),
+                                xi=0, throughput=1, phase="exploit")
         omega = reference_propagate_belief(belief, outcome)
         assert omega[0] == pytest.approx(0.8)
 
     def test_observed_busy_jumps_to_leave_probability(self):
         belief = BeliefState.fresh(1)
         belief.p10_hat = np.array([0.3])
-        outcome = SlotOutcome(selected=np.array([0]), statuses=np.array([1]),
-                              xi=0, throughput=0, phase="exploit")
+        outcome = ReferenceSlot(selected=np.array([0]), statuses=np.array([1]),
+                                xi=0, throughput=0, phase="exploit")
         assert reference_propagate_belief(belief, outcome)[0] == pytest.approx(0.3)
 
     def test_unobserved_band_one_step_prediction(self):
@@ -153,9 +159,9 @@ class TestPropagateBelief:
         belief.omega = np.array([0.0, 0.5])
         belief.p10_hat = np.array([0.3, 0.2])
         belief.p01_hat = np.array([0.5, 0.2])   # p00 = 0.5, 0.8
-        outcome = SlotOutcome(selected=np.array([], dtype=int),
-                              statuses=np.array([], dtype=int),
-                              xi=0, throughput=0, phase="exploit")
+        outcome = ReferenceSlot(selected=np.array([], dtype=int),
+                                statuses=np.array([], dtype=int),
+                                xi=0, throughput=0, phase="exploit")
         omega = reference_propagate_belief(belief, outcome)
         assert omega[0] == pytest.approx(0.3)
         assert omega[1] == pytest.approx(0.5)
@@ -165,8 +171,8 @@ class TestPropagateBelief:
         belief.omega = np.array([0.5, 0.5])
         belief.p10_hat = np.array([0.2, 0.2])
         belief.p01_hat = np.array([0.2, 0.2])
-        outcome = SlotOutcome(selected=np.array([0, 1]), statuses=np.array([1, 1]),
-                              xi=1, throughput=0, phase="exploit")
+        outcome = ReferenceSlot(selected=np.array([0, 1]), statuses=np.array([1, 1]),
+                                xi=1, throughput=0, phase="exploit")
         omega = reference_propagate_belief(belief, outcome)
         np.testing.assert_allclose(omega, 0.5)
 
@@ -203,22 +209,22 @@ class TestRunPolicy:
         # With an exploration coefficient that forces every block to explore,
         # each band collects exactly one observation per block.
         horizon = 400  # 100 blocks of 4 slots at N=8, K=4
-        _, belief, _ = oracle_run("LDM", horizon, exploration_coefficient=1e9)
+        _, belief, _, _ = oracle_run("LDM", horizon, exploration_coefficient=1e9)
         np.testing.assert_array_equal(belief.obs_count, np.full(8, 100))
 
     def test_block_structure_explore_pattern(self):
-        outcomes, _, _ = oracle_run("LDM", 400, exploration_coefficient=1e9)
-        assert len(outcomes) == 400
-        for t, outcome in enumerate(outcomes):
+        log, _, _, sensed = oracle_run("LDM", 400, exploration_coefficient=1e9)
+        assert len(log) == len(sensed.selected) == 400
+        for t, (outcome, selected) in enumerate(zip(log, sensed.selected)):
             group = (t % 4) // 2
-            assert outcome.selected == tuple(explore_schedule(group, 8, 4).tolist())
+            assert selected == tuple(explore_schedule(group, 8, 4).tolist())
             assert outcome.phase == "explore"
             assert outcome.xi == 0
 
     def test_imp_uses_optimal_size_from_first_slot(self):
-        outcomes, _, _ = oracle_run("IMP", 40)
-        assert all(len(o.selected) == 7 for o in outcomes)
-        assert all(o.phase == "exploit" for o in outcomes)
+        log, _, _, sensed = oracle_run("IMP", 40)
+        assert all(len(selected) == 7 for selected in sensed.selected)
+        assert all(o.phase == "exploit" for o in log)
 
     def test_imp_takes_the_configs_statistics(self):
         # Explicit vectors that are not the case profile: case1's vacancies
@@ -230,18 +236,18 @@ class TestRunPolicy:
                                p10=tuple(stats.p10.tolist()))
         trajectory = simulate_occupancy(stats, 40, np.random.default_rng(0))
         belief = BeliefState.fresh(8)
-        outcomes = run_policy(cfg, "IMP", OracleEnvironment(trajectory, 4),
-                              np.random.default_rng(0), belief=belief)
+        sensed = RecordingEnvironment(OracleEnvironment(trajectory, 4))
+        run_policy(cfg, "IMP", sensed, np.random.default_rng(0), belief=belief)
         want = cfg.band_statistics()
         assert belief.p01_hat.tobytes() == want.p01.tobytes()
         assert belief.p10_hat.tobytes() == want.p10.tobytes()
         vacancy = stationary_vacancy(want)
         size = optimize_size(vacancy, 4).size
         top = np.argsort(-vacancy, kind="stable")[:size]
-        assert outcomes[0].selected == tuple(sorted(top.tolist()))
+        assert sensed.selected[0] == tuple(sorted(top.tolist()))
         # case1's own profile, which the config's case names, puts its top
         # bands at the high indices instead.
-        assert outcomes[0].selected != tuple(range(8 - size, 8))
+        assert sensed.selected[0] != tuple(range(8 - size, 8))
 
     def test_rejects_unknown_mode(self):
         trajectory = simulate_occupancy(case1_stats(), 8, np.random.default_rng(0))
@@ -262,23 +268,25 @@ class TestRunPolicy:
                        OracleEnvironment(trajectory, 4), np.random.default_rng(0))
 
     def test_throughput_counts_vacant_bands_on_success(self):
-        outcomes, _, trajectory = oracle_run("OLDM", 2000, seed=3)
-        for t, outcome in enumerate(outcomes):
-            truth = trajectory[t, outcome.selected]
+        log, _, trajectory, sensed = oracle_run("OLDM", 2000, seed=3)
+        for t, (outcome, selected) in enumerate(zip(log, sensed.selected)):
+            truth = trajectory[t, selected]
             if outcome.xi == 0:
-                assert outcome.throughput == len(outcome.selected) - truth.sum()
+                assert outcome.throughput == len(selected) - truth.sum()
             else:
                 assert outcome.throughput == 0
-            assert outcome.throughput <= len(outcome.selected)
+            assert outcome.throughput <= len(selected)
 
     def test_ldm_always_senses_k_bands(self):
-        outcomes, _, _ = oracle_run("LDM", 1000, seed=5)
-        assert all(len(o.selected) == 4 for o in outcomes)
+        _, _, _, sensed = oracle_run("LDM", 1000, seed=5)
+        assert len(sensed.selected) == 1000
+        assert all(len(selected) == 4 for selected in sensed.selected)
 
     def test_oldm_grows_sets_after_unlock(self):
-        outcomes, _, _ = oracle_run("OLDM", 6000, seed=7,
-                                    exploration_coefficient=50.0, mu=0.4)
-        sizes = {len(o.selected) for o in outcomes[-200:] if o.phase == "exploit"}
+        log, _, _, sensed = oracle_run("OLDM", 6000, seed=7,
+                                       exploration_coefficient=50.0, mu=0.4)
+        sizes = {len(selected) for selected, o in zip(sensed.selected[-200:], log[-200:])
+                 if o.phase == "exploit"}
         assert sizes and sizes.issubset({5, 6, 7, 8})
 
     def test_omega_stays_in_unit_interval(self):
@@ -331,35 +339,38 @@ class TestRunPolicy:
         cfg = ExperimentConfig(n_bands=8, k_branches=4, horizon=4000,
                                mu=0.9, delta=0.9, exploration_coefficient=2.0)
         belief = BeliefState.fresh(8)
-        outcomes = run_policy(cfg, "OLDM", OracleEnvironment(trajectory, 4), rng,
-                              belief=belief)
+        sensed = RecordingEnvironment(OracleEnvironment(trajectory, 4))
+        log = run_policy(cfg, "OLDM", sensed, rng, belief=belief)
+        slots = list(zip(sensed.selected, log))
         expected = np.zeros(8, dtype=int)
         oversized_pairs = 0
-        for prev, cur in zip(outcomes, outcomes[1:]):
-            same_set = prev.selected == cur.selected
+        for (prev_sel, prev), (cur_sel, cur) in zip(slots, slots[1:]):
+            same_set = prev_sel == cur_sel
             both_ok = prev.xi == 0 and cur.xi == 0
             if not (same_set and both_ok):
                 continue
             if prev.phase == "explore" and cur.phase == "explore":
-                expected[list(cur.selected)] += 1
+                expected[list(cur_sel)] += 1
             elif prev.phase == "exploit" and cur.phase == "exploit":
-                if len(cur.selected) <= 4:
-                    expected[list(cur.selected)] += 1
+                if len(cur_sel) <= 4:
+                    expected[list(cur_sel)] += 1
                 else:
                     oversized_pairs += 1
         assert oversized_pairs > 0  # the scenario exercises oversized sets
         np.testing.assert_array_equal(belief.obs_count, expected)
 
     def test_determinism(self):
-        a = oracle_run("OLDM", 1200, seed=21)[0]
-        b = oracle_run("OLDM", 1200, seed=21)[0]
+        a, _, _, sensed_a = oracle_run("OLDM", 1200, seed=21)
+        b, _, _, sensed_b = oracle_run("OLDM", 1200, seed=21)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x == y
+        assert sensed_a.selected == sensed_b.selected
+        assert sensed_a.results == sensed_b.results
 
     def test_zero_horizon(self):
-        outcomes, _, _ = oracle_run("LDM", 0)
-        assert outcomes == []
+        log, _, _, sensed = oracle_run("LDM", 0)
+        assert len(log) == 0 and sensed.selected == []
 
     def test_estimates_converge_with_forced_observations(self):
         # One band observed every consecutive slot pair; the stationary
@@ -379,6 +390,61 @@ class TestRunPolicy:
         p0_hat = p10_hat / (p10_hat + p01_hat)
         hits = np.abs(p0_hat - 0.5) < 0.02
         assert hits.mean() >= 0.95
+
+
+class TestSlotLog:
+    def test_reads_as_a_sequence_of_slot_outcomes(self):
+        log = SlotLog([0, 1, 0], [4, 0, 3], [EXPLORE, EXPLORE, EXPLOIT])
+        assert isinstance(log, Sequence) and len(log) == 3
+        assert type(log[0]) is SlotOutcome
+        assert log[0] == SlotOutcome(xi=0, throughput=4, phase="explore")
+        assert log[-1] == SlotOutcome(xi=0, throughput=3, phase="exploit")
+        assert log[-3] == log[0]
+        with pytest.raises(IndexError):
+            log[3]
+        tail = log[1:]
+        assert type(tail) is SlotLog and len(tail) == 2
+        assert list(tail) == [SlotOutcome(1, 0, "explore"), SlotOutcome(0, 3, "exploit")]
+        assert list(log[::2]) == [log[0], log[2]]
+        assert len(log[5:]) == 0
+        items = list(log)
+        assert all(type(o) is SlotOutcome for o in items)
+        assert items == [log[i] for i in range(len(log))]
+        assert list(reversed(log)) == items[::-1]
+
+    def test_item_sum_equals_column_sum(self):
+        # The benchmark's tracer reads len(log) and every item's xi.
+        log = oracle_run("IMP", 2000, seed=3)[0]
+        assert len(log) == 2000
+        assert sum(o.xi for o in log) == sum(log.xi) > 0
+
+    @pytest.mark.parametrize("rs_mode", ["oracle", "signal"])
+    def test_replication_series_are_the_logs_throughputs(self, rs_mode, monkeypatch):
+        logs = {}
+
+        def keep(config, mode, *args):
+            logs[mode] = run_policy(config, mode, *args)
+            return logs[mode]
+
+        monkeypatch.setattr(experiments, "run_policy", keep)
+        cfg = ExperimentConfig(horizon=300, replications=2, seed=9,
+                               rs_mode=rs_mode, snr_db=20.0)
+        cfg.validate()
+        series = run_replication(cfg, 1)
+        assert list(series) == list(logs) == list(cfg.policies)
+        for policy, values in series.items():
+            assert values.dtype == np.float64
+            assert values.tolist() == logs[policy].throughput
+
+    def test_columns_hold_no_collector_tracked_values(self):
+        # A run keeps only ints and the two phase strings, none of which
+        # the cyclic garbage collector tracks, so however long the run,
+        # its log adds nothing to the collector's scans.
+        log = oracle_run("OLDM", 5000, seed=7)[0]
+        columns = (log.xi, log.throughput, log.phase)
+        assert [len(column) for column in columns] == [5000] * 3
+        assert set(log.phase) == {EXPLORE, EXPLOIT}
+        assert not any(gc.is_tracked(v) for column in columns for v in column)
 
 
 class TestOracleEnvironment:
@@ -405,8 +471,8 @@ class TestImpThroughputLevel:
         objective = success_probability(top7, 4) * top7.sum()
         totals = []
         for seed in range(40):
-            outcomes, _, _ = oracle_run("IMP", 1000, seed=seed)
-            totals.append(np.mean([o.throughput for o in outcomes]))
+            log = oracle_run("IMP", 1000, seed=seed)[0]
+            totals.append(np.mean([o.throughput for o in log]))
         realized = np.mean(totals)
         se = np.std(totals) / np.sqrt(len(totals))
         assert realized >= objective - 3 * se
@@ -417,24 +483,34 @@ def assert_same_run(cfg, mode, make_env, make_reference_env, seed,
                     belief=None):
     """run_policy and the numpy reference loop give identical runs and
     leave their policy generators in the same state. The reference's IMP
-    takes the config's statistics as its true_stats."""
+    takes the config's statistics as its true_stats. The sensed sets and
+    statuses are compared as a RecordingEnvironment saw them; returns
+    run_policy's SlotLog and that recorder."""
     if belief is None:
         belief = BeliefState.fresh(cfg.n_bands)
     ref_belief = BeliefState.fresh(cfg.n_bands)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    outcomes = run_policy(cfg, mode, make_env(), rng, belief=belief)
+    sensed = RecordingEnvironment(make_env())
+    log = run_policy(cfg, mode, sensed, rng, belief=belief)
     expected = reference_run_policy(cfg, mode, make_reference_env(), ref_rng,
                                     true_stats=cfg.band_statistics(),
                                     belief=ref_belief)
     # The reference draws one coin per block; run_policy draws them all at
     # once. The next draw tells whether both consumed the same numbers.
     assert rng.random() == ref_rng.random()
-    assert len(outcomes) == len(expected) == cfg.horizon
-    for got, want in zip(outcomes, expected):
-        assert type(got.selected) is tuple and type(got.statuses) is list
-        assert all(type(x) is int for x in got.selected + tuple(got.statuses))
-        assert got.selected == tuple(want.selected.tolist())
-        assert got.statuses == want.statuses.tolist()
+    assert len(log) == len(sensed.selected) == len(expected) == cfg.horizon
+    for got, selected, result, want in zip(log, sensed.selected, sensed.results,
+                                           expected):
+        statuses = result.statuses
+        if isinstance(statuses, np.ndarray):
+            # The signal backend's int8 statuses, which run_policy reads
+            # through tolist().
+            assert statuses.dtype == np.int8
+            statuses = statuses.tolist()
+        assert type(selected) is tuple and type(statuses) is list
+        assert all(type(x) is int for x in selected + tuple(statuses))
+        assert selected == tuple(want.selected.tolist())
+        assert statuses == want.statuses.tolist()
         assert (got.xi, got.throughput, got.phase) == \
             (want.xi, want.throughput, want.phase)
     for name in ("omega", "counts", "p01_hat", "p10_hat", "obs_count"):
@@ -442,7 +518,7 @@ def assert_same_run(cfg, mode, make_env, make_reference_env, seed,
         assert isinstance(got, np.ndarray)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
-    return outcomes
+    return log, sensed
 
 
 class TestMatchesNumpyReference:
@@ -483,10 +559,10 @@ class TestMatchesNumpyReference:
             for seed in range(1, 7):
                 trajectory = simulate_occupancy(stats, horizon,
                                                 np.random.default_rng(seed))
-                outcomes = assert_same_run(
+                log, _ = assert_same_run(
                     cfg, mode, lambda: OracleEnvironment(trajectory, k),
                     lambda: ReferenceOracleEnvironment(trajectory, k), seed + 100)
-                block_phases.add(tuple(o.phase for o in outcomes[::block_len]))
+                block_phases.add(tuple(o.phase for o in log[::block_len]))
         blocks = {phase for phases in block_phases for phase in phases}
         if coefficient > 1.0:
             assert blocks == {"explore"}
@@ -516,12 +592,12 @@ class TestMatchesNumpyReference:
                                exploration_coefficient=50.0, mu=0.4)
         trajectory = simulate_occupancy(stats, cfg.horizon,
                                         np.random.default_rng(7))
-        outcomes = assert_same_run(cfg, "OLDM",
-                                   lambda: OracleEnvironment(trajectory, 4),
-                                   lambda: ReferenceOracleEnvironment(trajectory, 4),
-                                   8)
+        _, sensed = assert_same_run(cfg, "OLDM",
+                                    lambda: OracleEnvironment(trajectory, 4),
+                                    lambda: ReferenceOracleEnvironment(trajectory, 4),
+                                    8)
         # Adaptive sizing unlocked and grew some exploitation sets.
-        assert max(len(o.selected) for o in outcomes) > 4
+        assert max(len(selected) for selected in sensed.selected) > 4
 
     @pytest.mark.parametrize("case", ["case1", "case2"])
     def test_oldm_reused_size_equals_fresh_decision(self, case, monkeypatch):
@@ -552,12 +628,12 @@ class TestMatchesNumpyReference:
         sized = learning.optimize_size
         monkeypatch.setattr(learning, "optimize_size",
                             lambda *args: calls.append(args) or sized(*args))
-        outcomes = assert_same_run(
+        log, sensed = assert_same_run(
             cfg, "OLDM", Spy, lambda: ReferenceOracleEnvironment(trajectory, k),
             seed + 1, belief=belief)
-        blocks = [t for t in fresh if outcomes[t].phase == EXPLOIT]
+        blocks = [t for t in fresh if log[t].phase == EXPLOIT]
         for t in blocks:
-            assert {len(o.selected) for o in outcomes[t:t + block_len]} == {fresh[t]}
+            assert {len(s) for s in sensed.selected[t:t + block_len]} == {fresh[t]}
         assert max(fresh[t] for t in blocks) > k
         # Decisions were reused: far fewer calls than unlocked blocks.
         assert 0 < len(calls) < len(blocks) / 2
