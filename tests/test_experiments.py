@@ -703,9 +703,12 @@ class TestPinnedOracleOutput:
     One replication of 4,000 slots: long enough for OLDM to unlock its
     adaptive set sizing in both cases. Oracle mode draws only from
     Generator streams and computes with elementwise IEEE double arithmetic,
-    so the bytes do not depend on the machine. Signal mode is not pinned:
-    its bits depend on the LAPACK build, and the same-process equality
-    tests above cover it.
+    so the bytes do not depend on the machine. Signal mode is pinned too,
+    by TestPinnedSignalOutput: its scores and residuals go through BLAS
+    and LAPACK, but every CSV value is a mean of integer throughputs, so a
+    last-bit change reaches the bytes only by flipping a support decision
+    or a residual test, and test_signal_digest_survives_perturbation shows
+    that a 1e-9 relative change flips none in the pinned runs.
     """
 
     DIGESTS = {
@@ -743,6 +746,78 @@ def test_pinned_oracle_mean_over_replications(tmp_path):
     csv_path, _ = emit_results(run_experiment(cfg), tmp_path / "case2.csv")
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
         "853c5aaacdf203afe1668883ffab5fc515aa5d467c1267f3bb1266e2ba1364d4"
+
+
+
+class TestPinnedSignalOutput:
+    """Signal-mode CSV bytes, pinned.
+
+    case1.cfg in signal mode at 20, 10 and 0 dB and noiseless, 2
+    replications of 4,000 slots: IMP's size-7 sets take the support
+    search, LDM's size-4 sets the direct path, and OLDM unlocks and grows
+    its sets onto the search. case2.cfg at 16 bands, 8 branches and 10 dB,
+    1 replication of 1,000 slots: the deeper search (gamma 4) and a plan
+    cache that evicts. The first replication of case1 reads the same
+    decisions at 20 dB as without noise; the second does not, so the two
+    digests differ.
+    """
+
+    DIGESTS = {
+        "case1-20db": "67fa393df26f61f43ed28f9886f14dfc24163bef5e388dd3d945b5d1253e7d49",
+        "case1-10db": "78b0c28445f3fe6ea03389e9b3a4cbdb1034bc34b8e117dd7d467c07adb2a7db",
+        "case1-0db": "51cb75c94056e8d8b019d3ce6bd16d3a0c300411dd472bd85947d4d6b8cb43af",
+        "case1-noiseless": "8b74f4730bb24f350af3ef987da641002220821a37682429cc6320cc8096396d",
+        "case2-n16-k8-10db": "00640692c226fbbda0a18c1b1360152c3719d878b9db3cf94ef5c6ea7a0a4077",
+    }
+
+    # (config, snr_db, (n_bands, k_branches) or None, replications, horizon)
+    RUNS = {
+        "case1-20db": ("case1", 20.0, None, 2, 4000),
+        "case1-10db": ("case1", 10.0, None, 2, 4000),
+        "case1-0db": ("case1", 0.0, None, 2, 4000),
+        "case1-noiseless": ("case1", None, None, 2, 4000),
+        "case2-n16-k8-10db": ("case2", 10.0, (16, 8), 1, 1000),
+    }
+
+    def digest(self, name, tmp_path):
+        case, snr_db, shape, replications, horizon = self.RUNS[name]
+        cfg = load_config(CONFIGS / f"{case}.cfg")
+        cfg.rs_mode, cfg.snr_db = "signal", snr_db
+        cfg.replications, cfg.horizon = replications, horizon
+        if shape is not None:
+            cfg.n_bands, cfg.k_branches = shape
+        csv_path, _ = emit_results(run_experiment(cfg), tmp_path / f"{name}.csv")
+        return hashlib.sha256(csv_path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_csv_digest(self, name, tmp_path):
+        assert self.digest(name, tmp_path) == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["case1-0db", "case2-n16-k8-10db"])
+    def test_signal_digest_survives_perturbation(self, name, tmp_path, monkeypatch):
+        # Every support score is scaled by 1 - 1e-9 on even rows and
+        # 1 + 1e-9 on odd ones (scaling a row of inv, weighted_logdet and
+        # indicator scales that row's score), and every search residual
+        # by 1 + 1e-9. The digest holds, so the pinned decisions have more
+        # margin than any reordered sum could take from them.
+        calls = {"score": 0, "residual": 0}
+        first_map, search = recovery._first_map, recovery.fbmp_recover
+
+        def nudged_first_map(s_yy, inv, weighted_logdet, indicator, prior_activity):
+            calls["score"] += 1
+            scale = 1.0 + 1e-9 * (-1.0) ** (np.arange(len(weighted_logdet)) + 1)
+            return first_map(s_yy, inv * scale[:, None], weighted_logdet * scale,
+                             indicator * scale[:, None], prior_activity)
+
+        def nudged_search(*args):
+            calls["residual"] += 1
+            support, ratio = search(*args)
+            return support, ratio * (1.0 + 1e-9)
+
+        monkeypatch.setattr(recovery, "_first_map", nudged_first_map)
+        monkeypatch.setattr(recovery, "fbmp_recover", nudged_search)
+        assert self.digest(name, tmp_path) == self.DIGESTS[name]
+        assert calls["score"] > calls["residual"] > 0
 
 
 class TestEmitResults:

@@ -38,6 +38,16 @@ class TestDrawSensingMatrix:
         b = draw_sensing_matrix(3, 6, np.random.default_rng(77))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("k, n", [(1, 1), (4, 8), (8, 16)])
+    def test_matrix_is_one_standard_normal_draw(self, k, n):
+        # The matrix is standard_normal((k, n)) of its generator, and the
+        # generator is left where that call leaves it. Signal bytes rest
+        # on this: the matrix's stream draws nothing else.
+        rng, reference = np.random.default_rng(31), np.random.default_rng(31)
+        matrix = draw_sensing_matrix(k, n, rng)
+        assert matrix.tobytes() == reference.standard_normal((k, n)).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_sampled_column_subsets_full_rank(self, rng):
         matrix = draw_sensing_matrix(4, 10, rng)
         for _ in range(20):
