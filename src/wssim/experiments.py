@@ -215,15 +215,6 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> dict[str, np.nd
     return series
 
 
-def compute_regret(policy_series: np.ndarray, imp_series: np.ndarray) -> np.ndarray:
-    """Cumulative throughput gap of a policy against the IMP baseline."""
-    policy_series = np.asarray(policy_series, dtype=float)
-    imp_series = np.asarray(imp_series, dtype=float)
-    if policy_series.shape != imp_series.shape:
-        raise ValueError("series must have equal length")
-    return np.cumsum(imp_series - policy_series)
-
-
 def run_experiment(config: ExperimentConfig) -> MetricSeries:
     """Validate the config once, run all replications and aggregate
     per-slot means and regrets."""
@@ -239,7 +230,7 @@ def run_experiment(config: ExperimentConfig) -> MetricSeries:
     mean_regret = {}
     if "IMP" in config.policies:
         imp = mean_throughput["IMP"]
-        mean_regret = {p: compute_regret(mean_throughput[p], imp)
+        mean_regret = {p: np.cumsum(imp - mean_throughput[p])
                        for p in config.policies}
     return MetricSeries(mean_throughput=mean_throughput,
                         mean_regret=mean_regret,

@@ -27,8 +27,9 @@ the loop turns into a list. A run is recorded as a SlotLog of three
 lists, each slot's xi, throughput and phase: ints and the two phase
 strings, none of which the cyclic garbage collector tracks. A slot's
 selected set and statuses are dropped after the next slot's credit, so a
-long run keeps no per-slot container for the collector to rescan; SlotLog
-builds its SlotOutcome items only when read.
+long run keeps no per-slot container for the collector to rescan. A
+SlotLog is read by length, iteration and columns, not by index, and
+iteration builds its SlotOutcome items only when read.
 
 While run_policy runs, the per-band learner state is held in plain Python
 lists, and one slot step inside run_policy selects, senses, credits and
@@ -49,7 +50,6 @@ set is bit-identical to the array form.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
@@ -121,12 +121,12 @@ class SlotOutcome(NamedTuple):
     phase: str                  # EXPLORE or EXPLOIT
 
 
-class SlotLog(Sequence):
+class SlotLog:
     """The slots of one policy run as three equal-length columns.
 
-    len, integer and slice indexing and iteration read it as a sequence
-    of SlotOutcome, built on demand; a slice is a SlotLog of the sliced
-    columns.
+    A log is read by len, by iteration as SlotOutcome items built on
+    demand, and by its columns (log.phase[t], log.throughput[-200:]);
+    it is not indexed.
     """
 
     __slots__ = ("xi", "throughput", "phase")
@@ -136,11 +136,6 @@ class SlotLog(Sequence):
 
     def __len__(self) -> int:
         return len(self.xi)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SlotLog(self.xi[index], self.throughput[index], self.phase[index])
-        return SlotOutcome(self.xi[index], self.throughput[index], self.phase[index])
 
     def __iter__(self):
         return map(SlotOutcome._make, zip(self.xi, self.throughput, self.phase))

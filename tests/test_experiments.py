@@ -9,8 +9,8 @@ from conftest import (RecordingEnvironment, ReferenceSignalEnvironment,
                       complex_noise, synthesize_band_spectra)
 from wssim import experiments, recovery
 from wssim.config import ExperimentConfig, dump_config, load_config
-from wssim.experiments import (SignalEnvironment, compute_regret,
-                               emit_results, run_experiment, run_replication)
+from wssim.experiments import (SignalEnvironment, emit_results,
+                               run_experiment, run_replication)
 from wssim.learning import BeliefState, OracleEnvironment, run_policy
 from wssim.recovery import RecoveryConfig, SenseResult, SupportTable
 from wssim.sensing import draw_sensing_matrix, noise_power_for_snr
@@ -27,19 +27,27 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-class TestComputeRegret:
-    def test_identical_series_zero(self):
-        series = np.arange(10.0)
-        np.testing.assert_array_equal(compute_regret(series, series), np.zeros(10))
+class TestMeanRegret:
+    """mean_regret is the cumulative gap of each policy's mean throughput
+    to IMP's, here on replication series fixed by a stand-in."""
 
-    def test_constant_gap_unit_slope(self):
+    def run_with_series(self, monkeypatch, series):
+        monkeypatch.setattr(experiments, "run_replication",
+                            lambda config, rep_index: dict(series))
+        return run_experiment(small_config(horizon=50)).mean_regret
+
+    def test_identical_series_zero(self, monkeypatch):
+        regret = self.run_with_series(monkeypatch, {p: np.arange(50.0) for p in
+                                                    ("IMP", "LDM", "OLDM")})
+        for policy in ("IMP", "LDM", "OLDM"):
+            np.testing.assert_array_equal(regret[policy], np.zeros(50))
+
+    def test_constant_gap_unit_slope(self, monkeypatch):
         imp = np.full(50, 5.0)
-        np.testing.assert_allclose(compute_regret(imp - 1.0, imp),
-                                   np.arange(1, 51, dtype=float))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compute_regret(np.zeros(3), np.zeros(4))
+        regret = self.run_with_series(monkeypatch, {"IMP": imp, "LDM": imp - 1.0,
+                                                    "OLDM": imp})
+        np.testing.assert_allclose(regret["LDM"], np.arange(1, 51, dtype=float))
+        np.testing.assert_array_equal(regret["OLDM"], np.zeros(50))
 
 
 class TestRunExperiment:
@@ -746,7 +754,6 @@ def test_pinned_oracle_mean_over_replications(tmp_path):
     csv_path, _ = emit_results(run_experiment(cfg), tmp_path / "case2.csv")
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
         "853c5aaacdf203afe1668883ffab5fc515aa5d467c1267f3bb1266e2ba1364d4"
-
 
 
 class TestPinnedSignalOutput:

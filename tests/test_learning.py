@@ -1,5 +1,4 @@
 import gc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -285,8 +284,9 @@ class TestRunPolicy:
     def test_oldm_grows_sets_after_unlock(self):
         log, _, _, sensed = oracle_run("OLDM", 6000, seed=7,
                                        exploration_coefficient=50.0, mu=0.4)
-        sizes = {len(selected) for selected, o in zip(sensed.selected[-200:], log[-200:])
-                 if o.phase == "exploit"}
+        sizes = {len(selected)
+                 for selected, phase in zip(sensed.selected[-200:], log.phase[-200:])
+                 if phase == "exploit"}
         assert sizes and sizes.issubset({5, 6, 7, 8})
 
     def test_omega_stays_in_unit_interval(self):
@@ -394,23 +394,18 @@ class TestRunPolicy:
 
 class TestSlotLog:
     def test_reads_as_a_sequence_of_slot_outcomes(self):
+        # A log is read by length, iteration and columns; it is not indexed.
         log = SlotLog([0, 1, 0], [4, 0, 3], [EXPLORE, EXPLORE, EXPLOIT])
-        assert isinstance(log, Sequence) and len(log) == 3
-        assert type(log[0]) is SlotOutcome
-        assert log[0] == SlotOutcome(xi=0, throughput=4, phase="explore")
-        assert log[-1] == SlotOutcome(xi=0, throughput=3, phase="exploit")
-        assert log[-3] == log[0]
-        with pytest.raises(IndexError):
-            log[3]
-        tail = log[1:]
-        assert type(tail) is SlotLog and len(tail) == 2
-        assert list(tail) == [SlotOutcome(1, 0, "explore"), SlotOutcome(0, 3, "exploit")]
-        assert list(log[::2]) == [log[0], log[2]]
-        assert len(log[5:]) == 0
+        assert len(log) == 3
         items = list(log)
         assert all(type(o) is SlotOutcome for o in items)
-        assert items == [log[i] for i in range(len(log))]
-        assert list(reversed(log)) == items[::-1]
+        assert items == [SlotOutcome(xi=0, throughput=4, phase="explore"),
+                         SlotOutcome(xi=1, throughput=0, phase="explore"),
+                         SlotOutcome(xi=0, throughput=3, phase="exploit")]
+        assert (log.xi, log.throughput, log.phase) == \
+            ([0, 1, 0], [4, 0, 3], ["explore", "explore", "exploit"])
+        assert list(log) == items   # a log can be iterated again
+        assert len(SlotLog([], [], [])) == 0 and list(SlotLog([], [], [])) == []
 
     def test_item_sum_equals_column_sum(self):
         # The benchmark's tracer reads len(log) and every item's xi.
@@ -562,7 +557,7 @@ class TestMatchesNumpyReference:
                 log, _ = assert_same_run(
                     cfg, mode, lambda: OracleEnvironment(trajectory, k),
                     lambda: ReferenceOracleEnvironment(trajectory, k), seed + 100)
-                block_phases.add(tuple(o.phase for o in log[::block_len]))
+                block_phases.add(tuple(log.phase[::block_len]))
         blocks = {phase for phases in block_phases for phase in phases}
         if coefficient > 1.0:
             assert blocks == {"explore"}
@@ -631,7 +626,7 @@ class TestMatchesNumpyReference:
         log, sensed = assert_same_run(
             cfg, "OLDM", Spy, lambda: ReferenceOracleEnvironment(trajectory, k),
             seed + 1, belief=belief)
-        blocks = [t for t in fresh if log[t].phase == EXPLOIT]
+        blocks = [t for t in fresh if log.phase[t] == EXPLOIT]
         for t in blocks:
             assert {len(s) for s in sensed.selected[t:t + block_len]} == {fresh[t]}
         assert max(fresh[t] for t in blocks) > k

@@ -40,9 +40,9 @@ class TestDrawSensingMatrix:
 
     @pytest.mark.parametrize("k, n", [(1, 1), (4, 8), (8, 16)])
     def test_matrix_is_one_standard_normal_draw(self, k, n):
-        # The matrix is standard_normal((k, n)) of its generator, and the
-        # generator is left where that call leaves it. Signal bytes rest
-        # on this: the matrix's stream draws nothing else.
+        # The matrix is its generator's standard_normal((k, n)), and the
+        # generator is left where that call leaves it: no rank check or
+        # redraw takes from the stream. The signal pins rest on this.
         rng, reference = np.random.default_rng(31), np.random.default_rng(31)
         matrix = draw_sensing_matrix(k, n, rng)
         assert matrix.tobytes() == reference.standard_normal((k, n)).tobytes()
