@@ -1,40 +1,19 @@
 """Experiment orchestration: seeded replications, metrics, and file output.
 
 Within one replication every requested policy sees the same occupancy
-trajectory and, in signal mode, the same sensing matrix (common random
-numbers), so policy comparisons are paired. Replication results merge by
-replication index, which keeps the aggregate independent of execution
-order. Oracle mode draws no sensing matrix, but the matrix's seed stream
-stays reserved, so every other stream and the output are unchanged; one
-OracleEnvironment serves all policies of a replication. Both sensing
-backends check the trajectory once, with spectrum.check_trajectory, and
-return a recovery.SenseResult per slot. run_policy keeps no SenseResult:
-it returns a learning.SlotLog of each slot's xi, throughput and phase,
-and a replication's per-slot series of a policy is that log's throughput
-column as floats.
+trajectory and, in signal mode, the same sensing matrix and SupportTable
+(common random numbers), so policy comparisons are paired. Oracle mode
+draws no sensing matrix but still reserves its seed stream, so the
+trajectory and the policy streams are those of signal mode.
 
-In signal mode run_replication builds one recovery.SupportTable of the
-replication's sensing matrix, with the RecoveryConfig that
-ExperimentConfig.recovery_config() builds, and every policy's
-SignalEnvironment senses through it and the sensing plans it caches, so
-policies sensing the same set share its plan. Each slot hands
-signal_sense the plan, the slot's sample Gram and the selected bands'
-busy priors (one minus the policy's vacancy beliefs), nothing else.
-Plans return the same values whatever the environment held before, so
-the output depends on the config alone; recovery gives the scoring and
-where cached operators can move it in the last bits.
-
-No spectra or samples are formed. Recovery reads a slot only through its
-sample Gram S_yy, so a SignalEnvironment draws the Grams directly, a
-block of consecutive slots at a time (_draw_block gives their law and
-the random stream), and a slot's S_yy is two small products with the
-plan's mixing matrix. Blocks work because a slot's random draws depend
-only on its trajectory row, bins_per_band, K and the SNR, not on the
-selected bands; they are also why sense() must name the slots in order.
-The Grams are equal in law to those of the unit-power spectra and noise
-that the sample-domain reference chain in tests/conftest.py
-(synthesize_band_spectra, then measure) draws slot by slot, so every
-statistic recovery reads has its law, but the values differ.
+A SignalEnvironment forms no spectra or samples. Recovery reads a slot
+only through its sample Gram S_yy, so the environment draws the Grams
+directly, a block of consecutive slots at a time (_draw_block), and
+hands signal_sense the plan, the slot's S_yy and the selected bands' busy
+priors, one minus the policy's vacancy beliefs. Blocks work because a
+slot's draws depend only on its trajectory row, bins_per_band, K and the
+SNR, not on the selected bands; they are also why sense() must name the
+slots in order.
 """
 
 from __future__ import annotations
@@ -126,9 +105,9 @@ class SignalEnvironment:
         vacant row's scale is 0 and nothing is divided by it. One batched
         product of the scaled factors then gives the (slots, N + K', N + K')
         Grams (K' = 0 when noiseless), each equal in law to the Gram of the
-        slot's unit-power spectra and noise. sense() forms the slot's S_yy from it as
-        plan.mixing @ Gram @ plan.mixing^T (the mixing's first N columns
-        when noiseless).
+        slot's unit-power spectra and noise. sense() forms the slot's S_yy
+        from it as plan.mixing @ Gram @ plan.mixing^T (the mixing's first N
+        columns when noiseless).
         """
         if not 0 <= start < len(self.trajectory):
             raise ValueError(f"slot {start} is outside the trajectory's "
@@ -163,7 +142,7 @@ class SignalEnvironment:
         self._grams = factor @ factor.transpose(0, 2, 1)
         self._block_start, self._block_end = start, start + slots
 
-    def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
+    def sense(self, selected, slot, prior_vacancy) -> SenseResult:
         if self._next_slot is not None and slot != self._next_slot:
             raise ValueError(f"slots are sensed in order: expected slot "
                              f"{self._next_slot}, got {slot}")
@@ -174,11 +153,7 @@ class SignalEnvironment:
         gram = self._grams[slot - self._block_start]
         mixing = plan.mixing[:, :len(gram)]
         s_yy = mixing @ gram @ mixing.T
-        if prior_vacancy is None:
-            prior_activity = 0.5
-        else:
-            prior_activity = [1.0 - prior_vacancy[band] for band in selected]
-        return signal_sense(s_yy, plan, prior_activity)
+        return signal_sense(s_yy, plan, [1.0 - prior_vacancy[band] for band in selected])
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> dict[str, np.ndarray]:

@@ -5,8 +5,7 @@ explores (a fixed schedule senses every band group for two consecutive
 slots, yielding one transition observation per band) or exploits (the
 currently most promising bands are sensed each slot). Both phases take
 one slot step and learn only from same-set pairs of consecutive slots.
-run_policy reads its settings from a config.ExperimentConfig that its
-caller has checked with validate(). Three policies share the loop:
+Three policies share the loop:
 
 * LDM  - learns transition statistics, always senses K bands.
 * OLDM - like LDM, but once every band has enough observations the set
@@ -18,40 +17,27 @@ caller has checked with validate(). Three policies share the loop:
          config's true statistics and unlocked from the first slot, so
          it senses the optimal set size throughout and never explores.
 
-The policy loop hands Environment.sense the selected bands as a tuple of
-ints, the slot index and the current vacancy beliefs, and both backends
-return a recovery.SenseResult: OracleEnvironment through
+Each slot hands Environment.sense the selected bands, the slot index and
+the current vacancy beliefs. OracleEnvironment reports the truth through
 recovery.oracle_sense, so the busy-count rule has one home, and
-experiments.SignalEnvironment through signal_sense, whose int8 statuses
-the loop turns into a list. A run is recorded as a SlotLog of three
-lists, each slot's xi, throughput and phase: ints and the two phase
-strings, none of which the cyclic garbage collector tracks. A slot's
-selected set and statuses are dropped after the next slot's credit, so a
-long run keeps no per-slot container for the collector to rescan. A
-SlotLog is read by length, iteration and columns, not by index, and
-iteration builds its SlotOutcome items only when read.
+experiments.SignalEnvironment the MAP support of recovery.signal_sense.
+A run is recorded as ints and the two phase strings, which the cyclic
+garbage collector does not track, and a slot's selected set and statuses
+are dropped after the next slot's credit, so a long run keeps no per-slot
+container for the collector to rescan.
 
 While run_policy runs, the per-band learner state is held in plain Python
-lists, and one slot step inside run_policy selects, senses, credits and
-advances the beliefs element by element; update_counts, the only step
-that changes the estimates, is its one helper. Each band's p10 + p01 and
-1 - p01 are kept beside the estimates and recomputed only when
-update_counts changes them, and a successful slot predicts only its
-unsensed bands (a failed slot, every band). Nothing whose result cannot
-change is redone: OLDM's unlock is latched because the counts only grow.
-With few bands a numpy call costs more in overhead than in arithmetic;
-against the same loop on numpy arrays (K = N / 2, 4,000 oracle slots,
-before the step absorbed selection and prediction), OLDM ran 2.7-2.8x as
-fast at N = 8 and 0.46x at N = 256. Every shipped config has N <= 16.
-Python floats are IEEE doubles and each prediction keeps the operand
-order o + p10 - o * (p10 + p01), so every belief, estimate and selected
-set is bit-identical to the array form.
+lists and updated element by element: with few bands a numpy call costs
+more in overhead than in arithmetic, and every shipped config has
+N <= 16. Python floats are IEEE doubles and each prediction keeps the
+operand order o + p10 - o * (p10 + p01), so every belief, estimate and
+selected set is bit-identical to the same loop on numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -142,8 +128,12 @@ class SlotLog:
 
 
 class Environment(Protocol):
+    """A sensing backend. sense takes the selected bands, the slot and
+    the policy's vacancy beliefs (one per band, indexed by band); the
+    beliefs are required, and a backend may ignore them."""
+
     def sense(self, selected: tuple[int, ...], slot: int,
-              prior_vacancy=None) -> SenseResult: ...
+              prior_vacancy: Sequence[float]) -> SenseResult: ...
 
 
 class OracleEnvironment:
@@ -151,10 +141,10 @@ class OracleEnvironment:
 
     The trajectory, checked by spectrum.check_trajectory, is held as one
     list of ints per slot. sense returns recovery.oracle_sense of the
-    selected bands' statuses, a fresh list, and a slot outside the
-    trajectory raises a ValueError. The environment keeps no per-run
-    state, so one instance serves every policy that senses the same
-    trajectory.
+    selected bands' statuses, a fresh list, whatever the beliefs, and a
+    slot outside the trajectory raises a ValueError. The environment keeps
+    no per-run state, so one instance serves every policy that senses the
+    same trajectory.
     """
 
     def __init__(self, trajectory: np.ndarray, k_branches: int):
@@ -162,7 +152,7 @@ class OracleEnvironment:
         self.slots = len(self.rows)
         self.k_branches = k_branches
 
-    def sense(self, selected, slot, prior_vacancy=None) -> SenseResult:
+    def sense(self, selected, slot, prior_vacancy) -> SenseResult:
         if not 0 <= slot < self.slots:
             raise ValueError(f"slot {slot} is outside the trajectory's "
                              f"{self.slots} slots")

@@ -2,38 +2,26 @@
 
 Two modes are provided. Oracle sensing applies the busy-count feasibility
 rule directly to ground-truth statuses. Signal sensing finds the maximum a
-posteriori busy support of a slot's selected bands and reports it as the
-statuses; on the search path it also declares reconstruction failure from
-the relative fit residual. Both return a SenseResult.
+posteriori busy support of a slot's selected bands under the policy's busy
+priors and reports it as the statuses; on the search path it also declares
+reconstruction failure from the relative fit residual. Both return a
+SenseResult.
 
 Signal power is the unit: a busy band's mean per-bin power is 1, and the
-per-bin noise power of an SNR is 10^(-SNR/10) (sensing.noise_power_for_snr).
-The model floor _MODEL_FLOOR (the score's noise variance) is therefore
-absolute.
+per-bin noise power of an SNR is 10^(-SNR/10) (sensing.noise_power_for_snr),
+so the model floor _MODEL_FLOOR is absolute.
 
 Signal recovery reads a slot only through its sample Gram
 S_yy = Re(Z Z^H), the K x K Gram of the real view Y (K x 2 * bins) of the
 slot's complex samples Z: the support scores take trace(Phi_S^-1 S_yy),
 the residual ||Y - A_S x||^2 of an estimate x = G Y is
 tr(F S_yy F^T) = tr(F^T F S_yy) with F = I - A_S G, and ||Y||^2 is
-tr(S_yy). So signal_sense and fbmp_recover take S_yy, never samples; a
-SignalEnvironment draws it from its Bartlett factor (see experiments), and
-the package forms no samples at all. The tests keep a sample-domain
-reference chain in tests/conftest.py. Gram-domain values differ from
-sample-domain ones in the last bits, and where the true value is 0 they
-are rounding of about eps times the Gram's size rather than eps^2. So the
-residual ratio of an exact fit is about sqrt(eps) (1e-8), not 0; near the
-residual threshold the two agree to about eps / ratio.
-
-A SensingPlan, a view of a SupportTable built whole for its path when it
-is made, is the one way set-level inputs reach signal_sense and
-fbmp_recover. Besides the plan, those calls take only the slot's S_yy and
-busy priors, so a caller sensing the same set again passes the same plan
-back in. A replication builds one table for every policy, so every policy
-senses a set through one plan. A plan's gamma is gamma_threshold, the
-rule oracle sensing applies, so both modes recover a set of m bands with
-at most m busy when m <= K (the direct path) and at most K // 2 otherwise
-(the search).
+tr(S_yy). Gram-domain values differ from those of the sample-domain
+reference chain in tests/conftest.py in the last bits, and where the true
+value is 0 they are rounding of about eps times the Gram's size rather
+than eps^2. So the residual ratio of an exact fit is about sqrt(eps)
+(1e-8), not 0; near the residual threshold the two agree to about
+eps / ratio.
 
 Both paths score supports alike: the log posterior
 -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S), with
@@ -41,10 +29,10 @@ Phi_S = sig_n I + A_S A_S^T and the selected bands' busy priors, and keep
 the first maximum in (size, lexicographic) order over selection
 positions. Scores and residuals are products with cached operators (the
 table's, and a direct plan's inverses of its supports beyond the table),
-not solves, so they can differ from per-slot factorisation in
-the last bits, and only supports whose scores (or residuals at the
-threshold) are that close could read differently. No slot factorises
-anything, and no signal run imports SciPy.
+not solves, so they can differ from per-slot factorisation in the last
+bits, and only supports whose scores (or residuals at the threshold) are
+that close could read differently. No slot factorises anything, and no
+signal run imports SciPy.
 """
 
 from __future__ import annotations
@@ -385,14 +373,13 @@ def fbmp_recover(s_yy, plan: SensingPlan, prior_activity=0.5):
 
     s_yy is the slot's K x K sample Gram Re(Z Z^H). Scores every
     support of at most plan.gamma = K // 2 of a search plan's bands at
-    once from their table rows, plan.rows (_first_map); prior_activity is the per-band prior probability of being busy (a
-    scalar or one entry per selected band). The cached inverses can move
-    scores in the last bits against factorising each Phi_S, so only
-    supports that close could rank differently. Returns the binary support
-    estimate (a read-only int8 row) and the relative residual
-    ||Y - A_S G_S Y|| / ||Y|| of its posterior-mean fit: the square root
-    of Q_S . vec(S_yy) / tr(S_yy), with Q_S the support's table row of fit
-    operators, the residual clamped at 0, and 0 when S_yy is zero.
+    once from their table rows, plan.rows (_first_map); prior_activity is
+    the per-band prior probability of being busy (a scalar or one entry
+    per selected band). Returns the binary support estimate (a read-only
+    int8 row) and the relative residual ||Y - A_S G_S Y|| / ||Y|| of its
+    posterior-mean fit: the square root of Q_S . vec(S_yy) / tr(S_yy),
+    with Q_S the support's table row of fit operators, the residual
+    clamped at 0, and 0 when S_yy is zero.
     """
     s_yy = np.asarray(s_yy)
     table = plan.table

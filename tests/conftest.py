@@ -101,12 +101,11 @@ def brute_force_best_set(vacancy_probs, k_branches):
     return best_set, best_value
 
 
-# The sample-domain signal chain: band spectra, mixed samples and noise,
-# their Gram and a least-squares solve, slot by slot. wssim forms none of
-# these; its SignalEnvironment draws each slot's Gram of the spectra and
-# noise from its Bartlett factor, and recovery reads only that Gram. This
-# chain is the reference that the block-Gram law tests, the recovery tests
-# and criterion 8 compare against.
+# The sample-domain signal chain, slot by slot: band spectra, mixed samples
+# and noise, and their Gram. wssim forms none of these: its SignalEnvironment
+# draws each slot's Gram from its Bartlett factor, and recovery reads only
+# that Gram. The block-Gram law tests and the recovery tests compare against
+# this chain, and criterion 8 draws its slots from it.
 def synthesize_band_spectra(statuses: np.ndarray, bins_per_band: int,
                             rng: np.random.Generator) -> np.ndarray:
     """Fill busy bands with flat-spectrum circular complex Gaussian content.
@@ -199,34 +198,6 @@ def real_view(spectra) -> np.ndarray:
     return np.ascontiguousarray(spectra, dtype=np.complex128).view(np.float64)
 
 
-def _least_squares_operator(a_sub: np.ndarray) -> np.ndarray:
-    """The m x K least-squares operator (pseudo-inverse) of a K x m
-    sub-matrix with m <= K, from its SVD.
-
-    np.linalg.lstsq's rank rule: singular values at most
-    eps * max(K, m) * s_max count as zero, and any such one raises a
-    LinAlgError, as a rank below m did.
-    """
-    u, sv, vt = np.linalg.svd(a_sub, full_matrices=False)
-    if not sv[-1] > np.finfo(float).eps * max(a_sub.shape) * sv[0]:
-        raise np.linalg.LinAlgError("sensing sub-matrix is numerically singular")
-    return (vt.T / sv) @ u.T
-
-
-def direct_solve(z, a_sub: np.ndarray) -> np.ndarray:
-    """Per-bin least-squares recovery for set sizes up to the branch count.
-
-    Builds a_sub's least-squares operator and applies it to the samples'
-    real view with one real product. Sensing does not use it: the direct
-    path scores supports instead (signal_sense).
-    """
-    a_sub = np.asarray(a_sub, dtype=float)
-    k, m = a_sub.shape
-    if m > k:
-        raise ValueError("direct solve requires at most k_branches selected bands")
-    return (_least_squares_operator(a_sub) @ real_view(z)).view(np.complex128)
-
-
 def solve_support_scores(szz, n_bins, a_sub, supports, sig_n, base_prior,
                          prior_gain):
     """Log posterior (up to a support-independent constant) of busy sets.
@@ -300,43 +271,6 @@ def exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity=0.5):
         top = int(np.argmax(scores))
         if scores[top] > best_score:
             best_active, best_score = tuple(supports[top]), scores[top]
-    support = np.zeros(m, dtype=np.int8)
-    support[list(best_active)] = 1
-    return support
-
-
-def reference_greedy_support(samples, a_sub, cfg, gamma, prior_activity=0.5,
-                             breadth=5):
-    """FBMP's greedy support search, one candidate support at a time.
-
-    Supports grow one band at a time and only the best `breadth` of each
-    size are grown further; the best support seen wins. fbmp_recover
-    replaced this search with the exhaustive one, which must find what it
-    found.
-    """
-    m = a_sub.shape[1]
-    szz, n_bins, sig_n, base_prior, prior_gain = score_terms(
-        samples, cfg, m, prior_activity)
-
-    def score(active):
-        return reference_support_score(szz, n_bins, a_sub, active, sig_n,
-                                       base_prior, prior_gain)
-
-    best_active, best_score = (), score(())
-    frontier = [()]
-    for _ in range(gamma):
-        scored = {}
-        for active in frontier:
-            for j in range(m):
-                cand = tuple(sorted(set(active) | {j}))
-                if j not in active and cand not in scored:
-                    scored[cand] = score(cand)
-        if not scored:
-            break
-        ranked = sorted(scored.items(), key=lambda item: -item[1])
-        frontier = [active for active, _ in ranked[:breadth]]
-        if ranked[0][1] > best_score:
-            best_active, best_score = ranked[0]
     support = np.zeros(m, dtype=np.int8)
     support[list(best_active)] = 1
     return support
@@ -430,7 +364,7 @@ class ReferenceOracleEnvironment:
         self.trajectory = np.asarray(trajectory, dtype=np.int8)
         self.k_branches = k_branches
 
-    def sense(self, selected, slot, prior_vacancy=None):
+    def sense(self, selected, slot, prior_vacancy):
         return oracle_sense(self.trajectory[slot, selected], self.k_branches)
 
 
@@ -520,7 +454,7 @@ class ReferenceSignalEnvironment:
             grid[np.flatnonzero(row_statuses)] = rows[:busy]
             self._block[slot] = grid, rows[busy:] if noise_rows else None
 
-    def sense(self, selected, slot, prior_vacancy=None):
+    def sense(self, selected, slot, prior_vacancy):
         cfg = self.config
         selected = np.asarray(selected)
         if slot not in self._block:
@@ -530,14 +464,10 @@ class ReferenceSignalEnvironment:
         samples = a_sub @ grid[selected]
         if noise is not None:
             samples = samples + noise
-        if prior_vacancy is None:
-            prior_activity = 0.5
-        else:
-            prior_activity = 1.0 - np.asarray(prior_vacancy)[selected]
         recovery_cfg = RecoveryConfig(noise_variance=noise_power_for_snr(cfg.snr_db),
                                       residual_threshold=cfg.residual_threshold)
-        return reference_signal_sense(samples, a_sub, recovery_cfg,
-                                      cfg.k_branches, prior_activity)
+        return reference_signal_sense(samples, a_sub, recovery_cfg, cfg.k_branches,
+                                      1.0 - np.asarray(prior_vacancy)[selected])
 
 
 def step_occupancy(statuses, stats, rng):
@@ -622,7 +552,7 @@ class RecordingEnvironment:
         self.selected = []
         self.results = []
 
-    def sense(self, selected, slot, prior_vacancy=None):
+    def sense(self, selected, slot, prior_vacancy):
         result = self.env.sense(selected, slot, prior_vacancy)
         self.selected.append(selected)
         self.results.append(result)

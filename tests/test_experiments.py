@@ -185,7 +185,7 @@ def sense_every_slot(env, ref, n, k, slots, seed=4):
     paths = set()
     for slot in slots:
         selected = pool[slot % len(pool)]
-        prior = None if slot % 7 == 0 else draws.random(n).tolist()
+        prior = [0.5] * n if slot % 7 == 0 else draws.random(n).tolist()
         assert_same_sense(env, ref, selected, slot, prior, first_slot=slots[0])
         paths.add(selected.size <= k)
     return paths
@@ -224,7 +224,7 @@ class TestSignalEnvironmentMatchesReference:
             selected = pool[draws.integers(len(pool))]
             assert_same_sense(env, ref, selected, slot,
                               draws.random(8).tolist())
-            other.sense(pool[draws.integers(len(pool))], slot)
+            other.sense(pool[draws.integers(len(pool))], slot, [0.5] * 8)
             assert len(table._plans) <= 3
 
     @pytest.mark.parametrize("mode", ["IMP", "LDM", "OLDM"])
@@ -314,9 +314,9 @@ class TestSignalEnvironmentMatchesReference:
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 20)
         env = signal_environment(config, trajectory, matrix, 0)
         for slot in slots[:-1]:
-            env.sense((0, 2, 5), slot)
+            env.sense((0, 2, 5), slot, [0.5] * 8)
         with pytest.raises(ValueError, match=f"expected slot {expected}, got {slots[-1]}"):
-            env.sense((0, 2, 5), slots[-1])
+            env.sense((0, 2, 5), slots[-1], [0.5] * 8)
 
     def test_rejects_zero_bins_per_band(self):
         # Checked when the environment's table is built, before any draw.
@@ -452,7 +452,7 @@ class TestBlockGram:
         n, bins = trajectory.shape[1], config.bins_per_band
         blocks = 0
         for slot in range(first_slot, len(trajectory)):
-            env.sense((0, 2, 5), slot)
+            env.sense((0, 2, 5), slot, [0.5] * n)
             gram = env._grams[slot - env._block_start]
             vacant = np.flatnonzero(trajectory[slot] == 0)
             assert not gram[vacant].any() and not gram[:, vacant].any()
@@ -518,7 +518,7 @@ def test_noiseless_direct_path_reads_truth(n, k):
         draws = np.random.default_rng(seed)
         for slot in range(200):
             selected = np.sort(draws.choice(n, size=k, replace=False))
-            result = env.sense(selected, slot)
+            result = env.sense(selected, slot, [0.5] * n)
             assert result.statuses.tolist() == trajectory[slot, selected].tolist()
 
 
@@ -527,7 +527,7 @@ class FreshTableEnvironment(SignalEnvironment):
     and so through a new plan from the new table's cache, so no row or plan
     outlives the slot that built it."""
 
-    def sense(self, selected, slot, prior_vacancy=None):
+    def sense(self, selected, slot, prior_vacancy):
         self.support_table = SupportTable(self.support_table.matrix,
                                           self.support_table.cfg)
         result = super().sense(selected, slot, prior_vacancy)
@@ -607,8 +607,8 @@ def test_policies_of_a_replication_share_plans(monkeypatch):
 
 def test_both_backends_return_sense_result():
     config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
-    oracle = OracleEnvironment(trajectory, 4).sense((0, 2, 5), 3)
-    signal = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 3)
+    oracle = OracleEnvironment(trajectory, 4).sense((0, 2, 5), 3, [0.5] * 8)
+    signal = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 3, [0.5] * 8)
     for result in (oracle, signal):
         assert type(result) is SenseResult
         statuses, xi = result
@@ -618,29 +618,39 @@ def test_both_backends_return_sense_result():
     assert signal.statuses.dtype == np.int8
 
 
+def test_both_backends_require_the_prior():
+    # Sensing always scores under the policy's beliefs: there is no default.
+    config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
+    for env in (OracleEnvironment(trajectory, 4),
+                signal_environment(config, trajectory, matrix, 0)):
+        with pytest.raises(TypeError, match="prior_vacancy"):
+            env.sense((0, 2, 5), 3)
+
+
 @pytest.mark.parametrize("slot", [-1, 10])
 def test_both_backends_reject_slots_outside_the_trajectory(slot):
     # A negative slot must not wrap round to the trajectory's end.
     config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
     message = f"slot {slot} is outside the trajectory's 10 slots"
+    flat = [0.5] * 8
     with pytest.raises(ValueError, match=message):
-        OracleEnvironment(trajectory, 4).sense((0, 2, 5), slot)
+        OracleEnvironment(trajectory, 4).sense((0, 2, 5), slot, flat)
     # A rejected first call draws nothing, and the next slot is sensed as
     # by an environment that never saw it.
     env = signal_environment(config, trajectory, matrix, 0)
     state = env.rng.bit_generator.state
     with pytest.raises(ValueError, match=message):
-        env.sense((0, 2, 5), slot)
+        env.sense((0, 2, 5), slot, flat)
     assert env.rng.bit_generator.state == state
-    want = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 0)
-    got = env.sense((0, 2, 5), 0)
+    want = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 0, flat)
+    got = env.sense((0, 2, 5), 0, flat)
     assert got.statuses.tobytes() == want.statuses.tobytes() and got.xi == want.xi
     # Past the last slot, the next call in order is rejected too.
     for t in range(1, 10):
-        env.sense((0, 2, 5), t)
+        env.sense((0, 2, 5), t, flat)
     state = env.rng.bit_generator.state
     with pytest.raises(ValueError, match="slot 10 is outside the trajectory's 10 slots"):
-        env.sense((0, 2, 5), 10)
+        env.sense((0, 2, 5), 10, flat)
     assert env.rng.bit_generator.state == state
 
 
@@ -667,7 +677,7 @@ class TestDetectionAgainstTruth:
             found.append(support.copy())
             return support, ratio
 
-        def recording_sense(env, selected, slot, prior_vacancy=None):
+        def recording_sense(env, selected, slot, prior_vacancy):
             found.clear()
             result = sense(env, selected, slot, prior_vacancy)
             truth = env.trajectory[slot, list(selected)]
@@ -763,10 +773,13 @@ class TestPinnedSignalOutput:
     replications of 4,000 slots: IMP's size-7 sets take the support
     search, LDM's size-4 sets the direct path, and OLDM unlocks and grows
     its sets onto the search. case2.cfg at 16 bands, 8 branches and 10 dB,
-    1 replication of 1,000 slots: the deeper search (gamma 4) and a plan
-    cache that evicts. The first replication of case1 reads the same
-    decisions at 20 dB as without noise; the second does not, so the two
-    digests differ.
+    1 replication of 1,000 slots: the deeper search (gamma 4), and 371
+    direct and 656 search plan builds, so the table's plan cache (128
+    plans) evicts and rebuilds; each direct plan builds its supports beyond
+    the table (more than 4 of its up to 8 bands) by one padded covariance
+    call; `wssim run` of that config writes a CSV of the same digest. The
+    first replication of case1 reads the same decisions at 20 dB as
+    without noise; the second does not, so the two digests differ.
     """
 
     DIGESTS = {

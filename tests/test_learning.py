@@ -300,7 +300,7 @@ class TestRunPolicy:
         seen = []
 
         class Spy:
-            def sense(self, selected, slot, prior_vacancy=None):
+            def sense(self, selected, slot, prior_vacancy):
                 seen.append(prior_vacancy.copy())
                 return env.sense(selected, slot, prior_vacancy)
 
@@ -319,7 +319,7 @@ class TestRunPolicy:
         kept = []
 
         class Spy:
-            def sense(self, selected, slot, prior_vacancy=None):
+            def sense(self, selected, slot, prior_vacancy):
                 kept.append((prior_vacancy, list(prior_vacancy)))
                 return env.sense(selected, slot, prior_vacancy)
 
@@ -614,7 +614,7 @@ class TestMatchesNumpyReference:
         fresh = {}
 
         class Spy:
-            def sense(self, selected, slot, prior_vacancy=None):
+            def sense(self, selected, slot, prior_vacancy):
                 if slot % block_len == 0 and min(belief.obs_count) >= unlock:
                     fresh[slot] = optimize_size(belief.vacancy_estimates(), k).size
                 return env.sense(selected, slot, prior_vacancy)
