@@ -777,9 +777,13 @@ class TestPinnedSignalOutput:
     direct and 656 search plan builds, so the table's plan cache (128
     plans) evicts and rebuilds; each direct plan builds its supports beyond
     the table (more than 4 of its up to 8 bands) by one padded covariance
-    call; `wssim run` of that config writes a CSV of the same digest. The
-    first replication of case1 reads the same decisions at 20 dB as
-    without noise; the second does not, so the two digests differ.
+    call; `wssim run` of that config writes a CSV of the same digest.
+    case2.cfg at 0 dB, 2 replications of 4,000 slots: case2's crowded
+    profile at 8 bands and 4 branches, where 8,812 of the 24,000 senses
+    take the search, at the SNR where its residual test is passed most
+    narrowly. The first replication of case1 reads the same decisions at
+    20 dB as without noise; the second does not, so the two digests
+    differ.
     """
 
     DIGESTS = {
@@ -788,6 +792,7 @@ class TestPinnedSignalOutput:
         "case1-0db": "51cb75c94056e8d8b019d3ce6bd16d3a0c300411dd472bd85947d4d6b8cb43af",
         "case1-noiseless": "8b74f4730bb24f350af3ef987da641002220821a37682429cc6320cc8096396d",
         "case2-n16-k8-10db": "00640692c226fbbda0a18c1b1360152c3719d878b9db3cf94ef5c6ea7a0a4077",
+        "case2-0db": "1d6ed243d7b37f81c4de41a2968a1f942706ca68b70f2bcc31a6d9b1730cfd0a",
     }
 
     # (config, snr_db, (n_bands, k_branches) or None, replications, horizon)
@@ -797,6 +802,7 @@ class TestPinnedSignalOutput:
         "case1-0db": ("case1", 0.0, None, 2, 4000),
         "case1-noiseless": ("case1", None, None, 2, 4000),
         "case2-n16-k8-10db": ("case2", 10.0, (16, 8), 1, 1000),
+        "case2-0db": ("case2", 0.0, None, 2, 4000),
     }
 
     def digest(self, name, tmp_path):
@@ -813,7 +819,7 @@ class TestPinnedSignalOutput:
     def test_csv_digest(self, name, tmp_path):
         assert self.digest(name, tmp_path) == self.DIGESTS[name]
 
-    @pytest.mark.parametrize("name", ["case1-0db", "case2-n16-k8-10db"])
+    @pytest.mark.parametrize("name", ["case1-0db", "case2-n16-k8-10db", "case2-0db"])
     def test_signal_digest_survives_perturbation(self, name, tmp_path, monkeypatch):
         # Every support score is scaled by 1 - 1e-9 on even rows and
         # 1 + 1e-9 on odd ones (scaling a row of inv, weighted_logdet and
