@@ -4,7 +4,7 @@ Two modes are provided. Oracle sensing applies the busy-count feasibility
 rule directly to ground-truth statuses. Signal sensing finds the maximum a
 posteriori busy support of a slot's selected bands under the policy's busy
 priors and reports it as the statuses; on the search path it also declares
-reconstruction failure from the relative fit residual. Both return a
+reconstruction failure from the fit's residual energy. Both return a
 SenseResult.
 
 Signal power is the unit: a busy band's mean per-bin power is 1, and the
@@ -19,9 +19,9 @@ tr(F S_yy F^T) = tr(F^T F S_yy) with F = I - A_S G, and ||Y||^2 is
 tr(S_yy). Gram-domain values differ from those of the sample-domain
 reference chain in tests/conftest.py in the last bits, and where the true
 value is 0 they are rounding of about eps times the Gram's size rather
-than eps^2. So the residual ratio of an exact fit is about sqrt(eps)
-(1e-8), not 0; near the residual threshold the two agree to about
-eps / ratio.
+than eps^2. So the residual energy of an exact fit is rounding at the eps
+scale of the Gram (about eps * tr(S_yy)), not 0; at the residual
+threshold the two agree to about eps / residual_threshold^2 relative.
 
 Both paths score supports alike: the log posterior
 -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S), with
@@ -106,17 +106,16 @@ def oracle_sense(true_statuses, k_branches: int) -> SenseResult:
     return tuple.__new__(SenseResult, (true_statuses, xi))
 
 
-def _prior_log_odds(prior_activity, m: int) -> np.ndarray:
+def _prior_log_odds(prior_activity) -> np.ndarray:
     """Per-band log(q / (1 - q)) of the busy priors q.
 
     A support's log prior is sum(log(1 - q)), the same for every support,
     plus its bands' log-odds, so the odds alone rank supports. q is
-    prior_activity broadcast to m bands and clipped to [1e-9, 1 - 1e-9] by
-    two ufuncs writing one fresh array: the bits of np.broadcast_to and
-    np.clip, without their Python-level wrappers.
+    prior_activity, one entry per selected band, clipped to
+    [1e-9, 1 - 1e-9] by two ufuncs writing one fresh array: the bits of
+    np.clip, without its Python-level wrapper.
     """
-    q = np.empty(m)
-    np.maximum(prior_activity, 1e-9, out=q)
+    q = np.maximum(prior_activity, 1e-9)
     np.minimum(q, 1.0 - 1e-9, out=q)
     return np.log(q) - np.log1p(-q)
 
@@ -298,10 +297,10 @@ def _first_map(s_yy, inv, weighted_logdet, indicator, prior_activity) -> int:
     constant, with inv the (C, K*K) flattened Phi_S^-1 and weighted_logdet
     -bins * log det Phi_S. Phi^-1 and S_yy are symmetric, so the traces
     are one product. The log priors are one indicator product with the
-    prior log-odds of prior_activity, the per-band busy probability (a
-    scalar or one entry per band). argmax keeps the first maximum.
+    prior log-odds of prior_activity, the busy probability of each of the
+    m bands. argmax keeps the first maximum.
     """
-    log_prior = indicator @ _prior_log_odds(prior_activity, indicator.shape[1])
+    log_prior = indicator @ _prior_log_odds(prior_activity)
     return int((weighted_logdet - inv @ s_yy.ravel() + log_prior).argmax())
 
 
@@ -368,53 +367,45 @@ class SensingPlan:
             self.weighted_logdet = np.concatenate([self.weighted_logdet, -bins * logdet])
 
 
-def fbmp_recover(s_yy, plan: SensingPlan, prior_activity=0.5):
+def fbmp_recover(s_yy, plan: SensingPlan, prior_activity):
     """Exact maximum-a-posteriori search over busy-band supports.
 
     s_yy is the slot's K x K sample Gram Re(Z Z^H). Scores every
     support of at most plan.gamma = K // 2 of a search plan's bands at
-    once from their table rows, plan.rows (_first_map); prior_activity is
-    the per-band prior probability of being busy (a scalar or one entry
-    per selected band). Returns the binary support estimate (a read-only
-    int8 row) and the relative residual ||Y - A_S G_S Y|| / ||Y|| of its
-    posterior-mean fit: the square root of Q_S . vec(S_yy) / tr(S_yy),
-    with Q_S the support's table row of fit operators, the residual
-    clamped at 0, and 0 when S_yy is zero.
+    once from their table rows, plan.rows (_first_map); prior_activity
+    holds the prior probability of being busy of each selected band.
+    Returns the binary support estimate (a read-only int8 row) and the
+    residual energy ||Y - A_S G_S Y||^2 of its posterior-mean fit,
+    Q_S . vec(S_yy) with Q_S the support's table row of fit operators.
     """
     s_yy = np.asarray(s_yy)
     table = plan.table
     rows = plan.rows
     best = _first_map(s_yy, table.inv[rows], plan.weighted_logdet, plan.indicator,
                       prior_activity)
-    residual = table.fit[rows[best]] @ s_yy.ravel()
-    y_sq = s_yy.trace()
-    ratio = math.sqrt(max(residual, 0.0) / y_sq) if y_sq else 0.0
-    return plan.statuses[best], ratio
+    return plan.statuses[best], table.fit[rows[best]] @ s_yy.ravel()
 
 
-def signal_sense(s_yy, plan: SensingPlan, prior_activity=0.5) -> SenseResult:
+def signal_sense(s_yy, plan: SensingPlan, prior_activity) -> SenseResult:
     """Full signal-mode sensing of one slot from its K x K sample Gram
     Re(Z Z^H): the statuses are the MAP support of the selected bands
-    under the busy priors prior_activity (a scalar or one entry per band).
+    under the busy priors prior_activity, one entry per selected band.
 
     Direct plans (set sizes up to the branch count K) score all 2^m
     supports from the plan's inv and weighted_logdet and always succeed.
-    Search plans go through fbmp_recover, and fail when its relative
-    residual, less the expected noise energy, exceeds the config's
-    residual_threshold.
+    Search plans go through fbmp_recover, and fail when its residual
+    energy, less the table's noise guard, exceeds residual_threshold^2
+    times ||Y||^2 = tr(S_yy).
     """
     s_yy = np.asarray(s_yy)
     if plan.direct:
         best = _first_map(s_yy, plan.inv, plan.weighted_logdet, plan.indicator,
                           prior_activity)
         return SenseResult(plan.statuses[best], 0)
-    support, ratio = fbmp_recover(s_yy, plan, prior_activity)
-    # The raw residual of a correct fit still contains the measurement
-    # noise, so the failure statistic discounts the table's noise guard
-    # (the expected noise energy plus a four-sigma guard band) before
-    # thresholding; with zero noise it reduces to the raw residual ratio.
-    # z_energy is the ||Y||^2 of the residual ratio's denominator.
-    z_energy = s_yy.trace()
-    excess = max(0.0, ratio ** 2 * z_energy - plan.table.noise_guard)
-    excess_ratio = np.sqrt(excess / z_energy) if z_energy > 0.0 else 0.0
-    return SenseResult(support, int(excess_ratio > plan.table.cfg.residual_threshold))
+    support, residual = fbmp_recover(s_yy, plan, prior_activity)
+    # The residual of a correct fit still holds the measurement noise, so
+    # the test discounts the noise guard (the expected noise energy plus a
+    # four-sigma guard band); without noise it is the raw residual energy.
+    # An all-zero Gram reads 0 - guard > 0, which is false.
+    threshold = plan.table.cfg.residual_threshold ** 2 * s_yy.trace()
+    return SenseResult(support, int(residual - plan.table.noise_guard > threshold))

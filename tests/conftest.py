@@ -12,8 +12,8 @@ from wssim.config import ExperimentConfig
 from wssim.learning import (EXPLOIT, EXPLORE, BeliefState, epsilon,
                             explore_schedule)
 from wssim.recovery import (_MODEL_FLOOR, RecoveryConfig, SenseResult,
-                            _posterior_gains, _prior_log_odds,
-                            _support_covariances, gamma_threshold, oracle_sense)
+                            _posterior_gains, _support_covariances,
+                            gamma_threshold, oracle_sense)
 from wssim.sensing import noise_power_for_snr, select_submatrix
 from wssim.sizing import exploration_threshold, optimize_size
 from wssim.spectrum import (BandStatistics, check_bins_per_band,
@@ -245,7 +245,7 @@ def score_terms(samples, cfg, m, prior_activity=0.5):
     q = np.clip(np.broadcast_to(np.asarray(prior_activity, dtype=float), (m,)),
                 1e-9, 1.0 - 1e-9)
     return (samples @ samples.conj().T, samples.shape[1], sig_n,
-            np.log1p(-q).sum(), _prior_log_odds(prior_activity, m))
+            np.log1p(-q).sum(), np.log(q) - np.log1p(-q))
 
 
 def all_supports(m, size):

@@ -202,7 +202,8 @@ def test_criterion_8_signal_chain_fidelity():
         plan = SensingPlan(SupportTable(a_sub, RecoveryConfig(noise_variance=0.0)), range(m))
         for pattern in itertools.product((0, 1), repeat=m):
             grid = synthesize_band_spectra(np.array(pattern), 64, rng)
-            result = signal_sense(sample_gram(measure(a_sub, grid, None, rng)), plan)
+            result = signal_sense(sample_gram(measure(a_sub, grid, None, rng)), plan,
+                                  [0.5] * m)
             assert (result.statuses.tolist(), result.xi) == (list(pattern), 0)
             patterns += 1
     assert patterns == 30

@@ -673,9 +673,9 @@ class TestDetectionAgainstTruth:
         search, sense = recovery.fbmp_recover, SignalEnvironment.sense
 
         def recording_search(*args):
-            support, ratio = search(*args)
+            support, energy = search(*args)
             found.append(support.copy())
-            return support, ratio
+            return support, energy
 
         def recording_sense(env, selected, slot, prior_vacancy):
             found.clear()
@@ -824,8 +824,9 @@ class TestPinnedSignalOutput:
         # Every support score is scaled by 1 - 1e-9 on even rows and
         # 1 + 1e-9 on odd ones (scaling a row of inv, weighted_logdet and
         # indicator scales that row's score), and every search residual
-        # by 1 + 1e-9. The digest holds, so the pinned decisions have more
-        # margin than any reordered sum could take from them.
+        # energy by (1 + 1e-9)^2, its ratio by 1 + 1e-9. The digest holds,
+        # so the pinned decisions have more margin than any reordered sum
+        # could take from them.
         calls = {"score": 0, "residual": 0}
         first_map, search = recovery._first_map, recovery.fbmp_recover
 
@@ -837,8 +838,8 @@ class TestPinnedSignalOutput:
 
         def nudged_search(*args):
             calls["residual"] += 1
-            support, ratio = search(*args)
-            return support, ratio * (1.0 + 1e-9)
+            support, energy = search(*args)
+            return support, energy * (1.0 + 1e-9) ** 2
 
         monkeypatch.setattr(recovery, "_first_map", nudged_first_map)
         monkeypatch.setattr(recovery, "fbmp_recover", nudged_search)

@@ -41,7 +41,7 @@ def test_noiseless_direct_path_returns_truth(slot):
     samples = measure(a_sub, grid, None, rng)
     plan = SensingPlan(SupportTable(a_sub, RecoveryConfig(bins_per_band=bins)),
                        range(truth.size))
-    result = signal_sense(sample_gram(samples), plan)
+    result = signal_sense(sample_gram(samples), plan, [0.5] * truth.size)
     assert result.statuses.tolist() == truth.tolist()
     assert result.xi == oracle_sense(truth, k).xi == 0
 

@@ -31,7 +31,8 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     """One sensing slot: random mixing matrix, occupancy, measurement.
 
     Returns the true statuses, the spectra, the sub-matrix's SensingPlan,
-    the samples and the search's keyword arguments (prior_activity).
+    the samples and the search's keyword arguments (prior_activity: prior
+    broadcast to the m bands).
     """
     rng = np.random.default_rng(seed)
     a_sub = rng.standard_normal((k, m))
@@ -42,9 +43,17 @@ def make_instance(seed, m=6, k=4, busy_count=2, snr_db=20.0, n_bins=64,
     samples = measure(a_sub, spectra, snr_db, rng)
     cfg = RecoveryConfig(noise_variance=noise_power_for_snr(snr_db),
                          bins_per_band=n_bins)
-    search = {"prior_activity": prior}
+    search = {"prior_activity": np.broadcast_to(prior, (m,))}
     plan = SensingPlan(SupportTable(a_sub, cfg), range(m))
     return statuses, spectra, plan, samples, search
+
+
+def residual_ratio_of(energy, s_yy):
+    """The relative residual ||Y - A_S G_S Y|| / ||Y|| of fbmp_recover's
+    residual energy and the slot's Gram, 0 when the Gram is zero: the form
+    the sample-domain references report (conftest.residual_ratio)."""
+    y_sq = s_yy.trace()
+    return math.sqrt(max(energy, 0.0) / y_sq) if y_sq else 0.0
 
 
 class TestGammaThreshold:
@@ -110,10 +119,10 @@ class TestFbmpRecover:
     def test_zero_measurement_empty_support(self, rng):
         plan = SensingPlan(SupportTable(rng.standard_normal((4, 6)), RecoveryConfig(
             noise_variance=0.0, bins_per_band=16)), range(6))
-        support, ratio = fbmp_recover(
-            sample_gram(np.zeros((4, 16), dtype=complex)), plan)
+        support, energy = fbmp_recover(
+            sample_gram(np.zeros((4, 16), dtype=complex)), plan, [0.5] * 6)
         assert not support.any()
-        assert ratio == 0.0
+        assert energy == 0.0
 
     def test_support_recovery_rate_at_20db(self):
         hits = 0
@@ -130,8 +139,9 @@ class TestFbmpRecover:
         trials = 200
         for seed in range(trials):
             _, _, plan, samples, search = make_instance(seed, busy_count=3)
-            _, ratio = fbmp_recover(sample_gram(samples), plan, **search)
-            over += int(ratio > 0.1)
+            s_yy = sample_gram(samples)
+            _, energy = fbmp_recover(s_yy, plan, **search)
+            over += int(residual_ratio_of(energy, s_yy) > 0.1)
         assert over / trials > 0.5
 
     def test_adding_truly_busy_band_improves_score(self):
@@ -211,7 +221,7 @@ class TestFbmpRecover:
             statuses[first] = 1
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                               20.0, rng)
-            support, _ = fbmp_recover(sample_gram(samples), plan)
+            support, _ = fbmp_recover(sample_gram(samples), plan, [0.5] * m)
             want = exhaustive_map_support(samples, plan.a_sub, table.cfg, gamma)
             assert support.tobytes() == want.tobytes()
             assert support[first] == 1 and support[second] == 0
@@ -250,13 +260,14 @@ class TestFbmpRecover:
             _, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (k // 2 + 2),
                 snr_db=(20.0, 10.0, None)[seed % 3], n_bins=16)
-            support, ratio = fbmp_recover(sample_gram(samples), plan, **search)
+            s_yy = sample_gram(samples)
+            support, energy = fbmp_recover(s_yy, plan, **search)
             ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, plan.gamma, **search)
             np.testing.assert_array_equal(support, ref_support)
             x_hat = table_posterior_mean(plan, support, samples)
             np.testing.assert_array_equal(x_hat, ref_x_hat)
-            assert_ratio_close(ratio, ref_ratio)
+            assert_ratio_close(residual_ratio_of(energy, s_yy), ref_ratio)
 
 
 class TestSampleGram:
@@ -298,7 +309,7 @@ def scipy_modules_after(lines):
     return out.stdout.strip().splitlines()[-1]
 
 
-class TestEnergyDetect:
+class TestMapDetection:
     """Which selected bands carry energy: signal_sense reads it from the
     MAP support on both paths, with no energy detector and no SciPy."""
 
@@ -316,7 +327,7 @@ class TestEnergyDetect:
         plan = SensingPlan(SupportTable(rng.standard_normal((4, 1)), RecoveryConfig()),
                            range(1))
         spectra = synthesize_band_spectra(np.ones(1, dtype=np.int8), 64, rng)
-        result = signal_sense(sample_gram(plan.a_sub @ spectra), plan)
+        result = signal_sense(sample_gram(plan.a_sub @ spectra), plan, [0.5])
         assert result.statuses.tolist() == [1]
 
     def test_false_alarm_rate_calibrated(self, rng):
@@ -331,7 +342,8 @@ class TestEnergyDetect:
                 a_sub = rng.standard_normal((4, m))
                 plan = SensingPlan(SupportTable(a_sub, cfg), range(m))
             samples = measure(a_sub, np.zeros((m, 64), dtype=complex), 20.0, rng)
-            flagged += int(signal_sense(sample_gram(samples), plan).statuses.sum())
+            flagged += int(signal_sense(sample_gram(samples), plan,
+                                        [0.5] * m).statuses.sum())
         assert flagged / (m * trials) <= 0.01
 
     def test_per_band_noise_vector(self, rng):
@@ -347,7 +359,7 @@ class TestEnergyDetect:
                 spectra = np.zeros((2, 32), dtype=complex)
                 spectra[busy] = 10.0
                 samples = measure(a_sub, spectra, 40.0, rng)
-                result = signal_sense(sample_gram(samples), plan)
+                result = signal_sense(sample_gram(samples), plan, [0.5] * 2)
                 assert result.statuses.tolist() == [int(j == busy) for j in range(2)]
 
     def test_import_leaves_scipy_stats_unloaded(self):
@@ -427,18 +439,20 @@ class TestSignalSense:
             statuses[busy] = 1
             samples = measure(matrix, synthesize_band_spectra(statuses, 16, rng),
                               20.0, rng)
-            result = signal_sense(sample_gram(samples), plan)
+            result = signal_sense(sample_gram(samples), plan, [0.5] * 3)
             assert result.statuses.tolist() == [1, 0, 0]
             assert result.xi == 0
 
-    def test_reports_residual_ratio(self):
+    def test_reports_residual_energy(self):
         # On the search path (6 bands, 4 branches) fbmp_recover reports
-        # the residual ratio, and xi is its test after the table's noise
-        # guard is taken off; the direct path (4 bands) runs no search.
+        # the residual energy, and xi is the test of its ratio after the
+        # table's noise guard is taken off, recomputed here in the ratio
+        # form; the direct path (4 bands) runs no search.
         _, _, plan, samples, search = make_instance(7, busy_count=1)
         s_yy = sample_gram(samples)
-        _, ratio = fbmp_recover(s_yy, plan, **search)
-        assert ratio >= 0.0
+        _, energy = fbmp_recover(s_yy, plan, **search)
+        assert energy > 0.0
+        ratio = residual_ratio_of(energy, s_yy)
         excess = max(0.0, ratio ** 2 * s_yy.trace() - plan.table.noise_guard)
         result = signal_sense(s_yy, plan, search["prior_activity"])
         assert isinstance(result, SenseResult)
@@ -461,6 +475,25 @@ class TestSignalSense:
                 result = signal_sense(np.zeros((4, 4)), plan, search["prior_activity"])
             assert result.statuses.tolist() == [0] * m
             assert result.xi == 0
+
+    def test_requires_the_prior(self):
+        # Sensing is scored under the policy's busy priors: neither function
+        # has a default for them.
+        _, _, plan, samples, _ = make_instance(7, busy_count=1)
+        for function in (signal_sense, fbmp_recover):
+            with pytest.raises(TypeError, match="prior_activity"):
+                function(sample_gram(samples), plan)
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_rejects_prior_not_one_per_band(self, m):
+        # Both paths take one busy prior per selected band: a scalar, a
+        # list of another length or a two-dimensional array is refused.
+        _, _, plan, samples, _ = make_instance(7, m=m, busy_count=1)
+        s_yy = sample_gram(samples)
+        for prior in (0.5, np.float64(0.5), [0.2, 0.3], [0.5] * (m + 1),
+                      np.full((2, m), 0.5)):
+            with pytest.raises((TypeError, ValueError)):
+                signal_sense(s_yy, plan, prior)
 
 
 def plan_draws(seed, k, m, count):
@@ -546,13 +579,14 @@ class TestSensingPlan:
         # 252 draws per shape, through three plans (one per noise level).
         gamma = gamma_threshold(m, k)
         for plan, samples, prior in plan_draws(k + m, k, m, 84):
-            support, ratio = fbmp_recover(sample_gram(samples), plan, prior)
+            s_yy = sample_gram(samples)
+            support, energy = fbmp_recover(s_yy, plan, prior)
             ref_support, ref_x_hat, ref_ratio = reference_map_recover(
                 samples, plan.a_sub, plan.table.cfg, gamma, prior)
             assert support.tobytes() == ref_support.tobytes()
             x_hat = table_posterior_mean(plan, support, samples)
             assert x_hat.tobytes() == ref_x_hat.tobytes()
-            assert_ratio_close(ratio, ref_ratio)
+            assert_ratio_close(residual_ratio_of(energy, s_yy), ref_ratio)
 
     @pytest.mark.parametrize("k, m", [(4, 2), (4, 4), (8, 5), (8, 8)]
                              + PLAN_SHAPES)
@@ -752,18 +786,20 @@ class TestSupportTable:
         for plan in plans:
             z = measure(plan.a_sub, synthesize_band_spectra(
                 np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng), 20.0, rng)
-            support, ratio = fbmp_recover(sample_gram(z), plan)
+            s_yy = sample_gram(z)
+            support, energy = fbmp_recover(s_yy, plan, [0.5] * len(plan.bands))
             want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
             assert support.tobytes() == want[0].tobytes()
             x_hat = table_posterior_mean(plan, support, z)
             assert x_hat.tobytes() == want[1].tobytes()
-            assert_ratio_close(ratio, want[2])
+            assert_ratio_close(residual_ratio_of(energy, s_yy), want[2])
 
 
 class TestFitResidual:
-    """fbmp_recover's residual ratio, Q_S . vec(S_yy) from the table's fit
-    operator and the slot's Gram, against the sample-domain ratio of the
-    same support's posterior-mean fit (conftest.residual_ratio)."""
+    """fbmp_recover's residual energy, Q_S . vec(S_yy) from the table's fit
+    operator and the slot's Gram, read as a ratio against the
+    sample-domain ratio of the same support's posterior-mean fit
+    (conftest.residual_ratio)."""
 
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0, 0.0])
     @pytest.mark.parametrize("k, m", [(4, 7), (8, 12)])
@@ -774,10 +810,11 @@ class TestFitResidual:
             _, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=seed % (gamma + 2), snr_db=snr_db,
                 n_bins=16, prior=np.random.default_rng(seed).uniform(0.05, 0.95, m))
-            support, ratio = fbmp_recover(sample_gram(samples), plan, **search)
+            s_yy = sample_gram(samples)
+            support, energy = fbmp_recover(s_yy, plan, **search)
             x_hat = real_view(table_posterior_mean(plan, support, samples))
-            assert_ratio_close(ratio, residual_ratio(real_view(samples),
-                                                     plan.a_sub @ x_hat))
+            assert_ratio_close(residual_ratio_of(energy, s_yy), residual_ratio(
+                real_view(samples), plan.a_sub @ x_hat))
 
     @pytest.mark.parametrize("k, m", [(4, 7), (8, 16)])
     def test_noiseless_exact_fit_ratio_is_rounding(self, k, m):
@@ -789,10 +826,11 @@ class TestFitResidual:
             statuses, _, plan, samples, search = make_instance(
                 seed, m=m, k=k, busy_count=1 + seed % (k // 2), snr_db=None,
                 n_bins=16)
-            support, ratio = fbmp_recover(sample_gram(samples), plan, **search)
+            s_yy = sample_gram(samples)
+            support, energy = fbmp_recover(s_yy, plan, **search)
             if support.tolist() == statuses.tolist():
                 found += 1
-                assert ratio < 1e-6
+                assert residual_ratio_of(energy, s_yy) < 1e-6
         assert found >= 18
 
     def test_statuses_are_cached_read_only_rows(self):
@@ -861,12 +899,13 @@ class TestPosteriorMean:
             statuses[rng.choice(5, size=2, replace=False)] = 1
             z = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                         20.0, rng)
-            support, ratio = fbmp_recover(sample_gram(z), plan)
+            s_yy = sample_gram(z)
+            support, energy = fbmp_recover(s_yy, plan, [0.5] * len(plan.bands))
             want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
             assert support.tobytes() == want[0].tobytes()
             x_hat = table_posterior_mean(plan, support, z)
             assert x_hat.tobytes() == want[1].tobytes()
-            assert_ratio_close(ratio, want[2])
+            assert_ratio_close(residual_ratio_of(energy, s_yy), want[2])
             in_selection_order = reference_map_recover(z, plan.a_sub, cfg, 2)
             np.testing.assert_allclose(x_hat, in_selection_order[1], rtol=1e-9)
 
@@ -933,17 +972,10 @@ class TestPriorLogOdds:
 
     @staticmethod
     def assert_same_bits(prior, m):
-        gain = _prior_log_odds(prior, m)
+        gain = _prior_log_odds(prior)
         want_gain = broadcast_clip_log_odds(prior, m)
         assert gain.shape == (m,) and gain.dtype == np.float64
         assert gain.tobytes() == want_gain.tobytes()
-
-    @pytest.mark.parametrize("m", [1, 4, 7, 16])
-    def test_scalar_prior_equals_broadcast_clip(self, m):
-        for q in self.EDGES + [0, 1, 0.25, 0.9]:
-            self.assert_same_bits(q, m)
-            self.assert_same_bits(np.float64(q), m)
-            self.assert_same_bits([q], m)
 
     @pytest.mark.parametrize("m", [1, 4, 7, 16])
     def test_per_band_prior_equals_broadcast_clip(self, m):
@@ -954,10 +986,3 @@ class TestPriorLogOdds:
             self.assert_same_bits(prior, m)
             self.assert_same_bits(prior.tolist(), m)
             self.assert_same_bits(1.0 - prior, m)
-
-    def test_rejects_prior_of_other_length(self):
-        for prior in ([0.2, 0.3], np.full((2, 4), 0.5)):
-            with pytest.raises(ValueError):
-                _prior_log_odds(prior, 4)
-            with pytest.raises(ValueError):
-                broadcast_clip_log_odds(prior, 4)
