@@ -777,7 +777,10 @@ class TestPinnedSignalOutput:
     direct and 656 search plan builds, so the table's plan cache (128
     plans) evicts and rebuilds; each direct plan builds its supports beyond
     the table (more than 4 of its up to 8 bands) by one padded covariance
-    call; `wssim run` of that config writes a CSV of the same digest.
+    call; `wssim run` of that config writes a CSV of the same digest. The
+    same shape without noise (case2-n16-k8-noiseless), 1 replication of
+    1,000 slots: each slot's block Gram has only the 16 band rows and the
+    search runs at gamma 4.
     case2.cfg at 0 dB, 2 replications of 4,000 slots: case2's crowded
     profile at 8 bands and 4 branches, where 8,812 of the 24,000 senses
     take the search, at the SNR where its residual test is passed most
@@ -793,6 +796,7 @@ class TestPinnedSignalOutput:
         "case1-noiseless": "8b74f4730bb24f350af3ef987da641002220821a37682429cc6320cc8096396d",
         "case2-n16-k8-10db": "00640692c226fbbda0a18c1b1360152c3719d878b9db3cf94ef5c6ea7a0a4077",
         "case2-0db": "1d6ed243d7b37f81c4de41a2968a1f942706ca68b70f2bcc31a6d9b1730cfd0a",
+        "case2-n16-k8-noiseless": "6614638d0045cb73d568e02aee3fc251b3362020bbbdf0918639e57668c68248",
     }
 
     # (config, snr_db, (n_bands, k_branches) or None, replications, horizon)
@@ -803,6 +807,7 @@ class TestPinnedSignalOutput:
         "case1-noiseless": ("case1", None, None, 2, 4000),
         "case2-n16-k8-10db": ("case2", 10.0, (16, 8), 1, 1000),
         "case2-0db": ("case2", 0.0, None, 2, 4000),
+        "case2-n16-k8-noiseless": ("case2", None, (16, 8), 1, 1000),
     }
 
     def digest(self, name, tmp_path):
