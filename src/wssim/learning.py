@@ -250,20 +250,16 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
         belief.omega = belief.vacancy_estimates()
 
     # Each exploration slot's group and the bands it leaves unsensed.
-    groups = [explore_schedule(g, n, k).tolist() for g in range(n_groups)
-              for _ in range(2)]
-    explore_sets = [tuple(group) for group in groups]
+    explore_sets = [tuple(explore_schedule(g, n, k).tolist())
+                    for g in range(n_groups) for _ in range(2)]
     explore_rest = [[band for band in range(n) if band not in group]
-                    for group in groups]
+                    for group in explore_sets]
     bands = list(range(n))
     # One coin per block from one call: the numbers and the final generator
     # state of one rng.random() per block. IMP draws none.
     n_blocks = -(-horizon // block_len)
     coins = [] if is_imp else rng.random(n_blocks).tolist()
     log = SlotLog([], [], [])
-    record_xi, record_throughput = log.xi.append, log.throughput.append
-    record_phase = log.phase.append
-    sense = env.sense
     t = 0
     # A learning policy's previous slot's set and statuses, if that slot
     # succeeded. Exploration blocks clear them when they start and end, so
@@ -281,10 +277,6 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     try:
         omega, p01, p10 = belief.omega, belief.p01_hat, belief.p10_hat
         obs_count = belief.obs_count
-        # Per band p10 + p01 and 1 - p01 (the vacant jump), recomputed
-        # only when update_counts changes them.
-        p_sum = [q10 + q01 for q01, q10 in zip(p01, p10)]
-        stay = [1.0 - q01 for q01 in p01]
         for b in range(1, n_blocks + 1):
             explore = (not is_imp) and coins[b - 1] < epsilon(b, config.exploration_coefficient)
             if explore:
@@ -309,40 +301,36 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
                     del order[set_size:]
                     order.sort()
                     sel = tuple(order)
-                statuses, xi = sense(sel, t, omega)
+                statuses, xi = env.sense(sel, t, omega)
                 if type(statuses) is not list:
                     statuses = statuses.tolist()
-                record_xi(xi)
-                record_throughput(0 if xi else len(sel) - sum(statuses))
-                record_phase(phase)
+                log.xi.append(xi)
+                log.throughput.append(0 if xi else len(sel) - sum(statuses))
+                log.phase.append(phase)
                 t += 1
                 # A new list: the prediction (1 - o) * p10 + o * (1 - p01), in
                 # the operand order that fixes its bits, except that a
                 # successful slot's sensed bands jump out of their state.
                 if xi:
                     prev_sel = None
-                    omega = [o + q10 - o * s for o, q10, s in zip(omega, p10, p_sum)]
+                    omega = [o + q10 - o * (q10 + q01)
+                             for o, q10, q01 in zip(omega, p10, p01)]
                 else:
                     # Transition evidence is credited only from same-set
                     # pairs of sets no larger than the branch count (every
                     # group set is): success is then unconditional, whereas
                     # for larger sets conditioning on a successful
                     # reconstruction censors high busy counts and biases the
-                    # vacancy estimates upward. A credit out of the busy
-                    # state changes p10 alone.
+                    # vacancy estimates upward.
                     if prev_sel == sel and len(sel) <= k:
                         update_counts(belief, sel, prev_statuses, statuses)
                         adaptive_size = None
-                        for band, u in zip(sel, prev_statuses):
-                            p_sum[band] = p10[band] + p01[band]
-                            if not u:
-                                stay[band] = 1.0 - p01[band]
                     omega = omega[:]
                     for band in rest:
                         o = omega[band]
-                        omega[band] = o + p10[band] - o * p_sum[band]
+                        omega[band] = o + p10[band] - o * (p10[band] + p01[band])
                     for band, busy in zip(sel, statuses):
-                        omega[band] = p10[band] if busy else stay[band]
+                        omega[band] = p10[band] if busy else 1.0 - p01[band]
                     if not is_imp:
                         prev_sel, prev_statuses = sel, statuses
                 belief.omega = omega

@@ -278,11 +278,9 @@ def _position_supports(m: int, gamma: int):
     for score products), the same as int8 status rows, and their
     (C, gamma) position lists (ascending, padded with m).
     """
-    by_size = [_combinations(m, size) for size in range(gamma + 1)]
-    indicator = np.concatenate([(positions[:, :, None] == np.arange(m)).any(axis=1)
-                                for positions in by_size]).astype(float)
-    lists = np.concatenate([np.pad(positions, ((0, 0), (0, gamma - positions.shape[1])),
-                                   constant_values=m) for positions in by_size])
+    lists = np.concatenate([np.pad(_combinations(m, size), ((0, 0), (0, gamma - size)),
+                                   constant_values=m) for size in range(gamma + 1)])
+    indicator = (lists[:, :, None] == np.arange(m)).any(axis=1).astype(float)
     statuses = indicator.astype(np.int8)
     for array in (indicator, statuses, lists):
         array.flags.writeable = False   # shared by every caller of the cache

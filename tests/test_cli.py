@@ -138,10 +138,13 @@ class TestRun:
 
     def test_rerun_bit_identical(self, workdir):
         tmp_path, cfg = workdir
+        results = tmp_path / "results"
         main(["run", str(cfg)])
-        first = (tmp_path / "results" / "tiny.csv").read_bytes()
+        first = (results / "tiny.csv").read_bytes()
+        manifest = (results / "tiny.manifest.cfg").read_bytes()
         main(["run", str(cfg)])
-        assert (tmp_path / "results" / "tiny.csv").read_bytes() == first
+        assert (results / "tiny.csv").read_bytes() == first
+        assert (results / "tiny.manifest.cfg").read_bytes() == manifest
 
     def test_manifest_reruns_identically(self, workdir):
         tmp_path, cfg = workdir
