@@ -715,6 +715,122 @@ class TestDetectionAgainstTruth:
         assert searched >= 1000
 
 
+def two_best_scores(s_yy, plan, prior_activity):
+    """The two highest support scores of one sense, as signal_sense ranks
+    them, each with its support's statuses."""
+    inv = plan.inv if plan.direct else plan.table.inv[plan.rows]
+    scores = (plan.weighted_logdet - inv @ s_yy.ravel()
+              + plan.indicator @ recovery._prior_log_odds(prior_activity))
+    return [(plan.statuses[i].tolist(), float(scores[i]))
+            for i in np.argsort(-scores, kind="stable")[:2]]
+
+
+class TestNoiselessSignalAgreesWithOracleRule:
+    """Noiseless signal sensing against the oracle rule applied to the true
+    statuses of the same set and slot, sense by sense, at the shipped seed
+    7: configs/case1.cfg and case2.cfg at 8 bands and 4 branches (2
+    replications of 2,000 slots) and case2.cfg at 16 bands and 8 branches
+    (1 replication of 1,500 slots). Without noise every direct sense and
+    every search sense of at most gamma truly busy bands reports the truth
+    with xi = 0. The one disagreement left is an overloaded search sense
+    that passes its residual test (xi = 0, where the oracle rule fails
+    it); these are counted, not bounded. No digest is read: LDM's sets
+    never exceed the branch count, so its throughput column equals oracle
+    mode's byte for byte."""
+
+    # (config, (n_bands, k_branches) or None, replications, horizon)
+    RUNS = {"case1": ("case1", None, 2, 2000),
+            "case2": ("case2", None, 2, 2000),
+            "case2-n16-k8": ("case2", (16, 8), 1, 1500)}
+
+    def config(self, name, rs_mode):
+        case, shape, replications, horizon = self.RUNS[name]
+        cfg = load_config(CONFIGS / f"{case}.cfg")
+        cfg.rs_mode, cfg.snr_db, cfg.seed = rs_mode, None, 7
+        cfg.replications, cfg.horizon = replications, horizon
+        if shape is not None:
+            cfg.n_bands, cfg.k_branches = shape
+        return cfg
+
+    @pytest.fixture(scope="class", params=list(RUNS))
+    def ledger(self, request):
+        """The run's sense counts by kind; the kind of every sense that
+        disagrees with the oracle rule and its report (slot, set, truth,
+        result and the two best scores); and the signal and oracle runs'
+        MetricSeries."""
+        cfg = self.config(request.param, "signal")
+        k = cfg.k_branches
+        counts = dict.fromkeys(["direct", "search within gamma",
+                                "overloaded passed", "overloaded failed"], 0)
+        disagreements = []
+        sensed = []   # the last signal_sense call's (s_yy, plan, prior)
+        signal_sense, sense = experiments.signal_sense, SignalEnvironment.sense
+
+        def recording_signal_sense(s_yy, plan, prior_activity):
+            sensed[:] = [s_yy, plan, prior_activity]
+            return signal_sense(s_yy, plan, prior_activity)
+
+        def checked_sense(env, selected, slot, prior_vacancy):
+            result = sense(env, selected, slot, prior_vacancy)
+            truth = env.trajectory[slot, list(selected)]
+            statuses, xi = result.statuses.tolist(), result.xi
+            busy = int(truth.sum())
+            if len(selected) <= k:
+                kind = "direct"
+            elif busy <= recovery.gamma_threshold(len(selected), k):
+                kind = "search within gamma"
+            else:
+                kind = "overloaded failed" if xi else "overloaded passed"
+            counts[kind] += 1
+            expected = recovery.oracle_sense(truth.tolist(), k)
+            agrees = xi == expected.xi and (xi or statuses == expected.statuses)
+            if not agrees:
+                disagreements.append((kind, f"slot {slot}, set {tuple(selected)}: truth "
+                    f"{expected.statuses}, got {statuses} with xi = {xi}; "
+                    f"two best scores {two_best_scores(*sensed)}"))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "signal_sense", recording_signal_sense)
+            patch.setattr(SignalEnvironment, "sense", checked_sense)
+            signal = run_experiment(cfg)
+        oracle = run_experiment(self.config(request.param, "oracle"))
+        assert sum(counts.values()) == \
+            len(cfg.policies) * cfg.replications * cfg.horizon
+        return counts, disagreements, signal, oracle
+
+    @staticmethod
+    def reports(disagreements, kind):
+        return [report for of_kind, report in disagreements if of_kind == kind]
+
+    def test_direct_senses_report_the_truth(self, ledger):
+        counts, disagreements, _, _ = ledger
+        assert counts["direct"] > 0
+        wrong = self.reports(disagreements, "direct")
+        assert not wrong, wrong[:5]
+
+    def test_search_senses_within_gamma_report_the_truth(self, ledger):
+        counts, disagreements, _, _ = ledger
+        assert counts["search within gamma"] > 0
+        wrong = self.reports(disagreements, "search within gamma")
+        assert not wrong, wrong[:5]
+
+    def test_every_disagreement_is_an_overloaded_pass(self, ledger):
+        # An overloaded search sense that fails agrees with the oracle
+        # rule; one that passes is the one disagreement allowed, counted.
+        counts, disagreements, _, _ = ledger
+        others = [(kind, report) for kind, report in disagreements
+                  if kind != "overloaded passed"]
+        assert not others, others[:5]
+        assert len(disagreements) == counts["overloaded passed"]
+        print(counts)
+
+    def test_ldm_throughput_equals_oracle_mode(self, ledger):
+        _, _, signal, oracle = ledger
+        assert signal.mean_throughput["LDM"].tobytes() == \
+            oracle.mean_throughput["LDM"].tobytes()
+
+
 class TestPinnedOracleOutput:
     """Oracle-mode CSV bytes of the shipped configs, pinned.
 
