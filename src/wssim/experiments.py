@@ -12,8 +12,9 @@ directly, a block of consecutive slots at a time (_draw_block), and
 hands signal_sense the plan, the slot's S_yy and the selected bands' busy
 priors, one minus the policy's vacancy beliefs. Blocks work because a
 slot's draws depend only on its trajectory row, bins_per_band, K and the
-SNR, not on the selected bands; they are also why sense() must name the
-slots in order.
+SNR, not on the selected bands. sense() takes slots 0, 1, 2, ... in
+order, as run_policy senses them, so blocks start at multiples of
+block_slots.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class SignalEnvironment:
     and the bin count and the per-bin noise power are table.cfg's
     bins_per_band and noise_variance. The matrix has one column per band
     of the trajectory.
-    Slots are sensed in order: each sense() call names the slot after the
-    previous call's (the first may name any slot of the trajectory), and
-    any other slot raises a ValueError.
+    Slots are sensed in order from 0, as run_policy senses them: any other
+    slot, or one past the trajectory's end, raises a ValueError before
+    anything is drawn. So a block starts at each multiple of block_slots.
     """
 
     def __init__(self, trajectory: np.ndarray, table: SupportTable,
@@ -71,15 +72,13 @@ class SignalEnvironment:
         self.support_table = table
         gram_values = (self.trajectory.shape[1] + table.matrix.shape[0]) ** 2
         self.block_slots = max(1, _BLOCK_GRAM_VALUES // gram_values)
-        self._next_slot: int | None = None
-        self._block_start = self._block_end = 0
+        self._next_slot = 0
         self._grams = None
 
     def _draw_block(self, start: int) -> None:
         """Draw the Grams of the block_slots slots from start (fewer at the
         trajectory's end) from their Bartlett factors, in two generator
-        calls. A start outside the trajectory raises a ValueError before
-        anything is drawn.
+        calls.
 
         A slot's rows are its busy bands in band order, then (unless the
         run is noiseless) its K noise branches: r rows. In the per-slot
@@ -109,9 +108,6 @@ class SignalEnvironment:
         from it as plan.mixing @ Gram @ plan.mixing^T (the mixing's first N
         columns when noiseless).
         """
-        if not 0 <= start < len(self.trajectory):
-            raise ValueError(f"slot {start} is outside the trajectory's "
-                             f"{len(self.trajectory)} slots")
         table = self.support_table
         n, k = self.trajectory.shape[1], table.matrix.shape[0]
         bins, noise_power = table.cfg.bins_per_band, table.cfg.noise_variance
@@ -140,17 +136,19 @@ class SignalEnvironment:
         scale[:, n:] = np.sqrt(noise_power / 2.0)
         factor *= scale[:, :, None]
         self._grams = factor @ factor.transpose(0, 2, 1)
-        self._block_start, self._block_end = start, start + slots
 
     def sense(self, selected, slot, prior_vacancy) -> SenseResult:
-        if self._next_slot is not None and slot != self._next_slot:
-            raise ValueError(f"slots are sensed in order: expected slot "
+        if slot != self._next_slot:
+            raise ValueError(f"slots are sensed in order from 0: expected slot "
                              f"{self._next_slot}, got {slot}")
+        if slot >= len(self.trajectory):
+            raise ValueError(f"slot {slot} is outside the trajectory's "
+                             f"{len(self.trajectory)} slots")
         plan = self.support_table.plan(selected)
-        if self._next_slot is None or slot == self._block_end:
+        if slot % self.block_slots == 0:
             self._draw_block(slot)
         self._next_slot = slot + 1
-        gram = self._grams[slot - self._block_start]
+        gram = self._grams[slot % self.block_slots]
         mixing = plan.mixing[:, :len(gram)]
         s_yy = mixing @ gram @ mixing.T
         return signal_sense(s_yy, plan, [1.0 - prior_vacancy[band] for band in selected])

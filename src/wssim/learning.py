@@ -130,7 +130,9 @@ class SlotLog:
 class Environment(Protocol):
     """A sensing backend. sense takes the selected bands, the slot and
     the policy's vacancy beliefs (one per band, indexed by band); the
-    beliefs are required, and a backend may ignore them."""
+    beliefs are required, and a backend may ignore them. The request is
+    run_policy's: a strictly ascending tuple of band indices, at slots 0,
+    1, 2, ... in order. A signal backend rejects any other request."""
 
     def sense(self, selected: tuple[int, ...], slot: int,
               prior_vacancy: Sequence[float]) -> SenseResult: ...
@@ -213,8 +215,8 @@ def run_policy(config: ExperimentConfig, mode: str, env: Environment,
     checked here, by the exploration budget every mode computes; the
     caller validates the remaining fields with config.validate(), as
     run_experiment does. The environment supplies per-slot sensing of
-    whichever band set the policy requests, given as a tuple of band
-    indices. LDM and OLDM learn from scratch. IMP's estimates are the
+    whichever band set the policy requests, given as an ascending tuple of
+    band indices. LDM and OLDM learn from scratch. IMP's estimates are the
     config's band_statistics(), frozen, and it is unlocked from slot 0, so
     OLDM's sizing gives it the optimal set size once. A caller-supplied
     belief is updated in place, which also exposes the final learner state

@@ -26,8 +26,9 @@ threshold the two agree to about eps / residual_threshold^2 relative.
 Both paths score supports alike: the log posterior
 -bins * log det Phi_S - trace(Phi_S^-1 S_yy) + log prior(S), with
 Phi_S = sig_n I + A_S A_S^T and the selected bands' busy priors, and keep
-the first maximum in (size, lexicographic) order over selection
-positions. Scores and residuals are products with cached operators (the
+the first maximum in (size, lexicographic) order. A band set's indices
+ascend strictly, as run_policy sends them, so a tie goes to the lower
+bands. Scores and residuals are products with cached operators (the
 table's, and a direct plan's inverses of its supports beyond the table),
 not solves, so they can differ from per-slot factorisation in the last
 bits, and only supports whose scores (or residuals at the threshold) are
@@ -56,7 +57,7 @@ _MODEL_FLOOR = 1e-10
 class SenseResult(NamedTuple):
     """Outcome of sensing one selected band set, in either mode."""
 
-    statuses: Sequence[int]   # 0/1 per selected band, selection order
+    statuses: Sequence[int]   # 0/1 per selected band, in band order
     xi: int                   # 1 when reconstruction failed
 
 
@@ -256,7 +257,7 @@ class SupportTable:
         return self._rank_terms[supports, np.arange(supports.shape[1])].sum(axis=1)
 
     def plan(self, bands) -> SensingPlan:
-        """The SensingPlan of a band set in selection order, built on its
+        """The SensingPlan of a band set, strictly ascending, built on its
         first use. Plans are functions of their bands alone, so every
         caller of the table shares them; the table keeps at most
         _MAX_PLANS (the oldest goes first), whatever the horizon."""
@@ -271,7 +272,7 @@ class SupportTable:
 
 @functools.lru_cache(maxsize=64)
 def _position_supports(m: int, gamma: int):
-    """Every support of at most gamma of m selection positions.
+    """Every support of at most gamma of the m positions of a band set.
 
     Supports come in (size, lexicographic) order, so a smaller gamma's
     supports are a prefix. Returns their (C, m) 0/1 indicator (float64,
@@ -309,7 +310,7 @@ class SensingPlan:
     A plan is a view of table, the SupportTable the scores come from: the
     recovery config and the sensing matrix are the table's, and a
     replication's plans all share its one table. bands are the set's
-    bands in selection order. a_sub is the set's K x m sensing sub-matrix,
+    bands, strictly ascending. a_sub is the set's K x m sensing sub-matrix,
     select_submatrix(table.matrix, bands); column j is column bands[j] of
     the matrix, and K is its row count. direct is whether the set takes
     the direct path (m <= K) rather than the search, and gamma is
@@ -317,11 +318,12 @@ class SensingPlan:
     the direct path, K // 2 on the search.
 
     - indicator, statuses: _position_supports(m, gamma), every support of
-      at most gamma selection positions in (size, lexicographic) order.
+      at most gamma of the set's positions in (size, lexicographic) order.
     - rows: the table row of each of those supports of at most
       min(gamma, table.max_size) bands, a prefix of that order (all of it
-      on the search). Each support's bands are sorted, the position
-      lists' padding mapping to band N, and ranked by one table.rows call.
+      on the search). Each support's bands ascend as the set's do, the
+      position lists' padding mapping to band N, and one table.rows call
+      ranks them.
     - weighted_logdet: -bins * log det Phi_S of every support that is
       scored: the rows on the search, all 2^m supports on the direct path.
     - inv (direct path only): the (2^m, K*K) flattened Phi_S^-1 of every
@@ -339,8 +341,8 @@ class SensingPlan:
 
     def __init__(self, table: SupportTable, bands: Sequence[int]):
         self.table = table
+        self.a_sub = select_submatrix(table.matrix, bands)
         self.bands = tuple(map(int, bands))
-        self.a_sub = select_submatrix(table.matrix, self.bands)
         k, n = table.matrix.shape
         m = len(self.bands)
         self.gamma = gamma_threshold(m, k)
@@ -350,7 +352,6 @@ class SensingPlan:
         self.mixing[:, n:] = np.eye(k)
         self.indicator, self.statuses, lists = _position_supports(m, self.gamma)
         supports = np.append(self.bands, n)[lists]
-        supports.sort(axis=1)
         size = min(self.gamma, table.max_size)
         count = sum(math.comb(m, s) for s in range(size + 1))
         self.rows = table.rows(supports[:count, :size])
@@ -368,7 +369,7 @@ class SensingPlan:
 def fbmp_recover(s_yy, plan: SensingPlan, prior_activity):
     """Exact maximum-a-posteriori search over busy-band supports.
 
-    s_yy is the slot's K x K sample Gram Re(Z Z^H). Scores every
+    s_yy is the slot's K x K sample Gram Re(Z Z^H), an array. Scores every
     support of at most plan.gamma = K // 2 of a search plan's bands at
     once from their table rows, plan.rows (_first_map); prior_activity
     holds the prior probability of being busy of each selected band.
@@ -376,7 +377,6 @@ def fbmp_recover(s_yy, plan: SensingPlan, prior_activity):
     residual energy ||Y - A_S G_S Y||^2 of its posterior-mean fit,
     Q_S . vec(S_yy) with Q_S the support's table row of fit operators.
     """
-    s_yy = np.asarray(s_yy)
     table = plan.table
     rows = plan.rows
     best = _first_map(s_yy, table.inv[rows], plan.weighted_logdet, plan.indicator,
@@ -395,7 +395,6 @@ def signal_sense(s_yy, plan: SensingPlan, prior_activity) -> SenseResult:
     energy, less the table's noise guard, exceeds residual_threshold^2
     times ||Y||^2 = tr(S_yy).
     """
-    s_yy = np.asarray(s_yy)
     if plan.direct:
         best = _first_map(s_yy, plan.inv, plan.weighted_logdet, plan.indicator,
                           prior_activity)

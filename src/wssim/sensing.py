@@ -33,14 +33,14 @@ def draw_sensing_matrix(k_branches: int, n_bands: int,
 
 
 def select_submatrix(matrix: np.ndarray, selected: Sequence[int]) -> np.ndarray:
-    """Columns of the K x N master matrix at the selected bands, order preserved."""
-    idx = np.asarray(selected, dtype=int)
+    """Columns of the K x N master matrix at the selected bands, strictly ascending."""
+    idx = np.asarray(selected)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("selected must be a nonempty index vector")
-    # A set, not np.unique, whose first call imports numpy.ma (about 15 ms).
-    if len(set(idx.tolist())) != idx.size:
-        raise ValueError("selected band indices must be distinct")
-    if np.any((idx < 0) | (idx >= matrix.shape[1])):
+    # The dtype first: a cast would truncate a fractional index to a band.
+    if idx.dtype.kind not in "iu" or not (idx[1:] > idx[:-1]).all():
+        raise ValueError(f"bands must be strictly ascending integers, got {idx.tolist()}")
+    if idx[0] < 0 or idx[-1] >= matrix.shape[1]:
         raise ValueError("selected band index out of range")
     return matrix[:, idx]
 

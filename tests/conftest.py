@@ -312,16 +312,15 @@ def residual_ratio(y, fitted):
 def table_posterior_mean(plan, support, samples):
     """The posterior-mean spectra of a support found through plan: the
     operator G_S that a SupportTable builds its fit operator Q_S from
-    (recovery._posterior_gains over the support's bands in ascending
-    order, the table's order), applied to the samples' real view; zero off
-    the support.
+    (recovery._posterior_gains over the support's bands, ascending as the
+    plan's are), applied to the samples' real view; zero off the support.
 
     fbmp_recover reads only the residual of this estimate, from the
     samples' Gram and the table's Q_S.
     """
     table = plan.table
     y = real_view(samples)
-    active = sorted(np.flatnonzero(support).tolist(), key=plan.bands.__getitem__)
+    active = np.flatnonzero(support).tolist()
     x = np.zeros((len(plan.bands), y.shape[1]))
     if active:
         bands = np.array([[plan.bands[j] for j in active]], dtype=np.intp)
@@ -329,21 +328,16 @@ def table_posterior_mean(plan, support, samples):
     return x.view(np.complex128)
 
 
-def reference_map_recover(samples, a_sub, cfg, gamma, prior_activity=0.5,
-                          bands=None):
+def reference_map_recover(samples, a_sub, cfg, gamma, prior_activity=0.5):
     """exhaustive_map_support's support, its posterior-mean spectra and the
     relative residual: what fbmp_recover returns.
 
     The posterior mean solves the support's s x s system
     (A_S^T A_S + sig_n I) G = A_S^T on every call and applies G to the
-    samples' real view. The support's columns go in selection order or,
-    when the selected bands are given, in ascending band order, the order
-    of a SupportTable row; the two differ only for unsorted sets.
+    samples' real view.
     """
     support = exhaustive_map_support(samples, a_sub, cfg, gamma, prior_activity)
     active = np.flatnonzero(support).tolist()
-    if bands is not None:
-        active.sort(key=lambda j: bands[j])
     sig_n = max(float(cfg.noise_variance), _MODEL_FLOOR)
     y = real_view(samples)
     x = np.zeros((a_sub.shape[1], y.shape[1]))
@@ -533,7 +527,7 @@ class ReferenceSlot(NamedTuple):
     """reference_run_policy's record of one sensing slot."""
 
     selected: np.ndarray        # sensed bands, ascending
-    statuses: np.ndarray        # 0/1 per selected band, selection order
+    statuses: np.ndarray        # 0/1 per selected band, in band order
     xi: int                     # 1 when reconstruction failed
     throughput: int             # vacant bands reported, 0 on failure
     phase: str                  # EXPLORE or EXPLOIT

@@ -64,16 +64,6 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "snr_db" in capsys.readouterr().err
 
-    def test_infinite_detection_threshold_exits_with_usage_error(self, workdir, capsys):
-        # The key that once asked the energy detector for an infinite
-        # threshold is now unknown: the manifest is still refused.
-        tmp_path, _ = workdir
-        bad = tmp_path / "fa.cfg"
-        bad.write_text(TINY + "rs_mode = signal\nenergy_fa_rate = 1e-17\n",
-                       encoding="utf-8")
-        assert main(["validate", str(bad)]) == 2
-        assert "energy_fa_rate" in capsys.readouterr().err
-
     def test_oversized_signal_table_exits_with_usage_error(self, workdir, capsys):
         _, cfg = workdir
         wide = ["--set", "n_bands=32", "--set", "k_branches=8"]
@@ -83,16 +73,13 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "n_bands" in err and "k_branches" in err
 
-    def test_search_breadth_override_is_unknown(self, workdir, capsys):
-        _, cfg = workdir
-        assert main(["validate", str(cfg), "--set", "search_breadth=5"]) == 2
-        assert "unknown configuration key: search_breadth" in capsys.readouterr().err
-
-    def test_energy_fa_rate_override_is_unknown(self, workdir, capsys):
+    @pytest.mark.parametrize("key, value", [("search_breadth", "5"),
+                                            ("energy_fa_rate", "1e-17")])
+    def test_retired_key_override_is_unknown(self, workdir, capsys, key, value):
         _, cfg = workdir
         assert main(["validate", str(cfg), "--set", "rs_mode=signal",
-                     "--set", "energy_fa_rate=0.05"]) == 2
-        assert "unknown configuration key: energy_fa_rate" in capsys.readouterr().err
+                     "--set", f"{key}={value}"]) == 2
+        assert f"unknown configuration key: {key}" in capsys.readouterr().err
 
     def test_unparsable_override_names_key(self, workdir, capsys):
         _, cfg = workdir

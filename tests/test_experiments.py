@@ -156,37 +156,34 @@ def environments(config, trajectory, matrix, seed=3):
                                        np.random.default_rng(seed)))
 
 
-def assert_same_sense(env, ref, selected, slot, prior_vacancy, first_slot=0):
+def assert_same_sense(env, ref, selected, slot, prior_vacancy):
     """Sense one slot with both environments and compare the results:
     statuses and xi bit for bit. env draws a block of slots ahead when it
     senses the block's first slot, so the generators are compared after
-    the last slot of each block, counted from first_slot, and of the
-    trajectory."""
+    the last slot of each block and of the trajectory."""
     got = env.sense(selected, slot, prior_vacancy)
     want = ref.sense(selected, slot, prior_vacancy)
     assert got.statuses.dtype == want.statuses.dtype == np.int8
     assert got.statuses.tobytes() == want.statuses.tobytes()
     assert got.xi == want.xi
-    if ((slot + 1 - first_slot) % env.block_slots == 0
-            or slot + 1 == len(env.trajectory)):
+    if (slot + 1) % env.block_slots == 0 or slot + 1 == len(env.trajectory):
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
     return got
 
 
-def sense_every_slot(env, ref, n, k, slots, seed=4):
-    """Sense slots in order with both environments, cycling through sets
-    of every size on both recovery paths, one of them unsorted; returns
-    the paths taken (True for the direct path)."""
+def sense_every_slot(env, ref, n, k, horizon, seed=4):
+    """Sense slots 0 to horizon - 1 in order with both environments,
+    cycling through sets of every size on both recovery paths; returns the
+    paths taken (True for the direct path)."""
     draws = np.random.default_rng(seed)
     sizes = [1, k // 2, k, k + 1, k + 3, n]
-    pool = [draws.choice(n, size=size, replace=False) for size in sizes
+    pool = [np.sort(draws.choice(n, size=size, replace=False)) for size in sizes
             for _ in range(2)]
-    pool = [np.sort(sel) for sel in pool[1:]] + [pool[0]]
     paths = set()
-    for slot in slots:
+    for slot in range(horizon):
         selected = pool[slot % len(pool)]
         prior = [0.5] * n if slot % 7 == 0 else draws.random(n).tolist()
-        assert_same_sense(env, ref, selected, slot, prior, first_slot=slots[0])
+        assert_same_sense(env, ref, selected, slot, prior)
         paths.add(selected.size <= k)
     return paths
 
@@ -206,7 +203,7 @@ class TestSignalEnvironmentMatchesReference:
         env, ref = environments(config, trajectory, matrix)
         # Two sets of every size on both paths (so plans of equal size
         # differ); each is sensed several times.
-        assert sense_every_slot(env, ref, n, k, range(horizon)) == {True, False}
+        assert sense_every_slot(env, ref, n, k, horizon) == {True, False}
         assert 1 < env.block_slots < horizon
 
     def test_plan_cache_is_bounded(self, monkeypatch):
@@ -262,21 +259,20 @@ class TestSignalEnvironmentMatchesReference:
         horizon = 2 * signal_environment(config, trajectory, matrix, 0).block_slots + 3
         config, trajectory, matrix = signal_setup(n, k, snr_db, horizon, seed=2)
         env, ref = environments(config, trajectory, matrix)
-        assert sense_every_slot(env, ref, n, k, range(horizon)) == {True, False}
+        assert sense_every_slot(env, ref, n, k, horizon) == {True, False}
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
     @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
     def test_vacant_and_busy_slots(self, n, k, snr_db):
-        # Runs of all-vacant and all-busy slots inside and across blocks,
-        # starting mid-trajectory.
+        # Runs of all-vacant and all-busy slots inside and across blocks.
         config, trajectory, matrix = signal_setup(n, k, snr_db, 100, seed=3)
         trajectory = trajectory.copy()
         trajectory[10:40] = 0
         trajectory[55:70] = 1
         trajectory[80::3] = 0
         env, ref = environments(config, trajectory, matrix)
-        sense_every_slot(env, ref, n, k, range(5, 100))
+        sense_every_slot(env, ref, n, k, 100)
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
     @pytest.mark.parametrize("snr_db", [None, 20.0])
@@ -285,7 +281,7 @@ class TestSignalEnvironmentMatchesReference:
         config, _, matrix = signal_setup(8, 4, snr_db, 50)
         trajectory = trajectory_of((50, 8), dtype=np.int8)
         env, ref = environments(config, trajectory, matrix)
-        sense_every_slot(env, ref, 8, 4, range(50))
+        sense_every_slot(env, ref, 8, 4, 50)
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
     @pytest.mark.parametrize("snr_db", [None, 10.0])
@@ -295,7 +291,7 @@ class TestSignalEnvironmentMatchesReference:
         config, trajectory, matrix = signal_setup(8, 4, snr_db, 12)
         env, ref = environments(config, trajectory, matrix)
         assert env.block_slots == ref.block_slots == 1
-        sense_every_slot(env, ref, 8, 4, range(12))
+        sense_every_slot(env, ref, 8, 4, 12)
 
     @pytest.mark.parametrize("snr_db", [None, 20.0])
     @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
@@ -305,18 +301,38 @@ class TestSignalEnvironmentMatchesReference:
         config, trajectory, matrix = signal_setup(n, k, snr_db, 60, seed=5,
                                                   bins_per_band=1)
         env, ref = environments(config, trajectory, matrix)
-        sense_every_slot(env, ref, n, k, range(60))
+        sense_every_slot(env, ref, n, k, 60)
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
-    @pytest.mark.parametrize("slots, expected", [((0, 1, 1), 2), ((4, 5, 7), 6),
-                                                 ((3, 2), 4)])
+    @pytest.mark.parametrize("slots, expected", [((0, 1, 1), 2), ((*range(6), 7), 6),
+                                                 ((0, 1, 2, 3, 2), 4), ((4,), 0)])
     def test_slots_are_sensed_in_order(self, slots, expected):
+        # From slot 0, as run_policy senses them; a rejected call draws
+        # nothing.
         config, trajectory, matrix = signal_setup(8, 4, 20.0, 20)
         env = signal_environment(config, trajectory, matrix, 0)
         for slot in slots[:-1]:
             env.sense((0, 2, 5), slot, [0.5] * 8)
-        with pytest.raises(ValueError, match=f"expected slot {expected}, got {slots[-1]}"):
+        state = env.rng.bit_generator.state
+        with pytest.raises(ValueError, match="slots are sensed in order from 0: "
+                           f"expected slot {expected}, got {slots[-1]}"):
             env.sense((0, 2, 5), slots[-1], [0.5] * 8)
+        assert env.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("selected, message", [
+        pytest.param((5, 0, 2), r"integers, got \[5, 0, 2\]", id="unsorted"),
+        pytest.param((2, 2, 5), r"integers, got \[2, 2, 5\]", id="repeated"),
+        pytest.param((0, 2.5), r"integers, got \[0.0, 2.5\]", id="fractional")])
+    def test_rejects_bands_not_ascending_integers(self, selected, message):
+        # Only the tuple of strictly ascending band indices that run_policy
+        # sends; the rejected call draws nothing and slot 0 stays next.
+        config, trajectory, matrix = signal_setup(8, 4, 20.0, 20)
+        env = signal_environment(config, trajectory, matrix, 0)
+        state = env.rng.bit_generator.state
+        with pytest.raises(ValueError, match="strictly ascending " + message):
+            env.sense(selected, 0, [0.5] * 8)
+        assert env.rng.bit_generator.state == state
+        env.sense((0, 2, 5), 0, [0.5] * 8)
 
     def test_rejects_zero_bins_per_band(self):
         # Checked when the environment's table is built, before any draw.
@@ -443,25 +459,25 @@ class TestBlockGram:
         assert_gram_law(grams, trajectory, config)
 
     @staticmethod
-    def assert_layout(config, trajectory, matrix, first_slot=0):
-        """Sense every slot from first_slot; each slot's block Gram has its
-        vacant bands' rows and columns exactly zero, busy diagonals of
-        exactly bins and positive noise diagonals. Returns the environment
-        and the number of blocks it drew."""
+    def assert_layout(config, trajectory, matrix):
+        """Sense every slot; each slot's block Gram has its vacant bands'
+        rows and columns exactly zero, busy diagonals of exactly bins and
+        positive noise diagonals. Returns the environment and the number of
+        blocks it drew."""
         env = signal_environment(config, trajectory, matrix, 3)
         n, bins = trajectory.shape[1], config.bins_per_band
-        blocks = 0
-        for slot in range(first_slot, len(trajectory)):
+        grams, blocks = None, 0
+        for slot in range(len(trajectory)):
             env.sense((0, 2, 5), slot, [0.5] * n)
-            gram = env._grams[slot - env._block_start]
+            if env._grams is not grams:
+                grams, blocks = env._grams, blocks + 1
+            gram = grams[slot % env.block_slots]
             vacant = np.flatnonzero(trajectory[slot] == 0)
             assert not gram[vacant].any() and not gram[:, vacant].any()
             diagonal = np.diag(gram)
             busy = np.flatnonzero(trajectory[slot])
             np.testing.assert_allclose(diagonal[busy], bins, rtol=1e-12)
             assert (diagonal[n:] > 0).all()
-            if slot + 1 == env._block_end:
-                blocks += 1
         return env, blocks
 
     @pytest.mark.parametrize("snr_db", [None, 20.0, 10.0])
@@ -478,14 +494,13 @@ class TestBlockGram:
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     @pytest.mark.parametrize("n, k", [(8, 4), (16, 8)])
     def test_all_vacant_and_all_busy_rows(self, n, k, snr_db):
-        # Runs of all-vacant and all-busy slots inside and across blocks,
-        # starting mid-trajectory.
+        # Runs of all-vacant and all-busy slots inside and across blocks.
         config, trajectory, matrix = signal_setup(n, k, snr_db, 80, seed=3)
         trajectory = trajectory.copy()
         trajectory[10:30] = 0
         trajectory[40:55] = 1
         trajectory[60::3] = 0
-        self.assert_layout(config, trajectory, matrix, first_slot=5)
+        self.assert_layout(config, trajectory, matrix)
 
     @pytest.mark.parametrize("snr_db", [None, 20.0])
     @pytest.mark.parametrize("sets", [[(0, 2, 5), (1, 3, 4, 6, 7)],
@@ -607,13 +622,13 @@ def test_policies_of_a_replication_share_plans(monkeypatch):
 
 def test_both_backends_return_sense_result():
     config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
-    oracle = OracleEnvironment(trajectory, 4).sense((0, 2, 5), 3, [0.5] * 8)
-    signal = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 3, [0.5] * 8)
+    oracle = OracleEnvironment(trajectory, 4).sense((0, 2, 5), 0, [0.5] * 8)
+    signal = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 0, [0.5] * 8)
     for result in (oracle, signal):
         assert type(result) is SenseResult
         statuses, xi = result
         assert xi in (0, 1) and len(statuses) == 3
-    assert oracle.statuses == trajectory[3, [0, 2, 5]].tolist()
+    assert oracle.statuses == trajectory[0, [0, 2, 5]].tolist()
     # The signal backend's statuses stay an int8 array.
     assert signal.statuses.dtype == np.int8
 
@@ -628,24 +643,28 @@ def test_both_backends_require_the_prior():
 
 
 @pytest.mark.parametrize("slot", [-1, 10])
-def test_both_backends_reject_slots_outside_the_trajectory(slot):
+def test_both_backends_reject_slots_outside_the_trajectory(slot, monkeypatch):
     # A negative slot must not wrap round to the trajectory's end.
     config, trajectory, matrix = signal_setup(8, 4, 20.0, 10)
     message = f"slot {slot} is outside the trajectory's 10 slots"
     flat = [0.5] * 8
     with pytest.raises(ValueError, match=message):
         OracleEnvironment(trajectory, 4).sense((0, 2, 5), slot, flat)
-    # A rejected first call draws nothing, and the next slot is sensed as
-    # by an environment that never saw it.
+    # The signal backend senses from slot 0: a first call at another slot
+    # draws nothing, and slot 0 is then sensed as by an environment that
+    # never saw it. Blocks of 5 slots end with the trajectory.
+    monkeypatch.setattr(experiments, "_BLOCK_GRAM_VALUES", 5 * (8 + 4) ** 2)
     env = signal_environment(config, trajectory, matrix, 0)
+    assert env.block_slots == 5
     state = env.rng.bit_generator.state
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"expected slot 0, got {slot}"):
         env.sense((0, 2, 5), slot, flat)
     assert env.rng.bit_generator.state == state
     want = signal_environment(config, trajectory, matrix, 0).sense((0, 2, 5), 0, flat)
     got = env.sense((0, 2, 5), 0, flat)
     assert got.statuses.tobytes() == want.statuses.tobytes() and got.xi == want.xi
-    # Past the last slot, the next call in order is rejected too.
+    # Past the last slot, where a block would start, the next call in
+    # order is rejected and draws nothing.
     for t in range(1, 10):
         env.sense((0, 2, 5), t, flat)
     state = env.rng.bit_generator.state
@@ -1068,10 +1087,15 @@ class TestConfigFile:
         path.write_text("# a comment\n\nseed = 5  # trailing\n", encoding="utf-8")
         assert load_config(path).seed == 5
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # search_breadth and energy_fa_rate are retired keys: an old manifest
+    # that sets them fails to load.
+    @pytest.mark.parametrize("key, value", [("bogus", "1"), ("search_breadth", "5"),
+                                            ("energy_fa_rate", "1e-17")])
+    def test_unknown_key_rejected(self, tmp_path, key, value):
         path = tmp_path / "exp.cfg"
-        path.write_text("bogus = 1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="bogus"):
+        path.write_text(f"n_bands = 8\nrs_mode = signal\n{key} = {value}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"unknown configuration key: {key}"):
             load_config(path)
 
     @pytest.mark.parametrize("line, key", [("seed = abc", "seed"),
@@ -1167,21 +1191,6 @@ class TestConfigFile:
             small_config(rs_mode="signal", n_bands=32, k_branches=8).validate()
         small_config(n_bands=32, k_branches=8).validate()
         small_config(rs_mode="signal", n_bands=16, k_branches=8).validate()
-
-    def test_search_breadth_is_an_unknown_key(self, tmp_path):
-        path = tmp_path / "old.cfg"
-        path.write_text("n_bands = 8\nsearch_breadth = 5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown configuration key: search_breadth"):
-            load_config(path)
-
-    def test_signal_validation_rejects_infinite_detection_threshold(self, tmp_path):
-        # 1e-17 once gave the energy detector an infinite threshold. The
-        # detector went, and its key with it: an old manifest fails to load.
-        path = tmp_path / "old.cfg"
-        path.write_text("n_bands = 8\nrs_mode = signal\nenergy_fa_rate = 1e-17\n",
-                        encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown configuration key: energy_fa_rate"):
-            load_config(path)
 
     def test_case_statistics_tile_for_larger_bands(self):
         cfg = small_config(n_bands=12)

@@ -185,14 +185,14 @@ class TestFbmpRecover:
     @pytest.mark.parametrize("k, m, gamma", [(4, 7, 2), (8, 10, 4)])
     def test_support_equals_exhaustive_map_support(self, k, m, gamma):
         # Seeded noisy draws with uneven priors, busy counts from none to
-        # beyond the limit, through a plan over a wider matrix whose bands
-        # are selected out of order.
+        # beyond the limit, through a plan of some of a wider matrix's
+        # bands.
         rng = np.random.default_rng(k * m)
         for trial in range(60):
             table = SupportTable(rng.standard_normal((k, m + 3)), RecoveryConfig(
                 noise_variance=noise_power_for_snr((20.0, 10.0, 5.0)[trial % 3]),
                 bins_per_band=16))
-            plan = SensingPlan(table, rng.permutation(m + 3)[:m])
+            plan = SensingPlan(table, np.sort(rng.permutation(m + 3)[:m]))
             statuses = np.zeros(m, dtype=np.int8)
             statuses[rng.choice(m, size=trial % (gamma + 2), replace=False)] = 1
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
@@ -206,19 +206,18 @@ class TestFbmpRecover:
     def test_exact_tie_goes_to_first_selection_position(self, k, m, gamma):
         # Bands 2 and 5 have the same column, so every support with one of
         # them scores exactly as the same support with the other. Band 5
-        # is selected first: the tie must go to its position, not to the
-        # lower band number.
+        # is busy, but the tie must go to band 2, the lower band and so the
+        # first position of the ascending set.
         rng = np.random.default_rng(m)
         matrix = rng.standard_normal((k, m))
         matrix[:, 2] = matrix[:, 5]
         table = SupportTable(matrix, RecoveryConfig(noise_variance=0.01,
                                                      bins_per_band=16))
-        bands = [5] + [b for b in rng.permutation(m).tolist() if b != 5]
-        plan = SensingPlan(table, bands)
-        first, second = 0, bands.index(2)
+        plan = SensingPlan(table, range(m))
+        first, second = 2, 5
         for trial in range(10):
             statuses = np.zeros(m, dtype=np.int8)
-            statuses[first] = 1
+            statuses[second] = 1
             samples = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
                               20.0, rng)
             support, _ = fbmp_recover(sample_gram(samples), plan, [0.5] * m)
@@ -606,7 +605,7 @@ class TestSensingPlan:
         for noise in (0.01, 0.0) for k, n in [(4, 8), (8, 16), (1, 3), (2, 5), (6, 10)]])
     def test_direct_operators_are_table_rows_and_own_inverses(self, k, n, noise_variance):
         # Every support of a direct set in (size, lexicographic) order over
-        # selection positions: those of at most K // 2 bands carry their
+        # the set's positions: those of at most K // 2 bands carry their
         # table rows' bits, larger ones the bits of their own covariance's
         # inverse over their ascending bands, and every log-determinant is
         # weighted by -bins. Noiseless tables score at the 1e-10 floor.
@@ -615,11 +614,11 @@ class TestSensingPlan:
         table = SupportTable(matrix, RecoveryConfig(noise_variance=noise_variance,
                                                     bins_per_band=16))
         for m in range(1, k + 1):
-            plan = SensingPlan(table, rng.permutation(n)[:m])
+            plan = SensingPlan(table, np.sort(rng.permutation(n)[:m]))
             assert plan.direct
             inv, weighted_logdet = plan.inv, plan.weighted_logdet
             assert inv.shape == (2 ** m, k * k)
-            supports = [np.sort(np.array(plan.bands)[list(positions)])
+            supports = [np.array(plan.bands)[list(positions)]
                         for size in range(m + 1)
                         for positions in itertools.combinations(range(m), size)]
             for i, bands in enumerate(supports):
@@ -641,17 +640,34 @@ class TestSensingPlan:
         rng = np.random.default_rng(k + n)
         table = SupportTable(rng.standard_normal((k, n)), RecoveryConfig())
         for m in range(1, n + 1):
-            plan = SensingPlan(table, rng.permutation(n)[:m])
+            plan = SensingPlan(table, np.sort(rng.permutation(n)[:m]))
             assert plan.gamma == gamma_threshold(m, k)
             assert len(plan.statuses) == len(plan.weighted_logdet) == \
                 sum(math.comb(m, size) for size in range(plan.gamma + 1))
             assert hasattr(plan, "inv") == plan.direct
 
+    @pytest.mark.parametrize("bands, message", [
+        pytest.param((7, 3, 5, 4, 6), r"integers, got \[7, 3, 5, 4, 6\]", id="unsorted"),
+        pytest.param((3, 3), r"integers, got \[3, 3\]", id="repeated"),
+        pytest.param(np.array([0.9, 3.99]), r"integers, got \[0.9, 3.99\]",
+                     id="fractional"),
+        pytest.param((1, 2.0), r"integers, got \[1.0, 2.0\]", id="float")])
+    def test_rejects_bands_not_ascending_integers(self, bands, message, rng):
+        # A plan takes the tuple of strictly ascending band indices that
+        # run_policy sends; a fractional index is not truncated to a band.
+        table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
+        message = "strictly ascending " + message
+        with pytest.raises(ValueError, match=message):
+            SensingPlan(table, bands)
+        with pytest.raises(ValueError, match=message):
+            table.plan(bands)
+        assert not table._plans
+
     def test_mixing_scatters_the_sub_matrix(self, rng):
         table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
-        plan = SensingPlan(table, (6, 1, 3))
+        plan = SensingPlan(table, (1, 3, 6))
         want = np.zeros((4, 12))
-        want[:, [6, 1, 3]] = plan.a_sub
+        want[:, [1, 3, 6]] = plan.a_sub
         want[:, 8:] = np.eye(4)
         assert plan.mixing.tobytes() == want.tobytes()
 
@@ -735,30 +751,33 @@ class TestSupportTable:
 
     def test_own_table_over_sub_matrix_columns(self, rng):
         # A plan over every column of a table of its own sub-matrix, and
-        # plans viewing a table's columns in any order.
+        # plans viewing some of a table's columns.
         a_sub = rng.standard_normal((4, 6))
         table = SupportTable(a_sub, RecoveryConfig())
         plan = SensingPlan(table, range(6))
         assert plan.bands == tuple(range(6))
         assert plan.a_sub.tolist() == a_sub.tolist()
-        assert np.array_equal(SensingPlan(table, (5, 0, 2)).a_sub, a_sub[:, [5, 0, 2]])
+        assert np.array_equal(SensingPlan(table, (0, 2, 5)).a_sub, a_sub[:, [0, 2, 5]])
         with pytest.raises(ValueError, match="out of range"):
             SensingPlan(table, range(7))
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="strictly ascending"):
             SensingPlan(table, (1, 1))
 
     @pytest.mark.parametrize("k, n", [(4, 8), (8, 16)])
     def test_plan_rows_of_unsorted_sets(self, k, n):
-        # A plan ranks its supports from the indicator in band order; the
-        # rows are those of each support's bands sorted one support at a
-        # time, for sets of every size in random order.
+        # A set drawn in random order gets no plan; sorted, its plan's rows
+        # are those of each support's bands, for sets of every size.
         rng = np.random.default_rng(n)
         table = SupportTable(rng.standard_normal((k, n)), RecoveryConfig())
         for m in range(1, n + 1):
             for _ in range(3):
                 bands = rng.permutation(n)[:m]
+                if m > 1 and (np.diff(bands) < 0).any():
+                    with pytest.raises(ValueError, match="strictly ascending"):
+                        SensingPlan(table, bands)
+                bands.sort()
                 plan = SensingPlan(table, bands)
-                want = [table.rows(np.sort(bands[all_supports(m, size)], axis=1))
+                want = [table.rows(bands[all_supports(m, size)])
                         for size in range(min(plan.gamma, table.max_size) + 1)]
                 assert plan.rows.dtype == np.intp
                 assert plan.rows.tolist() == np.concatenate(want).tolist()
@@ -767,28 +786,28 @@ class TestSupportTable:
         matrix = rng.standard_normal((4, 8))
         cfg = RecoveryConfig(noise_variance=0.01, bins_per_band=16)
         table = SupportTable(matrix, cfg)
-        sets = [(0, 1, 2, 3, 4, 5), (7, 3, 5, 4, 6)]
+        sets = [(0, 1, 2, 3, 4, 5), (3, 4, 5, 6, 7)]
         plans = [SensingPlan(table, bands) for bands in sets]
-        # A plan's rows are the table rows of its supports' sorted bands,
-        # in (size, lexicographic) order over selection positions; the two
-        # sets share exactly the rows of the supports of bands 3, 4 and 5.
+        # A plan's rows are the table rows of its supports' bands, in
+        # (size, lexicographic) order; the two sets share exactly the rows
+        # of the supports of bands 3, 4 and 5.
         for plan in plans:
             bands = np.array(plan.bands)
-            want = [table.rows(np.sort(bands[all_supports(len(bands), size)], axis=1))
+            want = [table.rows(bands[all_supports(len(bands), size)])
                     for size in range(3)]
             assert plan.rows.tolist() == np.concatenate(want).tolist()
         common = [table.rows(np.array([3, 4, 5])[all_supports(3, size)])
                   for size in range(3)]
         assert set(plans[0].rows.tolist()) & set(plans[1].rows.tolist()) == \
             set(np.concatenate(common).tolist())
-        # The unsorted set's search finds the same support as the
-        # reference on its own sub-matrix.
+        # Each set's search finds the same support as the reference on its
+        # own sub-matrix.
         for plan in plans:
             z = measure(plan.a_sub, synthesize_band_spectra(
                 np.eye(len(plan.bands), dtype=np.int8)[1], 16, rng), 20.0, rng)
             s_yy = sample_gram(z)
             support, energy = fbmp_recover(s_yy, plan, [0.5] * len(plan.bands))
-            want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
+            want = reference_map_recover(z, plan.a_sub, cfg, 2)
             assert support.tobytes() == want[0].tobytes()
             x_hat = table_posterior_mean(plan, support, z)
             assert x_hat.tobytes() == want[1].tobytes()
@@ -886,29 +905,6 @@ class TestPosteriorMean:
             assert np.linalg.norm(x_hat - spectra) <= 1e-6 * np.linalg.norm(spectra)
         assert found >= 36
 
-    def test_unsorted_set_solves_in_band_order(self, rng):
-        # A table row orders a support's bands ascending; for a set in
-        # another order the spectra are that row's, within rounding of the
-        # selection-order solve.
-        table = SupportTable(rng.standard_normal((4, 8)),
-                             RecoveryConfig(noise_variance=0.01, bins_per_band=16))
-        plan = SensingPlan(table, (7, 3, 5, 4, 6))
-        cfg = table.cfg
-        for _ in range(10):
-            statuses = np.zeros(5, dtype=np.int8)
-            statuses[rng.choice(5, size=2, replace=False)] = 1
-            z = measure(plan.a_sub, synthesize_band_spectra(statuses, 16, rng),
-                        20.0, rng)
-            s_yy = sample_gram(z)
-            support, energy = fbmp_recover(s_yy, plan, [0.5] * len(plan.bands))
-            want = reference_map_recover(z, plan.a_sub, cfg, 2, bands=plan.bands)
-            assert support.tobytes() == want[0].tobytes()
-            x_hat = table_posterior_mean(plan, support, z)
-            assert x_hat.tobytes() == want[1].tobytes()
-            assert_ratio_close(residual_ratio_of(energy, s_yy), want[2])
-            in_selection_order = reference_map_recover(z, plan.a_sub, cfg, 2)
-            np.testing.assert_allclose(x_hat, in_selection_order[1], rtol=1e-9)
-
 
 class TestRecoveryConfig:
     @pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
@@ -921,28 +917,6 @@ class TestRecoveryConfig:
     def test_rejects_nonpositive_residual_threshold(self, value):
         with pytest.raises(ValueError, match="residual_threshold"):
             RecoveryConfig(residual_threshold=value)
-
-    def test_fa_rate_check_leaves_scipy_unloaded(self):
-        # The field checks import no SciPy, nor does the refusal of the
-        # energy_fa_rate field that the energy detector once took.
-        code = "\n".join([
-            "import sys",
-            "from wssim.recovery import RecoveryConfig",
-            "RecoveryConfig(noise_variance=0.01, residual_threshold=0.2)",
-            "for kwargs in ({'energy_fa_rate': 0.05}, {'noise_variance': -1.0}):",
-            "    try:",
-            "        RecoveryConfig(**kwargs)",
-            "    except (TypeError, ValueError):",
-            "        pass",
-            "    else:",
-            "        raise AssertionError(kwargs)",
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
-        src = str(Path(wssim.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env)
-        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_bins_per_band_below_one(self, value):

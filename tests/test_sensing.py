@@ -72,11 +72,17 @@ class TestSelectSubmatrix:
         np.testing.assert_array_equal(select_submatrix(matrix, [2]),
                                       matrix[:, [2]])
 
-    def test_order_preserved(self, rng):
+    @pytest.mark.parametrize("selected, message", [
+        pytest.param([4, 1], r"integers, got \[4, 1\]", id="unsorted"),
+        pytest.param([1, 4, 4], r"integers, got \[1, 4, 4\]", id="repeated"),
+        pytest.param([0.5, 1.7], r"integers, got \[0.5, 1.7\]", id="fractional"),
+        pytest.param(np.array([1.0, 4.0]), r"integers, got \[1.0, 4.0\]", id="float")])
+    def test_rejects_unsorted_and_fractional_indices(self, selected, message, rng):
+        # Band indices are integers in strictly ascending order, as a policy
+        # sends them; a fractional index is not truncated to a column.
         matrix = draw_sensing_matrix(3, 6, rng)
-        sub = select_submatrix(matrix, [4, 1])
-        np.testing.assert_array_equal(sub[:, 0], matrix[:, 4])
-        np.testing.assert_array_equal(sub[:, 1], matrix[:, 1])
+        with pytest.raises(ValueError, match="strictly ascending " + message):
+            select_submatrix(matrix, selected)
 
     def test_rejects_duplicates_and_out_of_range(self, rng):
         matrix = draw_sensing_matrix(3, 5, rng)
