@@ -123,6 +123,27 @@ class TestRun:
         lines = (tmp_path / "results" / "tiny.csv").read_text().splitlines()
         assert len(lines) == 1 + 40
 
+    @pytest.mark.parametrize("overrides, expected", [
+        (["mu=0.25"], ["mu = 0.25"]),
+        (["case=case2"], ["case = case2"]),
+        # tiny.cfg leaves snr_db at noiseless, so 7.5 comes first.
+        (["snr_db=7.5", "snr_db=noiseless"], ["snr_db = noiseless"]),
+        (["snr_db=7.5"], ["snr_db = 7.5"]),
+        (["p01=0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4",
+          "p10=0.5,0.45,0.4,0.35,0.3,0.25,0.2,0.125"],
+         ["p01 = 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4",
+          "p10 = 0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.125"]),
+        (["policies=ldm, imp"], ["policies = LDM, IMP"]),
+    ], ids=["float", "str", "noiseless", "snr", "vectors", "policies"])
+    def test_set_override_is_written_to_the_manifest(self, workdir, overrides, expected):
+        tmp_path, cfg = workdir
+        args = ["run", str(cfg)]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 0
+        lines = (tmp_path / "results" / "tiny.manifest.cfg").read_text().splitlines()
+        assert set(expected) <= set(lines)
+
     def test_rerun_bit_identical(self, workdir):
         tmp_path, cfg = workdir
         results = tmp_path / "results"

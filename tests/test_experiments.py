@@ -21,6 +21,10 @@ INTEGER_FIELDS = ["replications", "horizon", "bins_per_band", "n_bands",
                   "k_branches", "seed"]
 
 
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def small_config(**overrides):
     base = dict(horizon=200, replications=3, seed=9, policies=("IMP", "LDM", "OLDM"))
     base.update(overrides)
@@ -873,11 +877,18 @@ class TestPinnedOracleOutput:
         "case1-n7-k3": "5d925e0299f8b37bd3201fc40b2280760f4978325774d64346c72227d386be45",
     }
 
+    # The manifests written beside the CSVs of the shipped configs: the
+    # resolved p01/p10 as float reprs joined by ", ", snr_db = noiseless,
+    # and every other field in declaration order.
+    MANIFEST_DIGESTS = {
+        "case1": "b8ad016b39a3ad7b7937a88a9079e3fec42c09656636861037e702f9135f56fe",
+        "case2": "6c0e69f0d2ad99b6edad33bbb2f76b594be2d2053508840706266c26af85d794",
+    }
+
     # (n_bands, k_branches) of the runs that change case1.cfg's shape.
     SHAPES = {"case1-n16-k4": (16, 4), "case1-n7-k3": (7, 3)}
 
-    @pytest.mark.parametrize("name", list(DIGESTS))
-    def test_csv_digest(self, name, tmp_path):
+    def emit(self, name, tmp_path):
         case = name.split("-")[0]
         cfg = load_config(CONFIGS / f"{case}.cfg")
         assert cfg.rs_mode == "oracle"
@@ -885,9 +896,17 @@ class TestPinnedOracleOutput:
         cfg.horizon = 4000
         if name in self.SHAPES:
             cfg.n_bands, cfg.k_branches = self.SHAPES[name]
-        csv_path, _ = emit_results(run_experiment(cfg), tmp_path / f"{name}.csv")
-        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
-            self.DIGESTS[name]
+        return emit_results(run_experiment(cfg), tmp_path / f"{name}.csv")
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_csv_digest(self, name, tmp_path):
+        csv_path, _ = self.emit(name, tmp_path)
+        assert sha256(csv_path) == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(MANIFEST_DIGESTS))
+    def test_manifest_digest(self, name, tmp_path):
+        _, manifest = self.emit(name, tmp_path)
+        assert sha256(manifest) == self.MANIFEST_DIGESTS[name]
 
 
 def test_pinned_oracle_mean_over_replications(tmp_path):
@@ -897,7 +916,7 @@ def test_pinned_oracle_mean_over_replications(tmp_path):
     assert cfg.rs_mode == "oracle"
     cfg.replications, cfg.horizon = 5, 1000
     csv_path, _ = emit_results(run_experiment(cfg), tmp_path / "case2.csv")
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+    assert sha256(csv_path) == \
         "853c5aaacdf203afe1668883ffab5fc515aa5d467c1267f3bb1266e2ba1364d4"
 
 
@@ -945,19 +964,33 @@ class TestPinnedSignalOutput:
         "case2-n16-k8-noiseless": ("case2", None, (16, 8), 1, 1000),
     }
 
-    def digest(self, name, tmp_path):
+    # The manifests beside the 16/8 CSVs: snr_db = 10.0 and noiseless.
+    MANIFEST_DIGESTS = {
+        "case2-n16-k8-10db": "69473b46692aa528f166a9379067d475cf540d7a2b87ea6fcc963008fc428ade",
+        "case2-n16-k8-noiseless": "68fb778d518389dfd510a7bdd331afa3719b30098fc43423c4c987146bba9337",
+    }
+
+    def emit(self, name, tmp_path):
         case, snr_db, shape, replications, horizon = self.RUNS[name]
         cfg = load_config(CONFIGS / f"{case}.cfg")
         cfg.rs_mode, cfg.snr_db = "signal", snr_db
         cfg.replications, cfg.horizon = replications, horizon
         if shape is not None:
             cfg.n_bands, cfg.k_branches = shape
-        csv_path, _ = emit_results(run_experiment(cfg), tmp_path / f"{name}.csv")
-        return hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        return emit_results(run_experiment(cfg), tmp_path / f"{name}.csv")
+
+    def digest(self, name, tmp_path):
+        csv_path, _ = self.emit(name, tmp_path)
+        return sha256(csv_path)
 
     @pytest.mark.parametrize("name", list(DIGESTS))
     def test_csv_digest(self, name, tmp_path):
         assert self.digest(name, tmp_path) == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(MANIFEST_DIGESTS))
+    def test_manifest_digest(self, name, tmp_path):
+        _, manifest = self.emit(name, tmp_path)
+        assert sha256(manifest) == self.MANIFEST_DIGESTS[name]
 
     @pytest.mark.parametrize("name", ["case1-0db", "case2-n16-k8-10db", "case2-0db"])
     def test_signal_digest_survives_perturbation(self, name, tmp_path, monkeypatch):
