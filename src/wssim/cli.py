@@ -60,8 +60,9 @@ def _cmd_sweep(args) -> int:
     stem = Path(args.config).stem
     # Every value's config is checked before the first run, so a bad value
     # fails the sweep without writing any results. A value equal to an
-    # earlier one after parsing (04 after 4) would rerun that config and
-    # overwrite its output, so it fails too.
+    # earlier one after parsing fails too: it would rerun that config. Output
+    # names take the raw text, so 04 after 4 would write its own
+    # <stem>_k_branches_04.csv; only a plain repeat (4,4) would overwrite.
     runs, seen = [], {}
     for raw in args.values.split(","):
         raw = raw.strip()

@@ -2,16 +2,19 @@
 
 Configs live in flat ``key = value`` text files (``#`` starts a comment),
 each key at most once; a value that does not parse is an error naming its
-key and line. Band statistics come either from a named case or from
-explicit per-band transition vectors; explicit vectors win when both are
-present, so an emitted manifest reloads to the exact same experiment.
+key and line. A key's value is read and written by the text form of its
+field's declared type on ExperimentConfig (_TEXT_FORMS). Band statistics
+come either from a named case or from explicit per-band transition
+vectors; explicit vectors win when both are present, so an emitted
+manifest reloads to the exact same experiment.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -53,22 +56,26 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Reject invalid fields with a message naming the field.
 
-        This is the one place the settings are checked:
-        experiments.run_experiment calls it once, before any replication,
-        and neither run_replication nor learning.run_policy checks again.
-        Integer fields must hold Python or numpy integers, so NaN and
-        non-integral values fail (and seed must be nonnegative, as
-        SeedSequence requires), and float checks are written so that NaN
-        fails them. The n_bands, k_branches (1 <= k_branches <= n_bands),
-        mu and delta checks are sizing.exploration_threshold's, which
-        theorem1 shares, so they are made by computing the exploration
-        budget. The recovery fields, snr_db and bins_per_band among them,
-        are checked by building recovery_config(), in either mode. Signal
-        mode also rejects an n_bands and k_branches whose support table
-        would exceed recovery._MAX_SUPPORTS rows (support_count). Neither
-        mode imports SciPy.
+        This is the one place every setting is checked:
+        experiments.run_experiment calls it once, before any replication. A
+        few checks run again where a run builds what they guard:
+        run_replication checks rep_index and rebuilds band_statistics()
+        (BandStatistics checks the vectors) and, in signal mode,
+        recovery_config(); learning.run_policy rejects an unknown mode and
+        recomputes sizing.exploration_threshold, which checks n_bands,
+        k_branches, mu and delta. The fields declared int must hold Python or
+        numpy integers, so NaN and non-integral values fail (and seed must be
+        nonnegative, as SeedSequence requires), and float checks are written
+        so that NaN fails them. The n_bands, k_branches (1 <= k_branches <=
+        n_bands), mu and delta checks are sizing.exploration_threshold's,
+        which theorem1 shares, so they are made by computing the exploration
+        budget. The recovery fields, snr_db and bins_per_band among them, are
+        checked by building recovery_config(), in either mode. Signal mode
+        also rejects an n_bands and k_branches whose support table would
+        exceed recovery._MAX_SUPPORTS rows (support_count). Neither mode
+        imports SciPy.
         """
-        for name in sorted(_INT_KEYS):
+        for name in sorted(key for key, kind in _FIELD_TYPES.items() if kind is int):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer (got {value!r})")
@@ -122,32 +129,37 @@ class ExperimentConfig:
                        p10=tuple(float(x) for x in stats.p10))
 
 
-_INT_KEYS = {"n_bands", "k_branches", "horizon", "replications", "seed",
-             "bins_per_band"}
-_FLOAT_KEYS = {"exploration_coefficient", "mu", "delta", "lambda_mixing",
-               "residual_threshold"}
-_ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
+# How a value of each declared field type is read from its text and
+# written back. A writer returns None for a value it leaves out of a
+# written file (an unset p01 or p10).
+_TEXT_FORMS = {
+    int: (int, str),
+    float: (float, lambda value: repr(float(value))),
+    str: (str.strip, str),
+    float | None: (
+        lambda raw: None if raw.lower() in ("noiseless", "none", "inf") else float(raw),
+        lambda value: "noiseless" if value is None else repr(float(value))),
+    tuple[float, ...] | None: (
+        lambda raw: tuple(float(part) for part in raw.split(",") if part.strip()),
+        lambda value: None if value is None else ", ".join(repr(float(x)) for x in value)),
+    tuple[str, ...]: (
+        lambda raw: tuple(part.strip().upper() for part in raw.split(",") if part.strip()),
+        ", ".join),
+}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+# (read, write) of every key; a type with no text form fails here, at import.
+_FIELD_FORMS = {key: _TEXT_FORMS[kind] for key, kind in _FIELD_TYPES.items()}
 
 
 def _parse_value(key: str, raw: str, where: str = ""):
     """The value of one config key from its text; every error names the key
     and starts with where (a file's path:lineno)."""
-    if key not in _ALL_KEYS:
+    if key not in _FIELD_FORMS:
         raise ValueError(f"{where}unknown configuration key: {key}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "snr_db":
-            return None if raw.lower() in ("noiseless", "none", "inf") else float(raw)
-        if key == "policies":
-            return tuple(part.strip().upper() for part in raw.split(",") if part.strip())
-        if key in ("p01", "p10"):
-            return tuple(float(part) for part in raw.split(",") if part.strip())
+        return _FIELD_FORMS[key][0](raw)
     except ValueError as exc:
         raise ValueError(f"{where}cannot parse {key} = {raw!r}: {exc}") from None
-    return raw.strip()   # case, rs_mode
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -167,24 +179,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _format_value(key: str, value) -> str:
-    if key == "snr_db":
-        return "noiseless" if value is None else repr(float(value))
-    if key == "policies":
-        return ", ".join(value)
-    if key in ("p01", "p10"):
-        return ", ".join(repr(float(x)) for x in value)
-    if key in _FLOAT_KEYS:
-        return repr(float(value))
-    return str(value)
-
-
 def dump_config(cfg: ExperimentConfig, path: str | Path) -> None:
     """Write a config (or manifest) back in the loadable flat format."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None and f.name in ("p01", "p10"):
-            continue
-        lines.append(f"{f.name} = {_format_value(f.name, value)}")
+    texts = {key: write(getattr(cfg, key)) for key, (_, write) in _FIELD_FORMS.items()}
+    lines = [f"{key} = {text}" for key, text in texts.items() if text is not None]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -260,13 +260,16 @@ class SupportTable:
         """The SensingPlan of a band set, strictly ascending, built on its
         first use. Plans are functions of their bands alone, so every
         caller of the table shares them; the table keeps at most
-        _MAX_PLANS (the oldest goes first), whatever the horizon."""
-        key = tuple(bands)
+        _MAX_PLANS (the oldest goes first), whatever the horizon. A plan is
+        keyed by its bands and their types: 0.0 == 0 and True == 1, so by
+        value alone a set that SensingPlan rejects would find a plan."""
+        bands = tuple(bands)
+        key = (bands, *map(type, bands))
         plan = self._plans.get(key)
         if plan is None:
             if len(self._plans) >= _MAX_PLANS:
                 del self._plans[next(iter(self._plans))]
-            plan = self._plans[key] = SensingPlan(self, key)
+            plan = self._plans[key] = SensingPlan(self, bands)
         return plan
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import (RecordingEnvironment, ReferenceSignalEnvironment,
                       complex_noise, synthesize_band_spectra)
-from wssim import experiments, recovery
+from wssim import config, experiments, recovery
 from wssim.config import ExperimentConfig, dump_config, load_config
 from wssim.experiments import (SignalEnvironment, emit_results,
                                run_experiment, run_replication)
@@ -550,7 +552,8 @@ class FreshTableEnvironment(SignalEnvironment):
         self.support_table = SupportTable(self.support_table.matrix,
                                           self.support_table.cfg)
         result = super().sense(selected, slot, prior_vacancy)
-        assert list(self.support_table._plans) == [tuple(selected)]
+        assert [plan.bands for plan in self.support_table._plans.values()] == \
+            [tuple(selected)]
         return result
 
 
@@ -1103,6 +1106,21 @@ class TestEmitResults:
         assert list(tmp_path.iterdir()) == []
 
 
+def config_with_field(declaration, tmp_path, monkeypatch):
+    """wssim.config imported anew with one more ExperimentConfig field,
+    declared after residual_threshold."""
+    last = "    residual_threshold: float = 0.1\n"
+    source = Path(config.__file__).read_text(encoding="utf-8")
+    assert source.count(last) == 1
+    path = tmp_path / "config_probe.py"
+    path.write_text(source.replace(last, f"{last}    {declaration}\n"), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("wssim.config_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestConfigFile:
     def test_load_round_trip(self, tmp_path):
         cfg = small_config(snr_db=12.5, p01=(0.1,) * 8, p10=(0.2,) * 8)
@@ -1146,6 +1164,23 @@ class TestConfigFile:
         path.write_text("n_bands = 8\nseed = 1\n\nn_bands = 16\n", encoding="utf-8")
         with pytest.raises(ValueError, match="exp.cfg:4: n_bands repeats line 1"):
             load_config(path)
+
+    def test_field_type_without_text_form_fails_at_import(self, tmp_path, monkeypatch):
+        with pytest.raises(KeyError, match=r"dict\[str, float\]"):
+            config_with_field("weights: dict[str, float] | None = None",
+                              tmp_path, monkeypatch)
+
+    def test_field_declared_int_is_read_written_and_checked_as_one(
+            self, tmp_path, monkeypatch):
+        module = config_with_field("extra: int = 0", tmp_path, monkeypatch)
+        path = tmp_path / "exp.cfg"
+        path.write_text("extra = 3\n", encoding="utf-8")
+        cfg = module.load_config(path)
+        assert cfg.extra == 3
+        module.dump_config(cfg, path)
+        assert "extra = 3" in path.read_text(encoding="utf-8").splitlines()
+        with pytest.raises(ValueError, match="extra must be an integer"):
+            module.ExperimentConfig(extra=2.5).validate()
 
     def test_recovery_config_takes_the_recovery_fields(self):
         cfg = small_config(snr_db=20.0, residual_threshold=0.2)

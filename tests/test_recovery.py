@@ -663,6 +663,27 @@ class TestSensingPlan:
             table.plan(bands)
         assert not table._plans
 
+    @pytest.mark.parametrize("bands", [(0.0, 3.0), (0, 3.0), (False, True)],
+                             ids=["floats", "a-float", "bools"])
+    def test_warm_cache_rejects_what_a_cold_one_rejects(self, bands, rng):
+        # 0.0 == 0 and True == 1: looked up by value alone, each set would
+        # find the cached plan of (0, 3) or (0, 1).
+        table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
+        with pytest.raises(ValueError, match="strictly ascending integers"):
+            table.plan(bands)
+        table.plan(tuple(map(int, bands)))
+        with pytest.raises(ValueError, match="strictly ascending integers"):
+            table.plan(bands)
+        assert len(table._plans) == 1
+
+    def test_numpy_integer_sets_are_planned_and_cached(self, rng):
+        table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
+        plan = table.plan((0, 3))
+        numpy_plan = table.plan(tuple(np.array([0, 3])))
+        assert numpy_plan.bands == plan.bands == (0, 3)
+        assert table.plan(tuple(np.array([0, 3]))) is numpy_plan
+        assert table.plan((0, 3)) is plan
+
     def test_mixing_scatters_the_sub_matrix(self, rng):
         table = SupportTable(rng.standard_normal((4, 8)), RecoveryConfig())
         plan = SensingPlan(table, (1, 3, 6))
